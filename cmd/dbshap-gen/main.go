@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -31,14 +30,8 @@ func main() {
 	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers; corpora are byte-identical for a fixed seed at every -workers")
 	labelFallback := flag.String("label-fallback", "mc", "sampler labeling the lineages the exact engine refuses (too large); \"none\" drops them instead")
 	export := flag.String("export", "", "write the labeled corpus as JSON to this path (suffixed with the database name when -db both)")
-	rankBatch := flag.Int("rank-batch", 0, "accepted for CLI uniformity with the ranking commands; corpus generation performs no ranking, so the value is only recorded in the run manifest")
-	trainBatch := flag.Int("train-batch", 0, "accepted for CLI uniformity with the training commands; corpus generation performs no training, so the value is only recorded in the run manifest")
-	precision := flag.String("precision", "f64", "accepted for CLI uniformity with the ranking commands; corpus generation performs no inference, so the value is only validated and recorded in the run manifest")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	rn := o.Start("dbshap-gen")
 	defer finish(rn)
@@ -48,9 +41,6 @@ func main() {
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("scale", *scale)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("rank_batch", *rankBatch)
-	rn.SetConfig("train_batch", *trainBatch)
-	rn.SetConfig("precision", *precision)
 	rn.SetConfig("labeler", *labeler)
 	rn.SetConfig("label_samples", *labelSamples)
 	rn.SetConfig("label_seed", *labelSeed)

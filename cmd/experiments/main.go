@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -24,14 +23,9 @@ func main() {
 	benchScale := flag.Bool("bench", false, "use the (smaller) bench-scale configuration")
 	only := flag.String("only", "", "comma-separated artifact list (e.g. table1,figure9); empty = all")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building, training and evaluation (0 = one per CPU); results are identical for every value")
-	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); results are identical for every value")
 	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); results are identical for every value")
-	precision := flag.String("precision", "f64", "arithmetic tier for evaluation-time ranking: f64 (reference), f32, or int8 (per-channel quantized weights); training always runs f64")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	cfg := experiments.FullConfig()
 	if *benchScale {
@@ -42,9 +36,7 @@ func main() {
 		// flag was given explicitly.
 		cfg.Workers = *workers
 	}
-	cfg.RankBatch = *rankBatch
 	cfg.TrainBatch = *trainBatch
-	cfg.Precision = *precision
 	// Start observability before NewSuite: hot-path metric handles resolve
 	// against the registry installed here.
 	rn := o.Start("experiments")
@@ -52,9 +44,7 @@ func main() {
 	rn.SetConfig("bench", *benchScale)
 	rn.SetConfig("only", *only)
 	rn.SetConfig("workers", cfg.Workers)
-	rn.SetConfig("rank_batch", cfg.RankBatch)
 	rn.SetConfig("train_batch", cfg.TrainBatch)
-	rn.SetConfig("precision", cfg.Precision)
 	rn.SetConfig("queries_per_db", cfg.QueriesPerDB)
 	rn.SetConfig("scale", cfg.Scale.Base)
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -34,14 +33,9 @@ func main() {
 	savePath := flag.String("save", "", "write the trained model to this file")
 	loadPath := flag.String("load", "", "load a trained model instead of training")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building and training (0 = one per CPU); results are identical for every value")
-	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); scores are identical for every value")
 	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
-	precision := flag.String("precision", "f64", "arithmetic tier for ranking inference: f64 (reference), f32, or int8 (per-channel quantized weights); training always runs f64")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	rn := o.Start("learnshap")
 	defer finish(rn)
@@ -51,9 +45,7 @@ func main() {
 	rn.SetConfig("cases", *cases)
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("rank_batch", *rankBatch)
 	rn.SetConfig("train_batch", *trainBatch)
-	rn.SetConfig("precision", *precision)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -85,9 +77,7 @@ func main() {
 		log.Fatalf("unknown -model %q", *modelFlag)
 	}
 	cfg.Workers = *workers
-	cfg.RankBatch = *rankBatch
 	cfg.TrainBatch = *trainBatch
-	cfg.Precision = *precision
 
 	var model *core.Model
 	if *loadPath != "" {
@@ -103,8 +93,6 @@ func main() {
 		if closeErr != nil {
 			log.Fatal(closeErr)
 		}
-		model.Cfg.RankBatch = *rankBatch
-		model.Cfg.Precision = *precision
 		rn.Log.Infof("Loaded %s from %s (%d weights)\n", model.Name(), *loadPath, model.NumWeights())
 	} else {
 		rn.Log.Infof("Training %s...\n", cfg.Name)

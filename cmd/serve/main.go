@@ -14,11 +14,11 @@
 // SIGINT and SIGTERM drain in-flight batches before exit (and flush
 // -metrics-out).
 //
-// Coalesced batches are scored through the cross-request packed path
-// (-pack-requests, default on): each replica runs one core.RankMany over its
-// slice of the batch, so facts of different requests share multi-prefix GEMM
-// passes — bit-identical to per-request scoring either way. -tls-cert/-tls-key
-// serve HTTPS; -admin-token puts /admin/* behind a bearer token.
+// Coalesced batches are scored through the cross-request packed path: each
+// replica runs one core.RankMany over its slice of the batch, so facts of
+// different requests share multi-prefix GEMM passes — bit-identical to
+// per-request scoring. -tls-cert/-tls-key serve HTTPS; -admin-token puts
+// /admin/* behind a bearer token.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -62,9 +61,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8, "max coalesced requests per dispatch (1 = per-request scoring)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for more requests after its first")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound; overflow answers 429 + Retry-After")
-	rankBatch := flag.Int("rank-batch", 8, "pack up to this many lineage facts per batched encoder pass (0 or 1 = per-fact)")
-	packRequests := flag.Bool("pack-requests", true, "score each coalesced batch slice through one cross-request packed pass (core.RankMany); false = request-granular dispatch")
-	precision := flag.String("precision", "f64", "serving tier: f64 (reference), f32, or int8")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	adminToken := flag.String("admin-token", "", "bearer token required on /admin/* endpoints (empty = open)")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate path; with -tls-key, serve HTTPS instead of HTTP")
@@ -88,9 +84,6 @@ func main() {
 
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	rn := o.Start("serve")
 	defer finish(rn)
@@ -103,9 +96,6 @@ func main() {
 	rn.SetConfig("max_batch", *maxBatch)
 	rn.SetConfig("batch_window", batchWindow.String())
 	rn.SetConfig("queue_cap", *queueCap)
-	rn.SetConfig("rank_batch", *rankBatch)
-	rn.SetConfig("pack_requests", *packRequests)
-	rn.SetConfig("precision", *precision)
 	rn.SetConfig("slow_ms", *slowMS)
 	rn.SetConfig("trace_ring", *traceRing)
 	rn.SetConfig("drift_window", *driftWindow)
@@ -132,22 +122,19 @@ func main() {
 		*loadPath, *savePath)
 
 	scfg := serve.Config{
-		Addr:         *addr,
-		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		BatchWindow:  *batchWindow,
-		QueueCap:     *queueCap,
-		RankBatch:    *rankBatch,
-		PackRequests: *packRequests,
-		Precision:    *precision,
-		AdminToken:   *adminToken,
-		TLSCert:      *tlsCert,
-		TLSKey:       *tlsKey,
-		SlowMS:       *slowMS,
-		TraceRing:    *traceRing,
-		DriftWindow:  *driftWindow,
-		DriftProbe:   *driftProbe,
-		DriftPSI:     *driftPSI,
+		Addr:        *addr,
+		Workers:     *workers,
+		MaxBatch:    *maxBatch,
+		BatchWindow: *batchWindow,
+		QueueCap:    *queueCap,
+		AdminToken:  *adminToken,
+		TLSCert:     *tlsCert,
+		TLSKey:      *tlsKey,
+		SlowMS:      *slowMS,
+		TraceRing:   *traceRing,
+		DriftWindow: *driftWindow,
+		DriftProbe:  *driftProbe,
+		DriftPSI:    *driftPSI,
 	}
 	if *loadgen && *target != "" {
 		// External target: no in-process server needed.
@@ -165,8 +152,8 @@ func main() {
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
-	rn.Log.Infof("Serving on %s (max-batch %d, window %v, %d workers, %s, queue %d)\n",
-		srv.URL(), *maxBatch, *batchWindow, scfg.Workers, *precision, *queueCap)
+	rn.Log.Infof("Serving on %s (max-batch %d, window %v, %d workers, queue %d)\n",
+		srv.URL(), *maxBatch, *batchWindow, scfg.Workers, *queueCap)
 
 	switch {
 	case *selftest > 0:
@@ -175,22 +162,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to sequential ranking (pack-requests=%v)\n",
-			*selftest, scfg.PackRequests)
-		// Sweep the packing axis: the same corpus and model must be
-		// bit-identical to sequential ranking with the dispatch mode flipped,
-		// so one selftest run gates both serve paths.
-		scfg.PackRequests = !scfg.PackRequests
-		srv2 := serve.New(scfg, corpus, model)
-		if err := srv2.Start(); err != nil {
-			log.Fatal(err)
-		}
-		err = serve.SelfTest(srv2, *selftest)
-		shutdown(srv2, *drainTimeout)
-		if err != nil {
-			log.Fatalf("selftest with pack-requests=%v: %v", scfg.PackRequests, err)
-		}
-		rn.Log.Infof("selftest ok: pack-requests=%v sweep also bit-identical\n", scfg.PackRequests)
+		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to sequential ranking\n", *selftest)
 	case *loadgen:
 		runLoadgen(corpus, srv.URL(), *clients, *requests, *rate, *lineages)
 		shutdown(srv, *drainTimeout)

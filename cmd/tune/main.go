@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -35,14 +34,9 @@ func main() {
 	labeler := flag.String("labeler", "exact", "Shapley labeling engine for the corpus: exact, mc, amc, loo, or stratified")
 	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for sampling labelers (0 = engine default)")
 	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers")
-	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); scores are identical for every value")
 	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
-	precision := flag.String("precision", "f64", "arithmetic tier for ranking inference: f64 (reference), f32, or int8 (per-channel quantized weights); training always runs f64")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	rn := o.Start("tune")
 	defer finish(rn)
@@ -59,9 +53,7 @@ func main() {
 	rn.SetConfig("labeler", *labeler)
 	rn.SetConfig("label_samples", *labelSamples)
 	rn.SetConfig("label_seed", *labelSeed)
-	rn.SetConfig("rank_batch", *rankBatch)
 	rn.SetConfig("train_batch", *trainBatch)
-	rn.SetConfig("precision", *precision)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -104,9 +96,7 @@ func main() {
 	cfg.PretrainEpochs = *pepochs
 	cfg.PretrainPairsPerEpoch = *ppairs
 	cfg.Workers = *workers
-	cfg.RankBatch = *rankBatch
 	cfg.TrainBatch = *trainBatch
-	cfg.Precision = *precision
 	if !*pretrain {
 		cfg.PretrainMetrics = nil
 		cfg.PretrainEpochs = 0

@@ -13,8 +13,9 @@
 //     single head predicts the (scaled) Shapley value of fact f with respect
 //     to (q, t). The checkpoint with the highest dev NDCG@10 is kept.
 //
-// At inference, Rank scores every lineage fact with one forward pass each and
-// orders them by predicted value.
+// At inference, Rank scores every lineage fact with the fine-tuned encoder —
+// the facts of a lineage share one encoded prefix and are packed into a few
+// encoder passes — and orders them by predicted value.
 package core
 
 import (

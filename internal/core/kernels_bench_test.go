@@ -2,19 +2,16 @@ package core
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 )
 
 // Shared fixture for the end-to-end ranking benchmarks: an (untrained —
 // weights don't affect FLOPs) BaseConfig model plus every labeled case of a
 // small IMDB corpus. Built once; benchmarks rank the same inputs through the
-// reference path and the prefix-reuse path.
+// reference path and the packed prefix-reuse path.
 var benchRank struct {
 	once sync.Once
 	c    *dataset.Corpus
@@ -58,8 +55,8 @@ func BenchmarkRankLineageFull(b *testing.B) {
 }
 
 // BenchmarkRankLineagePrefix ranks the same cases through RankOn: shared
-// prefix encoded once per lineage, trimmed (unpadded) sequences per fact.
-// Bit-identical outputs (TestRankOnPrefixGolden).
+// prefix encoded once per lineage, trimmed (unpadded) sequences per fact,
+// packed into encoder passes. Bit-identical outputs (TestRankOnPrefixGolden).
 func BenchmarkRankLineagePrefix(b *testing.B) {
 	benchRankSetup(b)
 	b.ReportAllocs()
@@ -71,94 +68,16 @@ func BenchmarkRankLineagePrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkRankLineageBatched ranks the same cases through the packed batched
-// path (RankBatch chunks of 8), with intra-op GEMM parallelism taken from
-// REPRO_WORKERS (default 1 = serial). Bit-identical outputs
-// (TestRankOnBatchedGolden); compare against BenchmarkRankLineagePrefix for
-// the packing win.
-func BenchmarkRankLineageBatched(b *testing.B) {
-	benchRankSetup(b)
-	workers := 1
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			workers = n
-		}
-	}
-	nn.SetIntraOp(workers, 0)
-	benchRank.m.Cfg.RankBatch = 8
-	defer func() {
-		nn.SetIntraOp(1, 0)
-		benchRank.m.Cfg.RankBatch = 0
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range benchRank.ins {
-			benchRank.m.RankOn(benchRank.c.DB, in)
-		}
-	}
-}
-
 // BenchmarkRankManyBatched ranks the same cases through one RankManyOn call
 // per iteration: the cross-request packed path, where facts of all lineages
-// share one RankBatch packing budget (multi-prefix chunks). Bit-identical
-// outputs (TestRankManyGolden); compare against BenchmarkRankLineageBatched
-// (the same inputs as per-request RankOn calls) for the cross-request
-// packing effect at equal intra-op settings.
+// share one packing budget (multi-prefix chunks). Bit-identical outputs
+// (TestRankManyGolden); compare against BenchmarkRankLineagePrefix (the same
+// inputs as per-request RankOn calls) for the cross-request packing effect.
 func BenchmarkRankManyBatched(b *testing.B) {
 	benchRankSetup(b)
-	workers := 1
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			workers = n
-		}
-	}
-	nn.SetIntraOp(workers, 0)
-	benchRank.m.Cfg.RankBatch = 8
-	defer func() {
-		nn.SetIntraOp(1, 0)
-		benchRank.m.Cfg.RankBatch = 0
-	}()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchRank.m.RankManyOn(benchRank.c.DB, benchRank.ins)
 	}
 }
-
-// benchRankPrecision ranks every case through RankOn on the given precision
-// tier (batched when RankBatch > 1). The engine is built before the timer so
-// the loop measures steady-state scoring, like a warmed serving process.
-func benchRankPrecision(b *testing.B, precision string, rankBatch int) {
-	benchRankSetup(b)
-	m := benchRank.m
-	m.Cfg.Precision = precision
-	m.Cfg.RankBatch = rankBatch
-	defer func() {
-		m.Cfg.Precision = ""
-		m.Cfg.RankBatch = 0
-	}()
-	for _, in := range benchRank.ins[:1] {
-		m.RankOn(benchRank.c.DB, in) // build the engine + warm arenas
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range benchRank.ins {
-			m.RankOn(benchRank.c.DB, in)
-		}
-	}
-}
-
-// BenchmarkRankLineageF32 ranks the same cases as BenchmarkRankLineagePrefix
-// through the float32 inference engine. Compare for the precision-tier win;
-// ranking parity with f64 is gated by TestPrecisionParityGolden.
-func BenchmarkRankLineageF32(b *testing.B) { benchRankPrecision(b, "f32", 0) }
-
-// BenchmarkRankLineageInt8 ranks through the int8 weight-quantized engine —
-// the smallest-footprint tier (int8 weights, f32 activations).
-func BenchmarkRankLineageInt8(b *testing.B) { benchRankPrecision(b, "int8", 0) }
-
-// BenchmarkRankLineageF32Batched adds RankBatch-8 packing on the f32 tier,
-// the layout BENCH_precision.json sweeps against the f64 batched path.
-func BenchmarkRankLineageF32Batched(b *testing.B) { benchRankPrecision(b, "f32", 8) }

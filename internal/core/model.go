@@ -68,31 +68,14 @@ type ModelConfig struct {
 	// in sample order, so trained weights are bit-identical for every worker
 	// count.
 	Workers int
-	// RankBatch > 1 scores lineage facts through the packed batched encoder
-	// path (nn.BatchedForwardWithPrefix) in chunks of up to RankBatch
-	// sequences, so each transformer layer's projections run as a few large
-	// GEMMs instead of one small GEMM per fact. 0 or 1 keeps the per-fact
-	// prefix-reuse path. Scores are bit-identical either way (see batch.go).
-	RankBatch int
 	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
 	// batched training path (nn.BatchedStep): up to TrainBatch sequences are
 	// packed into one [ΣT×Dim] forward+backward per step, so each layer's
 	// Q/K/V/FFN forward and dL/dx gradient GEMMs run as a few large matrix
-	// products under the intra-op pool instead of one small GEMM per sample.
+	// products instead of one small GEMM per sample.
 	// 0 keeps the replica-per-sample path. Trained weights, dev curves and the
 	// TrainReport are bit-identical either way (see train_batched.go).
 	TrainBatch int
-	// Precision selects the arithmetic tier ranking inference runs on: "" or
-	// "f64" is the float64 reference engine; "f32" scores through a float32
-	// mirror of the encoder; "int8" additionally quantizes every Linear weight
-	// matrix to int8 with per-output-channel scales (see internal/nn and
-	// DESIGN.md "Kernel tiers & precision"). Training and dev-set checkpoint
-	// selection always run the f64 reference tier regardless of this field —
-	// Train clears it for the duration of training and stamps it on the
-	// returned model — so trained weights stay bit-identical across precision
-	// settings. The reduced tiers are gated on ranking agreement with the f64
-	// ranker (NDCG@k, Spearman), not bitwise equality.
-	Precision string
 }
 
 // BaseConfig is LearnShapley-base at bench scale.
@@ -171,14 +154,6 @@ type Model struct {
 	// tokens between Pack and the encoder's BatchedStep (train_batched.go).
 	trainToks, trainSegs [][]int
 	trainMasks           [][]bool
-
-	// Low-precision inference engines, built lazily on the first ranked
-	// lineage when Cfg.Precision selects a reduced tier (precision.go). The
-	// engines snapshot the f64 master weights at build time, so they are
-	// inference-only: weights must not change once a reduced-tier RankOn has
-	// run (training always builds a fresh Model, so this holds in practice).
-	enc32  *nn.Encoder32
-	head32 *nn.Head32
 }
 
 // NumWeights reports the total scalar parameter count.
@@ -276,8 +251,8 @@ func (m *Model) predictShapley(queryTokens, tupleTokens, factTokens []string) fl
 	return m.shapHead.Forward(hidden) / m.Cfg.TargetScale
 }
 
-// Rank implements Ranker: one forward pass per lineage fact. Fact IDs are
-// resolved against the database the model was trained over.
+// Rank implements Ranker. Fact IDs are resolved against the database the
+// model was trained over.
 func (m *Model) Rank(in Input) shapley.Values {
 	return m.RankOn(m.db(), in)
 }
@@ -285,28 +260,12 @@ func (m *Model) Rank(in Input) shapley.Values {
 // RankOn ranks a lineage whose fact IDs refer to the given database. Passing
 // a database other than the training one performs cross-schema inference —
 // the open generalization problem of Section 7; token overlap is then the
-// only transferable signal. The implementation encodes the shared
-// [CLS] q [SEP] t [SEP] prefix once per lineage and reuses it across facts
-// (see prefix.go); with Cfg.RankBatch > 1 the facts are additionally packed
-// into batched encoder passes (see batch.go). On the f64 tier scores are
-// bit-identical to independent per-fact passes in every configuration; with
-// Cfg.Precision set to a reduced tier the same prefix/batched structure runs
-// on the f32 or int8 engine instead (see precision.go).
+// only transferable signal. It is RankManyOn with one input: the shared
+// [CLS] q [SEP] t [SEP] prefix is encoded once and the facts are packed into
+// a few encoder passes (see rankmany.go). Scores are bit-identical to one
+// independent full-length forward pass per fact.
 func (m *Model) RankOn(db *relation.Database, in Input) shapley.Values {
-	prec, err := nn.ParsePrecision(m.Cfg.Precision)
-	if err != nil {
-		// Precision strings are validated at every construction boundary
-		// (Train, LoadModel, flag parsing); an invalid one reaching RankOn is
-		// a programming error, not an input error.
-		panic(err)
-	}
-	if prec != nn.PrecisionF64 {
-		return m.rankOnLowPrec(db, in, prec)
-	}
-	if m.Cfg.RankBatch > 1 {
-		return m.rankOnBatched(db, in)
-	}
-	return m.rankOn(db, in)
+	return m.rankMany(db, []Input{in}, rankChunk)[0]
 }
 
 // RankCtx is Rank with a request context: when ctx carries an

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 
-	"repro/internal/nn"
 	"repro/internal/relation"
 	"repro/internal/tokenizer"
 )
@@ -44,14 +43,6 @@ func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 	}
 	if payload.Version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", payload.Version)
-	}
-	// Checkpoints always store the f64 master weights; Cfg.Precision only
-	// names the inference tier the saver was configured for. Validate it here
-	// so a checkpoint carrying a tier this build does not know fails with a
-	// clear error instead of panicking (or silently misconfiguring) at the
-	// first RankOn.
-	if _, err := nn.ParsePrecision(payload.Cfg.Precision); err != nil {
-		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	tok, err := tokenizer.FromWords(payload.Words)
 	if err != nil {

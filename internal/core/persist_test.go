@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,5 +72,75 @@ func TestLoadModelRejectsTamperedWeights(t *testing.T) {
 	truncated := bytes.NewReader(buf.Bytes()[:buf.Len()/2])
 	if _, err := LoadModel(truncated, c.DB); err == nil {
 		t.Error("expected error for truncated payload")
+	}
+}
+
+// legacySavedModel mirrors savedModel as checkpoints were written while
+// ModelConfig still carried the inference-tier knobs Precision and RankBatch.
+// gob matches struct fields by name, so encoding this type produces exactly
+// such a checkpoint.
+type legacySavedModel struct {
+	Version int
+	Cfg     legacyModelConfig
+	Words   []string
+	Weights [][]float64
+}
+
+type legacyModelConfig struct {
+	Name                                                string
+	Dim, Heads, Layers, FFNHidden, MaxSeqLen, VocabSize int
+	PretrainMetrics                                     []string
+	PretrainEpochs, PretrainPairsPerEpoch               int
+	PretrainLR                                          float64
+	FinetuneEpochs, FinetuneSamplesPerEpoch             int
+	FinetuneLR                                          float64
+	BatchSize                                           int
+	TargetScale, MLMWeight                              float64
+	NegativeSamplesPerEpoch                             int
+	Seed                                                int64
+	Workers, RankBatch, TrainBatch                      int
+	Precision                                           string
+}
+
+// TestPrecisionCheckpointRoundTrip pins checkpoint compatibility across the
+// retired ranking fields: a checkpoint whose config still names an int8
+// precision tier and a rank-batch of 16 loads, keeps every other config
+// field, and ranks bit-identically to the model that saved it.
+func TestPrecisionCheckpointRoundTrip(t *testing.T) {
+	c, _ := tinyCorpus(t)
+	cfg := tinyConfig()
+	cfg.TrainBatch = 4
+	tok := buildVocabulary(c, cfg)
+	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
+	m.trainDB = c.DB
+	old := legacySavedModel{
+		Version: persistVersion,
+		Cfg: legacyModelConfig{
+			Name: cfg.Name, Dim: cfg.Dim, Heads: cfg.Heads, Layers: cfg.Layers,
+			FFNHidden: cfg.FFNHidden, MaxSeqLen: cfg.MaxSeqLen, VocabSize: cfg.VocabSize,
+			PretrainMetrics: cfg.PretrainMetrics, PretrainEpochs: cfg.PretrainEpochs,
+			PretrainPairsPerEpoch: cfg.PretrainPairsPerEpoch, PretrainLR: cfg.PretrainLR,
+			FinetuneEpochs: cfg.FinetuneEpochs, FinetuneSamplesPerEpoch: cfg.FinetuneSamplesPerEpoch,
+			FinetuneLR: cfg.FinetuneLR, BatchSize: cfg.BatchSize, TargetScale: cfg.TargetScale,
+			MLMWeight: cfg.MLMWeight, NegativeSamplesPerEpoch: cfg.NegativeSamplesPerEpoch,
+			Seed: cfg.Seed, Workers: cfg.Workers, TrainBatch: cfg.TrainBatch,
+			RankBatch: 16, Precision: "int8",
+		},
+		Words:   tok.Words(),
+		Weights: m.params.Snapshot(),
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf, c.DB)
+	if err != nil {
+		t.Fatalf("checkpoint with retired fields failed to load: %v", err)
+	}
+	if !reflect.DeepEqual(loaded.Cfg, m.Cfg) {
+		t.Fatalf("config changed across load:\nloaded %+v\nsaved  %+v", loaded.Cfg, m.Cfg)
+	}
+	for _, in := range caseInputs(c) {
+		assertValuesBitEqual(t, "loaded", loaded.RankOn(c.DB, in), m.RankOn(c.DB, in))
 	}
 }

@@ -3,21 +3,19 @@ package core
 import (
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/relation"
-	"repro/internal/shapley"
 	"repro/internal/tokenizer"
 )
 
-// lineageScorer scores the facts of one lineage against a fixed (query, tuple)
-// pair. All facts of a lineage share the packed prefix
+// lineageScorer holds what the facts of one lineage share when scored against
+// a fixed (query, tuple) pair. All facts of a lineage share the packed prefix
 //
 //	[CLS] q [SEP] t [SEP]
 //
 // so the scorer tokenizes and encodes that prefix once (through the embedding
-// layer, via nn.PrefixCache) and re-runs only the transformer blocks per fact,
-// with the fact tokens appended as segment 2. Two further differences from the
-// naive per-fact path, both provably bit-preserving for the [CLS] output row
-// (see DESIGN.md "Memory model & kernels"):
+// layer, via nn.PrefixCache) and the packed pass re-runs only the transformer
+// blocks per fact, with the fact tokens appended as segment 2. Two further
+// differences from the naive per-fact path, both provably bit-preserving for
+// the [CLS] output row (see DESIGN.md "Memory model & kernels"):
 //
 //   - sequences are not padded to MaxSeqLen: attention masks padded keys out of
 //     every softmax and all other layers are row-local, so trailing padding
@@ -29,8 +27,8 @@ import (
 // The fast path applies only when Pack's truncation rule (tokenizer.FitLengths)
 // would leave the query and tuple segments untrimmed; otherwise the fact
 // segment is long enough to steal prefix budget, the shared prefix differs per
-// fact, and the scorer falls back to the reference path (Model.predictShapley)
-// for those facts — which is the same computation, just without reuse.
+// fact, and the fact falls back to the reference path (Model.predictShapley) —
+// which is the same computation, just without reuse.
 type lineageScorer struct {
 	m            *Model
 	qToks, tToks []string
@@ -39,10 +37,7 @@ type lineageScorer struct {
 	pc        *nn.PrefixCache // built lazily on the first fast-path fact
 	prefixLen int
 
-	// Reusable per-fact buffers.
-	suf, sufSeg []int
-	mask        []bool
-	lens        []int
+	lens []int // reusable FitLengths buffer
 
 	// Prefix-reuse effectiveness counters: facts scored through the shared
 	// prefix vs. facts that fell back to the reference path because
@@ -65,13 +60,11 @@ func newLineageScorer(m *Model, in Input) *lineageScorer {
 	return s
 }
 
-// prefixTokens assembles the [CLS] q [SEP] t [SEP] token IDs and segments the
-// lineage shares across facts. Both the f64 prefix cache (buildPrefix) and the
-// low-precision one (precision.go) embed exactly this sequence.
-func (s *lineageScorer) prefixTokens() (tokens, segs []int) {
+// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
+func (s *lineageScorer) buildPrefix() {
 	n := 1 + s.qLen + 1 + s.tLen + 1
-	tokens = make([]int, 0, n)
-	segs = make([]int, 0, n)
+	tokens := make([]int, 0, n)
+	segs := make([]int, 0, n)
 	push := func(id, seg int) {
 		tokens = append(tokens, id)
 		segs = append(segs, seg)
@@ -85,21 +78,13 @@ func (s *lineageScorer) prefixTokens() (tokens, segs []int) {
 		push(id, 1)
 	}
 	push(tokenizer.SepID, 1)
-	return tokens, segs
-}
-
-// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
-func (s *lineageScorer) buildPrefix() {
-	tokens, segs := s.prefixTokens()
 	s.pc = s.m.enc.EmbedPrefix(tokens, segs)
 	s.prefixLen = len(tokens)
 }
 
 // eligibleFactLen decides whether a fact with the given tokens can take the
 // shared-prefix fast path and, if so, returns its (possibly trimmed) token
-// count. The single source of truth for fast-path eligibility: the per-fact
-// and batched rankers both route through it, so they fall back on exactly the
-// same facts.
+// count.
 func (s *lineageScorer) eligibleFactLen(fToks []string) (int, bool) {
 	s.lens[0], s.lens[1], s.lens[2] = s.qLen, s.tLen, len(fToks)
 	tokenizer.FitLengths(s.m.Cfg.MaxSeqLen, s.lens)
@@ -111,72 +96,14 @@ func (s *lineageScorer) eligibleFactLen(fToks []string) (int, bool) {
 	return s.lens[2], true
 }
 
-// score predicts the (unscaled) Shapley value of one fact from its tokens
-// (cached per fact by Model.tokensForFact at the call sites).
-func (s *lineageScorer) score(fToks []string) float64 {
-	fLen, ok := s.eligibleFactLen(fToks)
-	if !ok {
-		s.mFallbacks.Add(1)
-		return s.m.predictShapley(s.qToks, s.tToks, fToks)
+// appendFactSuffix encodes a (possibly trimmed) fact token sequence plus the
+// trailing [SEP] as segment-2 suffix ids, appending into the given buffers.
+func appendFactSuffix(suf, seg []int, tok *tokenizer.Tokenizer, fToks []string, fLen int) ([]int, []int) {
+	for _, id := range tok.Encode(fToks[:fLen]) {
+		suf = append(suf, id)
+		seg = append(seg, 2)
 	}
-	s.mHits.Add(1)
-	if s.pc == nil {
-		s.buildPrefix()
-	}
-	s.suf = s.suf[:0]
-	s.sufSeg = s.sufSeg[:0]
-	for _, id := range s.m.tok.Encode(fToks[:fLen]) {
-		s.suf = append(s.suf, id)
-		s.sufSeg = append(s.sufSeg, 2)
-	}
-	s.suf = append(s.suf, tokenizer.SepID)
-	s.sufSeg = append(s.sufSeg, 2)
-	seq := s.prefixLen + fLen + 1
-	if cap(s.mask) < seq {
-		s.mask = make([]bool, seq)
-		for i := range s.mask {
-			s.mask[i] = true
-		}
-	}
-	s.mask = s.mask[:seq]
-	hidden := s.m.enc.ForwardWithPrefix(s.pc, s.suf, s.sufSeg, s.mask)
-	return s.m.shapHead.Forward(hidden) / s.m.Cfg.TargetScale
-}
-
-// rankOn is the prefix-reuse implementation behind Model.RankOn.
-func (m *Model) rankOn(db *relation.Database, in Input) shapley.Values {
-	s := newLineageScorer(m, in)
-	if reg := obs.Metrics(); reg != nil {
-		reg.Counter("core.rank.lineages").Add(1)
-		reg.Counter("core.rank.facts").Add(int64(len(in.Lineage)))
-	}
-	out := make(shapley.Values, len(in.Lineage))
-	for _, id := range in.Lineage {
-		f := db.Fact(id)
-		if f == nil {
-			out[id] = 0
-			continue
-		}
-		out[id] = s.score(m.tokensForFact(db, id, f))
-	}
-	return out
-}
-
-// rankOnFull is the pre-optimization reference path: every fact is scored by
-// an independent full-length (padded, no prefix reuse) forward pass. Kept for
-// the bit-identity golden test and as the baseline of the end-to-end ranking
-// benchmark (BENCH_kernels.json).
-func (m *Model) rankOnFull(db *relation.Database, in Input) shapley.Values {
-	qToks := tokenizer.TokenizeSQL(in.SQL)
-	tToks := tokenizer.TokenizeValues(in.TupleValues)
-	out := make(shapley.Values, len(in.Lineage))
-	for _, id := range in.Lineage {
-		f := db.Fact(id)
-		if f == nil {
-			out[id] = 0
-			continue
-		}
-		out[id] = m.predictShapley(qToks, tToks, tokenizer.TokenizeFact(f))
-	}
-	return out
+	suf = append(suf, tokenizer.SepID)
+	seg = append(seg, 2)
+	return suf, seg
 }

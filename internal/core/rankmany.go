@@ -7,25 +7,31 @@ import (
 	"repro/internal/shapley"
 )
 
-// Cross-request ranking: RankMany scores SEVERAL lineages in one call and
-// packs their fast-path facts into shared encoder passes via
+// Ranking: every lineage fact is scored by the fine-tuned encoder on
+// [CLS] q [SEP] t [SEP] f [SEP]. RankManyOn scores SEVERAL lineages in one
+// call and packs their fast-path facts into shared encoder passes via
 // nn.BatchedForwardMultiPrefix, so a coalesced serving batch becomes a few
-// giant GEMM passes instead of one packed pass per request. Each lineage
-// still owns its prefix cache and its truncation-eligibility decisions —
-// lineageScorer.eligibleFactLen stays the single source of truth, so the
-// fast/fallback split per fact is exactly RankOn's, and fallback facts run
-// the identical per-lineage reference pass. Scores are therefore
-// bit-identical to calling RankOn once per input, on every precision tier.
+// large GEMM passes instead of one small pass per fact; RankOn is the
+// one-input case. Each lineage owns its prefix cache and its truncation
+// eligibility decisions (lineageScorer.eligibleFactLen), and fallback facts
+// run the per-fact reference pass (Model.predictShapley). Scores are
+// bit-identical to one independent full-length forward pass per fact —
+// packing changes scheduling, never arithmetic (see
+// internal/nn/multiprefix.go for the structural argument).
+
+// rankChunk is the number of sequences packed into one encoder pass.
+const rankChunk = 8
 
 // multiBatcher accumulates fast-path facts across lineages and flushes them
-// in multi-prefix packed passes. Facts are queued in input order, so each
-// pass sees lineages as consecutive runs of the same cache. Slot buffers are
-// reused across chunks; queued state holds only owned token slices, mask
-// views of trueMask, and PrefixCache pointers (whose rows are clones), so
-// interleaved fallback passes and prefix builds — both of which reset the
-// encoder workspace — cannot corrupt a pending chunk.
+// in multi-prefix packed passes of up to chunk sequences. Facts are queued in
+// input order, so each pass sees lineages as consecutive runs of the same
+// cache. Slot buffers are reused across chunks; queued state holds only owned
+// token slices, mask views of trueMask, and PrefixCache pointers (whose rows
+// are clones), so interleaved fallback passes and prefix builds — both of
+// which reset the encoder workspace — cannot corrupt a pending chunk.
 type multiBatcher struct {
-	m *Model
+	m     *Model
+	chunk int
 
 	pcs      []*nn.PrefixCache
 	ids      []relation.FactID
@@ -37,8 +43,8 @@ type multiBatcher struct {
 	n        int
 }
 
-func newMultiBatcher(m *Model) *multiBatcher {
-	b := &multiBatcher{m: m, trueMask: make([]bool, m.Cfg.MaxSeqLen)}
+func newMultiBatcher(m *Model, chunk int) *multiBatcher {
+	b := &multiBatcher{m: m, chunk: chunk, trueMask: make([]bool, m.Cfg.MaxSeqLen)}
 	for i := range b.trueMask {
 		b.trueMask[i] = true
 	}
@@ -64,7 +70,7 @@ func (b *multiBatcher) add(s *lineageScorer, out shapley.Values, id relation.Fac
 		b.sufs[b.n][:0], b.sufSegs[b.n][:0], b.m.tok, fToks, fLen)
 	b.masks[b.n] = b.trueMask[:s.prefixLen+len(b.sufs[b.n])]
 	b.n++
-	if b.n == b.m.Cfg.RankBatch {
+	if b.n == b.chunk {
 		b.flush()
 	}
 }
@@ -91,33 +97,23 @@ func (m *Model) RankMany(ins []Input) []shapley.Values {
 }
 
 // RankManyOn ranks several lineages whose fact IDs refer to the given
-// database. With Cfg.RankBatch > 1, the fast-path facts of ALL inputs share
-// one packing budget: chunks of up to RankBatch sequences flush through
+// database. The fast-path facts of ALL inputs share one packing budget:
+// chunks of up to rankChunk sequences flush through
 // nn.BatchedForwardMultiPrefix regardless of which lineage contributed them,
-// so small lineages no longer cap GEMM size. out[i] corresponds to ins[i].
-// Scores are bit-identical to len(ins) independent RankOn calls on every
-// precision tier — packing changes scheduling, never arithmetic (see
-// internal/nn/multiprefix.go for the structural argument). With RankBatch
-// <= 1 there is nothing to pack and each input takes the plain path.
+// so small lineages do not cap GEMM size. out[i] corresponds to ins[i], and
+// scores are bit-identical to len(ins) independent RankOn calls.
 func (m *Model) RankManyOn(db *relation.Database, ins []Input) []shapley.Values {
+	return m.rankMany(db, ins, rankChunk)
+}
+
+// rankMany is RankManyOn with an explicit chunk size; tests sweep it to
+// prove scores do not depend on how facts are packed.
+func (m *Model) rankMany(db *relation.Database, ins []Input, chunk int) []shapley.Values {
 	out := make([]shapley.Values, len(ins))
-	if m.Cfg.RankBatch <= 1 {
-		for i, in := range ins {
-			out[i] = m.RankOn(db, in)
-		}
-		return out
-	}
-	prec, err := nn.ParsePrecision(m.Cfg.Precision)
-	if err != nil {
-		panic(err) // validated at every construction boundary, as in RankOn
-	}
-	if prec != nn.PrecisionF64 {
-		return m.rankManyLowPrec(db, ins, prec, out)
-	}
 	reg := obs.Metrics()
 	mLineages := reg.Counter("core.rank.lineages")
 	mFacts := reg.Counter("core.rank.facts")
-	b := newMultiBatcher(m)
+	b := newMultiBatcher(m, chunk)
 	for i, in := range ins {
 		s := newLineageScorer(m, in)
 		mLineages.Add(1)
@@ -141,103 +137,6 @@ func (m *Model) RankManyOn(db *relation.Database, ins []Input) []shapley.Values 
 				s.buildPrefix()
 			}
 			b.add(s, out[i], id, fToks, fLen)
-		}
-	}
-	b.flush()
-	return out
-}
-
-// multiBatcher32 mirrors multiBatcher for the reduced precision tiers.
-type multiBatcher32 struct {
-	m    *Model
-	enc  *nn.Encoder32
-	head *nn.Head32
-
-	pcs      []*nn.PrefixCache32
-	ids      []relation.FactID
-	outs     []shapley.Values
-	sufs     [][]int
-	sufSegs  [][]int
-	masks    [][]bool
-	trueMask []bool
-	n        int
-}
-
-func newMultiBatcher32(m *Model, enc *nn.Encoder32, head *nn.Head32) *multiBatcher32 {
-	b := &multiBatcher32{m: m, enc: enc, head: head, trueMask: make([]bool, m.Cfg.MaxSeqLen)}
-	for i := range b.trueMask {
-		b.trueMask[i] = true
-	}
-	return b
-}
-
-func (b *multiBatcher32) add(lp *lowPrecScorer, out shapley.Values, id relation.FactID, fToks []string, fLen int) {
-	if b.n == len(b.ids) {
-		b.pcs = append(b.pcs, nil)
-		b.ids = append(b.ids, 0)
-		b.outs = append(b.outs, nil)
-		b.sufs = append(b.sufs, nil)
-		b.sufSegs = append(b.sufSegs, nil)
-		b.masks = append(b.masks, nil)
-	}
-	b.pcs[b.n] = lp.pc
-	b.ids[b.n] = id
-	b.outs[b.n] = out
-	b.sufs[b.n], b.sufSegs[b.n] = appendFactSuffix(
-		b.sufs[b.n][:0], b.sufSegs[b.n][:0], b.m.tok, fToks, fLen)
-	b.masks[b.n] = b.trueMask[:lp.s.prefixLen+len(b.sufs[b.n])]
-	b.n++
-	if b.n == b.m.Cfg.RankBatch {
-		b.flush()
-	}
-}
-
-func (b *multiBatcher32) flush() {
-	if b.n == 0 {
-		return
-	}
-	hidden, offs := b.enc.BatchedForwardMultiPrefix(b.pcs[:b.n], b.sufs[:b.n], b.sufSegs[:b.n], b.masks[:b.n])
-	scale := b.m.Cfg.TargetScale
-	for i := 0; i < b.n; i++ {
-		b.outs[i][b.ids[i]] = b.head.ForwardAt(hidden, offs[i]) / scale
-		b.pcs[i], b.outs[i] = nil, nil
-	}
-	b.n = 0
-}
-
-// rankManyLowPrec is the reduced-precision arm of RankManyOn: the same
-// cross-lineage packing through the f32/int8 engine, tier-internally
-// bit-identical to per-input rankOnLowPrec.
-func (m *Model) rankManyLowPrec(db *relation.Database, ins []Input, prec nn.Precision, out []shapley.Values) []shapley.Values {
-	enc, head := m.lowPrecEngine(prec)
-	reg := obs.Metrics()
-	mLineages := reg.Counter("core.rank.lineages")
-	mFacts := reg.Counter("core.rank.facts")
-	b := newMultiBatcher32(m, enc, head)
-	for i, in := range ins {
-		lp := newLowPrecScorer(m, in, prec)
-		s := lp.s
-		mLineages.Add(1)
-		mFacts.Add(int64(len(in.Lineage)))
-		out[i] = make(shapley.Values, len(in.Lineage))
-		for _, id := range in.Lineage {
-			f := db.Fact(id)
-			if f == nil {
-				out[i][id] = 0
-				continue
-			}
-			fToks := m.tokensForFact(db, id, f)
-			fLen, ok := s.eligibleFactLen(fToks)
-			if !ok {
-				s.mFallbacks.Add(1)
-				out[i][id] = lp.predictFull(fToks)
-				continue
-			}
-			s.mHits.Add(1)
-			if lp.pc == nil {
-				lp.buildPrefix()
-			}
-			b.add(lp, out[i], id, fToks, fLen)
 		}
 	}
 	b.flush()

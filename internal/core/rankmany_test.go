@@ -4,47 +4,36 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/shapley"
 )
 
 // TestRankManyGolden is the golden bit-identity test for cross-request
-// packing: RankManyOn over all corpus lineages at once must score every fact
-// bit-for-bit identically to independent per-request RankOn calls with
-// batching off, across chunk sizes (smaller than, equal to and spanning
-// lineages — chunks then mix facts of different lineages in one pass) and
-// intra-op worker counts.
+// packing: ranking all corpus lineages at once must score every fact
+// bit-for-bit identically to independent per-request RankOn calls, across
+// chunk sizes (one fact per pass, smaller than, equal to and spanning
+// lineages — chunks then mix facts of different lineages in one pass).
 func TestRankManyGolden(t *testing.T) {
-	t.Cleanup(func() { nn.SetIntraOp(1, 0) })
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
 	tok := buildVocabulary(c, cfg)
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-	defer func() { m.Cfg.RankBatch = 0 }()
 	ins := caseInputs(c)
 	if len(ins) < 2 {
 		t.Fatal("corpus must have several labeled cases to pack across")
 	}
-	m.Cfg.RankBatch = 0
 	want := make([]shapley.Values, len(ins))
 	for i, in := range ins {
 		want[i] = m.RankOn(c.DB, in)
 	}
-	for _, workers := range []int{1, 2, 3} {
-		nn.SetIntraOp(workers, 8)
-		for _, batch := range []int{2, 3, 8, 64} {
-			m.Cfg.RankBatch = batch
-			got := m.RankManyOn(c.DB, ins)
-			for i := range ins {
-				assertValuesBitEqual(t, "rankmany", got[i], want[i])
-			}
-		}
-		// RankBatch <= 1: nothing to pack, every input takes the plain path.
-		m.Cfg.RankBatch = 0
-		got := m.RankManyOn(c.DB, ins)
+	got := m.RankManyOn(c.DB, ins)
+	for i := range ins {
+		assertValuesBitEqual(t, "rankmany", got[i], want[i])
+	}
+	for _, chunk := range goldenChunks {
+		got := m.rankMany(c.DB, ins, chunk)
 		for i := range ins {
-			assertValuesBitEqual(t, "rankmany-unbatched", got[i], want[i])
+			assertValuesBitEqual(t, "rankmany-chunked", got[i], want[i])
 		}
 	}
 }
@@ -59,7 +48,6 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
 	cfg.MaxSeqLen = 44 // tight enough that some facts fall back, some don't
-	cfg.RankBatch = 4
 	tok := buildVocabulary(c, cfg)
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 
@@ -67,7 +55,7 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 	obs.Install(run)
 	defer obs.Uninstall()
 	ins := caseInputs(c)
-	got := m.RankManyOn(c.DB, ins)
+	got := m.rankMany(c.DB, ins, 4)
 	for i, in := range ins {
 		assertValuesBitEqual(t, "rankmany-truncated", got[i], m.rankOnFull(c.DB, in))
 	}
@@ -78,37 +66,11 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 	}
 }
 
-// TestRankManyLowPrec runs the golden comparison through the f32 and int8
-// engines: cross-request packing on a reduced tier must stay bit-identical to
-// that tier's own per-request RankOn for every chunk size.
-func TestRankManyLowPrec(t *testing.T) {
-	c, _ := tinyCorpus(t)
-	cfg := tinyConfig()
-	tok := buildVocabulary(c, cfg)
-	ins := caseInputs(c)
-	for _, prec := range []string{"f32", "int8"} {
-		cfg.Precision = prec
-		cfg.RankBatch = 0
-		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-		want := make([]shapley.Values, len(ins))
-		for i, in := range ins {
-			want[i] = m.RankOn(c.DB, in)
-		}
-		for _, batch := range []int{2, 3, 8, 64} {
-			m.Cfg.RankBatch = batch
-			got := m.RankManyOn(c.DB, ins)
-			for i := range ins {
-				assertValuesBitEqual(t, prec+"/rankmany", got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestRankManyCounterAgreement asserts RankMany classifies every fact through
 // the same eligibility rule as per-request ranking (identical core.rank.*
 // counters) and pins the cross-request pass metrics: every fast-path fact
 // flows through a multi-prefix pass, so nn.mbatch.sequences equals the hit
-// count, and the single-lineage nn.batch.* counters stay untouched.
+// count.
 func TestRankManyCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -116,11 +78,10 @@ func TestRankManyCounterAgreement(t *testing.T) {
 	tok := buildVocabulary(c, cfg)
 	ins := caseInputs(c)
 
-	snapshot := func(rankBatch int, many bool) obs.Snapshot {
+	snapshot := func(many bool) obs.Snapshot {
 		run := obs.NewRun("rankmany-counter-test", obs.NewRegistry(), nil, nil)
 		obs.Install(run)
 		defer obs.Uninstall()
-		cfg.RankBatch = rankBatch
 		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 		if many {
 			m.RankManyOn(c.DB, ins)
@@ -132,8 +93,8 @@ func TestRankManyCounterAgreement(t *testing.T) {
 		return run.Reg.Snapshot()
 	}
 
-	perRequest := snapshot(3, false)
-	many := snapshot(3, true)
+	perRequest := snapshot(false)
+	many := snapshot(true)
 	for _, name := range []string{
 		"core.rank.lineages", "core.rank.facts",
 		"core.rank.prefix_hits", "core.rank.prefix_fallbacks",
@@ -156,8 +117,5 @@ func TestRankManyCounterAgreement(t *testing.T) {
 	}
 	if many.Counters["nn.mbatch.prefixes"] < many.Counters["nn.mbatch.passes"] {
 		t.Error("every multi-prefix pass spans at least one lineage group")
-	}
-	if many.Counters["nn.batch.passes"] != 0 {
-		t.Error("RankMany must route packing through the multi-prefix kernel, not the single-prefix one")
 	}
 }

@@ -43,16 +43,6 @@ func Train(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg ModelConfig, tr
 	if len(trainIdx) == 0 {
 		return nil, nil, fmt.Errorf("core: empty training split")
 	}
-	if _, err := nn.ParsePrecision(cfg.Precision); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	// Training and dev-set checkpoint selection always run the f64 reference
-	// tier: clear the precision for the duration of the run and stamp the
-	// requested tier back onto the returned model, so trained weights and dev
-	// curves are bit-identical for every Precision setting and only inference
-	// changes engine.
-	requestedPrecision := cfg.Precision
-	cfg.Precision = ""
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	done := obs.Span("core.train:" + cfg.Name)
 	defer done()
@@ -80,7 +70,6 @@ func Train(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg ModelConfig, tr
 	if err := m.finetune(c, cfg, trainIdx, rng, report); err != nil {
 		return nil, nil, err
 	}
-	m.Cfg.Precision = requestedPrecision
 	return m, report, nil
 }
 

@@ -17,8 +17,8 @@ import (
 // the rest). Head and encoder parameter gradients land in the primary's
 // accumulators in slot order, which is the order Params.AddGradsFrom merges
 // replicas, so trained weights, loss curves and dev metrics are bit-identical
-// to the replica path for every TrainBatch, worker count and intra-op
-// configuration (TestTrainBatchedParity).
+// to the replica path for every TrainBatch and worker count
+// (TestTrainBatchedParity).
 
 // growTrainBufs sizes the packed slot buffers for a chunk of n sequences.
 func (m *Model) growTrainBufs(n int) {

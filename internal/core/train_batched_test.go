@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/tokenizer"
@@ -16,11 +15,9 @@ import (
 // TestTrainBatchedParity is the end-to-end bit-identity test for packed
 // batched training: Train with TrainBatch > 0 must produce bitwise-identical
 // final weights and a byte-for-byte identical TrainReport (per-epoch dev MSE
-// and NDCG curves included) for every packing size, worker count and intra-op
-// configuration. MLM is enabled so the packed path's masked-token replacement
+// and NDCG curves included) for every packing size and worker count. MLM is enabled so the packed path's masked-token replacement
 // and vocab-head gradient fill are exercised too.
 func TestTrainBatchedParity(t *testing.T) {
-	t.Cleanup(func() { nn.SetIntraOp(1, 0) })
 	cfg := tinyConfig()
 	cfg.MLMWeight = 0.1
 	cfg.PretrainPairsPerEpoch = 32
@@ -40,7 +37,6 @@ func TestTrainBatchedParity(t *testing.T) {
 	sRef := mRef.params.Snapshot()
 
 	for _, workers := range []int{1, 4} {
-		nn.SetIntraOp(workers, 8)
 		for _, tb := range []int{1, 3, 8} {
 			m, r := train(tb, workers)
 			s := m.params.Snapshot()
@@ -261,7 +257,7 @@ func TestSaveLoadPreservesBatchConfig(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PretrainEpochs, cfg.PretrainMetrics = 0, nil
 	cfg.FinetuneEpochs, cfg.FinetuneSamplesPerEpoch = 1, 40
-	cfg.TrainBatch, cfg.RankBatch = 8, 4
+	cfg.TrainBatch = 8
 	m, _, err := Train(c, sims, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +270,7 @@ func TestSaveLoadPreservesBatchConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Cfg.TrainBatch != 8 || loaded.Cfg.RankBatch != 4 {
-		t.Errorf("batch config lost in round trip: TrainBatch=%d RankBatch=%d",
-			loaded.Cfg.TrainBatch, loaded.Cfg.RankBatch)
+	if loaded.Cfg.TrainBatch != 8 {
+		t.Errorf("batch config lost in round trip: TrainBatch=%d", loaded.Cfg.TrainBatch)
 	}
 }

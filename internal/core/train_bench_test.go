@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 )
 
 // Shared fixture for the end-to-end training benchmarks: a small IMDB corpus
@@ -73,16 +72,14 @@ func BenchmarkTrainReplica(b *testing.B) {
 }
 
 // BenchmarkTrainBatched trains the same schedule through the packed batched
-// path (TrainBatch chunks of 8) with intra-op GEMM parallelism across
-// REPRO_WORKERS threads. Weights are bit-identical to BenchmarkTrainReplica's
+// path (TrainBatch chunks of 8), data-parallel across REPRO_WORKERS
+// goroutines. Weights are bit-identical to BenchmarkTrainReplica's
 // (TestTrainBatchedParity); compare ns/op for the packing win.
 func BenchmarkTrainBatched(b *testing.B) {
 	benchTrainSetup(b)
 	cfg := benchTrainConfig()
 	cfg.Workers = benchWorkers()
 	cfg.TrainBatch = 8
-	nn.SetIntraOp(benchWorkers(), 0)
-	defer nn.SetIntraOp(1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

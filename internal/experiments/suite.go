@@ -36,21 +36,11 @@ type Config struct {
 	// value (see internal/parallel). NewSuite copies it into the dataset and
 	// model configs.
 	Workers int
-	// RankBatch > 1 routes evaluation-time ranking through the packed batched
-	// encoder path in chunks of up to RankBatch facts (see core.ModelConfig).
-	// Scores are bit-identical for every value. NewSuite copies it into the
-	// model configs; evaluation replicas inherit it via CloneForWorker.
-	RankBatch int
 	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
 	// batched training path in chunks of up to TrainBatch samples (see
 	// core.ModelConfig). Trained weights are bit-identical for every value.
 	// NewSuite copies it into the model configs.
 	TrainBatch int
-	// Precision selects the inference tier evaluation-time ranking runs on
-	// ("", "f64", "f32" or "int8" — see core.ModelConfig). Training always
-	// runs f64; only the evaluation rankings change, within the NDCG/Spearman
-	// parity gate. NewSuite copies it into the model configs.
-	Precision string
 }
 
 // BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
@@ -120,12 +110,8 @@ func NewSuite(cfg Config) (*Suite, error) {
 	defer done()
 	cfg.Base.Workers = cfg.Workers
 	cfg.Large.Workers = cfg.Workers
-	cfg.Base.RankBatch = cfg.RankBatch
-	cfg.Large.RankBatch = cfg.RankBatch
 	cfg.Base.TrainBatch = cfg.TrainBatch
 	cfg.Large.TrainBatch = cfg.TrainBatch
-	cfg.Base.Precision = cfg.Precision
-	cfg.Large.Precision = cfg.Precision
 	s := &Suite{Cfg: cfg, models: make(map[string]*core.Model), reports: make(map[string]*core.TrainReport)}
 	for _, kind := range []dataset.Kind{dataset.IMDB, dataset.Academic} {
 		dc := dataset.DefaultConfig(kind)

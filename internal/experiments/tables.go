@@ -135,7 +135,6 @@ func (s *Suite) ablationCfg(cfg core.ModelConfig) core.ModelConfig {
 		cfg.PretrainPairsPerEpoch = s.Cfg.Base.PretrainPairsPerEpoch
 	}
 	cfg.Workers = s.Cfg.Workers
-	cfg.Precision = s.Cfg.Precision
 	return cfg
 }
 

@@ -136,9 +136,9 @@ func Pearson(xs, ys []float64) float64 {
 // Spearman returns the Spearman rank correlation coefficient of two
 // equal-length series: the Pearson correlation of their rank vectors, with
 // ties assigned fractional (average) ranks. Returns 0 when either series is
-// constant or empty. Used by the precision-tier parity gate, where the
-// question is "does the reduced-precision scorer order facts like the f64
-// scorer" — rank correlation, not value agreement.
+// constant or empty. Used by the sampler-vs-exact parity gate, where the
+// question is "does the approximate labeler order facts like the exact one"
+// — rank correlation, not value agreement.
 func Spearman(xs, ys []float64) float64 {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0

@@ -48,93 +48,87 @@ func assertWindowBitEqual(t *testing.T, label string, b int, packed *Mat, off in
 	}
 }
 
-// TestBatchedForwardMatchesForward property-tests the packed batched pass
-// against per-sequence Forward calls over random batch sizes, sequence
-// lengths, masks and intra-op worker counts. "Matches" means bit-identical
-// hidden states for every sequence, including identical head readouts via
-// ForwardAt.
+// TestBatchedForwardMatchesForward property-tests the packed pass on padded
+// sequences: each random sequence (with a random real/padding mask split) is
+// cut at a random point into an embedded prefix and a suffix, and the packed
+// hidden states must be bit-identical to Forward over the whole sequence —
+// padding rows included — with identical head readouts via ForwardAt.
 func TestBatchedForwardMatchesForward(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
 	rng := rand.New(rand.NewSource(51))
 	enc, head := batchedTestEncoder(50)
-	for _, workers := range []int{1, 2, 3} {
-		SetIntraOp(workers, 8)
-		for _, batch := range []int{1, 2, 3, 8} {
-			for trial := 0; trial < 4; trial++ {
-				tokens := make([][]int, batch)
-				segs := make([][]int, batch)
-				masks := make([][]bool, batch)
-				for b := range tokens {
-					n := 1 + rng.Intn(enc.Cfg.MaxSeqLen)
-					tokens[b], segs[b], masks[b] = randSeq(rng, n, enc.Cfg.VocabSize, enc.Cfg.Segments)
-				}
-				want := make([]*Mat, batch)
-				wantPred := make([]float64, batch)
-				for b := range tokens {
-					h := enc.Forward(tokens[b], segs[b], masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
-				}
-				packed, offs := enc.BatchedForward(tokens, segs, masks)
-				for b := range tokens {
-					assertWindowBitEqual(t, "BatchedForward", b, packed, offs[b], want[b])
-					got := head.ForwardAt(packed, offs[b])
-					if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-						t.Fatalf("workers=%d batch=%d seq %d: head %v vs reference %v",
-							workers, batch, b, got, wantPred[b])
-					}
+	for _, batch := range []int{1, 2, 3, 8} {
+		for trial := 0; trial < 8; trial++ {
+			pcs := make([]*PrefixCache, batch)
+			sufs := make([][]int, batch)
+			sufSegs := make([][]int, batch)
+			masks := make([][]bool, batch)
+			want := make([]*Mat, batch)
+			wantPred := make([]float64, batch)
+			for b := range sufs {
+				n := 1 + rng.Intn(enc.Cfg.MaxSeqLen)
+				tokens, segs, mask := randSeq(rng, n, enc.Cfg.VocabSize, enc.Cfg.Segments)
+				p := 1 + rng.Intn(n)
+				pcs[b] = enc.EmbedPrefix(tokens[:p], segs[:p])
+				sufs[b], sufSegs[b], masks[b] = tokens[p:], segs[p:], mask
+				h := enc.Forward(tokens, segs, mask)
+				wantPred[b] = head.Forward(h)
+				want[b] = h.Clone()
+			}
+			packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+			for b := range sufs {
+				assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
+				if got := head.ForwardAt(packed, offs[b]); math.Float64bits(got) != math.Float64bits(wantPred[b]) {
+					t.Fatalf("batch=%d seq %d: head %v vs reference %v", batch, b, got, wantPred[b])
 				}
 			}
 		}
 	}
 }
 
-// TestBatchedForwardWithPrefixMatchesPerSequence property-tests the
-// prefix-sharing batched pass against per-sequence ForwardWithPrefix calls,
-// including an empty suffix (the sequence is exactly the prefix).
-func TestBatchedForwardWithPrefixMatchesPerSequence(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
+// TestBatchedSharedPrefixMatchesPerSequence property-tests the single-lineage
+// shape of the packed pass — every sequence reuses one prefix cache, as a
+// one-input RankOn produces — against one Forward call per full prefix+suffix
+// sequence, including prefix-only sequences. Bit-identical hidden windows and
+// head readouts are required.
+func TestBatchedSharedPrefixMatchesPerSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	enc, head := batchedTestEncoder(50)
 	prefix := []int{2, 8, 14, 3, 21, 7, 3}
 	prefixSeg := []int{0, 0, 0, 0, 1, 1, 1}
 	pc := enc.EmbedPrefix(prefix, prefixSeg)
 	p := pc.Len()
-	for _, workers := range []int{1, 2, 3} {
-		SetIntraOp(workers, 8)
-		for _, batch := range []int{1, 2, 5, 8} {
-			for trial := 0; trial < 4; trial++ {
-				sufs := make([][]int, batch)
-				sufSegs := make([][]int, batch)
-				masks := make([][]bool, batch)
-				for b := range sufs {
-					n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
-					sufs[b] = make([]int, n)
-					sufSegs[b] = make([]int, n)
-					for i := 0; i < n; i++ {
-						sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
-						sufSegs[b][i] = 2
-					}
-					masks[b] = make([]bool, p+n)
-					for i := range masks[b] {
-						masks[b][i] = true
-					}
+	for _, batch := range []int{1, 2, 5, 8} {
+		for trial := 0; trial < 4; trial++ {
+			pcs := make([]*PrefixCache, batch)
+			sufs := make([][]int, batch)
+			sufSegs := make([][]int, batch)
+			masks := make([][]bool, batch)
+			want := make([]*Mat, batch)
+			wantPred := make([]float64, batch)
+			for b := range sufs {
+				n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
+				pcs[b] = pc
+				sufs[b] = make([]int, n)
+				sufSegs[b] = make([]int, n)
+				for i := 0; i < n; i++ {
+					sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
+					sufSegs[b][i] = 2
 				}
-				want := make([]*Mat, batch)
-				wantPred := make([]float64, batch)
-				for b := range sufs {
-					h := enc.ForwardWithPrefix(pc, sufs[b], sufSegs[b], masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
+				masks[b] = make([]bool, p+n)
+				for i := range masks[b] {
+					masks[b][i] = true
 				}
-				packed, offs := enc.BatchedForwardWithPrefix(pc, sufs, sufSegs, masks)
-				for b := range sufs {
-					assertWindowBitEqual(t, "BatchedForwardWithPrefix", b, packed, offs[b], want[b])
-					got := head.ForwardAt(packed, offs[b])
-					if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-						t.Fatalf("workers=%d batch=%d seq %d: head %v vs reference %v",
-							workers, batch, b, got, wantPred[b])
-					}
+				tokens := append(append([]int(nil), prefix...), sufs[b]...)
+				segs := append(append([]int(nil), prefixSeg...), sufSegs[b]...)
+				h := enc.Forward(tokens, segs, masks[b])
+				wantPred[b] = head.Forward(h)
+				want[b] = h.Clone()
+			}
+			packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+			for b := range sufs {
+				assertWindowBitEqual(t, "shared prefix", b, packed, offs[b], want[b])
+				if got := head.ForwardAt(packed, offs[b]); math.Float64bits(got) != math.Float64bits(wantPred[b]) {
+					t.Fatalf("batch=%d seq %d: head %v vs reference %v", batch, b, got, wantPred[b])
 				}
 			}
 		}
@@ -142,9 +136,11 @@ func TestBatchedForwardWithPrefixMatchesPerSequence(t *testing.T) {
 }
 
 // TestBatchedStepZeroAllocs pins the steady-state allocation count of a
-// warmed batched inference pass (packed forward plus per-sequence head
-// readouts) to exactly zero at the default intra-op configuration. Like
-// TestEncoderStepZeroAllocs, scripts/ci.sh fails if this test is skipped.
+// warmed single-lineage packed pass (every sequence shares one prefix, the
+// shape a one-input RankOn produces) plus per-sequence head readouts to
+// exactly zero. TestMultiPrefixZeroAllocs covers the cross-lineage shape.
+// Like TestEncoderStepZeroAllocs, scripts/ci.sh fails if this test is
+// skipped.
 func TestBatchedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -156,29 +152,21 @@ func TestBatchedStepZeroAllocs(t *testing.T) {
 	pc := enc.EmbedPrefix(prefix, prefixSeg)
 	p := pc.Len()
 	const batch = 4
-	tokens := make([][]int, batch)
-	segs := make([][]int, batch)
-	masks := make([][]bool, batch)
+	pcs := make([]*PrefixCache, batch)
 	sufs := make([][]int, batch)
 	sufSegs := make([][]int, batch)
-	sufMasks := make([][]bool, batch)
+	masks := make([][]bool, batch)
 	for b := 0; b < batch; b++ {
-		n := 3 + b // mixed lengths: the pool is keyed by shape, not last use
-		tokens[b], segs[b], masks[b] = randSeq(rng, n, enc.Cfg.VocabSize, enc.Cfg.Segments)
-		sufs[b] = make([]int, n)
-		sufSegs[b] = make([]int, n)
-		copy(sufs[b], tokens[b])
-		sufMasks[b] = make([]bool, p+n)
-		for i := range sufMasks[b] {
-			sufMasks[b][i] = true
+		n := 3 + b // mixed lengths: the pool is keyed by size class, not last use
+		pcs[b] = pc
+		sufs[b], sufSegs[b], _ = randSeq(rng, n, enc.Cfg.VocabSize, enc.Cfg.Segments)
+		masks[b] = make([]bool, p+n)
+		for i := range masks[b] {
+			masks[b][i] = true
 		}
 	}
 	step := func() {
-		packed, offs := enc.BatchedForward(tokens, segs, masks)
-		for b := range offs {
-			head.ForwardAt(packed, offs[b])
-		}
-		packed, offs = enc.BatchedForwardWithPrefix(pc, sufs, sufSegs, sufMasks)
+		packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
 		for b := range offs {
 			head.ForwardAt(packed, offs[b])
 		}

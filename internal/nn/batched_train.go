@@ -1,19 +1,19 @@
 package nn
 
 // Batched training: BatchedForwardTrain packs B sequences into one [ΣT×Dim]
-// matrix exactly like the inference-only BatchedForward, but retains every
-// cache the backward pass needs; BatchedBackward then backpropagates through
-// the packed representation. The perf shape mirrors the forward pass — every
-// dL/dx stage is row-local and runs as a few large GEMMs (routed through
-// ParMatMulInto/ParMatMulTInto under the SetIntraOp knob), while attention's
-// score/softmax backward runs per sequence on Workspace.View row windows.
+// matrix exactly like the inference-only BatchedForwardMultiPrefix, but
+// retains every cache the backward pass needs; BatchedBackward then
+// backpropagates through the packed representation. The perf shape mirrors
+// the forward pass — every dL/dx stage is row-local and runs as a few large
+// GEMMs, while attention's score/softmax backward runs per sequence on
+// Workspace.View row windows.
 //
 // Bit-identity with the per-sample replica path (one Forward+Backward per
 // sample on a CloneForWorker replica, merged via Params.AddGradsFrom in slot
 // order) is structural:
 //
 //   - activations: the packed forward is bit-identical per row to B single
-//     Forward calls (the PR's batched-inference property), so every sublayer
+//     Forward calls (the packed-inference property), so every sublayer
 //     cache window equals the replica's cache bitwise;
 //   - dL/dx: every gradient-to-input stage (LayerNorm dx, GELU, grad·Wᵀ,
 //     residual adds, attention's per-sequence loops) computes each packed row
@@ -30,7 +30,7 @@ package nn
 //     the left operand never distinguishes t from 0+t.
 //
 // TestBatchedTrainStepMatchesReplicaPath pins the property per step across
-// batch sizes, lengths and intra-op worker counts; core's
+// batch sizes and lengths; core's
 // TestTrainBatchedParity pins it end-to-end (final weights and report curves).
 
 // BatchedForwardTrain encodes B sequences in one packed pass with backward
@@ -53,7 +53,8 @@ func (e *Encoder) BatchedForwardTrain(tokens, segments [][]int, masks [][]bool) 
 	if total == 0 {
 		panic("nn: empty batch")
 	}
-	e.recordBatch(len(tokens), total)
+	e.mForward.Add(int64(len(tokens)))
+	e.mTokens.Add(int64(total))
 	e.mBatchTrain.Add(1)
 	e.ws.Reset()
 	e.tokens, e.segments = nil, nil // single-sequence Backward is invalid after a packed pass

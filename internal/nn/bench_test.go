@@ -52,26 +52,28 @@ func BenchmarkEncoderForward(b *testing.B) {
 	}
 }
 
-// BenchmarkEncoderBatchedForward measures the packed batched pass: 8
-// sequences encoded per op through one set of large GEMMs, plus the 8 head
-// readouts. Compare ns/op against 8× BenchmarkEncoderForward for the packing
-// win; allocs/op must stay 0.
+// BenchmarkEncoderBatchedForward measures the packed inference pass: 8
+// sequences sharing one embedded 40-token prefix encoded per op through one
+// set of large GEMMs, plus the 8 head readouts. Compare ns/op against 8×
+// BenchmarkEncoderForward for the packing win; allocs/op must stay 0.
 func BenchmarkEncoderBatchedForward(b *testing.B) {
 	enc, head, tokens, segments, mask := benchSetup()
-	const batch = 8
-	toks := make([][]int, batch)
-	segs := make([][]int, batch)
+	const batch, prefix = 8, 40
+	pc := enc.EmbedPrefix(tokens[:prefix], segments[:prefix])
+	pcs := make([]*PrefixCache, batch)
+	sufs := make([][]int, batch)
+	sufSegs := make([][]int, batch)
 	masks := make([][]bool, batch)
-	for i := range toks {
-		toks[i], segs[i], masks[i] = tokens, segments, mask
+	for i := range sufs {
+		pcs[i], sufs[i], sufSegs[i], masks[i] = pc, tokens[prefix:], segments[prefix:], mask
 	}
 	for i := 0; i < 2; i++ {
-		enc.BatchedForward(toks, segs, masks)
+		enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, offs := enc.BatchedForward(toks, segs, masks)
+		h, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
 		for _, off := range offs {
 			head.ForwardAt(h, off)
 		}
@@ -207,27 +209,6 @@ func BenchmarkTMatMulBlocked(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				TMatMulBlockedInto(a, g, out)
-			}
-		})
-	}
-}
-
-// BenchmarkEncoder32Forward measures one low-precision inference pass
-// (forward + head) per tier, against the f64 BenchmarkEncoderForward
-// baseline. Warmed; allocs/op must stay 0.
-func BenchmarkEncoder32Forward(b *testing.B) {
-	enc, head, tokens, segments, mask := benchSetup()
-	for _, prec := range []Precision{PrecisionF32, PrecisionInt8} {
-		e32 := NewEncoder32(enc, prec)
-		h32 := NewHead32(head, prec)
-		for i := 0; i < 2; i++ {
-			h32.Forward(e32.Forward(tokens, segments, mask))
-		}
-		b.Run(prec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := e32.Forward(tokens, segments, mask)
-				h32.Forward(h)
 			}
 		})
 	}

@@ -50,8 +50,8 @@ type Encoder struct {
 
 	tokens, segments []int
 
-	// Per-batched-pass scratch: row offsets and lengths of the packed
-	// sequences (see BatchedForward). Reused across calls.
+	// Per-packed-pass scratch: row offsets and lengths of the packed
+	// sequences (see BatchedForwardMultiPrefix). Reused across calls.
 	batchOffs, batchLens []int
 
 	// Batched-training caches (see batched_train.go): the per-sequence token,
@@ -77,9 +77,7 @@ type Encoder struct {
 	// Same-name handles share storage, so replicas aggregate into one metric
 	// and each increment stays a single atomic add: 0 bytes, O(1) per step.
 	mForward, mBackward, mTokens *obs.Counter
-	mBatchPasses, mBatchSeqs     *obs.Counter
 	mBatchTrain                  *obs.Counter
-	hBatchSize                   *obs.Histogram
 	mMBatchPasses, mMBatchSeqs   *obs.Counter
 	mMBatchPrefixes              *obs.Counter
 	hMBatchSize                  *obs.Histogram
@@ -111,10 +109,7 @@ func NewEncoder(cfg Config, ps *Params, rng *rand.Rand) *Encoder {
 	e.mForward = reg.Counter("nn.encoder.forward_passes")
 	e.mBackward = reg.Counter("nn.encoder.backward_passes")
 	e.mTokens = reg.Counter("nn.encoder.tokens")
-	e.mBatchPasses = reg.Counter("nn.batch.passes")
-	e.mBatchSeqs = reg.Counter("nn.batch.sequences")
 	e.mBatchTrain = reg.Counter("nn.batch.train_passes")
-	e.hBatchSize = reg.Histogram("nn.batch.size", obs.ExpBuckets(1, 2, 8))
 	e.mMBatchPasses = reg.Counter("nn.mbatch.passes")
 	e.mMBatchSeqs = reg.Counter("nn.mbatch.sequences")
 	e.mMBatchPrefixes = reg.Counter("nn.mbatch.prefixes")
@@ -151,16 +146,16 @@ func (e *Encoder) Forward(tokens, segments []int, mask []bool) *Mat {
 	e.ws.Reset()
 	e.tokens, e.segments = tokens, segments
 	e.batchTrain = false // packed BatchedBackward is invalid after a single-sequence pass
-	x := e.embedRows(tokens, segments, 0)
+	x := e.embedRows(tokens, segments)
 	x = e.embLN.Forward(e.ws, x)
 	return e.encode(x, mask)
 }
 
-// embedRows sums token, position and segment embeddings for rows occupying
-// absolute positions [posOffset, posOffset+len(tokens)).
-func (e *Encoder) embedRows(tokens, segments []int, posOffset int) *Mat {
+// embedRows sums token, position and segment embeddings for a sequence
+// starting at position 0.
+func (e *Encoder) embedRows(tokens, segments []int) *Mat {
 	x := e.ws.Get(len(tokens), e.Cfg.Dim)
-	e.embedRowsAt(x, 0, tokens, segments, posOffset)
+	e.embedRowsAt(x, 0, tokens, segments, 0)
 	return x
 }
 
@@ -195,62 +190,6 @@ func (e *Encoder) encode(x *Mat, mask []bool) *Mat {
 		x = l.ln2.Forward(e.ws, f)
 	}
 	return x
-}
-
-// PrefixCache holds the embedding-layer output (token+position+segment sums,
-// already layer-normalized) of a token prefix that many sequences share. The
-// rows depend only on the prefix token/segment IDs and their absolute
-// positions — both fixed for a shared prefix — so reusing them across suffix
-// variants is bit-identical to recomputing them. The matrix is owned by the
-// cache (not workspace scratch) and survives encoder steps.
-type PrefixCache struct {
-	X *Mat
-}
-
-// Len returns the number of cached prefix positions.
-func (pc *PrefixCache) Len() int { return pc.X.Rows }
-
-// EmbedPrefix computes the post-embedding-LayerNorm rows of a shared prefix
-// once, for reuse across many ForwardWithPrefix calls. Inference-only: it
-// clobbers the embedding LayerNorm's activation caches, so do not interleave
-// with a Forward/Backward training step.
-func (e *Encoder) EmbedPrefix(tokens, segments []int) *PrefixCache {
-	if len(tokens) > e.Cfg.MaxSeqLen {
-		panic("nn: prefix exceeds MaxSeqLen")
-	}
-	e.ws.Reset()
-	e.batchTrain = false // clobbers the embedding LayerNorm caches: inference only
-	x := e.embedRows(tokens, segments, 0)
-	return &PrefixCache{X: e.embLN.Forward(e.ws, x).Clone()}
-}
-
-// ForwardWithPrefix encodes the sequence prefix+suffix, reusing the cached
-// embedding rows of pc for the prefix and embedding only the suffix tokens
-// (which occupy absolute positions starting at pc.Len()). mask covers the
-// full sequence. The hidden states are bit-identical to
-// Forward(prefixTokens+sufTokens, ...): embeddings and LayerNorm are strictly
-// row-local, so cached prefix rows equal freshly computed ones. Inference
-// only — Backward after this pass is unsupported.
-func (e *Encoder) ForwardWithPrefix(pc *PrefixCache, sufTokens, sufSegments []int, mask []bool) *Mat {
-	p := pc.Len()
-	seq := p + len(sufTokens)
-	if seq > e.Cfg.MaxSeqLen {
-		panic("nn: sequence exceeds MaxSeqLen")
-	}
-	e.mForward.Add(1)
-	e.mTokens.Add(int64(len(sufTokens))) // prefix rows are reused, not re-encoded
-	e.ws.Reset()
-	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false
-	d := e.Cfg.Dim
-	x := e.ws.Get(seq, d)
-	if len(sufTokens) > 0 {
-		sufX := e.embedRows(sufTokens, sufSegments, p)
-		sufN := e.embLN.Forward(e.ws, sufX)
-		copy(x.Data[p*d:], sufN.Data)
-	}
-	copy(x.Data[:p*d], pc.X.Data)
-	return e.encode(x, mask)
 }
 
 // Backward accumulates gradients for the whole encoder from dL/dHidden.

@@ -1,7 +1,6 @@
 package nn
 
-// Blocked kernel tier (tier A of the kernel stack, see DESIGN.md "Kernel
-// tiers & precision"): register-blocked, cache-tiled variants of the three
+// Blocked kernels (see DESIGN.md "Kernels"): register-blocked, cache-tiled variants of the three
 // GEMM kernels. The warmed encoder step is 0 allocs/op, so the remaining
 // inference cost is pure arithmetic and memory traffic — these kernels attack
 // exactly that, while staying **bit-identical** to the reference kernels in
@@ -35,11 +34,9 @@ package nn
 //     -0 sums differ — so the branch is load-bearing for bit-identity.)
 //
 // The reference kernels remain in tensor.go as the property-test oracle
-// (kernels_blocked_test.go proves bit-identity across shapes, zero patterns
-// and worker counts, exactly as kernels_ref_test.go does for the allocating
-// originals one tier further down). The Par wrappers in kernels_par.go route
-// through this tier, so every layer — serial or intra-op partitioned — runs
-// on blocked kernels with unchanged outputs.
+// (kernels_blocked_test.go proves bit-identity across shapes and zero
+// patterns, exactly as kernels_ref_test.go does for the allocating originals one tier
+// further down). Every Linear layer runs on these kernels.
 
 // blockedJPanel is the cache-tile width in output columns. 256 float64s =
 // 2 KiB per b-row slice; a fused group streams four of them plus the output
@@ -61,10 +58,7 @@ func MatMulBlockedInto(a, b, out *Mat) {
 	}
 }
 
-// matMulRowBlocked computes output row i of a·b with the blocked kernel —
-// the row unit shared by the serial kernel and the row-partitioned
-// ParMatMulInto (each output row is one worker's whole, in-order unit, so
-// partitioning preserves bit-identity exactly as it does for matMulRow).
+// matMulRowBlocked computes output row i of a·b with the blocked kernel.
 func matMulRowBlocked(a, b, out *Mat, i int) {
 	orow := out.Row(i)
 	clear(orow)
@@ -142,8 +136,7 @@ func MatMulTBlockedInto(a, b, out *Mat) {
 	}
 }
 
-// matMulTRowBlocked computes output row i of a·bᵀ with the blocked kernel —
-// the row unit shared by the serial kernel and ParMatMulTInto.
+// matMulTRowBlocked computes output row i of a·bᵀ with the blocked kernel.
 func matMulTRowBlocked(a, b, out *Mat, i int) {
 	arow := a.Row(i)
 	orow := out.Row(i)

@@ -92,12 +92,11 @@ func TestBlockedKernelsSpecialValues(t *testing.T) {
 	assertBitEqual(t, "TMatMulBlockedInto/special", out, want)
 }
 
-// TestBlockedKernelsMatchSerial sweeps the Par wrappers across intra-op worker
-// counts and row thresholds: the row-partitioned blocked kernels must be
-// bit-identical to the serial blocked kernels (and therefore to the reference
-// kernels) for every configuration.
+// TestBlockedKernelsMatchSerial pins the kernel property packed inference
+// rests on: a blocked GEMM over a packed matrix equals, row for row and bit
+// for bit, the same GEMM run serially over each sequence's row window alone —
+// packing rows changes which rows share a matrix, never how a row is computed.
 func TestBlockedKernelsMatchSerial(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
 	rng := rand.New(rand.NewSource(73))
 	shapes := [][3]int{{1, 5, 4}, {7, 9, 11}, {33, 13, 37}, {96, 32, 128}}
 	for _, sh := range shapes {
@@ -105,23 +104,22 @@ func TestBlockedKernelsMatchSerial(t *testing.T) {
 		a := randMatZeros(rng, m, k, 0.3)
 		b := randMatZeros(rng, k, n, 0.3)
 		bt := randMatZeros(rng, n, k, 0.3)
-
-		SetIntraOp(1, 0)
-		want := NewMat(m, n)
-		ParMatMulInto(a, b, want)
-		wantT := NewMat(m, n)
-		ParMatMulTInto(a, bt, wantT)
-
-		for _, workers := range []int{2, 3, 4, 7} {
-			for _, minRows := range []int{1, 2, m, m + 1} {
-				SetIntraOp(workers, minRows)
-				out := dirty(rng, m, n)
-				ParMatMulInto(a, b, out)
-				assertBitEqual(t, "ParMatMulInto(blocked)", out, want)
-				out = dirty(rng, m, n)
-				ParMatMulTInto(a, bt, out)
-				assertBitEqual(t, "ParMatMulTInto(blocked)", out, wantT)
-			}
+		packed := dirty(rng, m, n)
+		MatMulBlockedInto(a, b, packed)
+		packedT := dirty(rng, m, n)
+		MatMulTBlockedInto(a, bt, packedT)
+		for lo := 0; lo < m; {
+			rows := min(1+rng.Intn(8), m-lo)
+			win := &Mat{Rows: rows, Cols: k, Data: a.Data[lo*k : (lo+rows)*k]}
+			want := &Mat{Rows: rows, Cols: n, Data: packed.Data[lo*n : (lo+rows)*n]}
+			out := dirty(rng, rows, n)
+			MatMulBlockedInto(win, b, out)
+			assertBitEqual(t, "MatMulBlockedInto(window)", out, want)
+			wantT := &Mat{Rows: rows, Cols: n, Data: packedT.Data[lo*n : (lo+rows)*n]}
+			out = dirty(rng, rows, n)
+			MatMulTBlockedInto(win, bt, out)
+			assertBitEqual(t, "MatMulTBlockedInto(window)", out, wantT)
+			lo += rows
 		}
 	}
 }

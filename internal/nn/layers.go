@@ -22,15 +22,11 @@ func NewLinear(ps *Params, name string, in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = xW + b for x of shape [n×In] into ws scratch. The
-// GEMM goes through the row-partitioned Par variant, so large inputs (packed
-// batched sequences, full-length training GEMMs) fan out across the intra-op
-// pool when one is configured; below the row threshold — and always in the
-// default configuration — it is the plain serial kernel.
+// Forward computes y = xW + b for x of shape [n×In] into ws scratch.
 func (l *Linear) Forward(ws *Workspace, x *Mat) *Mat {
 	l.x = x
 	y := ws.Get(x.Rows, l.Out)
-	ParMatMulInto(x, &l.w, y)
+	MatMulBlockedInto(x, &l.w, y)
 	for i := 0; i < y.Rows; i++ {
 		row := y.Row(i)
 		for j := range row {
@@ -62,15 +58,15 @@ func (l *Linear) Backward(ws *Workspace, grad *Mat) *Mat {
 	for j, g := range bstage {
 		l.B.G[j] += g
 	}
-	// dL/dx = grad · Wᵀ (row-partitioned above the intra-op threshold).
+	// dL/dx = grad · Wᵀ.
 	dx := ws.Get(grad.Rows, l.In)
-	ParMatMulTInto(grad, &l.w, dx)
+	MatMulTBlockedInto(grad, &l.w, dx)
 	return dx
 }
 
 // BatchedBackward is Backward over a packed batched gradient (sequence b
 // occupying rows [offs[b], offs[b]+lens[b])). dL/dx is row-local, so it runs
-// as one packed GEMM through the intra-op pool exactly like Forward. The
+// as one packed GEMM exactly like Forward. The
 // parameter gradients are row *reductions*: running them across the packed
 // matrix would regroup the floating-point sums (((s₀+h)+h)+… instead of the
 // replica path's Σs₀ + Σs₁ + …) and break bit-identity. They are therefore
@@ -103,7 +99,7 @@ func (l *Linear) BatchedBackward(ws *Workspace, grad *Mat, offs, lens []int) *Ma
 		}
 	}
 	dx := ws.Get(grad.Rows, l.In)
-	ParMatMulTInto(grad, &l.w, dx)
+	MatMulTBlockedInto(grad, &l.w, dx)
 	return dx
 }
 

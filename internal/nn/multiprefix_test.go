@@ -6,12 +6,19 @@ import (
 	"testing"
 )
 
+// testPrefix is one embedded prefix of the multi-prefix fixture, with the
+// token and segment IDs it was built from (the Forward oracle needs them).
+type testPrefix struct {
+	pc           *PrefixCache
+	tokens, segs []int
+}
+
 // multiPrefixFixture builds a few embedded prefixes of different lengths on
 // the shared test encoder. The caches stay valid across forward passes
 // (EmbedPrefix clones its rows out of the workspace).
-func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []*PrefixCache {
-	pcs := make([]*PrefixCache, n)
-	for i := range pcs {
+func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []testPrefix {
+	out := make([]testPrefix, n)
+	for i := range out {
 		pLen := 4 + rng.Intn(6)
 		prefix := make([]int, pLen)
 		pSegs := make([]int, pLen)
@@ -21,102 +28,37 @@ func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []*PrefixCache {
 				pSegs[j] = 1
 			}
 		}
-		pcs[i] = enc.EmbedPrefix(prefix, pSegs)
+		out[i] = testPrefix{pc: enc.EmbedPrefix(prefix, pSegs), tokens: prefix, segs: pSegs}
 	}
-	return pcs
+	return out
 }
 
-// TestBatchedForwardMultiPrefixMatchesPerSequence property-tests the
-// cross-request packed pass against per-sequence ForwardWithPrefix calls:
-// random batches mix sequences from several distinct prefix caches (including
+// TestBatchedForwardMultiPrefixMatchesPerSequence property-tests the packed
+// pass against one Forward call per full prefix+suffix sequence: random
+// batches mix sequences from several distinct prefix caches (including
 // consecutive repeats of the same cache, as the rank batcher produces, and
-// empty suffixes) over intra-op worker counts. Bit-identical hidden windows
-// and head readouts are required.
+// empty suffixes). Bit-identical hidden windows and head readouts are
+// required.
 func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
 	rng := rand.New(rand.NewSource(54))
 	enc, head := batchedTestEncoder(50)
-	caches := multiPrefixFixture(enc, rng, 3)
-	for _, workers := range []int{1, 2, 3} {
-		SetIntraOp(workers, 8)
-		for _, batch := range []int{1, 2, 5, 8} {
-			for trial := 0; trial < 4; trial++ {
-				pcs := make([]*PrefixCache, batch)
-				sufs := make([][]int, batch)
-				sufSegs := make([][]int, batch)
-				masks := make([][]bool, batch)
-				for b := range sufs {
-					if b > 0 && rng.Intn(2) == 0 {
-						pcs[b] = pcs[b-1] // a lineage contributes a run of facts
-					} else {
-						pcs[b] = caches[rng.Intn(len(caches))]
-					}
-					p := pcs[b].Len()
-					n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
-					sufs[b] = make([]int, n)
-					sufSegs[b] = make([]int, n)
-					for i := 0; i < n; i++ {
-						sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
-						sufSegs[b][i] = 2
-					}
-					masks[b] = make([]bool, p+n)
-					for i := range masks[b] {
-						masks[b][i] = true
-					}
-				}
-				want := make([]*Mat, batch)
-				wantPred := make([]float64, batch)
-				for b := range sufs {
-					h := enc.ForwardWithPrefix(pcs[b], sufs[b], sufSegs[b], masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
-				}
-				packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
-				for b := range sufs {
-					assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
-					got := head.ForwardAt(packed, offs[b])
-					if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-						t.Fatalf("workers=%d batch=%d seq %d: head %v vs reference %v",
-							workers, batch, b, got, wantPred[b])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEncoder32MultiPrefixMatchesPerSequence runs the same property through
-// the f32 and int8 engines: the low-precision multi-prefix pass must be
-// bit-identical (tier-internal) to per-sequence ForwardWithPrefix on the same
-// engine.
-func TestEncoder32MultiPrefixMatchesPerSequence(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	enc, head := batchedTestEncoder(50)
-	for _, prec := range []Precision{PrecisionF32, PrecisionInt8} {
-		e32 := NewEncoder32(enc, prec)
-		h32 := NewHead32(head, prec)
-		caches := make([]*PrefixCache32, 3)
-		for i := range caches {
-			pLen := 4 + 2*i
-			prefix := make([]int, pLen)
-			pSegs := make([]int, pLen)
-			for j := range prefix {
-				prefix[j] = rng.Intn(enc.Cfg.VocabSize)
-				if j > pLen/2 {
-					pSegs[j] = 1
-				}
-			}
-			caches[i] = e32.EmbedPrefix(prefix, pSegs)
-		}
-		for _, batch := range []int{1, 3, 6} {
-			pcs := make([]*PrefixCache32, batch)
+	prefixes := multiPrefixFixture(enc, rng, 3)
+	for _, batch := range []int{1, 2, 5, 8} {
+		for trial := 0; trial < 8; trial++ {
+			picked := make([]testPrefix, batch)
+			pcs := make([]*PrefixCache, batch)
 			sufs := make([][]int, batch)
 			sufSegs := make([][]int, batch)
 			masks := make([][]bool, batch)
 			for b := range sufs {
-				pcs[b] = caches[rng.Intn(len(caches))]
+				if b > 0 && rng.Intn(2) == 0 {
+					picked[b] = picked[b-1] // a lineage contributes a run of facts
+				} else {
+					picked[b] = prefixes[rng.Intn(len(prefixes))]
+				}
+				pcs[b] = picked[b].pc
 				p := pcs[b].Len()
-				n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1)
+				n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
 				sufs[b] = make([]int, n)
 				sufSegs[b] = make([]int, n)
 				for i := 0; i < n; i++ {
@@ -128,26 +70,21 @@ func TestEncoder32MultiPrefixMatchesPerSequence(t *testing.T) {
 					masks[b][i] = true
 				}
 			}
-			want := make([][]float32, batch)
+			want := make([]*Mat, batch)
 			wantPred := make([]float64, batch)
 			for b := range sufs {
-				h := e32.ForwardWithPrefix(pcs[b], sufs[b], sufSegs[b], masks[b])
-				wantPred[b] = h32.Forward(h)
-				want[b] = append([]float32(nil), h.Data...)
+				tokens := append(append([]int(nil), picked[b].tokens...), sufs[b]...)
+				segs := append(append([]int(nil), picked[b].segs...), sufSegs[b]...)
+				h := enc.Forward(tokens, segs, masks[b])
+				wantPred[b] = head.Forward(h)
+				want[b] = h.Clone()
 			}
-			packed, offs := e32.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+			packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
 			for b := range sufs {
-				rows := pcs[b].Len() + len(sufs[b])
-				win := packed.Data[offs[b]*packed.Cols : (offs[b]+rows)*packed.Cols]
-				for j := range want[b] {
-					if math.Float32bits(win[j]) != math.Float32bits(want[b][j]) {
-						t.Fatalf("%s batch=%d seq %d elem %d: packed %v vs reference %v",
-							prec, batch, b, j, win[j], want[b][j])
-					}
-				}
-				got := h32.ForwardAt(packed, offs[b])
+				assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
+				got := head.ForwardAt(packed, offs[b])
 				if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-					t.Fatalf("%s batch=%d seq %d: head %v vs reference %v", prec, batch, b, got, wantPred[b])
+					t.Fatalf("batch=%d seq %d: head %v vs reference %v", batch, b, got, wantPred[b])
 				}
 			}
 		}
@@ -164,16 +101,16 @@ func TestMultiPrefixZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(56))
 	enc, head := batchedTestEncoder(50)
-	caches := multiPrefixFixture(enc, rng, 3)
+	prefixes := multiPrefixFixture(enc, rng, 3)
 	const batch = 6
 	pcs := make([]*PrefixCache, batch)
 	sufs := make([][]int, batch)
 	sufSegs := make([][]int, batch)
 	masks := make([][]bool, batch)
 	for b := 0; b < batch; b++ {
-		pcs[b] = caches[b%len(caches)]
+		pcs[b] = prefixes[b%len(prefixes)].pc
 		p := pcs[b].Len()
-		n := 2 + b // mixed suffix lengths: the pool is keyed by shape, not last use
+		n := 2 + b // mixed suffix lengths: the pool is keyed by size class, not last use
 		sufs[b] = make([]int, n)
 		sufSegs[b] = make([]int, n)
 		for i := 0; i < n; i++ {

@@ -73,8 +73,7 @@ func checkMatMulShapes(a, b, out *Mat) {
 
 // matMulRow computes output row i of a·b: clear then k-order accumulation,
 // exactly the original kernel's per-row work (rows are independent, so
-// clearing row-by-row instead of all at once is bit-identical). Shared by the
-// serial kernel and the row-partitioned ParMatMulInto.
+// clearing row-by-row instead of all at once is bit-identical).
 func matMulRow(a, b, out *Mat, i int) {
 	arow := a.Row(i)
 	orow := out.Row(i)
@@ -108,8 +107,7 @@ func checkMatMulTShapes(a, b, out *Mat) {
 	}
 }
 
-// matMulTRow computes output row i of a·bᵀ; shared by the serial kernel and
-// the row-partitioned ParMatMulTInto.
+// matMulTRow computes output row i of a·bᵀ.
 func matMulTRow(a, b, out *Mat, i int) {
 	arow := a.Row(i)
 	orow := out.Row(i)

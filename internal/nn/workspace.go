@@ -1,10 +1,12 @@
 package nn
 
+import "math/bits"
+
 // Workspace is a per-replica scratch arena for forward/backward activations
-// and gradients. It hands out matrices keyed by shape and recycles them in
-// bulk at step boundaries, so a warmed-up encoder step (one Forward plus one
-// Backward over a previously seen sequence length) performs zero heap
-// allocations.
+// and gradients. It hands out matrices from size-class pools and recycles
+// them in bulk at step boundaries, so a warmed-up encoder step (one Forward
+// plus one Backward over a previously seen sequence length) performs zero
+// heap allocations.
 //
 // Ownership contract: a Workspace belongs to exactly one network replica (an
 // Encoder plus its heads each own one) and is NOT safe for concurrent use —
@@ -14,19 +16,31 @@ package nn
 // Reset; layers may freely cache them between Forward and Backward because
 // Reset is only called when a new step begins.
 type Workspace struct {
-	free  map[[2]int][]*Mat // recycled matrices by (rows, cols)
-	taken []*Mat            // matrices handed out since the last Reset
+	free  map[int][]*Mat // recycled matrices by size class (see sizeClass)
+	taken []*Mat         // matrices handed out since the last Reset
 
 	// Reusable Mat headers for row-range views into packed batched matrices
 	// (see View). Headers alias other matrices' storage, so they live outside
-	// the shape-keyed data pool: Reset only rewinds viewsUsed.
+	// the data pool: Reset only rewinds viewsUsed.
 	views     []*Mat
 	viewsUsed int
 }
 
 // NewWorkspace returns an empty arena.
 func NewWorkspace() *Workspace {
-	return &Workspace{free: make(map[[2]int][]*Mat)}
+	return &Workspace{free: make(map[int][]*Mat)}
+}
+
+// sizeClass is the pool key of an n-element matrix: the exponent of the
+// smallest power of two holding n elements. Packed passes ask for a different
+// row count with almost every chunk, so pooling by exact shape would keep one
+// set of matrices per distinct count; size classes bound the pools to a few
+// dozen classes at the cost of up to 2x capacity per matrix.
+func sizeClass(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
 }
 
 // Get returns a rows×cols matrix with all elements zero, valid until the next
@@ -34,15 +48,17 @@ func NewWorkspace() *Workspace {
 // bit-identical to freshly allocated ones, so accumulation kernels behave the
 // same either way.
 func (ws *Workspace) Get(rows, cols int) *Mat {
-	key := [2]int{rows, cols}
-	if list := ws.free[key]; len(list) > 0 {
-		m := list[len(list)-1]
-		ws.free[key] = list[:len(list)-1]
+	n := rows * cols
+	c := sizeClass(n)
+	var m *Mat
+	if list := ws.free[c]; len(list) > 0 {
+		m = list[len(list)-1]
+		ws.free[c] = list[:len(list)-1]
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 		clear(m.Data)
-		ws.taken = append(ws.taken, m)
-		return m
+	} else {
+		m = &Mat{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<c)}
 	}
-	m := NewMat(rows, cols)
 	ws.taken = append(ws.taken, m)
 	return m
 }
@@ -76,11 +92,11 @@ func (ws *Workspace) View(src *Mat, lo, n int) *Mat {
 
 // Reset recycles every matrix handed out since the previous Reset. All of
 // them become invalid to the caller; the backing storage is reused by
-// subsequent Gets of the same shape.
+// subsequent Gets of the same size class.
 func (ws *Workspace) Reset() {
 	for _, m := range ws.taken {
-		key := [2]int{m.Rows, m.Cols}
-		ws.free[key] = append(ws.free[key], m)
+		c := sizeClass(cap(m.Data))
+		ws.free[c] = append(ws.free[c], m)
 	}
 	ws.taken = ws.taken[:0]
 	for _, v := range ws.views[:ws.viewsUsed] {

@@ -30,6 +30,22 @@ func TestWorkspaceRecyclesByShape(t *testing.T) {
 	if &m1.Data[0] == &m2.Data[0] || &m1.Data[0] == &m3.Data[0] || &m2.Data[0] == &m3.Data[0] {
 		t.Error("live matrices alias each other")
 	}
+	// A different shape of the same size class (12 and 10 elements both
+	// round up to 16) reuses the storage, resized and zeroed.
+	m3.Data[0] = 9
+	ws.Reset()
+	p := ws.Get(5, 2)
+	if p.Rows != 5 || p.Cols != 2 || len(p.Data) != 10 {
+		t.Fatalf("Get(5, 2) returned %dx%d with %d elements", p.Rows, p.Cols, len(p.Data))
+	}
+	if &p.Data[0] != &m3.Data[0] {
+		t.Error("same-size-class Get after Reset must reuse storage")
+	}
+	for _, v := range p.Data {
+		if v != 0 {
+			t.Fatal("recycled matrix must be zeroed")
+		}
+	}
 }
 
 func TestWorkspaceFloats(t *testing.T) {
@@ -146,7 +162,10 @@ func TestReplicaWorkspacesIndependent(t *testing.T) {
 	}
 }
 
-func TestForwardWithPrefixMatchesForward(t *testing.T) {
+// TestPrefixReuseMatchesForward checks prefix reuse on its own: one
+// sequence encoded as an embedded prefix cache plus a suffix must give hidden
+// states bit-identical to Forward over the whole sequence.
+func TestPrefixReuseMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ps := &Params{}
 	enc := NewEncoder(Config{
@@ -170,11 +189,15 @@ func TestForwardWithPrefixMatchesForward(t *testing.T) {
 			mask[i] = true
 		}
 		want := enc.Forward(full, fullSeg, mask).Clone()
-		got := enc.ForwardWithPrefix(pc, suf, sufSeg, mask)
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("trial %d: prefix-reuse hidden state differs at %d: %v vs %v",
-					trial, i, got.Data[i], want.Data[i])
+		got, offs := enc.BatchedForwardMultiPrefix(
+			[]*PrefixCache{pc}, [][]int{suf}, [][]int{sufSeg}, [][]bool{mask})
+		for i := 0; i < want.Rows; i++ {
+			grow, wrow := got.Row(offs[0]+i), want.Row(i)
+			for j := range wrow {
+				if math.Float64bits(grow[j]) != math.Float64bits(wrow[j]) {
+					t.Fatalf("trial %d: prefix-reuse hidden state differs at row %d col %d: %v vs %v",
+						trial, i, j, grow[j], wrow[j])
+				}
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func TestValidateManifestFile(t *testing.T) {
 	// REPRO_MANIFEST_EXPECT_METRICS names comma-separated metric-name prefixes
 	// that must appear (with activity) in the manifest's metrics snapshot —
 	// scripts/ci.sh uses it to assert the tiny end-to-end run genuinely
-	// exercised specific subsystems (e.g. nn.batch. for the batched ranking
+	// exercised specific subsystems (e.g. nn.mbatch. for the packed ranking
 	// path) rather than merely registering their metrics.
 	expect := os.Getenv("REPRO_MANIFEST_EXPECT_METRICS")
 	if expect == "" {

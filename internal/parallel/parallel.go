@@ -132,24 +132,6 @@ func ForEachWorker(workers, n int, fn func(w, i int)) {
 	}
 }
 
-// ForEachRows is ForEach for intra-op kernel callers that partition the rows
-// of one matrix: when n < minRows the calls run as a bare inline loop on the
-// caller's goroutine — no pool, no closure wrapper, not even the inline-path
-// metric counters — so kernels may call it unconditionally without paying
-// anything on tiny matrices. At or above the threshold it behaves exactly
-// like ForEach. fn must write only to state owned by row i (each output row
-// of a GEMM is independent), so the result is bit-identical for every worker
-// count and threshold.
-func ForEachRows(workers, n, minRows int, fn func(i int)) {
-	if n < minRows || Workers(workers) == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	ForEach(workers, n, fn)
-}
-
 // ForEachErr is ForEach for fallible work. All n calls run regardless of
 // failures; the returned error is the one reported at the lowest index, so
 // the result is deterministic under any scheduling.

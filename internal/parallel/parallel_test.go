@@ -148,40 +148,3 @@ func TestInlineFastPathAgreesWithPool(t *testing.T) {
 		t.Fatalf("n=1 made %d calls", calls)
 	}
 }
-
-// TestForEachRowsInlineVsPool checks the threshold helper from both sides of
-// minRows: below it the calls run inline on the caller's goroutine (a plain,
-// non-atomic counter is safe), at or above it the pooled path visits exactly
-// the same index set, and per-index results agree bitwise either way.
-func TestForEachRowsInlineVsPool(t *testing.T) {
-	// Below the threshold: inline, single goroutine.
-	plainCount := 0 // non-atomic on purpose: inline execution must not race
-	ForEachRows(4, 7, 8, func(i int) { plainCount++ })
-	if plainCount != 7 {
-		t.Fatalf("below-threshold ForEachRows made %d calls, want 7", plainCount)
-	}
-
-	// At/above the threshold: every index visited exactly once.
-	const n = 129
-	var visits [n]atomic.Int64
-	ForEachRows(4, n, 16, func(i int) { visits[i].Add(1) })
-	for i := range visits {
-		if got := visits[i].Load(); got != 1 {
-			t.Fatalf("index %d visited %d times", i, got)
-		}
-	}
-
-	// Per-row results are bit-identical across worker counts and thresholds.
-	rowFn := func(i int) float64 { return 1.0 / float64(2*i+1) }
-	want := make([]float64, n)
-	ForEachRows(1, n, n+1, func(i int) { want[i] = rowFn(i) }) // inline reference
-	for _, workers := range []int{2, 3, 8} {
-		got := make([]float64, n)
-		ForEachRows(workers, n, 1, func(i int) { got[i] = rowFn(i) })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d row %d: %v != %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -33,8 +33,7 @@ func TestServeAdminAuth(t *testing.T) {
 	obs.Install(run)
 	defer obs.Uninstall()
 	s := startServer(t, Config{
-		Workers: 1, MaxBatch: 1, QueueCap: 4, RankBatch: 8,
-		Precision: "f64", AdminToken: "tiny-secret",
+		Workers: 1, MaxBatch: 1, QueueCap: 4, AdminToken: "tiny-secret",
 	})
 
 	reload := func(auth string) *httptest.ResponseRecorder {
@@ -130,7 +129,7 @@ func TestServeTLS(t *testing.T) {
 	certPath, keyPath := writeSelfSignedCert(t, t.TempDir())
 
 	bad := New(Config{Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 1, QueueCap: 4,
-		RankBatch: 8, Precision: "f64", TLSCert: certPath}, corpus, model)
+		TLSCert: certPath}, corpus, model)
 	// The cert/key pairing check runs before the listener binds, so a failed
 	// Start leaves nothing to shut down.
 	if err := bad.Start(); err == nil {
@@ -138,8 +137,7 @@ func TestServeTLS(t *testing.T) {
 	}
 
 	s := startServer(t, Config{
-		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64", PackRequests: true,
+		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond, QueueCap: 64,
 		AdminToken: "tls-secret", TLSCert: certPath, TLSKey: keyPath,
 	})
 	if !strings.HasPrefix(s.URL(), "https://") {

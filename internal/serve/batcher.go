@@ -105,10 +105,10 @@ func (r *replicaSet) get(n int) []*core.Model {
 //
 // Dispatch discipline: with MaxBatch > 1 a single coalescing dispatcher pulls
 // the first job, keeps collecting until the batch is full or BatchWindow has
-// elapsed, and fans the batch across its replicas via parallel.ForEachWorker.
-// While a batch is being scored, new arrivals accumulate in the queue, so
-// batch sizes adapt to load automatically (light load → singleton batches and
-// no added latency beyond the window; heavy load → full batches). With
+// elapsed, and splits the batch across its replicas (score). While a batch
+// is being scored, new arrivals accumulate in the queue, so batch sizes
+// adapt to load automatically (light load → singleton batches and no added
+// latency beyond the window; heavy load → full batches). With
 // MaxBatch <= 1 there is no coalescing: Workers independent dispatchers each
 // score one job at a time — the per-request baseline.
 type batcher struct {
@@ -250,42 +250,27 @@ func (b *batcher) collect(batch *[]*job) {
 	}
 }
 
-// score completes every job of one batch. With PackRequests on (and a packed
-// scoring path configured), each replica receives a contiguous SLICE of the
-// batch and scores its rank jobs through one core.RankMany call — facts of
-// different requests share multi-prefix GEMM passes. Otherwise each job runs
-// whole on one replica (parallel.ForEachWorker: calls sharing a worker slot
-// are sequential), the request-granular dispatch of PR 7. Either way a
-// request's scores are exactly the offline RankOn computation — RankMany is
-// bit-identical to per-request RankOn by construction — so coalescing and
-// packing change scheduling and GEMM sizes, never bytes.
+// score completes every job of one batch: the batch is partitioned into
+// contiguous slices, one per replica, and each replica scores its slice's
+// rank jobs through one core.RankMany call — facts of different requests
+// share multi-prefix GEMM passes. Slices (not striped single jobs) keep each
+// lineage's facts consecutive in the packed chunks. A request's scores are
+// exactly the offline RankOn computation — RankMany is bit-identical to
+// per-request RankOn by construction — so coalescing and packing change
+// scheduling and GEMM sizes, never bytes.
 func (b *batcher) score(rs *replicaSet, batch []*job) {
 	b.mBatch.Observe(float64(len(batch)))
 	b.mDepth.Set(float64(len(b.jobs)))
 	reps := rs.get(min(b.cfg.Workers, len(batch)))
-	if b.cfg.PackRequests && b.cfg.RankBatch > 1 {
-		b.scorePacked(reps, batch)
-	} else {
-		parallel.ForEachWorker(len(reps), len(batch), func(w, i int) {
-			batch[i].run(reps[w])
-		})
-	}
-	for _, j := range batch {
-		close(j.done)
-	}
-}
-
-// scorePacked partitions the batch into len(reps) contiguous slices and lets
-// each replica score one slice through the cross-request packed path. Slices
-// (not striped single jobs) keep each lineage's facts consecutive in the
-// packed chunks and give every replica one big RankMany call.
-func (b *batcher) scorePacked(reps []*core.Model, batch []*job) {
 	nw := len(reps)
 	b.mPacked.Add(int64(nw))
 	parallel.ForEachWorker(nw, nw, func(w, sl int) {
 		lo, hi := sl*len(batch)/nw, (sl+1)*len(batch)/nw
 		scoreSlice(reps[w], batch[lo:hi])
 	})
+	for _, j := range batch {
+		close(j.done)
+	}
 }
 
 // scoreSlice scores one replica's slice: non-rank jobs (similarity) run

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -240,6 +241,27 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	s.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds every JSON request body. The largest legitimate body is
+// a SQL query plus a tuple, a few KiB; anything near the bound is abuse.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. It answers 413 for an oversized body and 400 for a malformed
+// one, and reports whether decoding succeeded.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	}
+	return false
+}
+
 // admit runs one job through the admission queue and waits for its result.
 // The returned status is 0 on success; otherwise the HTTP status the caller
 // must answer with (already written). On success, the job's timestamp
@@ -285,8 +307,7 @@ func (s *Server) resolveTuple(w http.ResponseWriter, r *http.Request) (*engine.O
 		return nil, in, false
 	}
 	var req RankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return nil, in, false
 	}
 	q, res, err := s.evaluate(req.SQL)
@@ -373,8 +394,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SimilarRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.SQLA == "" || req.SQLB == "" {
@@ -394,8 +414,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	f, err := os.Open(req.Path)
@@ -459,7 +478,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_depth": len(s.b.jobs),
 		"max_batch":   s.cfg.MaxBatch,
 		"workers":     s.cfg.Workers,
-		"precision":   s.cfg.Precision,
 		"drift":       drift,
 	})
 }
@@ -467,7 +485,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exports the live obs registry. The default is the repo's JSON
 // snapshot — per-endpoint latency histograms, the serve.stage.* decomposition,
 // batch-size histogram, queue-depth gauge and every library metric
-// (core.rank.*, nn.batch.*, obs.drift.*). ?format=prometheus renders the same
+// (core.rank.*, nn.mbatch.*, obs.drift.*). ?format=prometheus renders the same
 // snapshot in the Prometheus text exposition format (0.0.4) for scrapers.
 // Empty without a live registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -14,18 +14,17 @@
 // when it holds Config.MaxBatch requests or when Config.BatchWindow elapses
 // after the first one arrived. A batch fans out across per-worker model
 // replicas (core.Model.CloneForWorker: shared read-only weights, private
-// activation workspaces), and each lineage is scored through Model.RankOn —
-// the shared-prefix packed path, so with Config.RankBatch > 1 every lineage's
-// facts run as a few large nn.BatchedForwardWithPrefix GEMM passes on a
-// warmed, zero-allocation workspace. Config.Precision selects the serving
-// tier (f64 reference, f32, or int8) exactly as in offline evaluation.
+// activation workspaces): each replica scores a contiguous slice of the batch
+// through one core.Model.RankMany call, so the facts of its requests run as a
+// few large nn.BatchedForwardMultiPrefix GEMM passes on a warmed,
+// zero-allocation workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
 // (core.ConcurrentRanker contract), and batching only changes which replica
 // scores which request, never the per-request computation. Coalesced
 // cross-request scores are therefore bit-identical to sequential per-request
-// core.RankOn for every batch window, batch size, worker count and precision
-// tier — enforced by TestServeParitySequential.
+// core.RankOn for every batch window, batch size and worker count — enforced
+// by TestServeParitySequential.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when the queue is full, requests are rejected immediately with 429 and a
@@ -74,18 +73,6 @@ type Config struct {
 	// QueueCap bounds the admission queue; requests beyond it are rejected
 	// with 429 + Retry-After.
 	QueueCap int
-	// RankBatch and Precision configure the per-request scoring path exactly
-	// as the offline -rank-batch / -precision flags do.
-	RankBatch int
-	Precision string
-	// PackRequests routes coalesced batches through core.RankMany: each
-	// replica scores a contiguous slice of the batch in cross-request packed
-	// passes (facts of different lineages share nn.BatchedForwardMultiPrefix
-	// GEMMs), instead of one RankOn call per request. Off = the request-
-	// granular dispatch PR 7 shipped. Scores are bit-identical either way;
-	// only GEMM sizes change. Effective only with MaxBatch > 1 and
-	// RankBatch > 1 (otherwise there is nothing to pack across).
-	PackRequests bool
 	// AdminToken, when non-empty, locks every /admin/* endpoint behind
 	// "Authorization: Bearer <token>"; failures are rejected with 401 and
 	// counted in serve.req.unauthorized. Empty leaves /admin/* open (local
@@ -115,22 +102,19 @@ type Config struct {
 	DriftPSI    float64
 }
 
-// DefaultConfig returns serving defaults: batching on, a 2ms coalescing
-// window, the packed per-lineage encoder path, and cross-request packing.
+// DefaultConfig returns serving defaults: batching on and a 2ms coalescing
+// window.
 func DefaultConfig() Config {
 	return Config{
-		Addr:         "127.0.0.1:0",
-		Workers:      0,
-		MaxBatch:     8,
-		BatchWindow:  2 * time.Millisecond,
-		QueueCap:     256,
-		RankBatch:    8,
-		Precision:    "f64",
-		PackRequests: true,
-		TraceRing:    256,
-		DriftWindow:  256,
-		DriftProbe:   8,
-		DriftPSI:     0.25,
+		Addr:        "127.0.0.1:0",
+		Workers:     0,
+		MaxBatch:    8,
+		BatchWindow: 2 * time.Millisecond,
+		QueueCap:    256,
+		TraceRing:   256,
+		DriftWindow: 256,
+		DriftProbe:  8,
+		DriftPSI:    0.25,
 	}
 }
 
@@ -195,9 +179,6 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 1
 	}
-	if cfg.Precision == "" {
-		cfg.Precision = "f64"
-	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 256
 	}
@@ -234,13 +215,10 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	return s
 }
 
-// install points the server at a model, stamping the serving tier and packed
-// path onto its config so replicas inherit them, and captures the drift
-// reference from the new model BEFORE it becomes visible to dispatchers — the
-// probe replica is private, so reference capture never races live scoring.
+// install points the server at a model and captures the drift reference from
+// the new model BEFORE it becomes visible to dispatchers — the probe replica
+// is private, so reference capture never races live scoring.
 func (s *Server) install(model *core.Model, version string) {
-	model.Cfg.RankBatch = s.cfg.RankBatch
-	model.Cfg.Precision = s.cfg.Precision
 	s.captureDriftReference(model)
 	s.st.Store(&modelState{model: model, version: version, loaded: time.Now()})
 	s.gen.Add(1)

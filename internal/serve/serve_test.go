@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/shapley"
 )
@@ -106,33 +107,30 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 
 // TestServeParitySequential is the determinism gate from the package doc:
 // coalesced cross-request batched scores must be bit-identical to sequential
-// per-request core.RankOn for every (batch window × batch size × worker count
-// × rank-batch × pack-requests) grid point — with packing on, facts of
-// different concurrent requests share multi-prefix GEMM passes and the bytes
-// still must not move.
+// per-request core.RankOn for every (batch window × batch size × worker count)
+// grid point — facts of different concurrent requests share multi-prefix GEMM
+// passes and the bytes still must not move.
 func TestServeParitySequential(t *testing.T) {
 	corpus, model := fixture(t)
 	for _, tc := range []struct {
 		maxBatch, workers int
 		window            time.Duration
-		rankBatch         int
-		pack              bool
 	}{
-		{1, 1, 0, 8, false}, // per-request baseline, single dispatcher
-		{1, 3, 0, 8, true},  // per-request baseline, parallel dispatchers (pack is moot)
-		{4, 1, 0, 8, false}, // backlog coalescing, request-granular dispatch
-		{4, 1, 0, 8, true},  // backlog coalescing, cross-request packed
-		{4, 2, 500 * time.Microsecond, 8, false},
-		{4, 2, 500 * time.Microsecond, 8, true},
-		{4, 2, 500 * time.Microsecond, 2, true}, // chunks smaller than lineages: packs straddle requests
-		{8, 3, 2 * time.Millisecond, 8, true},   // production defaults shape
-		{8, 3, 2 * time.Millisecond, 0, true},   // pack requested but rank-batch off: plain per-input path
+		{1, 1, 0}, // per-request baseline, single dispatcher
+		{1, 3, 0}, // per-request baseline, parallel dispatchers
+		{4, 1, 0}, // backlog coalescing, one replica packs the whole batch
+		{4, 3, 0}, // backlog coalescing split across replicas
+		{4, 1, 500 * time.Microsecond},
+		{4, 2, 500 * time.Microsecond},
+		{8, 1, 2 * time.Millisecond},
+		{8, 3, 2 * time.Millisecond},  // production defaults shape
+		{16, 1, 2 * time.Millisecond}, // many small lineages per pass: chunks straddle requests
 	} {
-		name := fmt.Sprintf("batch%d_w%d_win%v_rb%d_pack%v", tc.maxBatch, tc.workers, tc.window, tc.rankBatch, tc.pack)
+		name := fmt.Sprintf("batch%d_w%d_win%v", tc.maxBatch, tc.workers, tc.window)
 		t.Run(name, func(t *testing.T) {
 			s := startServer(t, Config{
 				Workers: tc.workers, MaxBatch: tc.maxBatch, BatchWindow: tc.window,
-				QueueCap: 64, RankBatch: tc.rankBatch, Precision: "f64", PackRequests: tc.pack,
+				QueueCap: 64,
 			})
 			cases, err := selfTestCases(s, 6)
 			if err != nil {
@@ -191,7 +189,7 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	corpus := fixCorpus
 	s := New(Config{
 		Addr: "127.0.0.1:0", Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64",
+		QueueCap: 64,
 	}, corpus, model)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -248,7 +246,7 @@ func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
 	s := startServer(t, Config{
 		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64",
+		QueueCap: 64,
 	})
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
@@ -288,8 +286,6 @@ func TestServeHotSwap(t *testing.T) {
 		t.Fatalf("reload -> %s", resp.Status)
 	}
 
-	// The swapped-in state carries the serving tier, so the reference replica
-	// must be cloned from it, not from m2 (whose Cfg lacks the stamp).
 	newWant := sequentialReference(t, s.state().model, cases)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
@@ -321,7 +317,7 @@ func TestServeBackpressure(t *testing.T) {
 	corpus, model := fixture(t)
 	s := New(Config{
 		Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 2, BatchWindow: time.Millisecond,
-		QueueCap: 1, RankBatch: 8, Precision: "f64",
+		QueueCap: 1,
 	}, corpus, model)
 	// Not started: no dispatcher will ever empty the queue.
 	if err := s.b.submit(&job{done: make(chan struct{})}); err != nil {
@@ -349,5 +345,41 @@ func TestSelfTest(t *testing.T) {
 	s := startServer(t, DefaultConfig())
 	if err := SelfTest(s, 8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeRejectsOversizedBody pins the request-size bound: a /rank body
+// larger than maxBodyBytes is answered 413 without ever reaching the
+// admission queue, while a normal request on the same server still is.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	run := obs.NewRun("body-limit-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	s := startServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 4})
+	admitted := func() int64 { return run.Reg.Snapshot().Counters["serve.queue.admitted"] }
+
+	big := append([]byte(`{"sql": "`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
+	big = append(big, `", "tuple": []}`...)
+	before := admitted()
+	_, code, err := postRank(http.DefaultClient, s.URL(), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body -> %d, want 413", code)
+	}
+	if got := admitted(); got != before {
+		t.Errorf("oversized body reached the queue: serve.queue.admitted %d -> %d", before, got)
+	}
+
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, code, err := postRank(http.DefaultClient, s.URL(), cases[0].body); err != nil || code != http.StatusOK {
+		t.Fatalf("normal body after the oversized one: code %d err %v", code, err)
+	}
+	if got := admitted(); got != before+1 {
+		t.Errorf("serve.queue.admitted = %d after one normal request, want %d", got, before+1)
 	}
 }

@@ -60,7 +60,7 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 
 	s := startServer(t, Config{
 		Workers: 2, MaxBatch: 4, BatchWindow: 2 * time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64",
+		QueueCap: 64,
 	})
 	cases, err := selfTestCases(s, 4)
 	if err != nil {

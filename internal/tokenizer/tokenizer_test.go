@@ -222,8 +222,7 @@ func TestFitLengthsMatchesPack(t *testing.T) {
 // left untouched, one token of overflow must trim exactly the longest segment
 // (the fact when the fact is longest — fast path survives with a shorter
 // fact; the query or tuple when one of them is longest — which forces the
-// per-fact fallback, identically for the per-fact and batched rankers, both
-// of which route eligibility through this function).
+// per-fact fallback; the ranker routes eligibility through this function).
 func TestFitLengthsExactBudgetEdges(t *testing.T) {
 	cases := []struct {
 		name   string

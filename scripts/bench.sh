@@ -2,15 +2,14 @@
 # bench.sh — records the repo's performance artifacts as a machine-profile-
 # keyed bench matrix: every BENCH file embeds a "host" fingerprint (machine
 # key, CPU model, core count, GOOS/GOARCH, go version) so numbers from
-# different machines never get compared as if they were one series. The axes
-# are workers × rank-batch × intra-op × precision; axes that need multiple
-# cores are skipped with an explicit marker on single-core hosts, but the
-# precision axis always runs (it is single-worker by construction).
+# different machines never get compared as if they were one series. Axes that
+# need multiple cores are skipped with an explicit marker on single-core
+# hosts.
 #
 #   BENCH_kernels.json  — single-worker kernel/encoding performance: the
 #       end-to-end ranking benchmark through the pre-optimization reference
 #       path (independent padded full-length forward passes per fact) vs the
-#       prefix-reuse path behind RankOn, the zero-allocation encoder
+#       packed prefix-reuse path behind RankOn, the zero-allocation encoder
 #       micro-benchmarks, and the reference-vs-blocked GEMM tier comparison
 #       at the encoder's real shapes. Outputs of the two ranking paths are
 #       bit-identical (TestRankOnPrefixGolden), and the blocked kernels are
@@ -18,27 +17,11 @@
 #       (TestBlockedKernelsMatchReference), so every ratio is pure kernel
 #       speedup.
 #
-#   BENCH_precision.json — the precision axis: end-to-end ranking and encoder
-#       forward ns/op on the f64, f32 and int8 inference tiers. NEVER skipped:
-#       the per-tier comparison is single-worker, so it is meaningful on any
-#       host; only the additional batched (intra-op) sub-axis is skipped on
-#       single-core machines. Ranking parity of the reduced tiers is gated by
-#       TestPrecisionParityGolden (NDCG@10 and Spearman vs f64), not bitwise.
-#
-#   BENCH_batch.json    — end-to-end ranking through the per-fact prefix path
-#       vs the packed batched path (RankBatch chunks + intra-op GEMM
-#       parallelism). Outputs are bit-identical (TestRankOnBatchedGolden);
-#       the batched win comes from fanning large packed GEMMs across the
-#       intra-op pool, so on a single-core machine the comparison is skipped
-#       with an explicit marker, like BENCH_parallel.json.
-#
 #   BENCH_train.json    — end-to-end training (pretrain + finetune, short
 #       schedule) through the replica-per-sample path vs the packed batched
-#       training path (TrainBatch chunks + intra-op GEMM parallelism), at
-#       workers=1 and workers=N. Trained weights are bit-identical either way
-#       (TestTrainBatchedParity); like BENCH_batch.json the packed win needs
-#       the intra-op pool, so on a single-core machine the comparison is
-#       skipped with an explicit marker.
+#       training path (TrainBatch chunks), at workers=1 and, on multi-core
+#       hosts, workers=N. Trained weights are bit-identical either way
+#       (TestTrainBatchedParity).
 #
 #   BENCH_parallel.json — wall-clock effect of data-parallelism on the two
 #       heaviest benchmarks at workers=1 vs workers=N (default: one per CPU;
@@ -88,7 +71,7 @@ bench_allocs() {
 echo "-- BenchmarkRankLineageFull (reference: padded per-fact passes)"
 full_ns=$(bench_ns ./internal/core BenchmarkRankLineageFull 5x)
 echo "   ${full_ns} ns/op"
-echo "-- BenchmarkRankLineagePrefix (RankOn: shared prefix, trimmed sequences)"
+echo "-- BenchmarkRankLineagePrefix (RankOn: shared prefix, trimmed sequences, packed passes)"
 # The optimized run also records a run manifest (metrics + span timings) next
 # to the BENCH file, via the TestMain/obs.StartFromEnv hook in internal/core.
 prefix_ns=$(REPRO_METRICS_OUT="$PWD/BENCH_kernels.manifest.json" REPRO_TRACE=1 \
@@ -155,176 +138,52 @@ $gemm_rows
 EOF
 echo "wrote $KOUT"
 
-# -------------------------------------------------------------- precision ----
-# The precision axis is NEVER skipped: per-tier ranking runs single-worker
-# (workers=1, intra_op=1, rank_batch=0), so the comparison is meaningful on
-# any host. Only the extra batched sub-axis (rank_batch=8 fanned across the
-# intra-op pool) needs multiple cores and keeps the honest skip marker.
-
-POUT=BENCH_precision.json
-echo "== precision-tier benchmarks (f64 vs f32 vs int8; always run) =="
-
-echo "-- end-to-end ranking per tier (single worker, per-fact prefix path)"
-p64_ns=$(bench_ns ./internal/core BenchmarkRankLineagePrefix 5x)
-echo "   f64  ${p64_ns} ns/op"
-pf32_ns=$(bench_ns ./internal/core BenchmarkRankLineageF32 5x)
-echo "   f32  ${pf32_ns} ns/op"
-pi8_ns=$(bench_ns ./internal/core BenchmarkRankLineageInt8 5x)
-echo "   int8 ${pi8_ns} ns/op"
-
-echo "-- encoder forward per tier (warmed, zero-alloc)"
-fwd32_rows=$(bench_sub_rows ./internal/nn BenchmarkEncoder32Forward 2x fwd | sed '$ s/,$//')
-printf '%s\n' "$fwd32_rows" | sed 's/^    /   /'
-
-matrix_rows="    {\"precision\": \"f64\", \"workers\": 1, \"intra_op\": 1, \"rank_batch\": 0, \"benchmark\": \"BenchmarkRankLineagePrefix\", \"ns_per_op\": $p64_ns},\n"
-matrix_rows="$matrix_rows    {\"precision\": \"f32\", \"workers\": 1, \"intra_op\": 1, \"rank_batch\": 0, \"benchmark\": \"BenchmarkRankLineageF32\", \"ns_per_op\": $pf32_ns},\n"
-matrix_rows="$matrix_rows    {\"precision\": \"int8\", \"workers\": 1, \"intra_op\": 1, \"rank_batch\": 0, \"benchmark\": \"BenchmarkRankLineageInt8\", \"ns_per_op\": $pi8_ns},\n"
-
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    batched_axis_skipped=true
-    echo "-- batched precision sub-axis: skipped (cores=$CORES, N=$N)"
-else
-    batched_axis_skipped=false
-    echo "-- batched precision sub-axis (rank_batch=8, intra-op workers=$N)"
-    b64_ns=$(REPRO_WORKERS=$N bench_ns ./internal/core BenchmarkRankLineageBatched 5x)
-    echo "   f64  ${b64_ns} ns/op"
-    b32_ns=$(REPRO_WORKERS=$N bench_ns ./internal/core BenchmarkRankLineageF32Batched 5x)
-    echo "   f32  ${b32_ns} ns/op"
-    matrix_rows="$matrix_rows    {\"precision\": \"f64\", \"workers\": 1, \"intra_op\": $N, \"rank_batch\": 8, \"benchmark\": \"BenchmarkRankLineageBatched\", \"ns_per_op\": $b64_ns},\n"
-    matrix_rows="$matrix_rows    {\"precision\": \"f32\", \"workers\": 1, \"intra_op\": $N, \"rank_batch\": 8, \"benchmark\": \"BenchmarkRankLineageF32Batched\", \"ns_per_op\": $b32_ns},\n"
-fi
-matrix_rows=$(printf '%b' "$matrix_rows" | sed '$ s/,$//')
-
-cat > "$POUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "skipped": false,
-  "batched_axis_skipped": $batched_axis_skipped,
-  "note": "Per-tier ranking ns/op over the same lineages; parity of the reduced tiers vs the f64 ranker is tolerance-gated (NDCG@10 >= 0.99 and Spearman, TestPrecisionParityGolden), not bitwise. Within each tier, batched and per-fact paths are bit-identical (TestRankOnLowPrecBatchedMatchesPerFact). The batched sub-axis needs the intra-op pool and is skipped on single-core hosts; the precision axis itself always runs.",
-  "matrix": [
-$matrix_rows
-  ],
-  "encoder_forward_tiers": [
-    {"op": "fwd", "tier": "f64", "shape": "base_96x32", "ns_per_op": $fwd_ns},
-$fwd32_rows
-  ]
-}
-EOF
-echo "wrote $POUT"
-
-# ------------------------------------------------------------------ batch ----
-
-BOUT=BENCH_batch.json
-
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    echo "== batched ranking benchmark: skipped (cores=$CORES, N=$N) =="
-    cat > "$BOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": true,
-  "note": "Batched-vs-prefix comparison skipped: the batched path's advantage comes from fanning large packed GEMMs across the intra-op worker pool, so on a single-core machine (or N<=1) the measurement would be bookkeeping noise, not speedup. Outputs are bit-identical either way (TestRankOnBatchedGolden). Re-run scripts/bench.sh on a multi-core machine to populate it."
-}
-EOF
-    echo "wrote $BOUT (skipped marker)"
-else
-    echo "== batched ranking benchmark: per-fact prefix vs packed batch (intra-op workers=$N) =="
-    echo "-- BenchmarkRankLineagePrefix (baseline: per-fact prefix reuse)"
-    bprefix_ns=$(bench_ns ./internal/core BenchmarkRankLineagePrefix 5x)
-    echo "   ${bprefix_ns} ns/op"
-    echo "-- BenchmarkRankLineageBatched (RankBatch=8, REPRO_WORKERS=$N)"
-    # The batched run also records a run manifest (nn.batch.* counters and
-    # batch-size histogram included) next to the BENCH file, via the
-    # TestMain/obs.StartFromEnv hook in internal/core.
-    batched_ns=$(REPRO_WORKERS=$N REPRO_METRICS_OUT="$PWD/BENCH_batch.manifest.json" REPRO_TRACE=1 \
-        bench_ns ./internal/core BenchmarkRankLineageBatched 5x)
-    echo "   ${batched_ns} ns/op"
-    echo "   wrote BENCH_batch.manifest.json"
-    bspeedup=$(awk -v a="$bprefix_ns" -v b="$batched_ns" 'BEGIN { printf "%.2f", a/b }')
-    echo "   speedup ${bspeedup}x"
-
-    cat > "$BOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": false,
-  "note": "Ranking scores are bit-identical across paths, chunk sizes and worker counts (TestRankOnBatchedGolden); the ratio is pure packing + intra-op scheduling speedup.",
-  "end_to_end_ranking": {
-    "baseline": "BenchmarkRankLineagePrefix",
-    "optimized": "BenchmarkRankLineageBatched",
-    "rank_batch": 8,
-    "intra_op_workers": $N,
-    "ns_per_op_prefix": $bprefix_ns,
-    "ns_per_op_batched": $batched_ns,
-    "speedup": $bspeedup
-  }
-}
-EOF
-    echo "wrote $BOUT"
-fi
-
 # ------------------------------------------------------------------ train ----
 
 TOUT=BENCH_train.json
 
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    echo "== batched training benchmark: skipped (cores=$CORES, N=$N) =="
-    cat > "$TOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": true,
-  "note": "Replica-vs-packed training comparison skipped: the packed path's advantage comes from fanning layer-wide forward/backward GEMMs across the intra-op worker pool, so on a single-core machine (or N<=1) the measurement would be bookkeeping noise, not speedup. Trained weights are bit-identical either way (TestTrainBatchedParity). Re-run scripts/bench.sh on a multi-core machine to populate it."
-}
-EOF
-    echo "wrote $TOUT (skipped marker)"
-else
-    echo "== batched training benchmark: replica-per-sample vs packed batch =="
-    trows=""
-    for w in 1 "$N"; do
-        echo "-- BenchmarkTrainReplica (workers=$w)"
-        rep_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainReplica 3x)
-        echo "   ${rep_ns} ns/op"
-        echo "-- BenchmarkTrainBatched (TrainBatch=8, workers=$w)"
-        pack_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainBatched 3x)
-        echo "   ${pack_ns} ns/op"
-        tspeedup=$(awk -v a="$rep_ns" -v b="$pack_ns" 'BEGIN { printf "%.2f", a/b }')
-        echo "   speedup ${tspeedup}x"
-        trows="$trows    {\"workers\": $w, \"ns_per_op_replica\": $rep_ns, \"ns_per_op_batched\": $pack_ns, \"speedup\": $tspeedup},\n"
-    done
-    trows=$(printf '%b' "$trows" | sed '$ s/,$//')
+echo "== batched training benchmark: replica-per-sample vs packed batch =="
+train_workers=1
+if [ "$CORES" -gt 1 ] && [ "$N" -gt 1 ]; then
+    train_workers="1 $N"
+fi
+trows=""
+for w in $train_workers; do
+    echo "-- BenchmarkTrainReplica (workers=$w)"
+    rep_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainReplica 3x)
+    echo "   ${rep_ns} ns/op"
+    echo "-- BenchmarkTrainBatched (TrainBatch=8, workers=$w)"
+    pack_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainBatched 3x)
+    echo "   ${pack_ns} ns/op"
+    tspeedup=$(awk -v a="$rep_ns" -v b="$pack_ns" 'BEGIN { printf "%.2f", a/b }')
+    echo "   speedup ${tspeedup}x"
+    trows="$trows    {\"workers\": $w, \"ns_per_op_replica\": $rep_ns, \"ns_per_op_batched\": $pack_ns, \"speedup\": $tspeedup},\n"
+done
+trows=$(printf '%b' "$trows" | sed '$ s/,$//')
 
-    cat > "$TOUT" <<EOF
+cat > "$TOUT" <<EOF
 {
   "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "host": $HOST_JSON,
   "cores": $CORES,
   "skipped": false,
   "train_batch": 8,
-  "note": "Same seed and schedule; trained weights, dev curves and TrainReport are bit-identical across paths, batch sizes and worker counts (TestTrainBatchedParity), so the ratio is pure packing + intra-op scheduling speedup.",
+  "note": "Same seed and schedule; trained weights, dev curves and TrainReport are bit-identical across paths, batch sizes and worker counts (TestTrainBatchedParity), so the ratio is pure packing + scheduling speedup. The workers=N row runs only on multi-core hosts.",
   "training": [
 $trows
   ]
 }
 EOF
-    echo "wrote $TOUT"
-fi
+echo "wrote $TOUT"
 
 # ------------------------------------------------------------------ serve ----
 # The serving axis measures the production daemon end to end: the load
 # generator drives concurrent /rank requests over real TCP at cmd/serve and
 # records p50/p99 latency and throughput with cross-request dynamic batching
-# off (max-batch 1: one request per dispatch) vs on (max-batch 8, 2ms window),
-# with cross-request packing off vs on (-pack-requests: one multi-prefix
-# RankMany per batch slice vs request-granular dispatch), and across the
-# f64/f32/int8 serving tiers. Scores are bit-identical in every configuration
-# (TestServeParitySequential; cmd/serve -selftest re-checks the exact binary
-# under test, both pack modes), so every delta is pure scheduling + kernel-
-# tier effect. Every cell runs SERVE_TRIALS times; rows record the median
+# off (max-batch 1: one request per dispatch) vs on (max-batch 8, 2ms window).
+# Scores are bit-identical in every configuration (TestServeParitySequential;
+# cmd/serve -selftest re-checks the exact binary under test), so every delta
+# is pure scheduling effect. Every cell runs SERVE_TRIALS times; rows record the median
 # throughput plus every per-trial number, and the headline speedups divide
 # medians — single go-run loadgen samples on a busy host are too noisy to
 # quote alone. The single-worker axis is meaningful on any host; the
@@ -332,7 +191,7 @@ fi
 # and keeps the honest skip marker on single-core machines.
 
 SVOUT=BENCH_serve.json
-echo "== serving benchmarks: batching x packing x precision (loadgen) =="
+echo "== serving benchmarks: batching (loadgen) =="
 
 serve_tmp=$(mktemp -d)
 trap 'rm -rf "$serve_tmp"' EXIT
@@ -353,14 +212,13 @@ serve_report() {
         "$@" -quiet 2>/dev/null | tail -n 1
 }
 
-# serve_cell <workers> <max-batch> <window> <precision> <pack> runs one cell
-# SERVE_TRIALS times and leaves the median rps in cell_median, the per-trial
-# rps list in cell_trials, and the last trial's full LoadReport in cell_report.
+# serve_cell <workers> <max-batch> <window> runs one cell SERVE_TRIALS times
+# and leaves the median rps in cell_median, the per-trial rps list in
+# cell_trials, and the last trial's full LoadReport in cell_report.
 serve_cell() {
-    local w=$1 mb=$2 win=$3 prec=$4 pack=$5 t tp tps=""
+    local w=$1 mb=$2 win=$3 t tp tps=""
     for t in $(seq 1 "$SERVE_TRIALS"); do
-        cell_report=$(serve_report -workers "$w" -max-batch "$mb" \
-            -batch-window "$win" -precision "$prec" -pack-requests="$pack")
+        cell_report=$(serve_report -workers "$w" -max-batch "$mb" -batch-window "$win")
         tp=$(printf '%s' "$cell_report" | sed 's/.*"throughput_rps": *\([0-9.]*\).*/\1/')
         echo "   trial $t: ${tp} rps"
         tps="$tps$tp\n"
@@ -372,23 +230,17 @@ serve_cell() {
 
 sv_rows=""
 tp_base=""
-tp_batch_off=""
-tp_batch_on=""
-# max-batch 1 never coalesces, so packing has nothing to pack there: one
-# baseline cell, then the packing axis swept at max-batch 8.
-for cfg in "1|0s|f64|false" "8|2ms|f64|false" "8|2ms|f64|true" "8|2ms|f32|true" "8|2ms|int8|true"; do
-    IFS='|' read -r mb win prec pack <<< "$cfg"
-    echo "-- workers=1 max-batch=$mb batch-window=$win precision=$prec pack-requests=$pack"
-    serve_cell 1 "$mb" "$win" "$prec" "$pack"
-    sv_rows="$sv_rows    {\"workers\": 1, \"max_batch\": $mb, \"batch_window\": \"$win\", \"precision\": \"$prec\", \"pack_requests\": $pack, \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
-    if [ "$mb" = 1 ]; then tp_base="$cell_median"; fi
-    if [ "$mb" = 8 ] && [ "$prec" = f64 ] && [ "$pack" = false ]; then tp_batch_off="$cell_median"; fi
-    if [ "$mb" = 8 ] && [ "$prec" = f64 ] && [ "$pack" = true ]; then tp_batch_on="$cell_median"; fi
+tp_batch=""
+for cfg in "1|0s" "8|2ms"; do
+    IFS='|' read -r mb win <<< "$cfg"
+    echo "-- workers=1 max-batch=$mb batch-window=$win"
+    serve_cell 1 "$mb" "$win"
+    sv_rows="$sv_rows    {\"workers\": 1, \"max_batch\": $mb, \"batch_window\": \"$win\", \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
+    if [ "$mb" = 1 ]; then tp_base="$cell_median"; else tp_batch="$cell_median"; fi
 done
 
-sv_speedup=$(awk -v a="$tp_batch_off" -v b="$tp_base" 'BEGIN { printf "%.2f", (b > 0) ? a/b : 0 }')
-pack_speedup=$(awk -v a="$tp_batch_on" -v b="$tp_batch_off" 'BEGIN { printf "%.2f", (b > 0) ? a/b : 0 }')
-echo "-- medians at workers=1: max-batch 1 ${tp_base} rps; max-batch 8 unpacked ${tp_batch_off} rps (${sv_speedup}x); packed ${tp_batch_on} rps (${pack_speedup}x vs unpacked)"
+sv_speedup=$(awk -v a="$tp_batch" -v b="$tp_base" 'BEGIN { printf "%.2f", (b > 0) ? a/b : 0 }')
+echo "-- medians at workers=1: max-batch 1 ${tp_base} rps; max-batch 8 ${tp_batch} rps (${sv_speedup}x)"
 
 if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
     sv_workers_skipped=true
@@ -396,11 +248,11 @@ if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
 else
     sv_workers_skipped=false
     echo "-- multi-worker serving sub-axis (workers=$N)"
-    for cfg in "1|0s|f64|false" "8|2ms|f64|false" "8|2ms|f64|true" ; do
-        IFS='|' read -r mb win prec pack <<< "$cfg"
-        echo "-- workers=$N max-batch=$mb batch-window=$win precision=$prec pack-requests=$pack"
-        serve_cell "$N" "$mb" "$win" "$prec" "$pack"
-        sv_rows="$sv_rows    {\"workers\": $N, \"max_batch\": $mb, \"batch_window\": \"$win\", \"precision\": \"$prec\", \"pack_requests\": $pack, \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
+    for cfg in "1|0s" "8|2ms"; do
+        IFS='|' read -r mb win <<< "$cfg"
+        echo "-- workers=$N max-batch=$mb batch-window=$win"
+        serve_cell "$N" "$mb" "$win"
+        sv_rows="$sv_rows    {\"workers\": $N, \"max_batch\": $mb, \"batch_window\": \"$win\", \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
     done
 fi
 sv_rows=$(printf '%b' "$sv_rows" | sed '$ s/,$//')
@@ -415,9 +267,8 @@ cat > "$SVOUT" <<EOF
   "clients": $SERVE_CLIENTS,
   "requests": $SERVE_REQS,
   "trials": $SERVE_TRIALS,
-  "note": "Closed-loop loadgen (clients issue back-to-back) against cmd/serve over real TCP; every cell is the median of trials runs (per-trial rps kept in throughput_rps_trials; report is the last trial's full LoadReport). Latency quantiles (p50/p99/p999) over 200s only, 429 rejections counted and timed separately, never folded into the success percentiles. Ranking scores are bit-identical across batching configs, pack modes, worker counts and windows (TestServeParitySequential); the f32/int8 tiers are tolerance-gated vs f64 (TestPrecisionParityGolden). Two distinct headline ratios at workers=1: batching_throughput_speedup (max-batch 8 unpacked vs max-batch 1) isolates coalescing, whose win comes from fanning batches across replicas, so ~1.0 is the expected honest result with one worker; packed_throughput_speedup (max-batch 8 packed vs unpacked, both one worker) isolates cross-request packing, which merges the per-fact GEMM chunks of coalesced requests into larger multi-prefix chunks — fewer, bigger GEMMs on the same core. Measured honestly on this host packing is compute-parity (~1.0x), not a win: with dim-16 models on the serial inline kernels a GEMM's cost is linear in its row count, so merging chunks only saves per-pass bookkeeping (the offline pair BenchmarkRankManyBatched vs BenchmarkRankLineageBatched agrees: ~equal ns/op, fewer allocs/op for the packed path). The packing win arrives when the larger packed chunks feed the intra-op GEMM pool (REPRO_WORKERS > 1) or wider models — re-run scripts/bench.sh on a multi-core machine to populate that axis. The multi-worker sub-axis is skipped on single-core hosts.",
+  "note": "Closed-loop loadgen (clients issue back-to-back) against cmd/serve over real TCP; every cell is the median of trials runs (per-trial rps kept in throughput_rps_trials; report is the last trial's full LoadReport). Latency quantiles (p50/p99/p999) over 200s only, 429 rejections counted and timed separately, never folded into the success percentiles. Ranking scores are bit-identical across batching configs, worker counts and windows (TestServeParitySequential). batching_throughput_speedup (max-batch 8 vs max-batch 1, one worker) isolates coalescing: a coalesced batch is scored through one cross-request packed RankMany call per replica. The multi-worker sub-axis is skipped on single-core hosts.",
   "batching_throughput_speedup": $sv_speedup,
-  "packed_throughput_speedup": $pack_speedup,
   "matrix": [
 $sv_rows
   ]
@@ -435,8 +286,8 @@ echo "wrote $SVOUT"
 # The measurement lives in Go (TestLabelBenchReport, internal/shapley/approx)
 # so the numbers come from the same code paths ci gates; this section only
 # runs it and wraps the inner report with the host fingerprint. Labeling is
-# single-worker by construction (one lineage, one engine at a time), so like
-# the precision axis it is NEVER skipped.
+# single-worker by construction (one lineage, one engine at a time), so it is
+# NEVER skipped.
 
 LOUT=BENCH_label.json
 echo "== labeling benchmarks: exact vs sampling engines (median of 3) =="

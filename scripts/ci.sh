@@ -29,14 +29,12 @@ echo "== go test -race (concurrency packages) =="
 # dataset worker-determinism test both fan labeling out across goroutines.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
-echo "== go test -race (batched + intra-op parallel paths) =="
-# The batched parity tests (inference and training — the 'Batched' pattern
+echo "== go test -race (packed passes) =="
+# The packed parity tests (inference and training — the 'Batched' pattern
 # matches TestBatchedTrainStepMatchesReplicaPath and TestTrainBatchedParity)
-# sweep nn.SetIntraOp worker counts, so this run drives the row-partitioned
-# GEMM fan-out and the packed batched passes under the race detector
-# explicitly.
-go test -race ./internal/nn -run 'Batched|MultiPrefix|ParKernels|ForEachRows'
-go test -race ./internal/core -run 'Batched|RankMany'
+# run explicitly under the race detector.
+go test -race ./internal/nn -run 'Batched|MultiPrefix'
+go test -race ./internal/core -run 'Batched|RankMany|Golden'
 
 echo "== go test -race (request observability: traces, ring, drift, exposition) =="
 # The trace context is mutated from both sides of the admission queue (handler
@@ -47,18 +45,13 @@ go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Dr
 go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|HealthzReadiness|MetricsPrometheus'
 
 echo "== go test -race (packed serve dispatch + admin auth + TLS) =="
-# The parity grid sweeps pack-requests on/off across batch/window/worker/
-# rank-batch combinations — the packed dispatcher slices one batch across
-# replicas concurrently, so it runs under the race detector explicitly, as do
-# the TLS round trip and the admin auth gate.
+# The parity grid sweeps batch/window/worker combinations — the dispatcher
+# slices one batch across replicas concurrently, so it runs under the race
+# detector explicitly, as do the TLS round trip and the admin auth gate.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
 
-echo "== go test -race (blocked kernel tier + precision engines) =="
-# The blocked-kernel serial-parity test sweeps intra-op worker counts over the
-# row-partitioned blocked GEMMs, and the low-precision batched test does the
-# same through the f32/int8 engines — both explicitly under the race detector.
-go test -race ./internal/nn -run 'Blocked|Encoder32|QuantizeChannel'
-go test -race ./internal/core -run 'LowPrec|Precision'
+echo "== go test -race (blocked kernels) =="
+go test -race ./internal/nn -run 'Blocked'
 
 echo "== allocation regression gate =="
 # TestEncoderStepZeroAllocs pins the warmed encoder step to 0 allocs/op. It
@@ -80,8 +73,8 @@ if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocsInstrume
     echo "TestEncoderStepZeroAllocsInstrumented did not pass (skipped?)" >&2
     exit 1
 fi
-# The batched sibling pins a warmed packed inference pass (batched forward +
-# per-sequence head readouts) to the same 0 allocs/op.
+# The batched sibling pins a warmed single-lineage packed inference pass
+# (packed forward + per-sequence head readouts) to the same 0 allocs/op.
 alloc_out=$(go test ./internal/nn -run '^TestBatchedStepZeroAllocs$' -v)
 echo "$alloc_out" | tail -n 3
 if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedStepZeroAllocs'; then
@@ -105,33 +98,13 @@ if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBlockedKernelsZeroAllocs'; th
     echo "TestBlockedKernelsZeroAllocs did not pass (skipped?)" >&2
     exit 1
 fi
-# And the low-precision engines: a warmed f32/int8 pass (full forward, prefix
-# forward, packed batched forward + head readouts) must run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestEncoder32ZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoder32ZeroAllocs'; then
-    echo "TestEncoder32ZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
 # The cross-request multi-prefix pass (suffixes of different lineages packed
-# into one chunk, per-sequence prefix attention) is the serving hot path with
-# -pack-requests on; a warmed pass must also run at 0 allocs/op.
+# into one chunk, per-sequence prefix attention) is the ranking hot path; a
+# warmed pass must also run at 0 allocs/op.
 alloc_out=$(go test ./internal/nn -run '^TestMultiPrefixZeroAllocs$' -v)
 echo "$alloc_out" | tail -n 3
 if ! echo "$alloc_out" | grep -q -- '--- PASS: TestMultiPrefixZeroAllocs'; then
     echo "TestMultiPrefixZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-
-echo "== precision parity gate =="
-# The reduced-precision tiers are tolerance-gated, not bitwise: ranking the
-# golden corpus through the f32 and int8 engines must agree with the f64
-# ranker at NDCG@10 >= 0.99 and Spearman >= 0.99. Like the allocation gates,
-# a skip must not silently satisfy the gate.
-parity_out=$(go test ./internal/core -run '^TestPrecisionParityGolden$' -v)
-echo "$parity_out" | grep -E 'vs f64|--- (PASS|FAIL|SKIP)' || true
-if ! echo "$parity_out" | grep -q -- '--- PASS: TestPrecisionParityGolden'; then
-    echo "TestPrecisionParityGolden did not pass (skipped?)" >&2
     exit 1
 fi
 
@@ -163,20 +136,19 @@ echo "== end-to-end run manifest =="
 # emits the run manifest, and the schema check validates what was written.
 manifest_dir=$(mktemp -d)
 trap 'rm -rf "$manifest_dir"' EXIT
-# -rank-batch 8 routes evaluation ranking through the packed batched encoder
-# path and -train-batch 8 routes the (small, one-epoch) pre-training and
-# fine-tuning schedules through the packed batched training path, so the
-# manifest must show live nn.batch.* and core.pretrain.* metrics — asserted
-# below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
+# -train-batch 8 routes the (small, one-epoch) pre-training and fine-tuning
+# schedules through the packed batched training path, so the manifest must
+# show live nn.batch.*, nn.mbatch.* (evaluation ranking) and core.pretrain.*
+# metrics — asserted below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
 # the Monte Carlo sampling engine, so live shapley.approx.* metrics must show
 # up in the same manifest.
 go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
     -pepochs 1 -ppairs 16 \
     -labeler mc -label-samples 64 \
-    -dim 8 -layers 1 -workers 2 -rank-batch 8 -train-batch 8 \
+    -dim 8 -layers 1 -workers 2 -train-batch 8 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,core.rank.,core.pretrain.,shapley.approx." \
+    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 # Metric-naming lint over the live registry snapshot the run actually
 # produced: every registered name must follow the repo convention and survive
@@ -189,15 +161,14 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # ephemeral port with cross-request batching on, fire concurrent /rank
 # requests over real TCP and verify every response bit-for-bit against
 # sequential per-request ranking (cmd/serve -selftest exits non-zero on any
-# mismatch; it then flips -pack-requests and repeats, so both dispatch modes
-# are gated), then drain and flush the run manifest. The schema check asserts
+# mismatch), then drain and flush the run manifest. The schema check asserts
 # the manifest recorded live serve.* metrics (request counters, batch-size
 # histogram, the serve.stage.* latency decomposition), the nn.mbatch.*
-# multi-prefix packing counters from the packed dispatch leg, and the
-# obs.drift.* quality monitors alongside the core ranking counters.
+# multi-prefix packing counters, and the obs.drift.* quality monitors
+# alongside the core ranking counters.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
-    -workers 2 -max-batch 4 -batch-window 1ms -rank-batch 8 \
+    -workers 2 -max-batch 4 -batch-window 1ms \
     -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
