@@ -23,7 +23,6 @@ func main() {
 	benchScale := flag.Bool("bench", false, "use the (smaller) bench-scale configuration")
 	only := flag.String("only", "", "comma-separated artifact list (e.g. table1,figure9); empty = all")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building, training and evaluation (0 = one per CPU); results are identical for every value")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); results are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -36,7 +35,6 @@ func main() {
 		// flag was given explicitly.
 		cfg.Workers = *workers
 	}
-	cfg.TrainBatch = *trainBatch
 	// Start observability before NewSuite: hot-path metric handles resolve
 	// against the registry installed here.
 	rn := o.Start("experiments")
@@ -44,7 +42,6 @@ func main() {
 	rn.SetConfig("bench", *benchScale)
 	rn.SetConfig("only", *only)
 	rn.SetConfig("workers", cfg.Workers)
-	rn.SetConfig("train_batch", cfg.TrainBatch)
 	rn.SetConfig("queries_per_db", cfg.QueriesPerDB)
 	rn.SetConfig("scale", cfg.Scale.Base)
 

@@ -33,7 +33,6 @@ func main() {
 	savePath := flag.String("save", "", "write the trained model to this file")
 	loadPath := flag.String("load", "", "load a trained model instead of training")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building and training (0 = one per CPU); results are identical for every value")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -45,7 +44,6 @@ func main() {
 	rn.SetConfig("cases", *cases)
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("train_batch", *trainBatch)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -77,7 +75,6 @@ func main() {
 		log.Fatalf("unknown -model %q", *modelFlag)
 	}
 	cfg.Workers = *workers
-	cfg.TrainBatch = *trainBatch
 
 	var model *core.Model
 	if *loadPath != "" {

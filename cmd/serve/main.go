@@ -51,7 +51,6 @@ func main() {
 	samples := flag.Int("samples", 0, "override fine-tune samples per epoch (0 = model default)")
 	pepochs := flag.Int("pepochs", -1, "override pre-training epochs (-1 = model default)")
 	ppairs := flag.Int("ppairs", 0, "override pre-training pairs per epoch (0 = model default)")
-	trainBatch := flag.Int("train-batch", 8, "packed batched training chunk size (0 = replica per sample)")
 	loadPath := flag.String("load", "", "serve this gob checkpoint instead of training")
 	savePath := flag.String("save", "", "write the served model to this file (hot-swap source for /admin/reload)")
 	workers := flag.Int("workers", 0, "scoring replicas / training workers (0 = one per CPU)")
@@ -118,7 +117,7 @@ func main() {
 	}
 
 	model := buildModel(rn, corpus, modelCfg(
-		*modelFlag, *dim, *layers, *epochs, *samples, *pepochs, *ppairs, *trainBatch, *workers),
+		*modelFlag, *dim, *layers, *epochs, *samples, *pepochs, *ppairs, *workers),
 		*loadPath, *savePath)
 
 	scfg := serve.Config{
@@ -176,7 +175,7 @@ func main() {
 }
 
 // modelCfg resolves the -model selection plus size/schedule overrides.
-func modelCfg(name string, dim, layers, epochs, samples, pepochs, ppairs, trainBatch, workers int) core.ModelConfig {
+func modelCfg(name string, dim, layers, epochs, samples, pepochs, ppairs, workers int) core.ModelConfig {
 	var cfg core.ModelConfig
 	switch name {
 	case "base":
@@ -211,7 +210,6 @@ func modelCfg(name string, dim, layers, epochs, samples, pepochs, ppairs, trainB
 	if ppairs > 0 {
 		cfg.PretrainPairsPerEpoch = ppairs
 	}
-	cfg.TrainBatch = trainBatch
 	cfg.Workers = workers
 	return cfg
 }

@@ -34,7 +34,6 @@ func main() {
 	labeler := flag.String("labeler", "exact", "Shapley labeling engine for the corpus: exact, mc, amc, loo, or stratified")
 	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for sampling labelers (0 = engine default)")
 	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func main() {
 	rn.SetConfig("labeler", *labeler)
 	rn.SetConfig("label_samples", *labelSamples)
 	rn.SetConfig("label_seed", *labelSeed)
-	rn.SetConfig("train_batch", *trainBatch)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -96,7 +94,6 @@ func main() {
 	cfg.PretrainEpochs = *pepochs
 	cfg.PretrainPairsPerEpoch = *ppairs
 	cfg.Workers = *workers
-	cfg.TrainBatch = *trainBatch
 	if !*pretrain {
 		cfg.PretrainMetrics = nil
 		cfg.PretrainEpochs = 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -68,14 +69,32 @@ type ModelConfig struct {
 	// in sample order, so trained weights are bit-identical for every worker
 	// count.
 	Workers int
-	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
-	// batched training path (nn.BatchedStep): up to TrainBatch sequences are
-	// packed into one [ΣT×Dim] forward+backward per step, so each layer's
-	// Q/K/V/FFN forward and dL/dx gradient GEMMs run as a few large matrix
-	// products instead of one small GEMM per sample.
-	// 0 keeps the replica-per-sample path. Trained weights, dev curves and the
-	// TrainReport are bit-identical either way (see train_batched.go).
+	// Deprecated: Train ignores TrainBatch; every Train runs one model
+	// replica per mini-batch slot. The field stays until its last callers
+	// stop setting it.
 	TrainBatch int
+}
+
+// minSeqLen is the shortest MaxSeqLen a model can run: [CLS] plus the [SEP]
+// that closes each segment of a (query, tuple, fact) sequence.
+const minSeqLen = 4
+
+// validate rejects the architectures a model cannot be built or run with:
+// every size must be positive, MaxSeqLen at least minSeqLen, and Dim must
+// split evenly across the attention heads.
+func (cfg ModelConfig) validate() error {
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"Dim", cfg.Dim, 1}, {"Heads", cfg.Heads, 1}, {"Layers", cfg.Layers, 1}, {"FFNHidden", cfg.FFNHidden, 1}, {"MaxSeqLen", cfg.MaxSeqLen, minSeqLen}} {
+		if f.v < f.min {
+			return fmt.Errorf("core: model config %s is %d, want at least %d", f.name, f.v, f.min)
+		}
+	}
+	if cfg.Dim%cfg.Heads != 0 {
+		return fmt.Errorf("core: model config Dim %d is not divisible by Heads %d", cfg.Dim, cfg.Heads)
+	}
+	return nil
 }
 
 // BaseConfig is LearnShapley-base at bench scale.
@@ -149,11 +168,6 @@ type Model struct {
 	// Token-cache effectiveness counters (no-op without a live registry).
 	mTupleHits, mTupleMisses *obs.Counter
 	mFactHits, mFactMisses   *obs.Counter
-
-	// Packed-training slot buffers: slot i holds chunk sequence i's packed
-	// tokens between Pack and the encoder's BatchedStep (train_batched.go).
-	trainToks, trainSegs [][]int
-	trainMasks           [][]bool
 }
 
 // NumWeights reports the total scalar parameter count.

@@ -44,6 +44,9 @@ func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 	if payload.Version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", payload.Version)
 	}
+	if err := payload.Cfg.validate(); err != nil {
+		return nil, err
+	}
 	tok, err := tokenizer.FromWords(payload.Words)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore vocabulary: %w", err)

@@ -76,9 +76,9 @@ func TestLoadModelRejectsTamperedWeights(t *testing.T) {
 }
 
 // legacySavedModel mirrors savedModel as checkpoints were written while
-// ModelConfig still carried the inference-tier knobs Precision and RankBatch.
-// gob matches struct fields by name, so encoding this type produces exactly
-// such a checkpoint.
+// ModelConfig still carried the inference-tier knobs Precision and RankBatch
+// and a live TrainBatch. gob matches struct fields by name, so encoding this
+// type produces exactly such a checkpoint.
 type legacySavedModel struct {
 	Version int
 	Cfg     legacyModelConfig
@@ -109,7 +109,6 @@ type legacyModelConfig struct {
 func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
-	cfg.TrainBatch = 4
 	tok := buildVocabulary(c, cfg)
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 	m.trainDB = c.DB
@@ -123,7 +122,7 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 			FinetuneEpochs: cfg.FinetuneEpochs, FinetuneSamplesPerEpoch: cfg.FinetuneSamplesPerEpoch,
 			FinetuneLR: cfg.FinetuneLR, BatchSize: cfg.BatchSize, TargetScale: cfg.TargetScale,
 			MLMWeight: cfg.MLMWeight, NegativeSamplesPerEpoch: cfg.NegativeSamplesPerEpoch,
-			Seed: cfg.Seed, Workers: cfg.Workers, TrainBatch: cfg.TrainBatch,
+			Seed: cfg.Seed, Workers: cfg.Workers,
 			RankBatch: 16, Precision: "int8",
 		},
 		Words:   tok.Words(),
@@ -142,5 +141,38 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 	}
 	for _, in := range caseInputs(c) {
 		assertValuesBitEqual(t, "loaded", loaded.RankOn(c.DB, in), m.RankOn(c.DB, in))
+	}
+}
+
+// TestMalformedConfigReturnsError pins that both entry points that build a
+// network from a config, LoadModel (a checkpoint file) and Train (command-line
+// sizes), reject architectures the encoder cannot build with an error rather
+// than a panic.
+func TestMalformedConfigReturnsError(t *testing.T) {
+	c, sims := tinyCorpus(t)
+	words := buildVocabulary(c, tinyConfig()).Words()
+	for _, tc := range []struct {
+		name string
+		edit func(*ModelConfig)
+	}{
+		{"heads_0", func(cfg *ModelConfig) { cfg.Heads = 0 }},
+		{"dim_10_heads_4", func(cfg *ModelConfig) { cfg.Dim, cfg.Heads = 10, 4 }},
+		{"maxseqlen_-1", func(cfg *ModelConfig) { cfg.MaxSeqLen = -1 }},
+		{"maxseqlen_3", func(cfg *ModelConfig) { cfg.MaxSeqLen = minSeqLen - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig()
+			tc.edit(&cfg)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&savedModel{Version: persistVersion, Cfg: cfg, Words: words}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModel(&buf, c.DB); err == nil {
+				t.Error("LoadModel accepted the config")
+			}
+			if _, _, err := Train(c, sims, cfg, nil); err == nil {
+				t.Error("Train accepted the config")
+			}
+		})
 	}
 }

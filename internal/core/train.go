@@ -37,6 +37,9 @@ type TrainReport struct {
 // mini-batch sample computes its gradient on its own model replica, and the
 // per-sample gradients are summed in sample order before each optimizer step.
 func Train(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg ModelConfig, trainIdx []int) (*Model, *TrainReport, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	if trainIdx == nil {
 		trainIdx = c.Train
 	}
@@ -271,20 +274,14 @@ func (m *Model) pretrain(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg M
 		for start := 0; start < len(draws); start += bs {
 			end := min(start+bs, len(draws))
 			batch := draws[start:end]
-			if cfg.TrainBatch > 0 {
-				// Packed path: gradients accumulate directly into m.params in
-				// slot order, bit-identical to the replica merge below.
-				m.pretrainStepBatched(c, sims, batch, so.lossBuf)
-			} else {
-				parallel.ForEach(cfg.Workers, len(batch), func(i int) {
-					loss := reps[i].pretrainStep(c, sims, batch[i])
-					if so.lossBuf != nil {
-						so.lossBuf[i] = loss
-					}
-				})
-				for i := range batch {
-					m.params.AddGradsFrom(reps[i].params)
+			parallel.ForEach(cfg.Workers, len(batch), func(i int) {
+				loss := reps[i].pretrainStep(c, sims, batch[i])
+				if so.lossBuf != nil {
+					so.lossBuf[i] = loss
 				}
+			})
+			for i := range batch {
+				m.params.AddGradsFrom(reps[i].params)
 			}
 			mPairs.Add(int64(len(batch)))
 			so.observeStep(m.params, len(batch))
@@ -478,18 +475,14 @@ func (m *Model) finetune(c *dataset.Corpus, cfg ModelConfig, trainIdx []int, rng
 		for start := 0; start < steps; start += bs {
 			end := min(start+bs, steps)
 			batch := schedule[start:end]
-			if cfg.TrainBatch > 0 {
-				m.finetuneStepBatched(c, pool, batch, cfg, so.lossBuf)
-			} else {
-				parallel.ForEach(cfg.Workers, len(batch), func(i int) {
-					loss := reps[i].finetuneStep(c, pool[batch[i]], cfg)
-					if so.lossBuf != nil {
-						so.lossBuf[i] = loss
-					}
-				})
-				for i := range batch {
-					m.params.AddGradsFrom(reps[i].params)
+			parallel.ForEach(cfg.Workers, len(batch), func(i int) {
+				loss := reps[i].finetuneStep(c, pool[batch[i]], cfg)
+				if so.lossBuf != nil {
+					so.lossBuf[i] = loss
 				}
+			})
+			for i := range batch {
+				m.params.AddGradsFrom(reps[i].params)
 			}
 			so.observeStep(m.params, len(batch))
 			opt.Step(len(batch))

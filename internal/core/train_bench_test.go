@@ -9,8 +9,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// Shared fixture for the end-to-end training benchmarks: a small IMDB corpus
-// with its similarity cache (rank-metric pairs precompute once, on first use).
+// Shared fixture for BenchmarkTrain: a small IMDB corpus with its similarity
+// cache (rank-metric pairs precompute once, on first use).
 var benchTrain struct {
 	once sync.Once
 	c    *dataset.Corpus
@@ -55,31 +55,13 @@ func benchWorkers() int {
 	return 1
 }
 
-// BenchmarkTrainReplica trains through the replica-per-sample path: one model
-// replica per mini-batch slot, gradients merged in slot order, data-parallel
-// across REPRO_WORKERS goroutines.
-func BenchmarkTrainReplica(b *testing.B) {
+// BenchmarkTrain runs Train end to end: one model replica per mini-batch
+// slot, gradients merged in slot order, data-parallel across REPRO_WORKERS
+// goroutines.
+func BenchmarkTrain(b *testing.B) {
 	benchTrainSetup(b)
 	cfg := benchTrainConfig()
 	cfg.Workers = benchWorkers()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Train(benchTrain.c, benchTrain.sims, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrainBatched trains the same schedule through the packed batched
-// path (TrainBatch chunks of 8), data-parallel across REPRO_WORKERS
-// goroutines. Weights are bit-identical to BenchmarkTrainReplica's
-// (TestTrainBatchedParity); compare ns/op for the packing win.
-func BenchmarkTrainBatched(b *testing.B) {
-	benchTrainSetup(b)
-	cfg := benchTrainConfig()
-	cfg.Workers = benchWorkers()
-	cfg.TrainBatch = 8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,11 +36,6 @@ type Config struct {
 	// value (see internal/parallel). NewSuite copies it into the dataset and
 	// model configs.
 	Workers int
-	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
-	// batched training path in chunks of up to TrainBatch samples (see
-	// core.ModelConfig). Trained weights are bit-identical for every value.
-	// NewSuite copies it into the model configs.
-	TrainBatch int
 }
 
 // BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
@@ -110,8 +105,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	defer done()
 	cfg.Base.Workers = cfg.Workers
 	cfg.Large.Workers = cfg.Workers
-	cfg.Base.TrainBatch = cfg.TrainBatch
-	cfg.Large.TrainBatch = cfg.TrainBatch
 	s := &Suite{Cfg: cfg, models: make(map[string]*core.Model), reports: make(map[string]*core.TrainReport)}
 	for _, kind := range []dataset.Kind{dataset.IMDB, dataset.Academic} {
 		dc := dataset.DefaultConfig(kind)

@@ -21,12 +21,6 @@ type MultiHeadAttention struct {
 	probs   []*Mat // per head [seq×seq]
 	concat  *Mat
 	mask    []bool
-
-	// Batched-training cache: attention probabilities per (sequence, head),
-	// indexed b*Heads+h, over the packed q/k/v (see BatchedForwardTrain). Like
-	// probs, the slice is reused across calls and its slots are workspace
-	// scratch replaced every pass.
-	bprobs []*Mat
 }
 
 // NewMultiHeadAttention registers the four projections.
@@ -138,121 +132,5 @@ func (a *MultiHeadAttention) Backward(ws *Workspace, grad *Mat) *Mat {
 	dx := a.Wq.Backward(ws, dq)
 	dx.AddInPlace(a.Wk.Backward(ws, dk))
 	dx.AddInPlace(a.Wv.Backward(ws, dv))
-	return dx
-}
-
-// BatchedForwardTrain is the batched forward pass with backward caches
-// retained: like BatchedForward it runs the Q/K/V/output projections on the
-// packed matrix and the score/softmax/probs·V stage per sequence on row
-// windows, but it additionally keeps the packed q/k/v/concat and the
-// per-(sequence, head) attention probabilities so BatchedBackward can replay
-// the per-sequence softmax/score backward. Activations are bit-identical to
-// BatchedForward (same kernels in the same order).
-func (a *MultiHeadAttention) BatchedForwardTrain(ws *Workspace, x *Mat, offs, lens []int, masks [][]bool) *Mat {
-	a.q, a.k, a.v = a.Wq.Forward(ws, x), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
-	a.concat = ws.Get(x.Rows, a.Dim)
-	if need := len(offs) * a.Heads; cap(a.bprobs) < need {
-		a.bprobs = make([]*Mat, need)
-	} else {
-		a.bprobs = a.bprobs[:need]
-	}
-	scale := 1 / math.Sqrt(float64(a.dk))
-	for b := range offs {
-		ro, seq := offs[b], lens[b]
-		qv, kv := ws.View(a.q, ro, seq), ws.View(a.k, ro, seq)
-		for h := 0; h < a.Heads; h++ {
-			off := h * a.dk
-			scores := ws.Get(seq, seq)
-			AttnScoresSoftmax(qv, kv, off, a.dk, scale, masks[b], scores)
-			a.bprobs[b*a.Heads+h] = scores
-			for i := 0; i < seq; i++ {
-				prow := scores.Row(i)
-				crow := a.concat.Row(ro + i)[off : off+a.dk]
-				for j := 0; j < seq; j++ {
-					p := prow[j]
-					if p == 0 {
-						continue
-					}
-					vj := a.v.Row(ro + j)[off : off+a.dk]
-					for t := 0; t < a.dk; t++ {
-						crow[t] += p * vj[t]
-					}
-				}
-			}
-		}
-	}
-	return a.Wo.Forward(ws, a.concat)
-}
-
-// BatchedBackward propagates gradients through a batched attention pass (after
-// BatchedForwardTrain). The projection backward passes run packed — their
-// dL/dx rows are row-local GEMMs, and their parameter gradients reduce per
-// sequence inside Linear.BatchedBackward — while the score/softmax backward
-// replays the per-sequence loops of Backward on row windows of the packed
-// q/k/v, so every dq/dk/dv row accumulates exactly the chain the per-sample
-// pass produces for that row.
-func (a *MultiHeadAttention) BatchedBackward(ws *Workspace, grad *Mat, offs, lens []int, masks [][]bool) *Mat {
-	dConcat := a.Wo.BatchedBackward(ws, grad, offs, lens)
-	dq := ws.Get(grad.Rows, a.Dim)
-	dk := ws.Get(grad.Rows, a.Dim)
-	dv := ws.Get(grad.Rows, a.Dim)
-	scale := 1 / math.Sqrt(float64(a.dk))
-	for b := range offs {
-		ro, seq := offs[b], lens[b]
-		mask := masks[b]
-		for h := 0; h < a.Heads; h++ {
-			off := h * a.dk
-			probs := a.bprobs[b*a.Heads+h]
-			// dV and dProbs.
-			dProbs := ws.Get(seq, seq)
-			for i := 0; i < seq; i++ {
-				dcrow := dConcat.Row(ro + i)[off : off+a.dk]
-				prow := probs.Row(i)
-				dprow := dProbs.Row(i)
-				for j := 0; j < seq; j++ {
-					if !mask[j] {
-						continue
-					}
-					vj := a.v.Row(ro + j)[off : off+a.dk]
-					dvj := dv.Row(ro + j)[off : off+a.dk]
-					s := 0.0
-					for t := 0; t < a.dk; t++ {
-						s += dcrow[t] * vj[t]
-						dvj[t] += prow[j] * dcrow[t]
-					}
-					dprow[j] = s
-				}
-			}
-			// Softmax backward: dScores_ij = p_ij (dProbs_ij - Σ_k p_ik dProbs_ik).
-			for i := 0; i < seq; i++ {
-				prow := probs.Row(i)
-				dprow := dProbs.Row(i)
-				dot := 0.0
-				for j := 0; j < seq; j++ {
-					dot += prow[j] * dprow[j]
-				}
-				qi := a.q.Row(ro + i)[off : off+a.dk]
-				dqi := dq.Row(ro + i)[off : off+a.dk]
-				for j := 0; j < seq; j++ {
-					if !mask[j] {
-						continue
-					}
-					ds := prow[j] * (dprow[j] - dot) * scale
-					if ds == 0 {
-						continue
-					}
-					kj := a.k.Row(ro + j)[off : off+a.dk]
-					dkj := dk.Row(ro + j)[off : off+a.dk]
-					for t := 0; t < a.dk; t++ {
-						dqi[t] += ds * kj[t]
-						dkj[t] += ds * qi[t]
-					}
-				}
-			}
-		}
-	}
-	dx := a.Wq.BatchedBackward(ws, dq, offs, lens)
-	dx.AddInPlace(a.Wk.BatchedBackward(ws, dk, offs, lens))
-	dx.AddInPlace(a.Wv.BatchedBackward(ws, dv, offs, lens))
 	return dx
 }

@@ -135,13 +135,13 @@ func TestBatchedSharedPrefixMatchesPerSequence(t *testing.T) {
 	}
 }
 
-// TestBatchedStepZeroAllocs pins the steady-state allocation count of a
-// warmed single-lineage packed pass (every sequence shares one prefix, the
-// shape a one-input RankOn produces) plus per-sequence head readouts to
+// TestBatchedSharedPrefixZeroAllocs pins the steady-state allocation count
+// of a warmed single-lineage packed pass (every sequence shares one prefix,
+// the shape a one-input RankOn produces) plus per-sequence head readouts to
 // exactly zero. TestMultiPrefixZeroAllocs covers the cross-lineage shape.
 // Like TestEncoderStepZeroAllocs, scripts/ci.sh fails if this test is
 // skipped.
-func TestBatchedStepZeroAllocs(t *testing.T) {
+func TestBatchedSharedPrefixZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}

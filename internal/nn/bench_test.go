@@ -80,36 +80,6 @@ func BenchmarkEncoderBatchedForward(b *testing.B) {
 	}
 }
 
-// BenchmarkEncoderBatchedTrainStep measures one packed training step over 8
-// sequences: batched forward with backward caches, per-sequence head readout
-// and loss-gradient fill, batched backward. Compare ns/op against 8×
-// BenchmarkEncoderStep for the packing win; allocs/op must stay 0.
-func BenchmarkEncoderBatchedTrainStep(b *testing.B) {
-	enc, head, tokens, segments, mask := benchSetup()
-	const batch = 8
-	toks := make([][]int, batch)
-	segs := make([][]int, batch)
-	masks := make([][]bool, batch)
-	for i := range toks {
-		toks[i], segs[i], masks[i] = tokens, segments, mask
-	}
-	fill := func(hidden *Mat, offs []int, grad *Mat) {
-		for i := range offs {
-			pred := head.ForwardAt(hidden, offs[i])
-			g := head.Backward(2*(pred-0.5), len(toks[i]), hidden.Cols)
-			copy(grad.Data[offs[i]*hidden.Cols:(offs[i]+len(toks[i]))*hidden.Cols], g.Data)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		enc.BatchedStep(toks, segs, masks, fill)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.BatchedStep(toks, segs, masks, fill)
-	}
-}
-
 // benchMatPair builds one m×k · k×n multiplication with ~10% zeros (the
 // sparsity the zero-skip branches see in practice after GELU and padding).
 func benchMatPair(rng *rand.Rand, m, k, n int) (*Mat, *Mat, *Mat) {

@@ -54,30 +54,11 @@ type Encoder struct {
 	// sequences (see BatchedForwardMultiPrefix). Reused across calls.
 	batchOffs, batchLens []int
 
-	// Batched-training caches (see batched_train.go): the per-sequence token,
-	// segment and mask slices of the last BatchedForwardTrain, consumed by
-	// BatchedBackward for the embedding scatter and the per-sequence attention
-	// backward. batchTrain guards against calling BatchedBackward after an
-	// inference-only pass (which does not populate the sublayer caches).
-	batchTokens, batchSegments [][]int
-	batchMasks                 [][]bool
-	batchTrain                 bool
-
-	// Per-sample staging for the batched embedding backward: dense token and
-	// segment gradient accumulators (tokStage indexed like tokEmb.G, with
-	// tokTouched/tokMark tracking the rows dirtied by the current sample so
-	// clearing stays O(seq), not O(vocab)). Allocated lazily on the first
-	// batched backward; see batchedEmbedBackward for why staging is needed.
-	tokStage, segStage []float64
-	tokTouched         []int
-	tokMark            []bool
-
 	// Metric handles, resolved once at construction against the registry
 	// installed at the time (nil handles — the no-op recorder — otherwise).
 	// Same-name handles share storage, so replicas aggregate into one metric
 	// and each increment stays a single atomic add: 0 bytes, O(1) per step.
 	mForward, mBackward, mTokens *obs.Counter
-	mBatchTrain                  *obs.Counter
 	mMBatchPasses, mMBatchSeqs   *obs.Counter
 	mMBatchPrefixes              *obs.Counter
 	hMBatchSize                  *obs.Histogram
@@ -88,8 +69,6 @@ type encoderLayer struct {
 	ln1  *LayerNorm
 	ffn  *FFN
 	ln2  *LayerNorm
-
-	attnIn, ffnIn *Mat
 }
 
 // NewEncoder registers all parameters of the encoder in ps. Every encoder —
@@ -109,7 +88,6 @@ func NewEncoder(cfg Config, ps *Params, rng *rand.Rand) *Encoder {
 	e.mForward = reg.Counter("nn.encoder.forward_passes")
 	e.mBackward = reg.Counter("nn.encoder.backward_passes")
 	e.mTokens = reg.Counter("nn.encoder.tokens")
-	e.mBatchTrain = reg.Counter("nn.batch.train_passes")
 	e.mMBatchPasses = reg.Counter("nn.mbatch.passes")
 	e.mMBatchSeqs = reg.Counter("nn.mbatch.sequences")
 	e.mMBatchPrefixes = reg.Counter("nn.mbatch.prefixes")
@@ -145,7 +123,6 @@ func (e *Encoder) Forward(tokens, segments []int, mask []bool) *Mat {
 	e.mTokens.Add(int64(len(tokens)))
 	e.ws.Reset()
 	e.tokens, e.segments = tokens, segments
-	e.batchTrain = false // packed BatchedBackward is invalid after a single-sequence pass
 	x := e.embedRows(tokens, segments)
 	x = e.embLN.Forward(e.ws, x)
 	return e.encode(x, mask)
@@ -180,11 +157,9 @@ func (e *Encoder) embedRowsAt(x *Mat, rowOff int, tokens, segments []int, posOff
 // encode runs the transformer blocks over post-embedding states x.
 func (e *Encoder) encode(x *Mat, mask []bool) *Mat {
 	for _, l := range e.layers {
-		l.attnIn = x
 		h := l.attn.Forward(e.ws, x, mask)
 		h.AddInPlace(x)
 		x = l.ln1.Forward(e.ws, h)
-		l.ffnIn = x
 		f := l.ffn.Forward(e.ws, x)
 		f.AddInPlace(x)
 		x = l.ln2.Forward(e.ws, f)

@@ -4,7 +4,7 @@ package nn
 // GEMM kernels. The warmed encoder step is 0 allocs/op, so the remaining
 // inference cost is pure arithmetic and memory traffic — these kernels attack
 // exactly that, while staying **bit-identical** to the reference kernels in
-// tensor.go:
+// kernels_ref_test.go:
 //
 //   - Register blocking fuses up to four k-steps into one pass over an output
 //     row: instead of loading and storing out[i][j] once per k (the reference
@@ -33,10 +33,10 @@ package nn
 //     equivalent to adding a zero term in IEEE arithmetic — 0·±Inf is NaN and
 //     -0 sums differ — so the branch is load-bearing for bit-identity.)
 //
-// The reference kernels remain in tensor.go as the property-test oracle
-// (kernels_blocked_test.go proves bit-identity across shapes and zero
-// patterns, exactly as kernels_ref_test.go does for the allocating originals one tier
-// further down). Every Linear layer runs on these kernels.
+// The reference kernels live in kernels_ref_test.go as the property-test
+// oracle (kernels_blocked_test.go proves bit-identity across shapes and zero
+// patterns, exactly as kernels_ref_test.go does for the allocating originals
+// one tier further down). Every Linear layer runs on these kernels.
 
 // blockedJPanel is the cache-tile width in output columns. 256 float64s =
 // 2 KiB per b-row slice; a fused group streams four of them plus the output

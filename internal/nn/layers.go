@@ -37,67 +37,18 @@ func (l *Linear) Forward(ws *Workspace, x *Mat) *Mat {
 }
 
 // Backward accumulates parameter gradients and returns dL/dx (ws scratch).
-// Both parameter gradients fold into the accumulators as one total per call
-// (the weight gradient via TMatMulInto's scratch, the bias via a staged row
-// sum): heads calling Backward against an accumulator that already holds other
-// samples' gradients — the packed training fill — then produce the same
-// "accumulator += sample total" chain as a zeroed replica merged afterwards.
 func (l *Linear) Backward(ws *Workspace, grad *Mat) *Mat {
 	gw := ws.Get(l.In, l.Out)
 	TMatMulBlockedInto(l.x, grad, gw)
 	for i, g := range gw.Data {
 		l.W.G[i] += g
 	}
-	bstage := ws.Floats(l.Out) // zeroed by the workspace
 	for i := 0; i < grad.Rows; i++ {
-		row := grad.Row(i)
-		for j, g := range row {
-			bstage[j] += g
-		}
-	}
-	for j, g := range bstage {
-		l.B.G[j] += g
-	}
-	// dL/dx = grad · Wᵀ.
-	dx := ws.Get(grad.Rows, l.In)
-	MatMulTBlockedInto(grad, &l.w, dx)
-	return dx
-}
-
-// BatchedBackward is Backward over a packed batched gradient (sequence b
-// occupying rows [offs[b], offs[b]+lens[b])). dL/dx is row-local, so it runs
-// as one packed GEMM exactly like Forward. The
-// parameter gradients are row *reductions*: running them across the packed
-// matrix would regroup the floating-point sums (((s₀+h)+h)+… instead of the
-// replica path's Σs₀ + Σs₁ + …) and break bit-identity. They are therefore
-// computed per sequence — xᵀ·grad on row windows, bias sums into a staging
-// buffer that reproduces the replica accumulator's exact chain — and folded
-// into W.G/B.G in slot order (b = 0, 1, …), which is precisely the order
-// AddGradsFrom merges replicas. The leading accumulator in those chains is
-// never -0 (a float sum starting at +0 only yields -0 from (-0)+(-0)), so
-// adding each sequence's total directly is bit-identical to the replica
-// path's "zero + total, then merge" normalization.
-func (l *Linear) BatchedBackward(ws *Workspace, grad *Mat, offs, lens []int) *Mat {
-	gw := ws.Get(l.In, l.Out)
-	bstage := ws.Floats(l.Out)
-	for b := range offs {
-		xv := ws.View(l.x, offs[b], lens[b])
-		gv := ws.View(grad, offs[b], lens[b])
-		TMatMulBlockedInto(xv, gv, gw)
-		for i, g := range gw.Data {
-			l.W.G[i] += g
-		}
-		clear(bstage)
-		for i := 0; i < gv.Rows; i++ {
-			row := gv.Row(i)
-			for j, g := range row {
-				bstage[j] += g
-			}
-		}
-		for j, g := range bstage {
+		for j, g := range grad.Row(i) {
 			l.B.G[j] += g
 		}
 	}
+	// dL/dx = grad · Wᵀ.
 	dx := ws.Get(grad.Rows, l.In)
 	MatMulTBlockedInto(grad, &l.w, dx)
 	return dx
@@ -183,45 +134,6 @@ func (ln *LayerNorm) Backward(grad *Mat) *Mat {
 	return grad
 }
 
-// BatchedBackward is Backward over a packed batched gradient. dL/dx is
-// row-local (computed in place, exactly the per-row arithmetic of Backward),
-// but the gain/bias gradients reduce over rows, so — like
-// Linear.BatchedBackward — each sequence's contribution is accumulated in a
-// staging buffer that replays the replica accumulator's row-order chain and
-// folded into Gain.G/Bias.G in slot order.
-func (ln *LayerNorm) BatchedBackward(ws *Workspace, grad *Mat, offs, lens []int) *Mat {
-	d := float64(ln.Dim)
-	gstage := ws.Floats(ln.Dim)
-	bstage := ws.Floats(ln.Dim)
-	for b := range offs {
-		clear(gstage)
-		clear(bstage)
-		for i := offs[b]; i < offs[b]+lens[b]; i++ {
-			grow, nrow := grad.Row(i), ln.norm.Row(i)
-			var sumG, sumGN float64
-			for j := range grow {
-				gn := grow[j] * ln.Gain.W[j]
-				sumG += gn
-				sumGN += gn * nrow[j]
-				gstage[j] += grow[j] * nrow[j]
-				bstage[j] += grow[j]
-			}
-			iv := ln.ivar[i]
-			for j := range grow {
-				gn := grow[j] * ln.Gain.W[j]
-				grow[j] = iv * (gn - sumG/d - nrow[j]*sumGN/d)
-			}
-		}
-		for j, g := range gstage {
-			ln.Gain.G[j] += g
-		}
-		for j, g := range bstage {
-			ln.Bias.G[j] += g
-		}
-	}
-	return grad
-}
-
 // GELU is the Gaussian error linear unit activation (tanh approximation).
 type GELU struct {
 	x *Mat
@@ -275,11 +187,4 @@ func (f *FFN) Forward(ws *Workspace, x *Mat) *Mat {
 // Backward returns dL/dx.
 func (f *FFN) Backward(ws *Workspace, grad *Mat) *Mat {
 	return f.L1.Backward(ws, f.act.Backward(f.L2.Backward(ws, grad)))
-}
-
-// BatchedBackward returns dL/dx for a packed batched gradient. GELU's
-// backward is element-local, so only the two linear layers need the
-// per-sequence parameter-gradient treatment.
-func (f *FFN) BatchedBackward(ws *Workspace, grad *Mat, offs, lens []int) *Mat {
-	return f.L1.BatchedBackward(ws, f.act.Backward(f.L2.BatchedBackward(ws, grad, offs, lens)), offs, lens)
 }

@@ -20,7 +20,7 @@ import "math"
 //   - every row-local layer (embedding LayerNorm, Linear bias adds, GELU,
 //     residual adds) computes a packed row exactly as it computes the row
 //     alone, and the GEMM kernels accumulate each output row independently in
-//     k-order (see MatMulInto), so which rows share a matrix never affects any
+//     k-order (see MatMulBlockedInto), so which rows share a matrix never affects any
 //     row's value;
 //   - attention runs the exact per-sequence kernel (AttnScoresSoftmax plus
 //     the probs·V accumulation of the single-sequence path) on views of the
@@ -49,7 +49,6 @@ func (e *Encoder) EmbedPrefix(tokens, segments []int) *PrefixCache {
 		panic("nn: prefix exceeds MaxSeqLen")
 	}
 	e.ws.Reset()
-	e.batchTrain = false // clobbers the embedding LayerNorm caches: inference only
 	x := e.embedRows(tokens, segments)
 	return &PrefixCache{X: e.embLN.Forward(e.ws, x).Clone()}
 }
@@ -85,7 +84,6 @@ func (e *Encoder) BatchedForwardMultiPrefix(pcs []*PrefixCache, sufTokens, sufSe
 	e.recordMultiBatch(len(sufTokens), sufTotal, groups)
 	e.ws.Reset()
 	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false            // and BatchedBackward: the sublayer caches are not populated
 	x := e.ws.Get(total, d)
 	if sufTotal > 0 {
 		// Embed every suffix into one packed matrix and LayerNorm it in one

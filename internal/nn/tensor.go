@@ -51,17 +51,6 @@ func (m *Mat) Clone() *Mat {
 	return out
 }
 
-// MatMulInto computes out = a·b, overwriting out entirely. out must be
-// a.Rows×b.Cols and must not alias a or b. Rows with zero entries in a are
-// skipped exactly like the original allocating kernel, so the accumulation
-// order (k-major per output row) is unchanged.
-func MatMulInto(a, b, out *Mat) {
-	checkMatMulShapes(a, b, out)
-	for i := 0; i < a.Rows; i++ {
-		matMulRow(a, b, out, i)
-	}
-}
-
 func checkMatMulShapes(a, b, out *Mat) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -71,79 +60,12 @@ func checkMatMulShapes(a, b, out *Mat) {
 	}
 }
 
-// matMulRow computes output row i of a·b: clear then k-order accumulation,
-// exactly the original kernel's per-row work (rows are independent, so
-// clearing row-by-row instead of all at once is bit-identical).
-func matMulRow(a, b, out *Mat, i int) {
-	arow := a.Row(i)
-	orow := out.Row(i)
-	clear(orow)
-	for k, av := range arow {
-		if av == 0 {
-			continue
-		}
-		brow := b.Row(k)
-		for j, bv := range brow {
-			orow[j] += av * bv
-		}
-	}
-}
-
-// MatMulTInto computes out = a·bᵀ, overwriting out entirely. out must be
-// a.Rows×b.Rows and must not alias a or b.
-func MatMulTInto(a, b, out *Mat) {
-	checkMatMulTShapes(a, b, out)
-	for i := 0; i < a.Rows; i++ {
-		matMulTRow(a, b, out, i)
-	}
-}
-
 func checkMatMulTShapes(a, b, out *Mat) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmulT out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-}
-
-// matMulTRow computes output row i of a·bᵀ.
-func matMulTRow(a, b, out *Mat, i int) {
-	arow := a.Row(i)
-	orow := out.Row(i)
-	for j := 0; j < b.Rows; j++ {
-		brow := b.Row(j)
-		s := 0.0
-		for k := range arow {
-			s += arow[k] * brow[k]
-		}
-		orow[j] = s
-	}
-}
-
-// TMatMulInto computes out = aᵀ·b, overwriting out entirely. out must be
-// a.Cols×b.Cols and must not alias a or b. The zero-skip branch mirrors the
-// original allocating kernel.
-func TMatMulInto(a, b, out *Mat) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: TmatMul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if out.Rows != a.Cols || out.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: TmatMul out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
-	}
-	clear(out.Data)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
 	}
 }
 
@@ -205,27 +127,5 @@ func (m *Mat) AddInPlace(o *Mat) {
 func (m *Mat) Scale(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row in place.
-func (m *Mat) SoftmaxRows() {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - max)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
 	}
 }

@@ -17,18 +17,15 @@
 #       (TestBlockedKernelsMatchReference), so every ratio is pure kernel
 #       speedup.
 #
-#   BENCH_train.json    — end-to-end training (pretrain + finetune, short
-#       schedule) through the replica-per-sample path vs the packed batched
-#       training path (TrainBatch chunks), at workers=1 and, on multi-core
-#       hosts, workers=N. Trained weights are bit-identical either way
-#       (TestTrainBatchedParity).
-#
 #   BENCH_parallel.json — wall-clock effect of data-parallelism on the two
 #       heaviest benchmarks at workers=1 vs workers=N (default: one per CPU;
 #       override with `bench.sh <N>`). On a single-core machine (or N<=1) the
 #       comparison is meaningless — both runs schedule identically — so it is
 #       skipped and the file records an explicit "skipped" marker instead of
 #       noise dressed up as a measurement.
+#
+# Training time is not recorded here: the repo benchmark (bench/run.sh)
+# measures it per workload as setup_s and core.train_s.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,44 +134,6 @@ $gemm_rows
 }
 EOF
 echo "wrote $KOUT"
-
-# ------------------------------------------------------------------ train ----
-
-TOUT=BENCH_train.json
-
-echo "== batched training benchmark: replica-per-sample vs packed batch =="
-train_workers=1
-if [ "$CORES" -gt 1 ] && [ "$N" -gt 1 ]; then
-    train_workers="1 $N"
-fi
-trows=""
-for w in $train_workers; do
-    echo "-- BenchmarkTrainReplica (workers=$w)"
-    rep_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainReplica 3x)
-    echo "   ${rep_ns} ns/op"
-    echo "-- BenchmarkTrainBatched (TrainBatch=8, workers=$w)"
-    pack_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainBatched 3x)
-    echo "   ${pack_ns} ns/op"
-    tspeedup=$(awk -v a="$rep_ns" -v b="$pack_ns" 'BEGIN { printf "%.2f", a/b }')
-    echo "   speedup ${tspeedup}x"
-    trows="$trows    {\"workers\": $w, \"ns_per_op_replica\": $rep_ns, \"ns_per_op_batched\": $pack_ns, \"speedup\": $tspeedup},\n"
-done
-trows=$(printf '%b' "$trows" | sed '$ s/,$//')
-
-cat > "$TOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": false,
-  "train_batch": 8,
-  "note": "Same seed and schedule; trained weights, dev curves and TrainReport are bit-identical across paths, batch sizes and worker counts (TestTrainBatchedParity), so the ratio is pure packing + scheduling speedup. The workers=N row runs only on multi-core hosts.",
-  "training": [
-$trows
-  ]
-}
-EOF
-echo "wrote $TOUT"
 
 # ------------------------------------------------------------------ serve ----
 # The serving axis measures the production daemon end to end: the load

@@ -30,8 +30,8 @@ echo "== go test -race (concurrency packages) =="
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
 echo "== go test -race (packed passes) =="
-# The packed parity tests (inference and training — the 'Batched' pattern
-# matches TestBatchedTrainStepMatchesReplicaPath and TestTrainBatchedParity)
+# The packed inference parity tests (the 'Batched' pattern matches
+# TestBatchedForwardMultiPrefixMatchesPerSequence and TestRankOnBatchedGolden)
 # run explicitly under the race detector.
 go test -race ./internal/nn -run 'Batched|MultiPrefix'
 go test -race ./internal/core -run 'Batched|RankMany|Golden'
@@ -75,18 +75,10 @@ if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocsInstrume
 fi
 # The batched sibling pins a warmed single-lineage packed inference pass
 # (packed forward + per-sequence head readouts) to the same 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestBatchedStepZeroAllocs$' -v)
+alloc_out=$(go test ./internal/nn -run '^TestBatchedSharedPrefixZeroAllocs$' -v)
 echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedStepZeroAllocs'; then
-    echo "TestBatchedStepZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# And the training sibling: a warmed packed train step (batched forward +
-# head fills + batched backward) must also run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestBatchedTrainStepZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedTrainStepZeroAllocs'; then
-    echo "TestBatchedTrainStepZeroAllocs did not pass (skipped?)" >&2
+if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedSharedPrefixZeroAllocs'; then
+    echo "TestBatchedSharedPrefixZeroAllocs did not pass (skipped?)" >&2
     exit 1
 fi
 # The blocked kernel tier must also be allocation-free: every layer now routes
@@ -136,19 +128,18 @@ echo "== end-to-end run manifest =="
 # emits the run manifest, and the schema check validates what was written.
 manifest_dir=$(mktemp -d)
 trap 'rm -rf "$manifest_dir"' EXIT
-# -train-batch 8 routes the (small, one-epoch) pre-training and fine-tuning
-# schedules through the packed batched training path, so the manifest must
-# show live nn.batch.*, nn.mbatch.* (evaluation ranking) and core.pretrain.*
-# metrics — asserted below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
-# the Monte Carlo sampling engine, so live shapley.approx.* metrics must show
-# up in the same manifest.
+# The (small, one-epoch) pre-training and fine-tuning schedules must show live
+# core.pretrain.* metrics, and evaluation ranking live nn.mbatch.* and
+# core.rank.* metrics — asserted below via REPRO_MANIFEST_EXPECT_METRICS.
+# -labeler mc labels the corpus with the Monte Carlo sampling engine, so live
+# shapley.approx.* metrics must show up in the same manifest.
 go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
     -pepochs 1 -ppairs 16 \
     -labeler mc -label-samples 64 \
-    -dim 8 -layers 1 -workers 2 -train-batch 8 \
+    -dim 8 -layers 1 -workers 2 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
+    REPRO_MANIFEST_EXPECT_METRICS="nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 # Metric-naming lint over the live registry snapshot the run actually
 # produced: every registered name must follow the repo convention and survive
