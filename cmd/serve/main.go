@@ -1,31 +1,28 @@
 // Command serve is the production ranking daemon: it loads (or trains) a
 // LearnShapley model and serves "why is this tuple in the result?" requests
-// over HTTP with cross-request dynamic batching (internal/serve).
+// over HTTP (internal/serve).
 //
 //	serve -db imdb -load model.gob -addr :8080        # serve a checkpoint
 //	serve -db imdb -queries 20 -cases 6               # train a demo model, then serve
 //	serve -selftest 16 -metrics-out run.json          # in-process e2e gate (ci.sh)
-//	serve -loadgen -clients 8 -requests 200           # measure latency/throughput
 //
 // Endpoints: POST /rank, /explain, /similar, /admin/reload; GET /healthz
 // (?probe=readiness for the load-balancer signal), /metrics
 // (?format=prometheus for scrapers), /debug/manifest, /debug/trace (Chrome
 // trace-event dump of recent requests). Overload answers 429 + Retry-After;
-// SIGINT and SIGTERM drain in-flight batches before exit (and flush
+// SIGINT and SIGTERM drain in-flight requests before exit (and flush
 // -metrics-out).
 //
-// Coalesced batches are scored through the cross-request packed path: each
-// replica runs one core.RankMany over its slice of the batch, so facts of
-// different requests share multi-prefix GEMM passes — bit-identical to
-// per-request scoring. -tls-cert/-tls-key serve HTTPS; -admin-token puts
-// /admin/* behind a bearer token.
+// Each of the -workers dispatchers (one per CPU by default) owns one model
+// replica and scores one request at a time through core.Model.RankOn, so a
+// request waits only for a free replica. -tls-cert/-tls-key serve HTTPS;
+// -admin-token puts /admin/* behind a bearer token. The repository benchmark
+// (bench/run.sh) measures the daemon under load.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -57,8 +54,6 @@ func main() {
 
 	// Serving.
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	maxBatch := flag.Int("max-batch", 8, "max coalesced requests per dispatch (1 = per-request scoring)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits for more requests after its first")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound; overflow answers 429 + Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	adminToken := flag.String("admin-token", "", "bearer token required on /admin/* endpoints (empty = open)")
@@ -74,12 +69,6 @@ func main() {
 
 	// Modes.
 	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, verify bit-parity with sequential ranking, then exit")
-	loadgen := flag.Bool("loadgen", false, "run the load generator and print a JSON report, then exit")
-	target := flag.String("target", "", "loadgen: base URL of an external daemon (empty = spawn one in-process)")
-	clients := flag.Int("clients", 8, "loadgen: concurrent clients")
-	requests := flag.Int("requests", 200, "loadgen: total request budget")
-	rate := flag.Float64("rate", 0, "loadgen: open-loop arrival rate in requests/sec (0 = closed loop)")
-	lineages := flag.Int("loadgen-lineages", 0, "loadgen: distinct (query, tuple) request bodies to cycle through (0 = every test case); 1 = single-prefix loop, larger = mixed-prefix stream")
 
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -92,8 +81,6 @@ func main() {
 	rn.SetConfig("cases", *cases)
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("max_batch", *maxBatch)
-	rn.SetConfig("batch_window", batchWindow.String())
 	rn.SetConfig("queue_cap", *queueCap)
 	rn.SetConfig("slow_ms", *slowMS)
 	rn.SetConfig("trace_ring", *traceRing)
@@ -123,8 +110,6 @@ func main() {
 	scfg := serve.Config{
 		Addr:        *addr,
 		Workers:     *workers,
-		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		QueueCap:    *queueCap,
 		AdminToken:  *adminToken,
 		TLSCert:     *tlsCert,
@@ -135,12 +120,7 @@ func main() {
 		DriftProbe:  *driftProbe,
 		DriftPSI:    *driftPSI,
 	}
-	if *loadgen && *target != "" {
-		// External target: no in-process server needed.
-		runLoadgen(corpus, *target, *clients, *requests, *rate, *lineages)
-		return
-	}
-	if *selftest > 0 || *loadgen {
+	if *selftest > 0 {
 		scfg.Addr = "127.0.0.1:0"
 		if *addr != "127.0.0.1:8080" {
 			scfg.Addr = *addr
@@ -151,8 +131,7 @@ func main() {
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
-	rn.Log.Infof("Serving on %s (max-batch %d, window %v, %d workers, queue %d)\n",
-		srv.URL(), *maxBatch, *batchWindow, scfg.Workers, *queueCap)
+	rn.Log.Infof("Serving on %s (%d workers, queue %d)\n", srv.URL(), scfg.Workers, *queueCap)
 
 	switch {
 	case *selftest > 0:
@@ -162,9 +141,6 @@ func main() {
 			log.Fatal(err)
 		}
 		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to sequential ranking\n", *selftest)
-	case *loadgen:
-		runLoadgen(corpus, srv.URL(), *clients, *requests, *rate, *lineages)
-		shutdown(srv, *drainTimeout)
 	default:
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -258,31 +234,6 @@ func buildModel(rn *obs.Run, corpus *dataset.Corpus, cfg core.ModelConfig, loadP
 		rn.Log.Infof("Saved model to %s\n", savePath)
 	}
 	return model
-}
-
-// runLoadgen drives traffic at the target and prints one JSON report line —
-// scripts/bench.sh collects these into BENCH_serve.json rows. lineages bounds
-// how many distinct request bodies the run cycles through (0 = all test
-// cases), controlling the prefix diversity cross-request packing sees.
-func runLoadgen(corpus *dataset.Corpus, baseURL string, clients, requests int, rate float64, lineages int) {
-	bodies, err := serve.RankBodies(corpus, lineages)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := serve.RunLoad(serve.LoadConfig{
-		BaseURL:  baseURL,
-		Clients:  clients,
-		Requests: requests,
-		Rate:     rate,
-	}, bodies)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := json.Marshal(rep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(string(out))
 }
 
 // shutdown drains the server within the timeout.

@@ -2,9 +2,10 @@
 // LearnShapley answers real-time "why is this tuple in the result?" requests
 // from only the query and the tuple — no provenance capture needed. The
 // program trains a small model over a synthetic IMDB corpus, starts the
-// production serving stack (internal/serve: dynamic batching, backpressure,
-// graceful drain — the same engine behind cmd/serve), issues a demonstration
-// request against itself, and exits (pass -serve to keep it running).
+// production serving stack (internal/serve: per-request dispatch on model
+// replicas, backpressure, graceful drain — the same engine behind cmd/serve),
+// issues a demonstration request against itself, and exits (pass -serve to
+// keep it running).
 //
 //	POST /rank {"sql": "...", "tuple": ["Alice", ...]}
 //	  -> {"facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}
@@ -48,8 +49,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The full daemon (checkpoint loading, hot-swap, metrics, load generator)
-	// lives in cmd/serve; this example only needs an address and the defaults.
+	// The full daemon (checkpoint loading, hot-swap, metrics) lives in
+	// cmd/serve; this example only needs an address and the defaults.
 	scfg := serve.DefaultConfig()
 	scfg.Addr = *addr
 	srv := serve.New(scfg, corpus, model)

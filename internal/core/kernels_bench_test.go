@@ -67,17 +67,3 @@ func BenchmarkRankLineagePrefix(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRankManyBatched ranks the same cases through one RankManyOn call
-// per iteration: the cross-request packed path, where facts of all lineages
-// share one packing budget (multi-prefix chunks). Bit-identical outputs
-// (TestRankManyGolden); compare against BenchmarkRankLineagePrefix (the same
-// inputs as per-request RankOn calls) for the cross-request packing effect.
-func BenchmarkRankManyBatched(b *testing.B) {
-	benchRankSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchRank.m.RankManyOn(benchRank.c.DB, benchRank.ins)
-	}
-}

@@ -274,12 +274,12 @@ func (m *Model) Rank(in Input) shapley.Values {
 // RankOn ranks a lineage whose fact IDs refer to the given database. Passing
 // a database other than the training one performs cross-schema inference —
 // the open generalization problem of Section 7; token overlap is then the
-// only transferable signal. It is RankManyOn with one input: the shared
-// [CLS] q [SEP] t [SEP] prefix is encoded once and the facts are packed into
-// a few encoder passes (see rankmany.go). Scores are bit-identical to one
-// independent full-length forward pass per fact.
+// only transferable signal. The shared [CLS] q [SEP] t [SEP] prefix is
+// encoded once and the facts are packed into a few encoder passes (see
+// rank.go). Scores are bit-identical to one independent full-length forward
+// pass per fact.
 func (m *Model) RankOn(db *relation.Database, in Input) shapley.Values {
-	return m.rankMany(db, []Input{in}, rankChunk)[0]
+	return m.rankChunked(db, in, rankChunk)
 }
 
 // RankCtx is Rank with a request context: when ctx carries an

@@ -99,7 +99,7 @@ func chunkedGolden(t *testing.T, cfg ModelConfig) []obs.Snapshot {
 	for _, chunk := range goldenChunks {
 		snaps = append(snaps, rankGolden(t, cfg, fmt.Sprintf("chunk %d", chunk),
 			func(m *Model, db *relation.Database, in Input) shapley.Values {
-				return m.rankMany(db, []Input{in}, chunk)[0]
+				return m.rankChunked(db, in, chunk)
 			}))
 	}
 	return snaps
@@ -225,7 +225,7 @@ func TestRankOnBatchedCounterAgreement(t *testing.T) {
 		// are resolved against it.
 		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 		for _, in := range ins {
-			m.rankMany(c.DB, []Input{in}, chunk)
+			m.rankChunked(c.DB, in, chunk)
 		}
 		return run.Reg.Snapshot()
 	}

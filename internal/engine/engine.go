@@ -28,9 +28,11 @@ type OutputTuple struct {
 
 // Key returns a canonical identity for the tuple's values; used to group
 // derivations and to intersect witness sets across queries.
-func (t *OutputTuple) Key() string {
-	parts := make([]string, len(t.Values))
-	for i, v := range t.Values {
+func (t *OutputTuple) Key() string { return valuesKey(t.Values) }
+
+func valuesKey(vals []relation.Value) string {
+	parts := make([]string, len(vals))
+	for i, v := range vals {
 		parts[i] = v.Key()
 	}
 	return strings.Join(parts, "\x1f")
@@ -82,25 +84,64 @@ func EvaluateWithOptions(db *relation.Database, q *sqlparse.Query, opts Options)
 	if opts.MaxRows == 0 {
 		opts.MaxRows = defaultMaxRows
 	}
-	groups := make(map[string]*OutputTuple)
+	groups := make(derivations)
 	for i := range q.Selects {
 		if err := evaluateSelect(db, &q.Selects[i], opts, groups); err != nil {
 			return nil, fmt.Errorf("engine: branch %d: %w", i, err)
 		}
 	}
-	res := &Result{Tuples: make([]*OutputTuple, 0, len(groups))}
-	for _, t := range groups {
-		t.Prov.Minimize()
-		res.Tuples = append(res.Tuples, t)
-	}
-	sort.Slice(res.Tuples, func(i, j int) bool { return res.Tuples[i].Key() < res.Tuples[j].Key() })
-	return res, nil
+	return groups.result(), nil
 }
 
 // row is a partial join result: one fact per already-joined FROM position.
 type row []*relation.Fact
 
-func evaluateSelect(db *relation.Database, s *sqlparse.SelectStmt, opts Options, groups map[string]*OutputTuple) error {
+// derivations groups joined rows by their projected values, keeping each
+// output tuple's derivations in first-occurrence order across all UNION
+// branches.
+type derivations map[string]*derived
+
+type derived struct {
+	values []relation.Value
+	ms     []provenance.Monomial
+}
+
+// add records one joined row as a derivation of the tuple it projects to.
+func (d derivations) add(projections []colRef, r row) {
+	vals := make([]relation.Value, len(projections))
+	for i, pc := range projections {
+		vals[i] = r[pc.fromIdx].Values[pc.colIdx]
+	}
+	ids := make([]relation.FactID, len(r))
+	for i, f := range r {
+		ids[i] = f.ID
+	}
+	key := valuesKey(vals)
+	g, ok := d[key]
+	if !ok {
+		g = &derived{values: vals}
+		d[key] = g
+	}
+	g.ms = append(g.ms, provenance.NewMonomial(ids...))
+}
+
+// result builds every tuple's provenance and sorts the tuples canonically.
+// Duplicate derivations are dropped once per tuple through FromMonomials'
+// map, which keeps grouping linear in a tuple's derivations; checking each
+// new derivation against those already present would be quadratic.
+func (d derivations) result() *Result {
+	res := &Result{Tuples: make([]*OutputTuple, 0, len(d))}
+	for _, g := range d {
+		res.Tuples = append(res.Tuples, &OutputTuple{
+			Values: g.values,
+			Prov:   provenance.FromMonomials(g.ms...).Minimize(),
+		})
+	}
+	sort.Slice(res.Tuples, func(i, j int) bool { return res.Tuples[i].Key() < res.Tuples[j].Key() })
+	return res
+}
+
+func evaluateSelect(db *relation.Database, s *sqlparse.SelectStmt, opts Options, groups derivations) error {
 	plan, err := buildPlan(db, s)
 	if err != nil {
 		return err
@@ -110,23 +151,7 @@ func evaluateSelect(db *relation.Database, s *sqlparse.SelectStmt, opts Options,
 		return err
 	}
 	for _, r := range rows {
-		vals := make([]relation.Value, len(plan.projections))
-		for i, pc := range plan.projections {
-			vals[i] = r[pc.fromIdx].Values[pc.colIdx]
-		}
-		ids := make([]relation.FactID, len(r))
-		for i, f := range r {
-			ids[i] = f.ID
-		}
-		m := provenance.NewMonomial(ids...)
-		t := &OutputTuple{Values: vals, Prov: provenance.False()}
-		key := t.Key()
-		if existing, ok := groups[key]; ok {
-			existing.Prov.Add(m)
-		} else {
-			t.Prov.Add(m)
-			groups[key] = t
-		}
+		groups.add(plan.projections, r)
 	}
 	return nil
 }

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
 )
@@ -13,7 +11,7 @@ import (
 // the FROM relations and filtering. It is exponentially slower than Evaluate
 // and exists as a differential-testing oracle.
 func EvaluateNaive(db *relation.Database, q *sqlparse.Query) (*Result, error) {
-	groups := make(map[string]*OutputTuple)
+	groups := make(derivations)
 	for bi := range q.Selects {
 		s := &q.Selects[bi]
 		p, err := buildNaive(db, s)
@@ -23,13 +21,7 @@ func EvaluateNaive(db *relation.Database, q *sqlparse.Query) (*Result, error) {
 		cur := make(row, len(s.From))
 		p.enumerate(0, cur, groups)
 	}
-	res := &Result{Tuples: make([]*OutputTuple, 0, len(groups))}
-	for _, t := range groups {
-		t.Prov.Minimize()
-		res.Tuples = append(res.Tuples, t)
-	}
-	sort.Slice(res.Tuples, func(i, j int) bool { return res.Tuples[i].Key() < res.Tuples[j].Key() })
-	return res, nil
+	return groups.result(), nil
 }
 
 type naivePlan struct {
@@ -100,7 +92,7 @@ func buildPlanAllResidual(db *relation.Database, s *sqlparse.SelectStmt) ([]reso
 	return preds, nil
 }
 
-func (p *naivePlan) enumerate(pos int, cur row, groups map[string]*OutputTuple) {
+func (p *naivePlan) enumerate(pos int, cur row, groups derivations) {
 	if pos == len(p.relations) {
 		for _, rp := range p.preds {
 			left := cur[rp.left.fromIdx].Values[rp.left.colIdx]
@@ -114,23 +106,7 @@ func (p *naivePlan) enumerate(pos int, cur row, groups map[string]*OutputTuple) 
 				return
 			}
 		}
-		vals := make([]relation.Value, len(p.projections))
-		for i, pc := range p.projections {
-			vals[i] = cur[pc.fromIdx].Values[pc.colIdx]
-		}
-		ids := make([]relation.FactID, len(cur))
-		for i, f := range cur {
-			ids[i] = f.ID
-		}
-		m := provenance.NewMonomial(ids...)
-		t := &OutputTuple{Values: vals, Prov: provenance.False()}
-		key := t.Key()
-		if existing, ok := groups[key]; ok {
-			existing.Prov.Add(m)
-		} else {
-			t.Prov.Add(m)
-			groups[key] = t
-		}
+		groups.add(p.projections, cur)
 		return
 	}
 	for _, f := range p.relations[pos] {

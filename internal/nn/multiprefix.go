@@ -8,8 +8,8 @@ import "math"
 // applied per sequence on row windows of the packed matrices — sequences
 // never attend across each other, which is exactly a block-diagonal attention
 // mask without materializing it. The sequences may come from different prefix
-// caches (different lineages, different requests), so one pass serves a
-// single lineage, a coalesced batch of requests, or one fact at a time alike.
+// caches (different lineages), so one pass serves one lineage, several, or
+// one fact at a time alike.
 //
 // Bit-identity with Forward on each full sequence is structural, not
 // numerical luck:

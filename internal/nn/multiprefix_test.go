@@ -91,7 +91,7 @@ func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
 	}
 }
 
-// TestMultiPrefixZeroAllocs pins a warmed cross-request packed pass (multi-
+// TestMultiPrefixZeroAllocs pins a warmed mixed-cache packed pass (multi-
 // prefix forward over sequences from distinct caches plus per-sequence head
 // readouts) to exactly 0 allocs/op. scripts/ci.sh fails if this test is
 // skipped.

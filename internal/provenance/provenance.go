@@ -87,8 +87,9 @@ type DNF struct {
 // False returns the unsatisfiable provenance (tuple cannot be derived).
 func False() *DNF { return &DNF{} }
 
-// FromMonomials builds a DNF from the given monomials, deduplicating them.
-// It does NOT apply absorption; call Minimize for that.
+// FromMonomials builds a DNF from the given monomials, deduplicating them and
+// keeping each first occurrence in order. It does NOT apply absorption; call
+// Minimize for that.
 func FromMonomials(ms ...Monomial) *DNF {
 	d := &DNF{}
 	seen := make(map[string]bool, len(ms))
@@ -100,18 +101,6 @@ func FromMonomials(ms ...Monomial) *DNF {
 		}
 	}
 	return d
-}
-
-// Add appends a monomial if an identical one is not already present.
-// It is O(#monomials); bulk construction should use FromMonomials.
-func (d *DNF) Add(m Monomial) {
-	k := m.Key()
-	for _, e := range d.Monomials {
-		if e.Key() == k {
-			return
-		}
-	}
-	d.Monomials = append(d.Monomials, m)
 }
 
 // IsFalse reports whether the formula is the constant false.

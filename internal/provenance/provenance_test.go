@@ -204,11 +204,12 @@ func TestDNFString(t *testing.T) {
 	}
 }
 
+// TestDNFAddDeduplicates adds monomials to a DNF through FromMonomials: a
+// repeated derivation (in any fact order) is kept once, at its first
+// position.
 func TestDNFAddDeduplicates(t *testing.T) {
-	d := False()
-	d.Add(NewMonomial(ids(1, 2)...))
-	d.Add(NewMonomial(ids(2, 1)...))
-	if len(d.Monomials) != 1 {
-		t.Errorf("Add deduplication failed: %v", d)
+	d := FromMonomials(NewMonomial(ids(3)...), NewMonomial(ids(1, 2)...), NewMonomial(ids(3)...), NewMonomial(ids(2, 1)...))
+	if d.String() != "(f3)∨(f1∧f2)" {
+		t.Errorf("FromMonomials deduplication = %v, want (f3)∨(f1∧f2)", d)
 	}
 }

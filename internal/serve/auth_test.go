@@ -33,7 +33,7 @@ func TestServeAdminAuth(t *testing.T) {
 	obs.Install(run)
 	defer obs.Uninstall()
 	s := startServer(t, Config{
-		Workers: 1, MaxBatch: 1, QueueCap: 4, AdminToken: "tiny-secret",
+		Workers: 1, QueueCap: 4, AdminToken: "tiny-secret",
 	})
 
 	reload := func(auth string) *httptest.ResponseRecorder {
@@ -128,7 +128,7 @@ func TestServeTLS(t *testing.T) {
 	corpus, model := fixture(t)
 	certPath, keyPath := writeSelfSignedCert(t, t.TempDir())
 
-	bad := New(Config{Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 1, QueueCap: 4,
+	bad := New(Config{Addr: "127.0.0.1:0", Workers: 1, QueueCap: 4,
 		TLSCert: certPath}, corpus, model)
 	// The cert/key pairing check runs before the listener binds, so a failed
 	// Start leaves nothing to shut down.
@@ -137,7 +137,7 @@ func TestServeTLS(t *testing.T) {
 	}
 
 	s := startServer(t, Config{
-		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond, QueueCap: 64,
+		Workers: 2, QueueCap: 64,
 		AdminToken: "tls-secret", TLSCert: certPath, TLSKey: keyPath,
 	})
 	if !strings.HasPrefix(s.URL(), "https://") {

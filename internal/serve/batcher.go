@@ -34,9 +34,9 @@ const (
 // The timestamps decompose the job's life for the request trace: tSubmit is
 // stamped at admission, tDequeue when a dispatcher pulls the job off the
 // queue, tScore when its replica starts scoring, tDone when scoring finished.
-// queue-wait = tDequeue-tSubmit, batch-wait (time spent coalescing) =
-// tScore-tDequeue, score = tDone-tScore. The handler reads them only after
-// done is closed, so the stamps never race.
+// queue-wait = tDequeue-tSubmit, batch-wait (the replica generation check,
+// plus a re-clone after a hot swap) = tScore-tDequeue, score = tDone-tScore.
+// The handler reads them only after done is closed, so the stamps never race.
 type job struct {
 	kind jobKind
 	in   core.Input // jobRank
@@ -52,7 +52,7 @@ type job struct {
 }
 
 // run executes the job on one replica. Replicas are not safe for concurrent
-// use; the dispatcher guarantees one job per replica at a time. The job's
+// use; each dispatcher owns its replica and runs one job at a time. The job's
 // trace context rides into the model through the scoring context, so the
 // model-side stage ("core.rank") lands on the same trace as the serve-side
 // decomposition.
@@ -69,33 +69,29 @@ func (j *job) run(m *core.Model) {
 	j.tDone = time.Now()
 }
 
-// replicaSet owns one dispatch goroutine's model replicas and re-clones them
+// replicaSet owns one dispatch goroutine's model replica and re-clones it
 // when the served model was hot-swapped. The generation check is one atomic
-// load per batch; cloning happens only after a swap.
+// load per job; cloning happens only after a swap.
 type replicaSet struct {
-	srv  *Server
-	gen  int64
-	reps []*core.Model
+	srv *Server
+	gen int64
+	rep *core.Model
 }
 
-// get returns n replicas of the currently served model, cloning lazily as
-// batch sizes grow and keeping warmed replicas (and their workspace arenas)
-// across batches. A generation mismatch drops every replica; a swap observed
-// between the generation load and the clone only causes one redundant
-// re-clone on the next batch, never a stale score beyond the batch already in
-// flight.
-func (r *replicaSet) get(n int) []*core.Model {
+// get returns a replica of the currently served model, keeping the warmed
+// replica (and its workspace arena) across jobs. The server's generation
+// starts at 1, so the first call clones. A swap observed between the
+// generation load and the clone only causes one redundant re-clone on the
+// next job, never a stale score beyond the job already in flight.
+func (r *replicaSet) get() *core.Model {
 	if gen := r.srv.gen.Load(); gen != r.gen {
 		r.gen = gen
-		r.reps = r.reps[:0]
+		r.rep = r.srv.state().model.CloneForWorker()
 	}
-	for len(r.reps) < n {
-		r.reps = append(r.reps, r.srv.state().model.CloneForWorker())
-	}
-	return r.reps[:n]
+	return r.rep
 }
 
-// batcher is the admission queue plus dispatch workers.
+// batcher is the admission queue plus its dispatch workers.
 //
 // Queue discipline: submit is non-blocking — a full queue rejects immediately
 // (ErrQueueFull) so overload surfaces as backpressure, not as unbounded
@@ -103,14 +99,8 @@ func (r *replicaSet) get(n int) []*core.Model {
 // jobs channel: submitters hold the read lock across their send, so no send
 // can race the close.
 //
-// Dispatch discipline: with MaxBatch > 1 a single coalescing dispatcher pulls
-// the first job, keeps collecting until the batch is full or BatchWindow has
-// elapsed, and splits the batch across its replicas (score). While a batch
-// is being scored, new arrivals accumulate in the queue, so batch sizes
-// adapt to load automatically (light load → singleton batches and no added
-// latency beyond the window; heavy load → full batches). With
-// MaxBatch <= 1 there is no coalescing: Workers independent dispatchers each
-// score one job at a time — the per-request baseline.
+// Dispatch discipline: Workers dispatch goroutines each own one model replica
+// and score one job at a time, so a request waits only for a free replica.
 type batcher struct {
 	srv     *Server
 	cfg     Config
@@ -119,11 +109,12 @@ type batcher struct {
 	stopped bool
 	wg      sync.WaitGroup
 
-	mBatch    *obs.Histogram // serve.batch.size: requests per dispatch
-	mDepth    *obs.Gauge     // serve.queue.depth: jobs waiting after last dispatch
-	mRejected *obs.Counter   // serve.queue.rejected
-	mJobs     *obs.Counter   // serve.queue.admitted
-	mPacked   *obs.Counter   // serve.batch.packed: batch slices scored via RankMany
+	// serve.batch.size records 1 per dispatch; bench/layers.go still reads
+	// its mean as serve.batch_size_mean.
+	mBatch    *obs.Histogram
+	mDepth    *obs.Gauge   // serve.queue.depth: jobs waiting after last dispatch
+	mRejected *obs.Counter // serve.queue.rejected
+	mJobs     *obs.Counter // serve.queue.admitted
 }
 
 func defaultWorkers() int { return parallel.Workers(0) }
@@ -138,21 +129,14 @@ func newBatcher(s *Server) *batcher {
 		mDepth:    reg.Gauge("serve.queue.depth"),
 		mRejected: reg.Counter("serve.queue.rejected"),
 		mJobs:     reg.Counter("serve.queue.admitted"),
-		mPacked:   reg.Counter("serve.batch.packed"),
 	}
 }
 
-// start launches the dispatch workers: one coalescing dispatcher when
-// batching is on, Workers per-request dispatchers when it is off.
+// start launches the Workers dispatch goroutines.
 func (b *batcher) start() {
-	if b.cfg.MaxBatch > 1 {
-		b.wg.Add(1)
-		go b.runCoalescing()
-		return
-	}
 	b.wg.Add(b.cfg.Workers)
 	for w := 0; w < b.cfg.Workers; w++ {
-		go b.runPerRequest()
+		go b.dispatch()
 	}
 }
 
@@ -198,125 +182,16 @@ func (b *batcher) close() {
 	b.wg.Wait()
 }
 
-// runCoalescing is the batching dispatcher: collect, flush, score, repeat.
-func (b *batcher) runCoalescing() {
-	defer b.wg.Done()
-	rs := &replicaSet{srv: b.srv}
-	batch := make([]*job, 0, b.cfg.MaxBatch)
-	for {
-		j, ok := <-b.jobs
-		if !ok {
-			return
-		}
-		j.tDequeue = time.Now()
-		batch = append(batch[:0], j)
-		b.collect(&batch)
-		b.score(rs, batch)
-	}
-}
-
-// collect fills the batch until MaxBatch or the batch window closes. A zero
-// window takes only the jobs already queued (no added latency). A closed,
-// drained queue ends collection immediately.
-func (b *batcher) collect(batch *[]*job) {
-	if b.cfg.BatchWindow <= 0 {
-		for len(*batch) < b.cfg.MaxBatch {
-			select {
-			case j, ok := <-b.jobs:
-				if !ok {
-					return
-				}
-				j.tDequeue = time.Now()
-				*batch = append(*batch, j)
-			default:
-				return
-			}
-		}
-		return
-	}
-	timer := time.NewTimer(b.cfg.BatchWindow)
-	defer timer.Stop()
-	for len(*batch) < b.cfg.MaxBatch {
-		select {
-		case j, ok := <-b.jobs:
-			if !ok {
-				return
-			}
-			j.tDequeue = time.Now()
-			*batch = append(*batch, j)
-		case <-timer.C:
-			return
-		}
-	}
-}
-
-// score completes every job of one batch: the batch is partitioned into
-// contiguous slices, one per replica, and each replica scores its slice's
-// rank jobs through one core.RankMany call — facts of different requests
-// share multi-prefix GEMM passes. Slices (not striped single jobs) keep each
-// lineage's facts consecutive in the packed chunks. A request's scores are
-// exactly the offline RankOn computation — RankMany is bit-identical to
-// per-request RankOn by construction — so coalescing and packing change
-// scheduling and GEMM sizes, never bytes.
-func (b *batcher) score(rs *replicaSet, batch []*job) {
-	b.mBatch.Observe(float64(len(batch)))
-	b.mDepth.Set(float64(len(b.jobs)))
-	reps := rs.get(min(b.cfg.Workers, len(batch)))
-	nw := len(reps)
-	b.mPacked.Add(int64(nw))
-	parallel.ForEachWorker(nw, nw, func(w, sl int) {
-		lo, hi := sl*len(batch)/nw, (sl+1)*len(batch)/nw
-		scoreSlice(reps[w], batch[lo:hi])
-	})
-	for _, j := range batch {
-		close(j.done)
-	}
-}
-
-// scoreSlice scores one replica's slice: non-rank jobs (similarity) run
-// individually as before; rank jobs are gathered into one RankMany call whose
-// results scatter back by position. Every rank job gets the same score-stage
-// timestamps — the packed pass IS its model time — and a "core.rank" stage on
-// its trace, mirroring what RankCtx records on the per-request path.
-func scoreSlice(m *core.Model, jobs []*job) {
-	nRank := 0
-	for _, j := range jobs {
-		if j.kind == jobRank {
-			nRank++
-		} else {
-			j.run(m)
-		}
-	}
-	if nRank == 0 {
-		return
-	}
-	ins := make([]core.Input, 0, nRank)
-	ranks := make([]*job, 0, nRank)
-	for _, j := range jobs {
-		if j.kind == jobRank {
-			ins = append(ins, j.in)
-			ranks = append(ranks, j)
-		}
-	}
-	start := time.Now()
-	vals := m.RankMany(ins)
-	end := time.Now()
-	for i, j := range ranks {
-		j.scores = vals[i]
-		j.tScore, j.tDone = start, end
-		j.tc.AddStage("core.rank", start, end.Sub(start))
-	}
-}
-
-// runPerRequest is the baseline dispatcher: one replica, one job at a time.
-func (b *batcher) runPerRequest() {
+// dispatch is one dispatch worker: it scores queued jobs one at a time on its
+// own replica until the queue is closed and drained.
+func (b *batcher) dispatch() {
 	defer b.wg.Done()
 	rs := &replicaSet{srv: b.srv}
 	for j := range b.jobs {
 		j.tDequeue = time.Now()
 		b.mBatch.Observe(1)
 		b.mDepth.Set(float64(len(b.jobs)))
-		j.run(rs.get(1)[0])
+		j.run(rs.get())
 		close(j.done)
 	}
 }

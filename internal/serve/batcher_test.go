@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // newIdleServer builds a server whose batcher is NOT started, so queue
@@ -15,7 +14,7 @@ func newIdleServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestBatcherQueueFull(t *testing.T) {
-	s := newIdleServer(t, Config{QueueCap: 2, MaxBatch: 4, Workers: 1})
+	s := newIdleServer(t, Config{QueueCap: 2, Workers: 1})
 	for i := 0; i < 2; i++ {
 		if err := s.b.submit(&job{done: make(chan struct{})}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -33,7 +32,7 @@ func TestBatcherQueueFull(t *testing.T) {
 // exists, then starts and closes the batcher: close must not return until
 // every queued job has been scored.
 func TestBatcherCloseDrains(t *testing.T) {
-	s := newIdleServer(t, Config{QueueCap: 16, MaxBatch: 4, BatchWindow: time.Millisecond, Workers: 2})
+	s := newIdleServer(t, Config{QueueCap: 16, Workers: 2})
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +64,11 @@ func TestBatcherCloseDrains(t *testing.T) {
 	s.b.close()
 }
 
-// TestBatcherPerRequestDrains covers the MaxBatch<=1 baseline dispatchers.
+// TestBatcherPerRequestDrains covers a lone dispatcher: with one replica
+// scoring one job at a time, every queued job is still scored before close
+// returns.
 func TestBatcherPerRequestDrains(t *testing.T) {
-	s := newIdleServer(t, Config{QueueCap: 8, MaxBatch: 1, Workers: 2})
+	s := newIdleServer(t, Config{QueueCap: 8, Workers: 1})
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,11 @@ func TestBatcherPerRequestDrains(t *testing.T) {
 	s.b.start()
 	s.b.close()
 	for i, j := range jobs {
-		<-j.done
+		select {
+		case <-j.done:
+		default:
+			t.Fatalf("job %d not completed after close", i)
+		}
 		if len(j.scores) == 0 {
 			t.Errorf("job %d has no scores", i)
 		}

@@ -213,6 +213,7 @@ func (s *Server) logRequest(name string, tc *obs.TraceContext, status int, total
 		"endpoint":      name,
 		"status":        status,
 		"total_ms":      totalMS,
+		"evaluate_ms":   durMS(tc.StageDur("evaluate")),
 		"queue_wait_ms": durMS(tc.StageDur("queue_wait")),
 		"batch_wait_ms": durMS(tc.StageDur("batch_wait")),
 		"score_ms":      durMS(tc.StageDur("score")),
@@ -293,6 +294,7 @@ func (s *Server) admit(w http.ResponseWriter, j *job) int {
 }
 
 // resolveTuple evaluates the query and locates the requested output tuple.
+// The parse, evaluation and lookup are the request's "evaluate" stage.
 func (s *Server) resolveTuple(w http.ResponseWriter, r *http.Request) (*engine.OutputTuple, core.Input, bool) {
 	var in core.Input
 	if r.Method != http.MethodPost {
@@ -310,20 +312,13 @@ func (s *Server) resolveTuple(w http.ResponseWriter, r *http.Request) (*engine.O
 	if !s.decodeBody(w, r, &req) {
 		return nil, in, false
 	}
-	q, res, err := s.evaluate(req.SQL)
+	start := time.Now()
+	q, target, code, err := s.locate(req)
+	d := time.Since(start)
+	obs.TraceFrom(r.Context()).AddStage("evaluate", start, d)
+	s.mEvaluate.Observe(durMS(d))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, in, false
-	}
-	var target *engine.OutputTuple
-	for _, t := range res.Tuples {
-		if tupleMatches(t, req.Tuple) {
-			target = t
-			break
-		}
-	}
-	if target == nil {
-		s.writeError(w, http.StatusNotFound, "output tuple not found in query result")
+		s.writeError(w, code, "%v", err)
 		return nil, in, false
 	}
 	in = core.Input{
@@ -476,7 +471,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version":     st.version,
 		"loaded_utc":  st.loaded.UTC().Format(time.RFC3339),
 		"queue_depth": len(s.b.jobs),
-		"max_batch":   s.cfg.MaxBatch,
 		"workers":     s.cfg.Workers,
 		"drift":       drift,
 	})
@@ -502,9 +496,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace dumps the ring of recent request traces. The default rendering
 // is Chrome trace-event JSON — load it straight into chrome://tracing or
-// Perfetto to see the queue-wait / batch-wait / score / write decomposition of
-// every recent request on a shared timeline. ?format=raw returns the ring's
-// RequestTrace records verbatim for programmatic consumers.
+// Perfetto to see the evaluate / queue-wait / batch-wait / score / write
+// decomposition of every recent request on a shared timeline. ?format=raw
+// returns the ring's RequestTrace records verbatim for programmatic consumers.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "raw" {
 		s.writeJSON(w, http.StatusOK, s.ring.Snapshot())
@@ -528,20 +522,26 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, run.Manifest())
 }
 
-// evaluate parses and evaluates one query against the server's database. The
-// database is read-only, so concurrent handler goroutines may evaluate freely
-// (the corpus build already evaluates queries in parallel over the same
-// structures).
-func (s *Server) evaluate(sql string) (*sqlparse.Query, *engine.Result, error) {
-	q, err := sqlparse.Parse(sql)
+// locate parses and evaluates the request's query against the server's
+// database and finds the requested output tuple; on failure it also returns
+// the HTTP status to answer with. The database is read-only, so concurrent
+// handler goroutines may evaluate freely (the corpus build already evaluates
+// queries in parallel over the same structures).
+func (s *Server) locate(req RankRequest) (*sqlparse.Query, *engine.OutputTuple, int, error) {
+	q, err := sqlparse.Parse(req.SQL)
 	if err != nil {
-		return nil, nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("parse: %w", err)
 	}
 	res, err := engine.Evaluate(s.corpus.DB, q)
 	if err != nil {
-		return nil, nil, fmt.Errorf("evaluate: %w", err)
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("evaluate: %w", err)
 	}
-	return q, res, nil
+	for _, t := range res.Tuples {
+		if tupleMatches(t, req.Tuple) {
+			return q, t, 0, nil
+		}
+	}
+	return nil, nil, http.StatusNotFound, errors.New("output tuple not found in query result")
 }
 
 // tupleMatches reports whether an output tuple renders to the requested

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -67,6 +69,15 @@ func SelfTest(s *Server, n int) error {
 		return err
 	}
 	return checkMetrics(client, s.URL(), int64(n))
+}
+
+// insecureTLSFor returns a verification-skipping TLS config for https base
+// URLs (self-signed local daemons) and nil for plain http.
+func insecureTLSFor(baseURL string) *tls.Config {
+	if !strings.HasPrefix(baseURL, "https://") {
+		return nil
+	}
+	return &tls.Config{InsecureSkipVerify: true}
 }
 
 // selfTestCase is one prepared request with its scoring input.
@@ -137,7 +148,7 @@ func checkRank(client *http.Client, base string, body []byte, want shapley.Value
 			return fmt.Errorf("selftest: rank returned fact %d outside the lineage", f.ID)
 		}
 		if f.Score != w {
-			return fmt.Errorf("selftest: fact %d scored %v over HTTP, %v sequentially (batched serving must be bit-identical)", f.ID, f.Score, w)
+			return fmt.Errorf("selftest: fact %d scored %v over HTTP, %v sequentially (served scores must be bit-identical)", f.ID, f.Score, w)
 		}
 	}
 	return nil
@@ -192,8 +203,9 @@ func checkHealthz(client *http.Client, base string) error {
 }
 
 // checkMetrics asserts the /metrics snapshot recorded the traffic just sent:
-// at least n rank requests and at least one scored batch. Skipped without a
-// live registry (the snapshot is then legitimately empty).
+// at least n rank requests, at least one dispatch, and a score stage per
+// request. Skipped without a live registry (the snapshot is then legitimately
+// empty).
 func checkMetrics(client *http.Client, base string, n int64) error {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {

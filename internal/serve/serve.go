@@ -1,39 +1,37 @@
 // Package serve is the production ranking daemon behind cmd/serve: it wraps a
 // trained LearnShapley model in an HTTP/JSON service whose scoring hot path
-// runs on the repo's packed-batching machinery.
+// runs on the repo's packed ranking pass.
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handlers ──► bounded queue ──► coalescing dispatcher ──► replicas
-//	              │             │429                  │                  │
-//	              │        (backpressure)      flush on MaxBatch      RankOn
-//	              ◄──────────────────────────── or BatchWindow     (packed GEMMs)
+//	conns ──► handlers ──► bounded queue ──► Workers dispatchers ──► replicas
+//	              │             │429           (first free one)          │
+//	              │        (backpressure)                     RankOn (packed GEMMs)
+//	              ◄──────────────────────────────────────────────────────┘
 //
 // Concurrent requests from independent connections are admitted into one
-// bounded queue and coalesced into batches: the dispatcher flushes a batch
-// when it holds Config.MaxBatch requests or when Config.BatchWindow elapses
-// after the first one arrived. A batch fans out across per-worker model
-// replicas (core.Model.CloneForWorker: shared read-only weights, private
-// activation workspaces): each replica scores a contiguous slice of the batch
-// through one core.Model.RankMany call, so the facts of its requests run as a
-// few large nn.BatchedForwardMultiPrefix GEMM passes on a warmed,
-// zero-allocation workspace.
+// bounded queue. Config.Workers dispatch goroutines (one per CPU by default)
+// each own one model replica (core.Model.CloneForWorker: shared read-only
+// weights, private activation workspaces) and score one admitted request at a
+// time, so a request waits only for a free replica. A replica ranks a
+// request's lineage through core.Model.RankOn: the facts run as a few
+// nn.BatchedForwardMultiPrefix GEMM passes over the shared prefix on a
+// warmed, zero-allocation workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
-// (core.ConcurrentRanker contract), and batching only changes which replica
-// scores which request, never the per-request computation. Coalesced
-// cross-request scores are therefore bit-identical to sequential per-request
-// core.RankOn for every batch window, batch size and worker count — enforced
-// by TestServeParitySequential.
+// (core.ConcurrentRanker contract), and dispatch only decides which replica
+// scores which request, never the per-request computation. Served scores are
+// therefore bit-identical to sequential core.RankOn at every worker count —
+// enforced by TestServeParitySequential.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when the queue is full, requests are rejected immediately with 429 and a
 // Retry-After header instead of queueing unboundedly. Shutdown stops
 // accepting, lets in-flight handlers finish, and drains every admitted job
-// before the dispatcher exits, so no accepted request is ever dropped. A new
+// before the dispatchers exit, so no accepted request is ever dropped. A new
 // model checkpoint can be swapped in at runtime (POST /admin/reload) via an
 // atomic pointer flip; dispatch workers re-clone their replicas from the new
-// weights before the next batch they score.
+// weights before the next request they score.
 package serve
 
 import (
@@ -57,19 +55,11 @@ import (
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Workers is the number of scoring replicas (<= 0 means one per CPU).
-	// Replicas share the model's weight tensors and own their workspaces, so
-	// Workers bounds scoring concurrency without duplicating weights.
+	// Workers is the number of dispatch goroutines, each scoring one request
+	// at a time on its own replica (<= 0 means one per CPU). Replicas share
+	// the model's weight tensors and own their workspaces, so Workers bounds
+	// scoring concurrency without duplicating weights.
 	Workers int
-	// MaxBatch is the largest number of coalesced requests per dispatch.
-	// Values <= 1 disable cross-request batching: each admitted request is
-	// scored individually by the first free replica (the baseline mode the
-	// load generator compares against).
-	MaxBatch int
-	// BatchWindow is how long the dispatcher waits for more requests after
-	// the first one of a batch arrives. 0 flushes as soon as the queue has
-	// been emptied (pure backlog coalescing, no added latency).
-	BatchWindow time.Duration
 	// QueueCap bounds the admission queue; requests beyond it are rejected
 	// with 429 + Retry-After.
 	QueueCap int
@@ -102,14 +92,12 @@ type Config struct {
 	DriftPSI    float64
 }
 
-// DefaultConfig returns serving defaults: batching on and a 2ms coalescing
-// window.
+// DefaultConfig returns serving defaults: one dispatcher per CPU and a
+// 256-request admission queue.
 func DefaultConfig() Config {
 	return Config{
 		Addr:        "127.0.0.1:0",
 		Workers:     0,
-		MaxBatch:    8,
-		BatchWindow: 2 * time.Millisecond,
 		QueueCap:    256,
 		TraceRing:   256,
 		DriftWindow: 256,
@@ -156,6 +144,7 @@ type Server struct {
 	// Pre-resolved metric handles (nil = no-op without a live obs run).
 	mReloads    *obs.Counter
 	mSlow       *obs.Counter
+	mEvaluate   *obs.Histogram // serve.stage.evaluate_ms
 	mQueueWait  *obs.Histogram // serve.stage.queue_wait_ms
 	mBatchWait  *obs.Histogram // serve.stage.batch_wait_ms
 	mScore      *obs.Histogram // serve.stage.score_ms
@@ -172,9 +161,6 @@ type Server struct {
 func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers()
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
 	}
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 1
@@ -201,6 +187,7 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		driftMargin: obs.NewDriftMonitor("top1_margin", obs.DriftConfig{Window: cfg.DriftWindow, PSIThreshold: cfg.DriftPSI}),
 		mReloads:    reg.Counter("serve.reloads"),
 		mSlow:       reg.Counter("serve.req.slow"),
+		mEvaluate:   reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
 		mQueueWait:  reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
 		mBatchWait:  reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
 		mScore:      reg.Histogram("serve.stage.score_ms", stageBuckets),
@@ -253,7 +240,7 @@ func (s *Server) captureDriftReference(model *core.Model) {
 }
 
 // probeInputs prepares up to n scoring inputs from the corpus's test split —
-// the same request mix selftest and the load generator draw from.
+// the same request mix selftest draws from.
 func probeInputs(c *dataset.Corpus, n int) []core.Input {
 	var out []core.Input
 	for _, qi := range c.Test {
@@ -319,8 +306,8 @@ func (s *Server) state() *modelState { return s.st.Load() }
 func (s *Server) DB() *relation.Database { return s.corpus.DB }
 
 // SwapModel atomically replaces the serving model (model hot-swap). In-flight
-// batches finish on the old weights; every batch dispatched afterwards scores
-// on the new ones.
+// requests finish on the old weights; every request dispatched afterwards
+// scores on the new ones.
 func (s *Server) SwapModel(model *core.Model, version string) {
 	s.install(model, version)
 	s.mReloads.Add(1)

@@ -106,32 +106,31 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 }
 
 // TestServeParitySequential is the determinism gate from the package doc:
-// coalesced cross-request batched scores must be bit-identical to sequential
-// per-request core.RankOn for every (batch window × batch size × worker count)
-// grid point — facts of different concurrent requests share multi-prefix GEMM
-// passes and the bytes still must not move.
+// scores served to concurrent requests must be bit-identical to sequential
+// core.RankOn at 1, 2 and 3 workers. Each grid point sends its requests in
+// client batches of `batch` concurrent requests and starts the next batch
+// `window` after the previous one was answered, so the sweep covers one
+// request in flight at a time, bursts that occupy every replica, and bursts
+// that queue behind busy replicas.
 func TestServeParitySequential(t *testing.T) {
-	corpus, model := fixture(t)
+	_, model := fixture(t)
 	for _, tc := range []struct {
-		maxBatch, workers int
-		window            time.Duration
+		batch, workers int
+		window         time.Duration
 	}{
-		{1, 1, 0}, // per-request baseline, single dispatcher
-		{1, 3, 0}, // per-request baseline, parallel dispatchers
-		{4, 1, 0}, // backlog coalescing, one replica packs the whole batch
-		{4, 3, 0}, // backlog coalescing split across replicas
+		{1, 1, 0}, // one request in flight at a time
+		{1, 3, 0},
+		{4, 1, 0}, // bursts queue behind the one replica
+		{4, 3, 0},
 		{4, 1, 500 * time.Microsecond},
 		{4, 2, 500 * time.Microsecond},
 		{8, 1, 2 * time.Millisecond},
-		{8, 3, 2 * time.Millisecond},  // production defaults shape
-		{16, 1, 2 * time.Millisecond}, // many small lineages per pass: chunks straddle requests
+		{8, 3, 2 * time.Millisecond},
+		{16, 1, 2 * time.Millisecond}, // almost every request in flight at once
 	} {
-		name := fmt.Sprintf("batch%d_w%d_win%v", tc.maxBatch, tc.workers, tc.window)
+		name := fmt.Sprintf("batch%d_w%d_win%v", tc.batch, tc.workers, tc.window)
 		t.Run(name, func(t *testing.T) {
-			s := startServer(t, Config{
-				Workers: tc.workers, MaxBatch: tc.maxBatch, BatchWindow: tc.window,
-				QueueCap: 64,
-			})
+			s := startServer(t, Config{Workers: tc.workers, QueueCap: 64})
 			cases, err := selfTestCases(s, 6)
 			if err != nil {
 				t.Fatal(err)
@@ -140,43 +139,47 @@ func TestServeParitySequential(t *testing.T) {
 
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
-			const rounds = 3 // every case in flight concurrently, several times
+			check := func(c int) error {
+				rr, code, err := postRank(client, s.URL(), cases[c].body)
+				if err != nil {
+					return err
+				}
+				if code != http.StatusOK {
+					return fmt.Errorf("rank -> %d", code)
+				}
+				if len(rr.Facts) != len(want[c]) {
+					return fmt.Errorf("got %d facts, want %d", len(rr.Facts), len(want[c]))
+				}
+				for _, f := range rr.Facts {
+					if got, ref := f.Score, want[c][relation.FactID(f.ID)]; got != ref {
+						return fmt.Errorf("fact %d: served %v != sequential %v", f.ID, got, ref)
+					}
+				}
+				return nil
+			}
+			const rounds = 3 // every case several times
 			n := rounds * len(cases)
 			errs := make([]error, n)
-			var wg sync.WaitGroup
-			wg.Add(n)
-			for i := 0; i < n; i++ {
-				go func(i int) {
-					defer wg.Done()
-					c := i % len(cases)
-					rr, code, err := postRank(client, s.URL(), cases[c].body)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if code != http.StatusOK {
-						errs[i] = fmt.Errorf("rank -> %d", code)
-						return
-					}
-					if len(rr.Facts) != len(want[c]) {
-						errs[i] = fmt.Errorf("got %d facts, want %d", len(rr.Facts), len(want[c]))
-						return
-					}
-					for _, f := range rr.Facts {
-						if got, ref := f.Score, want[c][relation.FactID(f.ID)]; got != ref {
-							errs[i] = fmt.Errorf("fact %d: batched %v != sequential %v", f.ID, got, ref)
-							return
-						}
-					}
-				}(i)
+			for lo := 0; lo < n; lo += tc.batch {
+				if lo > 0 {
+					time.Sleep(tc.window)
+				}
+				hi := min(lo+tc.batch, n)
+				var wg sync.WaitGroup
+				wg.Add(hi - lo)
+				for i := lo; i < hi; i++ {
+					go func(i int) {
+						defer wg.Done()
+						errs[i] = check(i % len(cases))
+					}(i)
+				}
+				wg.Wait()
 			}
-			wg.Wait()
 			for _, err := range errs {
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			_ = corpus
 		})
 	}
 }
@@ -187,10 +190,7 @@ func TestServeParitySequential(t *testing.T) {
 func TestServeDrainOnShutdown(t *testing.T) {
 	_, model := fixture(t)
 	corpus := fixCorpus
-	s := New(Config{
-		Addr: "127.0.0.1:0", Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64,
-	}, corpus, model)
+	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, corpus, model)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,7 @@ func TestServeDrainOnShutdown(t *testing.T) {
 // ranking (and no longer match the old model's).
 func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
-	s := startServer(t, Config{
-		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64,
-	})
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -315,10 +312,7 @@ func TestServeHotSwap(t *testing.T) {
 // with a Retry-After header, not block.
 func TestServeBackpressure(t *testing.T) {
 	corpus, model := fixture(t)
-	s := New(Config{
-		Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 2, BatchWindow: time.Millisecond,
-		QueueCap: 1,
-	}, corpus, model)
+	s := New(Config{Addr: "127.0.0.1:0", Workers: 1, QueueCap: 1}, corpus, model)
 	// Not started: no dispatcher will ever empty the queue.
 	if err := s.b.submit(&job{done: make(chan struct{})}); err != nil {
 		t.Fatal(err)
@@ -355,7 +349,7 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	run := obs.NewRun("body-limit-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
-	s := startServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 4})
+	s := startServer(t, Config{Workers: 1, QueueCap: 4})
 	admitted := func() int64 { return run.Reg.Snapshot().Counters["serve.queue.admitted"] }
 
 	big := append([]byte(`{"sql": "`), bytes.Repeat([]byte("a"), maxBodyBytes)...)

@@ -46,22 +46,20 @@ func stageNames(tr obs.RequestTrace) map[string]bool {
 	return out
 }
 
-// TestTraceIDThreadsThroughBatch is the tentpole's end-to-end check: client
-// trace IDs survive the handler → admission queue → coalescing dispatcher →
-// replica boundary. Concurrent requests carrying distinct X-Trace-Id headers
-// are coalesced into shared batches, yet each response echoes its own ID and
-// each ring trace carries that request's full stage decomposition — queue-wait,
-// batch-wait, score (with the model-side core.rank stage inside it) and write —
-// with the per-stage histograms populated on the live registry.
+// TestTraceIDThreadsThroughBatch is the end-to-end trace check: client trace
+// IDs survive the handler → admission queue → dispatcher → replica boundary.
+// Concurrent requests carrying distinct X-Trace-Id headers are scored by
+// different dispatchers, yet each response echoes its own ID and each ring
+// trace carries that request's full stage decomposition — evaluate,
+// queue-wait, batch-wait, score (with the model-side core.rank stage inside
+// it) and write — with the per-stage histograms populated on the live
+// registry, one evaluate observation per /rank or /explain request.
 func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
 
-	s := startServer(t, Config{
-		Workers: 2, MaxBatch: 4, BatchWindow: 2 * time.Millisecond,
-		QueueCap: 64,
-	})
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +120,7 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 			t.Fatalf("trace %s missing from the ring", id)
 		}
 		names := stageNames(tr)
-		for _, want := range []string{"queue_wait", "batch_wait", "score", "core.rank", "write"} {
+		for _, want := range []string{"evaluate", "queue_wait", "batch_wait", "score", "core.rank", "write"} {
 			if !names[want] {
 				t.Errorf("trace %s lacks stage %q (has %v)", id, want, names)
 			}
@@ -142,9 +140,29 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 			t.Errorf("%s recorded %d observations, want >= %d", h, got, n)
 		}
 	}
+	if got := snap.Histograms["serve.stage.evaluate_ms"].Count; got != n {
+		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n)
+	}
+
+	// /explain shares the evaluate stage.
+	resp, err := client.Post(s.URL()+"/explain", "application/json", bytes.NewReader(cases[0].body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain -> %d", resp.StatusCode)
+	}
+	if names := stageNames(ringTraces(t, s, "explain", 1)[0]); !names["evaluate"] {
+		t.Errorf("explain trace lacks stage \"evaluate\" (has %v)", names)
+	}
+	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n+1 {
+		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
+	}
 
 	// A request without an inbound header gets a minted, echoed ID.
-	resp, err := client.Post(s.URL()+"/rank", "application/json", bytes.NewReader(cases[0].body))
+	resp, err = client.Post(s.URL()+"/rank", "application/json", bytes.NewReader(cases[0].body))
 	if err != nil {
 		t.Fatal(err)
 	}

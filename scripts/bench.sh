@@ -24,8 +24,9 @@
 #       skipped and the file records an explicit "skipped" marker instead of
 #       noise dressed up as a measurement.
 #
-# Training time is not recorded here: the repo benchmark (bench/run.sh)
-# measures it per workload as setup_s and core.train_s.
+# Training time and serving latency are not recorded here: the repo
+# benchmark (bench/run.sh) measures them per workload (setup_s and
+# core.train_s; p50_ms and rps of /rank served end to end).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,106 +136,6 @@ $gemm_rows
 EOF
 echo "wrote $KOUT"
 
-# ------------------------------------------------------------------ serve ----
-# The serving axis measures the production daemon end to end: the load
-# generator drives concurrent /rank requests over real TCP at cmd/serve and
-# records p50/p99 latency and throughput with cross-request dynamic batching
-# off (max-batch 1: one request per dispatch) vs on (max-batch 8, 2ms window).
-# Scores are bit-identical in every configuration (TestServeParitySequential;
-# cmd/serve -selftest re-checks the exact binary under test), so every delta
-# is pure scheduling effect. Every cell runs SERVE_TRIALS times; rows record the median
-# throughput plus every per-trial number, and the headline speedups divide
-# medians — single go-run loadgen samples on a busy host are too noisy to
-# quote alone. The single-worker axis is meaningful on any host; the
-# multi-worker sub-axis (independent scoring replicas) needs multiple cores
-# and keeps the honest skip marker on single-core machines.
-
-SVOUT=BENCH_serve.json
-echo "== serving benchmarks: batching (loadgen) =="
-
-serve_tmp=$(mktemp -d)
-trap 'rm -rf "$serve_tmp"' EXIT
-SERVE_CORPUS="-queries 12 -cases 3 -seed 1"
-SERVE_CLIENTS=4
-SERVE_REQS=400
-SERVE_TRIALS=3
-
-echo "-- training serving checkpoint (tiny model, saved once, reloaded per run)"
-go run ./cmd/serve $SERVE_CORPUS -dim 16 -layers 1 \
-    -pepochs 1 -ppairs 40 -epochs 1 -samples 120 \
-    -save "$serve_tmp/model.gob" -selftest 1 -quiet >/dev/null 2>/dev/null
-
-# serve_report <cmd/serve flags...> -> LoadReport JSON on stdout
-serve_report() {
-    go run ./cmd/serve $SERVE_CORPUS -load "$serve_tmp/model.gob" \
-        -loadgen -clients $SERVE_CLIENTS -requests $SERVE_REQS \
-        "$@" -quiet 2>/dev/null | tail -n 1
-}
-
-# serve_cell <workers> <max-batch> <window> runs one cell SERVE_TRIALS times
-# and leaves the median rps in cell_median, the per-trial rps list in
-# cell_trials, and the last trial's full LoadReport in cell_report.
-serve_cell() {
-    local w=$1 mb=$2 win=$3 t tp tps=""
-    for t in $(seq 1 "$SERVE_TRIALS"); do
-        cell_report=$(serve_report -workers "$w" -max-batch "$mb" -batch-window "$win")
-        tp=$(printf '%s' "$cell_report" | sed 's/.*"throughput_rps": *\([0-9.]*\).*/\1/')
-        echo "   trial $t: ${tp} rps"
-        tps="$tps$tp\n"
-    done
-    cell_median=$(printf '%b' "$tps" | sort -g | sed -n "$(((SERVE_TRIALS + 1) / 2))p")
-    cell_trials=$(printf '%b' "$tps" | paste -sd, -)
-    echo "   median: ${cell_median} rps"
-}
-
-sv_rows=""
-tp_base=""
-tp_batch=""
-for cfg in "1|0s" "8|2ms"; do
-    IFS='|' read -r mb win <<< "$cfg"
-    echo "-- workers=1 max-batch=$mb batch-window=$win"
-    serve_cell 1 "$mb" "$win"
-    sv_rows="$sv_rows    {\"workers\": 1, \"max_batch\": $mb, \"batch_window\": \"$win\", \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
-    if [ "$mb" = 1 ]; then tp_base="$cell_median"; else tp_batch="$cell_median"; fi
-done
-
-sv_speedup=$(awk -v a="$tp_batch" -v b="$tp_base" 'BEGIN { printf "%.2f", (b > 0) ? a/b : 0 }')
-echo "-- medians at workers=1: max-batch 1 ${tp_base} rps; max-batch 8 ${tp_batch} rps (${sv_speedup}x)"
-
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    sv_workers_skipped=true
-    echo "-- multi-worker serving sub-axis: skipped (cores=$CORES, N=$N)"
-else
-    sv_workers_skipped=false
-    echo "-- multi-worker serving sub-axis (workers=$N)"
-    for cfg in "1|0s" "8|2ms"; do
-        IFS='|' read -r mb win <<< "$cfg"
-        echo "-- workers=$N max-batch=$mb batch-window=$win"
-        serve_cell "$N" "$mb" "$win"
-        sv_rows="$sv_rows    {\"workers\": $N, \"max_batch\": $mb, \"batch_window\": \"$win\", \"throughput_rps_median\": $cell_median, \"throughput_rps_trials\": [$cell_trials], \"report\": $cell_report},\n"
-    done
-fi
-sv_rows=$(printf '%b' "$sv_rows" | sed '$ s/,$//')
-
-cat > "$SVOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": false,
-  "workers_axis_skipped": $sv_workers_skipped,
-  "clients": $SERVE_CLIENTS,
-  "requests": $SERVE_REQS,
-  "trials": $SERVE_TRIALS,
-  "note": "Closed-loop loadgen (clients issue back-to-back) against cmd/serve over real TCP; every cell is the median of trials runs (per-trial rps kept in throughput_rps_trials; report is the last trial's full LoadReport). Latency quantiles (p50/p99/p999) over 200s only, 429 rejections counted and timed separately, never folded into the success percentiles. Ranking scores are bit-identical across batching configs, worker counts and windows (TestServeParitySequential). batching_throughput_speedup (max-batch 8 vs max-batch 1, one worker) isolates coalescing: a coalesced batch is scored through one cross-request packed RankMany call per replica. The multi-worker sub-axis is skipped on single-core hosts.",
-  "batching_throughput_speedup": $sv_speedup,
-  "matrix": [
-$sv_rows
-  ]
-}
-EOF
-echo "wrote $SVOUT"
-
 # --------------------------------------------------------------- labeling ----
 # The labeling axis measures the approximate Shapley engines against exact
 # d-DNNF compilation on the golden benchmark lineages: wall time (median of 3)
@@ -251,7 +152,9 @@ echo "wrote $SVOUT"
 LOUT=BENCH_label.json
 echo "== labeling benchmarks: exact vs sampling engines (median of 3) =="
 
-label_inner="$serve_tmp/label_inner.json"
+label_tmp=$(mktemp -d)
+trap 'rm -rf "$label_tmp"' EXIT
+label_inner="$label_tmp/label_inner.json"
 label_out=$(REPRO_LABEL_BENCH_OUT="$label_inner" \
     go test ./internal/shapley/approx -run '^TestLabelBenchReport$' -count=1 -v)
 echo "$label_out" | grep -E 'facts=|engine=|--- (PASS|FAIL|SKIP)' \

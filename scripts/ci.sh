@@ -34,7 +34,7 @@ echo "== go test -race (packed passes) =="
 # TestBatchedForwardMultiPrefixMatchesPerSequence and TestRankOnBatchedGolden)
 # run explicitly under the race detector.
 go test -race ./internal/nn -run 'Batched|MultiPrefix'
-go test -race ./internal/core -run 'Batched|RankMany|Golden'
+go test -race ./internal/core -run 'Batched|Golden'
 
 echo "== go test -race (request observability: traces, ring, drift, exposition) =="
 # The trace context is mutated from both sides of the admission queue (handler
@@ -44,10 +44,10 @@ echo "== go test -race (request observability: traces, ring, drift, exposition) 
 go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Drift|PSI|Prom|Lint'
 go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|HealthzReadiness|MetricsPrometheus'
 
-echo "== go test -race (packed serve dispatch + admin auth + TLS) =="
-# The parity grid sweeps batch/window/worker combinations — the dispatcher
-# slices one batch across replicas concurrently, so it runs under the race
-# detector explicitly, as do the TLS round trip and the admin auth gate.
+echo "== go test -race (serve dispatch + admin auth + TLS) =="
+# The parity grid sends concurrent client batches at 1, 2 and 3 dispatchers,
+# each scoring on its own replica, so it runs under the race detector
+# explicitly, as do the TLS round trip and the admin auth gate.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
 
 echo "== go test -race (blocked kernels) =="
@@ -90,9 +90,9 @@ if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBlockedKernelsZeroAllocs'; th
     echo "TestBlockedKernelsZeroAllocs did not pass (skipped?)" >&2
     exit 1
 fi
-# The cross-request multi-prefix pass (suffixes of different lineages packed
-# into one chunk, per-sequence prefix attention) is the ranking hot path; a
-# warmed pass must also run at 0 allocs/op.
+# The multi-prefix pass (suffixes of different prefix caches packed into one
+# chunk, per-sequence prefix attention) backs the ranking hot path; a warmed
+# pass must also run at 0 allocs/op.
 alloc_out=$(go test ./internal/nn -run '^TestMultiPrefixZeroAllocs$' -v)
 echo "$alloc_out" | tail -n 3
 if ! echo "$alloc_out" | grep -q -- '--- PASS: TestMultiPrefixZeroAllocs'; then
@@ -149,17 +149,17 @@ REPRO_MANIFEST="$manifest_dir/run.json" \
 
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: train a tiny model, start the daemon on an
-# ephemeral port with cross-request batching on, fire concurrent /rank
-# requests over real TCP and verify every response bit-for-bit against
-# sequential per-request ranking (cmd/serve -selftest exits non-zero on any
-# mismatch), then drain and flush the run manifest. The schema check asserts
-# the manifest recorded live serve.* metrics (request counters, batch-size
-# histogram, the serve.stage.* latency decomposition), the nn.mbatch.*
-# multi-prefix packing counters, and the obs.drift.* quality monitors
-# alongside the core ranking counters.
+# ephemeral port with two dispatchers, fire concurrent /rank requests over
+# real TCP and verify every response bit-for-bit against sequential ranking
+# (cmd/serve -selftest exits non-zero on any mismatch), then drain and flush
+# the run manifest. The schema check asserts the manifest recorded live
+# serve.* metrics (request counters, the serve.batch.size dispatch histogram,
+# the serve.stage.* latency decomposition), the nn.mbatch.* packed-pass
+# counters, and the obs.drift.* quality monitors alongside the core ranking
+# counters.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
-    -workers 2 -max-batch 4 -batch-window 1ms \
+    -workers 2 \
     -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
