@@ -25,10 +25,10 @@ func main() {
 	dumpSQL := flag.Bool("sql", false, "dump the generated workload")
 	similarities := flag.Bool("similarities", true, "compute Table 2 split similarities")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building (0 = one per CPU); output is identical for every value")
-	labeler := flag.String("labeler", "exact", "Shapley labeling engine: exact, mc, amc, loo, or stratified")
-	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for sampling labelers (0 = engine default)")
-	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers; corpora are byte-identical for a fixed seed at every -workers")
-	labelFallback := flag.String("label-fallback", "mc", "sampler labeling the lineages the exact engine refuses (too large); \"none\" drops them instead")
+	labeler := flag.String("labeler", "exact", "Shapley labeling engine: exact or amc")
+	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for the amc sampler (0 = engine default)")
+	labelSeed := flag.Uint64("label-seed", 1, "base seed for the amc sampler; corpora are byte-identical for a fixed seed at every -workers")
+	labelFallback := flag.String("label-fallback", "amc", "sampler labeling the lineages the exact engine refuses (too large); \"none\" drops them instead")
 	export := flag.String("export", "", "write the labeled corpus as JSON to this path (suffixed with the database name when -db both)")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()

@@ -30,11 +30,7 @@ func main() {
 	if *benchScale {
 		cfg = experiments.BenchConfig()
 	}
-	if *workers != 0 {
-		// Leave a REPRO_WORKERS override from BenchConfig in place unless the
-		// flag was given explicitly.
-		cfg.Workers = *workers
-	}
+	cfg.Workers = *workers
 	// Start observability before NewSuite: hot-path metric handles resolve
 	// against the registry installed here.
 	rn := o.Start("experiments")

@@ -31,9 +31,9 @@ func main() {
 	ppairs := flag.Int("ppairs", 300, "pre-training pairs per epoch")
 	seed := flag.Int64("seed", 11, "model seed")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building and training (0 = one per CPU); results are identical for every value")
-	labeler := flag.String("labeler", "exact", "Shapley labeling engine for the corpus: exact, mc, amc, loo, or stratified")
-	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for sampling labelers (0 = engine default)")
-	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers")
+	labeler := flag.String("labeler", "exact", "Shapley labeling engine for the corpus: exact or amc")
+	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for the amc sampler (0 = engine default)")
+	labelSeed := flag.Uint64("label-seed", 1, "base seed for the amc sampler")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -44,24 +42,12 @@ func benchTrainSetup(b *testing.B) {
 	}
 }
 
-// benchWorkers reads REPRO_WORKERS (default 1 = serial), the same knob
-// scripts/bench.sh uses for the other benchmark families.
-func benchWorkers() int {
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // BenchmarkTrain runs Train end to end: one model replica per mini-batch
-// slot, gradients merged in slot order, data-parallel across REPRO_WORKERS
-// goroutines.
+// slot, gradients merged in slot order, data-parallel across one goroutine
+// per GOMAXPROCS (vary it with -cpu).
 func BenchmarkTrain(b *testing.B) {
 	benchTrainSetup(b)
 	cfg := benchTrainConfig()
-	cfg.Workers = benchWorkers()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -49,12 +49,12 @@ type Config struct {
 	// their RNG streams from LabelSeed per tuple, off no goroutine at all).
 	Workers int
 	// Labeler names the engine labeling every candidate tuple: "exact" (or
-	// empty, the default) or one of the approx samplers ("mc", "amc", "loo",
-	// "stratified"). Samplers have no lineage-size limit, so under them
-	// MaxLineage does not apply and no tuple is dropped for size.
+	// empty, the default) or the "amc" sampler. The sampler has no
+	// lineage-size limit, so under it MaxLineage does not apply and no tuple
+	// is dropped for size.
 	Labeler string
-	// LabelSamples is the per-lineage permutation budget for sampling
-	// engines; <= 0 selects approx.DefaultSamples.
+	// LabelSamples is the per-lineage permutation budget for the sampler;
+	// <= 0 selects approx.DefaultSamples.
 	LabelSamples int
 	// LabelSeed is the base seed for sampler randomness. Each tuple's engine
 	// seed is derived from (LabelSeed, query ID, tuple index), so labels are
@@ -193,20 +193,13 @@ func Build(cfg Config) (*Corpus, error) {
 	// the configured engine. Sampling engines draw from per-tuple seeds
 	// derived from (LabelSeed, query ID, tuple index) — a pure function — so
 	// this phase stays bit-identical across worker counts too.
-	relOf := func(id relation.FactID) string {
-		if f := db.Fact(id); f != nil {
-			return f.Relation
-		}
-		return ""
-	}
-	opts := approx.Options{Samples: cfg.LabelSamples, RelationOf: relOf}
-	primary, err := approx.Parse(cfg.Labeler, opts)
+	primary, err := approx.Parse(cfg.Labeler, cfg.LabelSamples)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	var fallback approx.Labeler
 	if cfg.LabelFallback != "" {
-		fallback, err = approx.Parse(cfg.LabelFallback, opts)
+		fallback, err = approx.Parse(cfg.LabelFallback, cfg.LabelSamples)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: label fallback: %w", err)
 		}

@@ -155,6 +155,9 @@ func Import(r io.Reader) (*Corpus, error) {
 		}
 	}
 	for i, ef := range f.Facts {
+		if len(ef.Kinds) != len(ef.Values) {
+			return nil, fmt.Errorf("dataset: fact %d: %d kinds for %d values", i, len(ef.Kinds), len(ef.Values))
+		}
 		values := make([]relation.Value, len(ef.Values))
 		for j, s := range ef.Values {
 			v, err := parseValue(s, relation.Kind(ef.Kinds[j]))

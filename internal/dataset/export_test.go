@@ -79,4 +79,26 @@ func TestImportRejectsGarbage(t *testing.T) {
 	if _, err := Import(strings.NewReader(`{"queries":[{"sql":"NOT SQL"}]}`)); err == nil {
 		t.Error("expected parse error for bad SQL")
 	}
+	if _, err := Import(strings.NewReader(kindlessFact)); err == nil {
+		t.Error("expected error for a fact with fewer kinds than values")
+	}
+}
+
+// kindlessFact stores a value without its kind.
+const kindlessFact = `{"schemas":[{"relation":"r","columns":[{"name":"a","type":1}]}],"facts":[{"relation":"r","values":["1"],"kinds":[]}]}`
+
+// FuzzImport feeds arbitrary bytes to the corpus decoder: it must return a
+// corpus or an error, never panic.
+func FuzzImport(f *testing.F) {
+	f.Add(`{"name":"tiny","schemas":[{"relation":"r","columns":[{"name":"a","type":1}]}],` +
+		`"facts":[{"relation":"r","values":["1"],"kinds":[1]},{"relation":"r","values":["2"],"kinds":[1]}],` +
+		`"queries":[{"id":0,"sql":"SELECT r.a FROM r","cases":[{"tuple_key":"f:1","shapley":{"0":1}}]}],` +
+		`"splits":{"train":[0]}}`)
+	f.Add(kindlessFact)
+	f.Fuzz(func(t *testing.T, data string) {
+		c, err := Import(strings.NewReader(data))
+		if err == nil && c == nil {
+			t.Fatal("Import returned neither a corpus nor an error")
+		}
+	})
 }

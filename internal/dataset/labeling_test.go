@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestSamplerLabelerBuild builds a corpus with a sampling engine as the
+// TestSamplerLabelerBuild builds a corpus with the amc sampler as the
 // primary labeler: every candidate tuple is labeled (no size skips), the
 // estimates satisfy efficiency, and the stats attribute every case to the
 // sampler.
 func TestSamplerLabelerBuild(t *testing.T) {
 	cfg := smallConfig(IMDB)
-	cfg.Labeler = "mc"
+	cfg.Labeler = "amc"
 	cfg.LabelSamples = 64
 	cfg.LabelSeed = 9
 	c, err := Build(cfg)
@@ -59,7 +59,7 @@ func TestExactFallbackRescuesLargeLineages(t *testing.T) {
 	}
 
 	withFB := base
-	withFB.LabelFallback = "mc"
+	withFB.LabelFallback = "amc"
 	withFB.LabelSamples = 64
 	c, err := Build(withFB)
 	if err != nil {
@@ -91,33 +91,16 @@ func TestExactFallbackRescuesLargeLineages(t *testing.T) {
 }
 
 // TestCorpusBytesIdenticalAcrossWorkers is the seed-determinism gate for the
-// sampling engines (ci-enforced; do not rename): the same -label-seed must
+// amc sampler (ci-enforced; do not rename): the same -label-seed must
 // produce byte-identical corpus exports at every worker count.
 func TestCorpusBytesIdenticalAcrossWorkers(t *testing.T) {
-	for _, engine := range []string{"mc", "amc", "stratified"} {
-		cfg := smallConfig(IMDB)
-		cfg.Labeler = engine
-		cfg.LabelSamples = 64
-		cfg.LabelSeed = 5
-		var exports [][]byte
-		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
-			c, err := Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := c.Export(&buf); err != nil {
-				t.Fatal(err)
-			}
-			exports = append(exports, buf.Bytes())
-		}
-		if !bytes.Equal(exports[0], exports[1]) {
-			t.Fatalf("%s: corpus export differs between workers=1 and workers=4", engine)
-		}
-		// The seed must actually steer the labels.
-		cfg.Workers = 1
-		cfg.LabelSeed = 6
+	cfg := smallConfig(IMDB)
+	cfg.Labeler = "amc"
+	cfg.LabelSamples = 64
+	cfg.LabelSeed = 5
+	var exports [][]byte
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
 		c, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -126,15 +109,30 @@ func TestCorpusBytesIdenticalAcrossWorkers(t *testing.T) {
 		if err := c.Export(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(exports[0], buf.Bytes()) {
-			t.Fatalf("%s: changing the label seed left the corpus unchanged", engine)
-		}
+		exports = append(exports, buf.Bytes())
+	}
+	if !bytes.Equal(exports[0], exports[1]) {
+		t.Fatal("corpus export differs between workers=1 and workers=4")
+	}
+	// The seed must actually steer the labels.
+	cfg.Workers = 1
+	cfg.LabelSeed = 6
+	c, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(exports[0], buf.Bytes()) {
+		t.Fatal("changing the label seed left the corpus unchanged")
 	}
 }
 
 func TestLabelConfigRoundTrip(t *testing.T) {
 	cfg := smallConfig(Academic)
-	cfg.Labeler = "stratified"
+	cfg.Labeler = "amc"
 	cfg.LabelSamples = 128
 	cfg.LabelSeed = 77
 	cfg.LabelFallback = ""

@@ -9,8 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -39,22 +37,14 @@ type Config struct {
 }
 
 // BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
-// qualitative effect intact. The REPRO_WORKERS environment variable overrides
-// the worker count (0 = one per CPU) so scripts/bench.sh can time the same
-// benchmark at different parallelism without recompiling.
+// qualitative effect intact. It runs one worker per GOMAXPROCS, so
+// `go test -bench . -cpu 1,2` times the same benchmark at each parallelism.
 func BenchConfig() Config {
-	workers := 0
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			workers = n
-		}
-	}
 	base := core.BaseConfig()
 	base.FinetuneEpochs, base.FinetuneSamplesPerEpoch = 5, 1600
 	large := core.LargeConfig()
 	large.FinetuneEpochs, large.FinetuneSamplesPerEpoch = 5, 1600
 	return Config{
-		Workers:             workers,
 		Seed:                1,
 		QueriesPerDB:        36,
 		Scale:               dataset.Scale{Base: 1},

@@ -91,9 +91,9 @@ func benchMatPair(rng *rand.Rand, m, k, n int) (*Mat, *Mat, *Mat) {
 // BenchmarkMatMulBlocked compares the reference and blocked GEMM tiers at the
 // three shapes every encoder layer actually runs — attention projections
 // (T×d · d×d), the FFN expansion (T×d · d×4d) and its contraction — at both
-// BaseConfig (d=32) and LargeConfig (d=48) widths. These numbers feed
-// BENCH_kernels.json; the blocked tier must win (or tie) at every shape while
-// staying bit-identical (TestBlockedKernelsMatchReference).
+// BaseConfig (d=32) and LargeConfig (d=48) widths. The blocked tier must win
+// (or tie) at every shape while staying bit-identical
+// (TestBlockedKernelsMatchReference).
 func BenchmarkMatMulBlocked(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	shapes := []struct {

@@ -233,17 +233,3 @@ func (o *Options) Start(command string) *Run {
 	}
 	return run
 }
-
-// StartFromEnv builds and installs a run from the REPRO_METRICS_OUT and
-// REPRO_TRACE environment variables — the activation path for `go test`
-// benchmark binaries, which cannot take the command flags (scripts/bench.sh
-// uses it to attach a manifest to each BENCH artifact). Returns nil when
-// REPRO_METRICS_OUT is unset.
-func StartFromEnv(command string) *Run {
-	out := os.Getenv("REPRO_METRICS_OUT")
-	if out == "" {
-		return nil
-	}
-	o := &Options{MetricsOut: out, Trace: os.Getenv("REPRO_TRACE") != "", Quiet: true}
-	return o.Start(command)
-}

@@ -1,42 +1,28 @@
-// Package approx provides approximate Shapley labeling engines behind a
+// Package approx provides the approximate Shapley labeling engine behind a
 // common Labeler interface that the exact knowledge-compilation algorithm
 // also implements.
 //
 // Exact labeling is the offline bottleneck of the whole pipeline: compiling
 // the provenance DNF into a d-DNNF circuit took the paper days on DBShap, and
-// it is what caps the training-corpus size. The engines here trade exactness
-// for one to three orders of magnitude of labeling speed:
+// it is what caps the training-corpus size. The sampler here trades
+// exactness for one to three orders of magnitude of labeling speed:
 //
-//   - MC: Monte Carlo permutation sampling. For a monotone provenance, a
-//     uniformly random permutation of the lineage satisfies the formula for
-//     the first time at exactly one position — the "pivot" fact — and the
-//     probability that fact f is the pivot IS its Shapley value. The
-//     estimator counts pivots over N permutations, so it is unbiased and
-//     sums to exactly 1 (efficiency holds by construction).
-//   - AMC: antithetic-variate MC. Each drawn permutation is paired with its
-//     reversal; the two pivot positions are negatively correlated on
-//     monotone games, which cancels part of the sampling variance at the
-//     same evaluation budget.
-//   - LOO: leave-one-out, the cheap deterministic baseline. score(f) =
-//     F(lineage) − F(lineage∖{f}), which on a monotone DNF is 1 exactly when
-//     f appears in every derivation and 0 otherwise. Coarse, but O(|DNF|).
-//   - Stratified: relation-stratified permutation sampling (after arXiv
-//     2511.22035). Permutations are drawn in two stages — a uniform
-//     interleaving pattern of relation labels, then within-relation orders —
-//     and the within-relation orders are systematically rotated so that over
-//     every round of |stratum| samples each fact occupies each
-//     within-relation rank exactly once. Each sample is still marginally a
-//     uniform permutation (a fixed rotation of a uniform order is uniform),
-//     so the estimator stays unbiased, while the balanced ranks remove the
-//     within-relation ordering component of the variance — the dominant
-//     component on relational lineages, where facts of the same relation
-//     play near-symmetric roles.
+//   - AMC: antithetic-variate Monte Carlo permutation sampling. For a
+//     monotone provenance, a uniformly random permutation of the lineage
+//     satisfies the formula for the first time at exactly one position — the
+//     "pivot" fact — and the probability that fact f is the pivot IS its
+//     Shapley value. The estimator counts pivots over N permutations, so it
+//     is unbiased and sums to exactly 1 (efficiency holds by construction).
+//     Each drawn permutation is paired with its reversal; the two pivot
+//     positions are negatively correlated on monotone games, which cancels
+//     part of the sampling variance at the same evaluation budget.
 //
 // Coalition evaluation deliberately does NOT go through circuit compilation:
-// profiling shows shapley.Exact is compile-bound (the memoized Shannon
-// expansion with canonical-key hashing dwarfs the two counting passes), so a
-// sampler that compiled first would inherit the bottleneck it exists to
-// avoid. Instead the samplers evaluate the raw DNF with incremental
+// a CPU profile of shapley.Exact on the golden lineages spends about 86% of
+// its time in provenance.DNF.Minimize's pairwise absorption (58% flat in
+// Monomial.SubsetOf) and only about 10% hashing canonical keys (DNF.Key), so
+// a sampler that compiled first would inherit the bottleneck it exists to
+// avoid. Instead the sampler evaluates the raw DNF with incremental
 // per-monomial missing-fact counters: walking a permutation costs O(Σ|m|)
 // amortized, independent of how large the compiled circuit would have been,
 // and works on lineages far beyond the exact engine's 512-variable limit.
@@ -52,7 +38,6 @@ package approx
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -67,52 +52,36 @@ import (
 // randomness from the seed argument, so that a fixed (formula, seed) pair
 // yields bit-identical values on every call.
 type Labeler interface {
-	// Name returns the engine's registry name (e.g. "mc", "stratified").
+	// Name returns the engine's registry name ("exact" or "amc").
 	Name() string
 	// Label returns a Values map covering exactly the facts of d.Lineage().
 	Label(d *provenance.DNF, seed uint64) (shapley.Values, error)
 }
 
 // Names lists the engines Parse accepts, exact first.
-func Names() []string { return []string{"exact", "mc", "amc", "loo", "stratified"} }
+func Names() []string { return []string{"exact", "amc"} }
 
-// Options carries the cross-engine knobs Parse forwards to the engine it
-// builds. Zero values select defaults.
-type Options struct {
-	// Samples is the permutation budget per lineage for the sampling engines
-	// (mc, amc, stratified); <= 0 selects DefaultSamples.
-	Samples int
-	// RelationOf resolves a fact to its relation name for the stratified
-	// engine; nil degenerates stratified to a single stratum.
-	RelationOf func(relation.FactID) string
-}
-
-// DefaultSamples is the per-lineage permutation budget used when Options
-// leaves Samples unset — the corpus-labeling speed default. Rank fidelity
-// rises with the budget; the parity gate and the bench harness measure it
-// at GateSamples, where every sampler holds Spearman >= 0.95 against the
-// exact oracle on the golden lineage set.
+// DefaultSamples is the per-lineage permutation budget used when Parse gets
+// no positive budget — the corpus-labeling speed default. Rank fidelity
+// rises with the budget; the parity gate measures it at GateSamples, where
+// amc holds Spearman >= 0.95 against the exact oracle on the golden
+// lineages.
 const DefaultSamples = 512
 
-// Parse builds the named engine. Unknown names list the valid ones.
-func Parse(name string, opt Options) (Labeler, error) {
-	samples := opt.Samples
+// Parse builds the named engine. samples is the permutation budget per
+// lineage for amc; <= 0 selects DefaultSamples. Unknown names list the valid
+// ones.
+func Parse(name string, samples int) (Labeler, error) {
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
 	switch name {
 	case "", "exact":
 		return Exact{}, nil
-	case "mc":
-		return MC{Samples: samples}, nil
 	case "amc":
-		return MC{Samples: samples, Antithetic: true}, nil
-	case "loo":
-		return LOO{}, nil
-	case "stratified":
-		return Stratified{Samples: samples, RelationOf: opt.RelationOf}, nil
+		return MC{Samples: samples}, nil
 	default:
-		return nil, fmt.Errorf("approx: unknown labeler %q (valid: exact, mc, amc, loo, stratified)", name)
+		return nil, fmt.Errorf("approx: unknown labeler %q (valid: exact, amc)", name)
 	}
 }
 
@@ -157,9 +126,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // observe starts a metrics observation for one Label call and returns the
-// closer that records it. All engines fund the same shapley.approx.* families
-// plus a per-engine call counter, mirroring the shapley.exact.* convention.
-// With no live registry the closer is a no-op.
+// closer that records it. Both engines fund the same shapley.approx.*
+// families plus a per-engine call counter, mirroring the shapley.exact.*
+// convention. With no live registry the closer is a no-op.
 func observe(name string, samples int) func(lineage int, estVar float64) {
 	reg := obs.Metrics()
 	if reg == nil {
@@ -223,23 +192,4 @@ func meanEstVariance(counts []int, n int) float64 {
 		total += p * (1 - p) / fn
 	}
 	return total / float64(len(counts))
-}
-
-// sortedStrata groups player indices by stratum label and returns the labels
-// in sorted order — the deterministic iteration order every RNG draw follows.
-func sortedStrata(li lineageIndex, relationOf func(relation.FactID) string) ([]string, map[string][]int) {
-	byLabel := make(map[string][]int)
-	for i, id := range li.facts {
-		label := ""
-		if relationOf != nil {
-			label = relationOf(id)
-		}
-		byLabel[label] = append(byLabel[label], i)
-	}
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels, byLabel
 }

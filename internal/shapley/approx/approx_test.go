@@ -30,7 +30,7 @@ func randomDNF(rng *rand.Rand, vars, monomials int) *provenance.DNF {
 
 func TestParseEngines(t *testing.T) {
 	for _, name := range Names() {
-		l, err := Parse(name, Options{})
+		l, err := Parse(name, 0)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
 		}
@@ -38,18 +38,18 @@ func TestParseEngines(t *testing.T) {
 			t.Fatalf("Parse(%q).Name() = %q", name, l.Name())
 		}
 	}
-	if l, err := Parse("", Options{}); err != nil || l.Name() != "exact" {
+	if l, err := Parse("", 0); err != nil || l.Name() != "exact" {
 		t.Fatalf("Parse(\"\") = %v, %v; want exact adapter", l, err)
 	}
-	if _, err := Parse("bogus", Options{}); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := Parse("bogus", 0); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("Parse(bogus) err = %v; want error naming the input", err)
 	}
-	// Default budget applies when Samples is unset.
-	if l, _ := Parse("mc", Options{}); l.(MC).Samples != DefaultSamples {
+	// Default budget applies when no positive budget is given.
+	if l, _ := Parse("amc", 0); l.(MC).Samples != DefaultSamples {
 		t.Fatalf("default samples = %d, want %d", l.(MC).Samples, DefaultSamples)
 	}
-	if l, _ := Parse("amc", Options{Samples: 64}); !l.(MC).Antithetic || l.(MC).Samples != 64 {
-		t.Fatalf("amc options not honored: %+v", l)
+	if l, _ := Parse("amc", 64); l.(MC).Samples != 64 {
+		t.Fatalf("amc budget not honored: %+v", l)
 	}
 }
 
@@ -69,17 +69,15 @@ func TestExactAdapterMatchesExact(t *testing.T) {
 	}
 }
 
-// TestSamplersConvergeToExact drives every sampling engine at a large budget
-// against the exact oracle on random small DNFs: estimates must be close in
-// absolute error, and the efficiency axiom (values sum to 1) must hold by
-// construction at every budget.
+// TestSamplersConvergeToExact drives amc at a large budget against the exact
+// oracle on random small DNFs: estimates must be close in absolute error,
+// and the efficiency axiom (values sum to 1) must hold by construction at
+// every budget.
 func TestSamplersConvergeToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	relOf := func(id relation.FactID) string {
-		if id%2 == 0 {
-			return "even"
-		}
-		return "odd"
+	l, err := Parse("amc", 40000)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
 		d := randomDNF(rng, 8+trial, 6+trial)
@@ -87,26 +85,20 @@ func TestSamplersConvergeToExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"mc", "amc", "stratified"} {
-			l, err := Parse(name, Options{Samples: 40000, RelationOf: relOf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := l.Label(d, DeriveSeed(3, uint64(trial)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(est) != len(gold) {
-				t.Fatalf("%s trial %d: %d values, want %d", name, trial, len(est), len(gold))
-			}
-			if s := est.Sum(); math.Abs(s-1) > 1e-9 {
-				t.Fatalf("%s trial %d: efficiency violated, sum = %v", name, trial, s)
-			}
-			for id, want := range gold {
-				if got := est[id]; math.Abs(got-want) > 0.02 {
-					t.Fatalf("%s trial %d fact %d: est %v, exact %v (|err| > 0.02 at N=40000)",
-						name, trial, id, got, want)
-				}
+		est, err := l.Label(d, DeriveSeed(3, uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(est) != len(gold) {
+			t.Fatalf("trial %d: %d values, want %d", trial, len(est), len(gold))
+		}
+		if s := est.Sum(); math.Abs(s-1) > 1e-9 {
+			t.Fatalf("trial %d: efficiency violated, sum = %v", trial, s)
+		}
+		for id, want := range gold {
+			if got := est[id]; math.Abs(got-want) > 0.02 {
+				t.Fatalf("trial %d fact %d: est %v, exact %v (|err| > 0.02 at N=40000)",
+					trial, id, got, want)
 			}
 		}
 	}
@@ -117,9 +109,8 @@ func TestSamplersConvergeToExact(t *testing.T) {
 func TestSameSeedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randomDNF(rng, 12, 10)
-	relOf := func(id relation.FactID) string { return string(rune('a' + id%3)) }
 	for _, name := range Names() {
-		l, err := Parse(name, Options{Samples: 256, RelationOf: relOf})
+		l, err := Parse(name, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +127,11 @@ func TestSameSeedBitIdentical(t *testing.T) {
 		}
 	}
 	// Different seeds must actually change sampled estimates.
-	mc, _ := Parse("mc", Options{Samples: 64})
-	a, _ := mc.Label(d, 1)
-	b, _ := mc.Label(d, 2)
+	amc, _ := Parse("amc", 64)
+	a, _ := amc.Label(d, 1)
+	b, _ := amc.Label(d, 2)
 	if reflect.DeepEqual(a, b) {
-		t.Fatal("mc: different seeds produced identical estimates at N=64")
+		t.Fatal("amc: different seeds produced identical estimates at N=64")
 	}
 }
 
@@ -190,54 +181,12 @@ func TestPivotAgreesWithCircuitEval(t *testing.T) {
 	}
 }
 
-func TestLOOCriticality(t *testing.T) {
-	// f=1 is in every derivation (critical); 2 and 3 are not.
-	d := provenance.FromMonomials(
-		provenance.NewMonomial(1, 2),
-		provenance.NewMonomial(1, 3),
-	)
-	got, err := LOO{}.Label(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := shapley.Values{1: 1, 2: 0, 3: 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("loo = %v, want %v", got, want)
-	}
-}
-
-// TestStratifiedBalancedRotations pins the variance-reduction mechanism
-// structurally: on a single monomial over one stratum the pivot is always the
-// permutation's last fact, and the balanced rotations place each fact last
-// exactly once per round of n samples — so at Samples = k*n the estimate is
-// exactly uniform, which plain MC only approaches in expectation.
-func TestStratifiedBalancedRotations(t *testing.T) {
-	const n = 9
-	ids := make([]relation.FactID, n)
-	for i := range ids {
-		ids[i] = relation.FactID(i + 1)
-	}
-	d := provenance.FromMonomials(provenance.NewMonomial(ids...))
-	for _, rounds := range []int{1, 3} {
-		s := Stratified{Samples: rounds * n}
-		got, err := s.Label(d, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if got[id] != 1.0/n {
-				t.Fatalf("rounds=%d: fact %d = %v, want exactly 1/%d (balanced rotations)", rounds, id, got[id], n)
-			}
-		}
-	}
-}
-
 func TestDegenerateLineages(t *testing.T) {
 	empty := provenance.FromMonomials()                           // constant false
 	taut := provenance.FromMonomials(provenance.NewMonomial())    // constant true
 	single := provenance.FromMonomials(provenance.NewMonomial(5)) // one critical fact
 	for _, name := range Names() {
-		l, err := Parse(name, Options{Samples: 16})
+		l, err := Parse(name, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,8 +252,8 @@ func TestScoreAccuracy(t *testing.T) {
 
 func TestBenchmarkLineagesShape(t *testing.T) {
 	names := map[string]bool{}
-	gated := 0
-	for _, bl := range BenchmarkLineages() {
+	lineages := BenchmarkLineages()
+	for _, bl := range lineages {
 		if names[bl.Name] {
 			t.Fatalf("duplicate lineage name %s", bl.Name)
 		}
@@ -315,20 +264,8 @@ func TestBenchmarkLineagesShape(t *testing.T) {
 		if bl.Facts() < 100 {
 			t.Fatalf("%s: only %d facts; benchmark lineages are the large regime", bl.Name, bl.Facts())
 		}
-		if bl.Gate {
-			gated++
-		}
-		// Relation map must cover the lineage with >= 2 strata so the
-		// stratified engine is actually exercised.
-		strata := map[string]bool{}
-		for _, id := range bl.DNF.Lineage() {
-			strata[bl.RelationOf(id)] = true
-		}
-		if len(strata) < 2 {
-			t.Fatalf("%s: %d strata, want >= 2", bl.Name, len(strata))
-		}
 	}
-	if gated < 3 {
-		t.Fatalf("%d gated lineages, want >= 3", gated)
+	if len(lineages) < 3 {
+		t.Fatalf("%d golden lineages, want >= 3", len(lineages))
 	}
 }

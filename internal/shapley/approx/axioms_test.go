@@ -1,0 +1,131 @@
+package approx
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/provenance"
+	"repro/internal/relation"
+)
+
+// TestShapleyAxiomsEveryEngine checks the Shapley axioms on every engine
+// Parse builds, over random monotone DNFs plus hand-built cases with absorbed
+// monomials and symmetric facts:
+//
+//   - efficiency: the values sum to 1;
+//   - null player: a fact that appears only in absorbed monomials (so in no
+//     monomial of the minimized formula) scores exactly 0;
+//   - symmetry: facts that swap the minimized formula onto itself score the
+//     same — exactly up to rounding for exact, within 0.04 for amc at 40,000
+//     samples (twice the per-fact tolerance of TestSamplersConvergeToExact);
+//   - non-negativity: a monotone game has no negative contributions.
+func TestShapleyAxiomsEveryEngine(t *testing.T) {
+	m := provenance.NewMonomial
+	dnfs := []*provenance.DNF{
+		// 2, 5 and 6 appear only in monomials that (1) or (3∧4) absorb.
+		provenance.FromMonomials(m(1), m(1, 2), m(3, 4), m(3, 4, 5), m(1, 2, 6)),
+		// 2 and 3 are symmetric; 1 is critical to both of their derivations.
+		provenance.FromMonomials(m(1, 2), m(1, 3), m(4)),
+		// {1, 2, 3} and {4, 5} are symmetry classes; 7 is absorbed.
+		provenance.FromMonomials(m(1, 2, 3), m(4, 5), m(4, 5, 7)),
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 30; trial++ {
+		dnfs = append(dnfs, randomDNF(rng, 5+trial%8, 3+trial%7))
+	}
+	symTol := map[string]float64{"exact": 1e-12, "amc": 0.04}
+	nulls, pairs := 0, 0
+	for _, name := range Names() {
+		l, err := Parse(name, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol, ok := symTol[name]
+		if !ok {
+			t.Fatalf("no symmetry tolerance for engine %q", name)
+		}
+		for i, d := range dnfs {
+			vals, err := l.Label(d, DeriveSeed(11, uint64(i)))
+			if err != nil {
+				t.Fatalf("%s case %d: %v", name, i, err)
+			}
+			if len(vals) != len(d.Lineage()) {
+				t.Fatalf("%s case %d: %d values over %d lineage facts", name, i, len(vals), len(d.Lineage()))
+			}
+			if s := vals.Sum(); math.Abs(s-1) > 1e-9 {
+				t.Errorf("%s case %d %v: efficiency violated, sum = %v", name, i, d, s)
+			}
+			for id, v := range vals {
+				if v < 0 {
+					t.Errorf("%s case %d %v: fact %d = %v < 0", name, i, d, id, v)
+				}
+			}
+			for _, id := range nullPlayers(d) {
+				nulls++
+				if vals[id] != 0 {
+					t.Errorf("%s case %d %v: null player %d = %v, want exactly 0", name, i, d, id, vals[id])
+				}
+			}
+			for _, p := range symmetricPairs(d) {
+				pairs++
+				if diff := math.Abs(vals[p[0]] - vals[p[1]]); diff > tol {
+					t.Errorf("%s case %d %v: symmetric facts %d and %d differ by %v > %v",
+						name, i, d, p[0], p[1], diff, tol)
+				}
+			}
+		}
+	}
+	t.Logf("checked %d null players and %d symmetric pairs", nulls, pairs)
+	// The hand-built cases alone guarantee both checks ran.
+	if nulls == 0 || pairs == 0 {
+		t.Fatalf("vacuous run: %d null players and %d symmetric pairs checked", nulls, pairs)
+	}
+}
+
+// nullPlayers returns the lineage facts absent from the minimized formula:
+// every monomial mentioning them is absorbed by a smaller one.
+func nullPlayers(d *provenance.DNF) []relation.FactID {
+	kept := make(map[relation.FactID]bool)
+	for _, id := range d.Clone().Minimize().Lineage() {
+		kept[id] = true
+	}
+	var out []relation.FactID
+	for _, id := range d.Lineage() {
+		if !kept[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// symmetricPairs returns every pair of lineage facts whose transposition maps
+// the minimized formula onto itself — the pairs the symmetry axiom binds.
+func symmetricPairs(d *provenance.DNF) [][2]relation.FactID {
+	minimal := d.Clone().Minimize()
+	want := minimal.Key()
+	lineage := d.Lineage()
+	var out [][2]relation.FactID
+	for i, a := range lineage {
+		for _, b := range lineage[i+1:] {
+			swapped := &provenance.DNF{Monomials: make([]provenance.Monomial, len(minimal.Monomials))}
+			for k, mono := range minimal.Monomials {
+				ids := make([]relation.FactID, len(mono))
+				for j, id := range mono {
+					switch id {
+					case a:
+						id = b
+					case b:
+						id = a
+					}
+					ids[j] = id
+				}
+				swapped.Monomials[k] = provenance.NewMonomial(ids...)
+			}
+			if swapped.Key() == want {
+				out = append(out, [2]relation.FactID{a, b})
+			}
+		}
+	}
+	return out
+}

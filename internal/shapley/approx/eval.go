@@ -1,7 +1,6 @@
 package approx
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -12,10 +11,9 @@ import (
 )
 
 // GateSamples is the permutation budget at which the ci parity gate
-// (TestSamplerOracleParityGate) and the bench harness's top budget hold
-// every sampling engine to Spearman >= 0.95 against the exact oracle on the
-// gated golden lineages. 48k permutations clear the bar with margin (min
-// Spearman 0.96 over a 5-seed sweep on the worst engine/lineage pair) while
+// (TestSamplerOracleParityGate) holds amc to Spearman >= 0.95 against the
+// exact oracle on every golden lineage. 48k permutations clear the bar with
+// margin (min Spearman 0.96 over a 5-seed sweep on the worst lineage) while
 // staying >= 10x faster than exact compilation on the largest lineage.
 const GateSamples = 49152
 
@@ -78,26 +76,21 @@ func min(a, b int) int {
 	return b
 }
 
-// BenchLineage is one synthetic benchmark lineage: a provenance DNF with a
-// relational structure (RelationOf maps each fact to its relation, for the
-// stratified sampler), sized and shaped like the join provenance the corpus
-// generator emits but scaled to where exact labeling is expensive.
+// BenchLineage is one synthetic benchmark lineage: a provenance DNF sized
+// and shaped like the join provenance the corpus generator emits but scaled
+// to where exact labeling is expensive.
 type BenchLineage struct {
-	Name       string
-	DNF        *provenance.DNF
-	RelationOf func(relation.FactID) string
-	// Gate marks the lineages whose value profile supports a meaningful rank
-	// comparison (well-separated values, small symmetry tie blocks); the
-	// ci parity gate asserts Spearman on exactly these.
-	Gate bool
+	Name string
+	DNF  *provenance.DNF
 }
 
 // Facts returns the lineage size.
 func (b BenchLineage) Facts() int { return len(b.DNF.Lineage()) }
 
 // BenchmarkLineages returns the deterministic golden lineage set shared by
-// the accuracy tests, the ci parity gate, and scripts/bench.sh. Facts are
-// assigned to relations in contiguous ID bands; relationBands resolves them.
+// the accuracy tests and the ci parity gate. Every lineage's value profile
+// supports a meaningful rank comparison (well-separated values, small
+// symmetry tie blocks), so the gate asserts Spearman on all of them.
 //
 // The load-bearing design constraint is the Spearman gate. A permutation
 // sampler estimates each value with stderr ~ sqrt(p/N), so any set of facts
@@ -105,8 +98,8 @@ func (b BenchLineage) Facts() int { return len(b.DNF.Lineage()) }
 // cluster the estimate orders arbitrarily; Spearman loses ~c³/(2n³) per
 // cluster of size c. Lineages built from graded hubs over *fresh* partner
 // facts (the natural first attempt) put 80-90% of facts into one bottom
-// cluster and cap Spearman near 0.7 at any affordable budget. The gated
-// shapes below avoid that by construction: facts are grouped into a ladder
+// cluster and cap Spearman near 0.7 at any affordable budget. The shapes
+// below avoid that by construction: facts are grouped into a ladder
 // of exact symmetry classes (complete bipartite/tripartite join blocks, one
 // block per tier), so near-ties are confined to adjacent rungs — clusters of
 // O(n/T) facts — and Spearman ≥ 0.95 is reachable at moderate budgets.
@@ -120,12 +113,7 @@ func (b BenchLineage) Facts() int { return len(b.DNF.Lineage()) }
 //     (10,12) block. The primary rank-quality gate.
 //   - tritier_105: the same ladder over complete *tripartite* blocks
 //     A_t × B_t × C_t with sizes (t, t+1, t+2), t = 1..7 — width-3
-//     derivations across three relations, exercising the stratified
-//     sampler's multi-relation path.
-//   - path_200: a 200-fact two-relation chain R(s_i, s_i+1) — smooth
-//     near-tied value profile, hostile to rank metrics by construction and
-//     therefore reported but not gated; it exists to measure wall time on
-//     wide low-skew lineages.
+//     derivations across three relations.
 //   - chain_tiers_266: the speedup headline — the bipartite ladder scaled to
 //     fourteen tiers (t, t+4) and *entangled*: tier t's hubs also join the
 //     first few leaves of tier t+1's pool, so the provenance no longer
@@ -150,11 +138,7 @@ func BenchmarkLineages() []BenchLineage {
 			nh += relation.FactID(t)
 			nl += relation.FactID(t + 2)
 		}
-		out = append(out, BenchLineage{
-			Name: "bitier_130", DNF: provenance.FromMonomials(ms...),
-			RelationOf: relationBands(map[string][2]relation.FactID{"a": {0, 999}, "b": {1000, 9999}}),
-			Gate:       true,
-		})
+		out = append(out, BenchLineage{Name: "bitier_130", DNF: provenance.FromMonomials(ms...)})
 	}
 
 	// tritier_105: disjoint blocks (t) x (t+1) x (t+2), t = 1..7.
@@ -174,29 +158,7 @@ func BenchmarkLineages() []BenchLineage {
 			nb += relation.FactID(t + 1)
 			nc += relation.FactID(t + 2)
 		}
-		out = append(out, BenchLineage{
-			Name: "tritier_105", DNF: provenance.FromMonomials(ms...),
-			RelationOf: relationBands(map[string][2]relation.FactID{"a": {0, 999}, "b": {1000, 9999}, "c": {10000, 99999}}),
-			Gate:       true,
-		})
-	}
-
-	// path_200: chain R(s_i, s_{i+1}) over 200 facts, alternating relations.
-	{
-		var ms []provenance.Monomial
-		for i := 0; i < 199; i++ {
-			ms = append(ms, provenance.NewMonomial(relation.FactID(i), relation.FactID(i+1)))
-		}
-		out = append(out, BenchLineage{
-			Name: "path_200", DNF: provenance.FromMonomials(ms...),
-			RelationOf: func(id relation.FactID) string {
-				if id%2 == 0 {
-					return "even"
-				}
-				return "odd"
-			},
-			Gate: false,
-		})
+		out = append(out, BenchLineage{Name: "tritier_105", DNF: provenance.FromMonomials(ms...)})
 	}
 
 	// chain_tiers_266: blocks (t hubs) x (t+4 leaves), t = 1..14, where tier
@@ -221,28 +183,7 @@ func BenchmarkLineages() []BenchLineage {
 			nh += relation.FactID(t)
 			nl = nextPool
 		}
-		out = append(out, BenchLineage{
-			Name: "chain_tiers_266", DNF: provenance.FromMonomials(ms...),
-			RelationOf: relationBands(map[string][2]relation.FactID{"a": {0, 999}, "b": {1000, 9999}}),
-			Gate:       true,
-		})
+		out = append(out, BenchLineage{Name: "chain_tiers_266", DNF: provenance.FromMonomials(ms...)})
 	}
 	return out
-}
-
-// relationBands maps contiguous FactID bands to relation names.
-func relationBands(bands map[string][2]relation.FactID) func(relation.FactID) string {
-	names := make([]string, 0, len(bands))
-	for n := range bands {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return func(id relation.FactID) string {
-		for _, n := range names {
-			if id >= bands[n][0] && id <= bands[n][1] {
-				return n
-			}
-		}
-		return fmt.Sprintf("band_%d", id)
-	}
 }

@@ -7,25 +7,21 @@ import (
 	"repro/internal/shapley"
 )
 
-// MC is the Monte Carlo permutation sampler: Samples uniformly random
-// permutations of the lineage, each crediting its pivot fact (the fact whose
-// arrival first satisfies the provenance) with one count. With Antithetic
-// set, permutations are drawn in pairs (π, reverse(π)) against the same
-// budget; the reversal is itself a uniform permutation, and on monotone games
-// its pivot is negatively correlated with π's, reducing estimator variance
+// MC is the antithetic Monte Carlo permutation sampler ("amc"): it draws
+// (Samples+1)/2 uniformly random permutations of the lineage and walks each
+// one together with its reversal, crediting the pivot fact of each walk (the
+// fact whose arrival first satisfies the provenance) with one count. The
+// reversal is itself a uniform permutation, and on monotone games its pivot
+// is negatively correlated with the forward one, reducing estimator variance
 // without extra evaluations.
 type MC struct {
-	Samples    int
+	Samples int
+	// Deprecated: Antithetic is ignored; every MC draws antithetic pairs.
 	Antithetic bool
 }
 
 // Name implements Labeler.
-func (m MC) Name() string {
-	if m.Antithetic {
-		return "amc"
-	}
-	return "mc"
-}
+func (MC) Name() string { return "amc" }
 
 // Label implements Labeler.
 func (m MC) Label(d *provenance.DNF, seed uint64) (shapley.Values, error) {
@@ -44,20 +40,12 @@ func (m MC) Label(d *provenance.DNF, seed uint64) (shapley.Values, error) {
 	}
 	counts := make([]int, n)
 	evaluated := 0
-	if m.Antithetic {
-		pairs := (m.Samples + 1) / 2
-		for s := 0; s < pairs; s++ {
-			shuffle(rng, perm)
-			counts[g.pivotForward(perm)]++
-			counts[g.pivotReverse(perm)]++
-			evaluated += 2
-		}
-	} else {
-		for s := 0; s < m.Samples; s++ {
-			shuffle(rng, perm)
-			counts[g.pivotForward(perm)]++
-			evaluated++
-		}
+	pairs := (m.Samples + 1) / 2
+	for s := 0; s < pairs; s++ {
+		shuffle(rng, perm)
+		counts[g.pivotForward(perm)]++
+		counts[g.pivotReverse(perm)]++
+		evaluated += 2
 	}
 	done(n, meanEstVariance(counts, evaluated))
 	return countsToValues(li, counts, evaluated), nil

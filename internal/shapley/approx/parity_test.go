@@ -8,63 +8,42 @@ import (
 )
 
 // TestSamplerOracleParityGate is the ci accuracy gate (grep-enforced by
-// scripts/ci.sh — do not rename or skip): every sampling engine must hold
-// Spearman >= 0.95 against the exact oracle on each gated golden lineage at
-// the GateSamples budget. The run is fully deterministic — fixed lineages,
-// fixed per-(lineage, engine) seeds via DeriveSeed — so a pass is stable
-// across machines and worker counts; seeds are pre-derived and the work is
-// scheduled over internal/parallel exactly as corpus labeling schedules it.
+// scripts/ci.sh — do not rename or skip): amc must hold Spearman >= 0.95
+// against the exact oracle on each golden lineage at the GateSamples budget.
+// The run is fully deterministic — fixed lineages, and each lineage's seed a
+// pure function of its index (DeriveSeed) — so a pass is stable across
+// machines and worker counts; the work is scheduled over internal/parallel
+// exactly as corpus labeling schedules it.
 func TestSamplerOracleParityGate(t *testing.T) {
-	type job struct {
-		lineage BenchLineage
-		engine  string
-		seed    uint64
-	}
-	var jobs []job
-	for li, bl := range BenchmarkLineages() {
-		if !bl.Gate {
-			continue
-		}
-		for ei, engine := range []string{"mc", "amc", "stratified"} {
-			jobs = append(jobs, job{bl, engine, DeriveSeed(1, uint64(li), uint64(ei))})
-		}
-	}
-	oracle := make(map[string]shapley.Values)
-	for _, j := range jobs {
-		if _, ok := oracle[j.lineage.Name]; !ok {
-			gold, _, err := shapley.Exact(j.lineage.DNF)
-			if err != nil {
-				t.Fatalf("exact oracle on %s: %v", j.lineage.Name, err)
-			}
-			oracle[j.lineage.Name] = gold
-		}
+	lineages := BenchmarkLineages()
+	amc, err := Parse("amc", GateSamples)
+	if err != nil {
+		t.Fatal(err)
 	}
 	type verdict struct {
-		job job
 		acc Accuracy
 		err error
 	}
-	verdicts := parallel.Map(4, len(jobs), func(i int) verdict {
-		j := jobs[i]
-		l, err := Parse(j.engine, Options{Samples: GateSamples, RelationOf: j.lineage.RelationOf})
+	verdicts := parallel.Map(4, len(lineages), func(i int) verdict {
+		bl := lineages[i]
+		gold, _, err := shapley.Exact(bl.DNF)
 		if err != nil {
-			return verdict{job: j, err: err}
+			return verdict{err: err}
 		}
-		est, err := l.Label(j.lineage.DNF, j.seed)
+		est, err := amc.Label(bl.DNF, DeriveSeed(1, uint64(i)))
 		if err != nil {
-			return verdict{job: j, err: err}
+			return verdict{err: err}
 		}
-		return verdict{job: j, acc: Score(est, oracle[j.lineage.Name], 10)}
+		return verdict{acc: Score(est, gold, 10)}
 	})
-	for _, v := range verdicts {
+	for i, v := range verdicts {
+		name := lineages[i].Name
 		if v.err != nil {
-			t.Fatalf("%s on %s: %v", v.job.engine, v.job.lineage.Name, v.err)
+			t.Fatalf("%s: %v", name, v.err)
 		}
-		t.Logf("%-10s %-16s spearman=%.4f top10=%.2f mae=%.5f",
-			v.job.engine, v.job.lineage.Name, v.acc.Spearman, v.acc.TopK, v.acc.MAE)
+		t.Logf("amc %-16s spearman=%.4f top10=%.2f mae=%.5f", name, v.acc.Spearman, v.acc.TopK, v.acc.MAE)
 		if v.acc.Spearman < 0.95 {
-			t.Errorf("%s on %s: Spearman %.4f < 0.95 parity floor",
-				v.job.engine, v.job.lineage.Name, v.acc.Spearman)
+			t.Errorf("amc on %s: Spearman %.4f < 0.95 parity floor", name, v.acc.Spearman)
 		}
 	}
 }

@@ -101,10 +101,10 @@ if ! echo "$alloc_out" | grep -q -- '--- PASS: TestMultiPrefixZeroAllocs'; then
 fi
 
 echo "== sampler-vs-exact parity gate =="
-# Every approximate labeling engine (mc, amc, stratified) must hold Spearman
-# >= 0.95 against the exact oracle on the gated golden lineages at the
-# GateSamples budget. Like the allocation gates, a skip must not silently
-# satisfy the gate — fail unless the test actually PASSed.
+# The amc sampler must hold Spearman >= 0.95 against the exact oracle on the
+# golden lineages at the GateSamples budget. Like the allocation gates, a
+# skip must not silently satisfy the gate — fail unless the test actually
+# PASSed.
 parity_out=$(go test ./internal/shapley/approx -run '^TestSamplerOracleParityGate$' -v)
 echo "$parity_out" | grep -E 'spearman=|--- (PASS|FAIL|SKIP)' || true
 if ! echo "$parity_out" | grep -q -- '--- PASS: TestSamplerOracleParityGate'; then
@@ -114,13 +114,18 @@ fi
 
 echo "== corpus seed-determinism gate =="
 # A fixed -label-seed must produce byte-identical corpus exports at every
-# -workers count for every sampling engine; non-skippable for the same reason.
+# -workers count under the amc sampler; non-skippable for the same reason.
 det_out=$(go test ./internal/dataset -run '^TestCorpusBytesIdenticalAcrossWorkers$' -v)
 echo "$det_out" | tail -n 3
 if ! echo "$det_out" | grep -q -- '--- PASS: TestCorpusBytesIdenticalAcrossWorkers'; then
     echo "TestCorpusBytesIdenticalAcrossWorkers did not pass (skipped?)" >&2
     exit 1
 fi
+
+echo "== corpus import fuzz smoke =="
+# Arbitrary bytes fed to dataset.Import must yield a corpus or an error,
+# never a panic.
+go test ./internal/dataset -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s
 
 echo "== end-to-end run manifest =="
 # Tiny full pipeline (corpus -> train -> eval) with the observability stack on:
@@ -131,11 +136,11 @@ trap 'rm -rf "$manifest_dir"' EXIT
 # The (small, one-epoch) pre-training and fine-tuning schedules must show live
 # core.pretrain.* metrics, and evaluation ranking live nn.mbatch.* and
 # core.rank.* metrics — asserted below via REPRO_MANIFEST_EXPECT_METRICS.
-# -labeler mc labels the corpus with the Monte Carlo sampling engine, so live
-# shapley.approx.* metrics must show up in the same manifest.
+# -labeler amc labels the corpus with the antithetic Monte Carlo sampler, so
+# live shapley.approx.* metrics must show up in the same manifest.
 go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
     -pepochs 1 -ppairs 16 \
-    -labeler mc -label-samples 64 \
+    -labeler amc -label-samples 64 \
     -dim 8 -layers 1 -workers 2 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
