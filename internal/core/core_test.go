@@ -20,7 +20,7 @@ func tinyConfig() ModelConfig {
 	}
 }
 
-func tinyCorpus(t *testing.T) (*dataset.Corpus, *dataset.SimilarityCache) {
+func tinyCorpus(t testing.TB) (*dataset.Corpus, *dataset.SimilarityCache) {
 	t.Helper()
 	cfg := dataset.DefaultConfig(dataset.IMDB)
 	cfg.NumQueries = 14

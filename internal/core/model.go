@@ -257,14 +257,6 @@ func buildVocabulary(c *dataset.Corpus, cfg ModelConfig) *tokenizer.Tokenizer {
 	return tokenizer.Build(corpus, cfg.VocabSize)
 }
 
-// predictShapley runs the fine-tuning forward pass for one (q, t, f) triple
-// and returns the unscaled prediction.
-func (m *Model) predictShapley(queryTokens, tupleTokens, factTokens []string) float64 {
-	p := m.tok.Pack(m.Cfg.MaxSeqLen, 3, queryTokens, tupleTokens, factTokens)
-	hidden := m.enc.Forward(p.Tokens, p.Segments, p.Mask)
-	return m.shapHead.Forward(hidden) / m.Cfg.TargetScale
-}
-
 // Rank implements Ranker. Fact IDs are resolved against the database the
 // model was trained over.
 func (m *Model) Rank(in Input) shapley.Values {

@@ -51,6 +51,9 @@ func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore vocabulary: %w", err)
 	}
+	if err := payload.Cfg.fitsCheckpoint(tok.VocabSize(), payload.Weights); err != nil {
+		return nil, err
+	}
 	// The RNG only sets the pre-restore initialization, which Restore then
 	// overwrites entirely; any seed works.
 	m := newModel(payload.Cfg, tok, rand.New(rand.NewSource(payload.Cfg.Seed)))
@@ -67,4 +70,52 @@ func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 	}
 	m.params.Restore(payload.Weights)
 	return m, nil
+}
+
+// fitsCheckpoint bounds the sizes cfg declares by what a checkpoint carries,
+// so that what newModel allocates grows at most linearly with the file's
+// size. Each bounded quantity is at most what every valid checkpoint of the
+// architecture stores: a tensor per layer at least, and the weights of the
+// token and position embeddings, of each layer's Dim×Dim attention
+// projections and Dim×FFNHidden feed-forward matrices, and of each
+// pre-training head.
+func (cfg ModelConfig) fitsCheckpoint(vocab int, weights [][]float64) error {
+	if cfg.Layers > len(weights) {
+		return fmt.Errorf("core: model config Layers %d exceeds the file's %d tensors", cfg.Layers, len(weights))
+	}
+	total := 0
+	for _, w := range weights {
+		total += len(w)
+	}
+	for _, p := range []struct {
+		name    string
+		factors []int
+	}{
+		{"VocabSize×Dim", []int{vocab, cfg.Dim}},
+		{"MaxSeqLen×Dim", []int{cfg.MaxSeqLen, cfg.Dim}},
+		{"Layers×Dim×Dim", []int{cfg.Layers, cfg.Dim, cfg.Dim}},
+		{"Layers×Dim×FFNHidden", []int{cfg.Layers, cfg.Dim, cfg.FFNHidden}},
+		{"PretrainMetrics×Dim", []int{len(cfg.PretrainMetrics), cfg.Dim}},
+	} {
+		if !productAtMost(total, p.factors) {
+			return fmt.Errorf("core: model config %s %v exceeds the file's %d weights", p.name, p.factors, total)
+		}
+	}
+	return nil
+}
+
+// productAtMost reports whether the product of non-negative factors is at
+// most limit, without overflowing.
+func productAtMost(limit int, factors []int) bool {
+	p := 1
+	for _, f := range factors {
+		if f == 0 {
+			return true
+		}
+		if p > limit/f {
+			return false
+		}
+		p *= f
+	}
+	return p <= limit
 }

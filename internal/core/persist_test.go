@@ -147,32 +147,87 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 // TestMalformedConfigReturnsError pins that both entry points that build a
 // network from a config, LoadModel (a checkpoint file) and Train (command-line
 // sizes), reject architectures the encoder cannot build with an error rather
-// than a panic.
+// than a panic. The loadOnly cases declare sizes far beyond the weights the
+// checkpoint carries: LoadModel must refuse them before allocating the
+// network (at 1<<40 that allocation is a fatal out-of-memory error, which no
+// recover catches). Train has no file to bound them by.
 func TestMalformedConfigReturnsError(t *testing.T) {
 	c, sims := tinyCorpus(t)
-	words := buildVocabulary(c, tinyConfig()).Words()
+	tok := buildVocabulary(c, tinyConfig())
+	weights := newModel(tinyConfig(), tok, rand.New(rand.NewSource(1))).params.Snapshot()
 	for _, tc := range []struct {
-		name string
-		edit func(*ModelConfig)
+		name     string
+		edit     func(*ModelConfig)
+		loadOnly string // the field LoadModel's error must name; Train is not run
 	}{
-		{"heads_0", func(cfg *ModelConfig) { cfg.Heads = 0 }},
-		{"dim_10_heads_4", func(cfg *ModelConfig) { cfg.Dim, cfg.Heads = 10, 4 }},
-		{"maxseqlen_-1", func(cfg *ModelConfig) { cfg.MaxSeqLen = -1 }},
-		{"maxseqlen_3", func(cfg *ModelConfig) { cfg.MaxSeqLen = minSeqLen - 1 }},
+		{"heads_0", func(cfg *ModelConfig) { cfg.Heads = 0 }, ""},
+		{"dim_10_heads_4", func(cfg *ModelConfig) { cfg.Dim, cfg.Heads = 10, 4 }, ""},
+		{"maxseqlen_-1", func(cfg *ModelConfig) { cfg.MaxSeqLen = -1 }, ""},
+		{"maxseqlen_3", func(cfg *ModelConfig) { cfg.MaxSeqLen = minSeqLen - 1 }, ""},
+		{"maxseqlen_2^40", func(cfg *ModelConfig) { cfg.MaxSeqLen = 1 << 40 }, "MaxSeqLen"},
+		{"ffnhidden_2^40", func(cfg *ModelConfig) { cfg.FFNHidden = 1 << 40 }, "FFNHidden"},
+		{"dim_2^40", func(cfg *ModelConfig) { cfg.Dim = 1 << 40 }, "Dim"},
+		{"layers_2^20", func(cfg *ModelConfig) { cfg.Layers = 1 << 20 }, "Layers"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyConfig()
 			tc.edit(&cfg)
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&savedModel{Version: persistVersion, Cfg: cfg, Words: words}); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(&savedModel{Version: persistVersion, Cfg: cfg, Words: tok.Words(), Weights: weights}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := LoadModel(&buf, c.DB); err == nil {
-				t.Error("LoadModel accepted the config")
+			_, err := LoadModel(&buf, c.DB)
+			if err == nil {
+				t.Fatal("LoadModel accepted the config")
+			}
+			if tc.loadOnly != "" {
+				if !strings.Contains(err.Error(), tc.loadOnly) {
+					t.Errorf("LoadModel error %q does not name %s", err, tc.loadOnly)
+				}
+				return
 			}
 			if _, _, err := Train(c, sims, cfg, nil); err == nil {
 				t.Error("Train accepted the config")
 			}
 		})
 	}
+}
+
+// FuzzLoadModel feeds arbitrary bytes to LoadModel: it must return a model
+// or an error, never panic or allocate without bound, and a model it returns
+// must rank a lineage. The seeds are a valid checkpoint of a few hundred
+// weights (small, so that mutations land on its config and vocabulary more
+// often than on weight bytes) and one whose config declares MaxSeqLen 1<<40
+// over a single weight.
+func FuzzLoadModel(f *testing.F) {
+	c, _ := tinyCorpus(f)
+	cfg := tinyConfig()
+	cfg.Dim, cfg.Heads, cfg.FFNHidden, cfg.MaxSeqLen, cfg.VocabSize = 4, 1, 4, 16, 12
+	cfg.PretrainMetrics = nil
+	tok := buildVocabulary(c, cfg)
+	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
+	var valid bytes.Buffer
+	if err := m.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	huge := cfg
+	huge.MaxSeqLen = 1 << 40
+	var crash bytes.Buffer
+	if err := gob.NewEncoder(&crash).Encode(&savedModel{
+		Version: persistVersion, Cfg: huge, Words: tok.Words(), Weights: [][]float64{{0}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(crash.Bytes())
+	in := caseInputs(c)[0]
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loaded, err := LoadModel(bytes.NewReader(data), c.DB)
+		if err != nil {
+			return
+		}
+		if got := loaded.RankOn(c.DB, in); len(got) != len(in.Lineage) {
+			t.Fatalf("loaded model scored %d of %d facts", len(got), len(in.Lineage))
+		}
+	})
 }

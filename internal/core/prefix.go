@@ -7,93 +7,95 @@ import (
 )
 
 // lineageScorer holds what the facts of one lineage share when scored against
-// a fixed (query, tuple) pair. All facts of a lineage share the packed prefix
+// a fixed (query, tuple) pair. Every fact's sequence starts with the prefix
 //
 //	[CLS] q [SEP] t [SEP]
 //
-// so the scorer tokenizes and encodes that prefix once (through the embedding
-// layer, via nn.PrefixCache) and the packed pass re-runs only the transformer
-// blocks per fact, with the fact tokens appended as segment 2. Two further
-// differences from the naive per-fact path, both provably bit-preserving for
-// the [CLS] output row (see DESIGN.md "Memory model & kernels"):
+// so the scorer encodes that prefix through the embedding layer once
+// (nn.PrefixCache) and the packed pass runs the transformer blocks per fact,
+// with the fact tokens appended as segment 2. Pack's truncation rule
+// (tokenizer.FitLengths) may trim the query and tuple when a fact is long,
+// and the trimmed lengths are a function of the fact's length; so the scorer
+// keeps one prefix cache per trimmed (query, tuple) length pair, built on its
+// first fact. Two further differences from the naive per-fact path, both
+// provably bit-preserving for the [CLS] output row (see DESIGN.md "Memory
+// model & kernels"):
 //
 //   - sequences are not padded to MaxSeqLen: attention masks padded keys out of
 //     every softmax and all other layers are row-local, so trailing padding
 //     rows never influence row 0;
 //   - the prefix embedding rows are reused across facts: embeddings and
 //     LayerNorm are row-local and the prefix occupies the same absolute
-//     positions in every sequence of the lineage.
-//
-// The fast path applies only when Pack's truncation rule (tokenizer.FitLengths)
-// would leave the query and tuple segments untrimmed; otherwise the fact
-// segment is long enough to steal prefix budget, the shared prefix differs per
-// fact, and the fact falls back to the reference path (Model.predictShapley) —
-// which is the same computation, just without reuse.
+//     positions in every sequence that uses it.
 type lineageScorer struct {
-	m            *Model
-	qToks, tToks []string
-	qLen, tLen   int
+	m          *Model
+	qIDs, tIDs []int // untrimmed query and tuple token IDs
 
-	pc        *nn.PrefixCache // built lazily on the first fast-path fact
-	prefixLen int
+	prefixes []prefixEntry // built lazily, one per trimmed length pair
 
-	lens []int // reusable FitLengths buffer
+	lens       []int // reusable FitLengths buffer
+	toks, segs []int // reusable prefix assembly buffers
 
-	// Prefix-reuse effectiveness counters: facts scored through the shared
-	// prefix vs. facts that fell back to the reference path because
-	// truncation reached into the prefix. Resolved once per lineage; nil
+	// Facts scored through the packed pass; resolved once per lineage, nil
 	// (no-op) without a live registry.
-	mHits, mFallbacks *obs.Counter
+	mHits *obs.Counter
+}
+
+// prefixEntry is the prefix cache of [CLS] q[:qLen] [SEP] t[:tLen] [SEP].
+type prefixEntry struct {
+	qLen, tLen int
+	pc         *nn.PrefixCache
 }
 
 func newLineageScorer(m *Model, in Input) *lineageScorer {
-	reg := obs.Metrics()
 	s := &lineageScorer{
-		m:          m,
-		qToks:      tokenizer.TokenizeSQL(in.SQL),
-		tToks:      tokenizer.TokenizeValues(in.TupleValues),
-		lens:       make([]int, 3),
-		mHits:      reg.Counter("core.rank.prefix_hits"),
-		mFallbacks: reg.Counter("core.rank.prefix_fallbacks"),
+		m:     m,
+		qIDs:  m.tok.Encode(tokenizer.TokenizeSQL(in.SQL)),
+		tIDs:  m.tok.Encode(tokenizer.TokenizeValues(in.TupleValues)),
+		lens:  make([]int, 3),
+		mHits: obs.Metrics().Counter("core.rank.prefix_hits"),
 	}
-	s.qLen, s.tLen = len(s.qToks), len(s.tToks)
+	n := 1 + len(s.qIDs) + 1 + len(s.tIDs) + 1 // the untrimmed prefix is the longest
+	s.toks, s.segs = make([]int, 0, n), make([]int, 0, n)
 	return s
 }
 
-// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
-func (s *lineageScorer) buildPrefix() {
-	n := 1 + s.qLen + 1 + s.tLen + 1
-	tokens := make([]int, 0, n)
-	segs := make([]int, 0, n)
-	push := func(id, seg int) {
-		tokens = append(tokens, id)
-		segs = append(segs, seg)
-	}
-	push(tokenizer.ClsID, 0)
-	for _, id := range s.m.tok.Encode(s.qToks) {
-		push(id, 0)
-	}
-	push(tokenizer.SepID, 0)
-	for _, id := range s.m.tok.Encode(s.tToks) {
-		push(id, 1)
-	}
-	push(tokenizer.SepID, 1)
-	s.pc = s.m.enc.EmbedPrefix(tokens, segs)
-	s.prefixLen = len(tokens)
+// fitLengths applies Pack's truncation rule to the lineage's query and tuple
+// and a fact of factLen tokens, and returns the three trimmed lengths.
+func (s *lineageScorer) fitLengths(factLen int) (qLen, tLen, fLen int) {
+	s.lens[0], s.lens[1], s.lens[2] = len(s.qIDs), len(s.tIDs), factLen
+	tokenizer.FitLengths(s.m.Cfg.MaxSeqLen, s.lens)
+	return s.lens[0], s.lens[1], s.lens[2]
 }
 
-// eligibleFactLen decides whether a fact with the given tokens can take the
-// shared-prefix fast path and, if so, returns its (possibly trimmed) token
-// count.
-func (s *lineageScorer) eligibleFactLen(fToks []string) (int, bool) {
-	s.lens[0], s.lens[1], s.lens[2] = s.qLen, s.tLen, len(fToks)
-	tokenizer.FitLengths(s.m.Cfg.MaxSeqLen, s.lens)
-	if s.lens[0] != s.qLen || s.lens[1] != s.tLen {
-		// Truncation reached into the shared prefix: the prefix would differ
-		// for this fact, so reuse is unsound.
-		return 0, false
+// prefix returns the prefix cache of the query trimmed to qLen tokens and the
+// tuple trimmed to tLen, encoding it on first use. Pack trims a segment by
+// keeping its first tokens, and Encode maps tokens one by one, so trimming
+// the encoded IDs gives Pack's IDs.
+func (s *lineageScorer) prefix(qLen, tLen int) *nn.PrefixCache {
+	for _, p := range s.prefixes {
+		if p.qLen == qLen && p.tLen == tLen {
+			return p.pc
+		}
 	}
-	return s.lens[2], true
+	toks := append(s.toks[:0], tokenizer.ClsID)
+	toks = append(toks, s.qIDs[:qLen]...)
+	toks = append(toks, tokenizer.SepID)
+	qEnd := len(toks) // [CLS] q [SEP] is segment 0, t [SEP] segment 1
+	toks = append(toks, s.tIDs[:tLen]...)
+	toks = append(toks, tokenizer.SepID)
+	segs := s.segs[:0]
+	for i := range toks {
+		seg := 0
+		if i >= qEnd {
+			seg = 1
+		}
+		segs = append(segs, seg)
+	}
+	s.toks, s.segs = toks, segs
+	pc := s.m.enc.EmbedPrefix(toks, segs)
+	s.prefixes = append(s.prefixes, prefixEntry{qLen: qLen, tLen: tLen, pc: pc})
+	return pc
 }
 
 // appendFactSuffix encodes a (possibly trimmed) fact token sequence plus the

@@ -29,6 +29,25 @@ func caseInputs(c *dataset.Corpus) []Input {
 	return ins
 }
 
+// goldenInputs is caseInputs plus a copy of every input whose output tuple
+// repeats its values until it is at least as long as the query. Under a tight
+// sequence budget such a tuple is trimmed too, so one lineage's facts need
+// prefixes that share the trimmed query length and differ in the tuple's.
+func goldenInputs(c *dataset.Corpus) []Input {
+	base := caseInputs(c)
+	ins := append([]Input(nil), base...)
+	for _, in := range base {
+		q := len(tokenizer.TokenizeSQL(in.SQL))
+		wide := in.TupleValues
+		for len(wide) > 0 && len(tokenizer.TokenizeValues(wide)) < q {
+			wide = append(wide[:len(wide):len(wide)], in.TupleValues...)
+		}
+		in.TupleValues = wide
+		ins = append(ins, in)
+	}
+	return ins
+}
+
 // rankOnFull is the reference ranker the golden tests compare against: every
 // fact is scored by an independent full-length (padded, no prefix reuse, no
 // packing) forward pass.
@@ -45,6 +64,14 @@ func (m *Model) rankOnFull(db *relation.Database, in Input) shapley.Values {
 		out[id] = m.predictShapley(qToks, tToks, tokenizer.TokenizeFact(f))
 	}
 	return out
+}
+
+// predictShapley runs the fine-tuning forward pass for one (q, t, f) triple
+// and returns the unscaled prediction.
+func (m *Model) predictShapley(queryTokens, tupleTokens, factTokens []string) float64 {
+	p := m.tok.Pack(m.Cfg.MaxSeqLen, 3, queryTokens, tupleTokens, factTokens)
+	hidden := m.enc.Forward(p.Tokens, p.Segments, p.Mask)
+	return m.shapHead.Forward(hidden) / m.Cfg.TargetScale
 }
 
 // assertValuesBitEqual compares two score maps bit for bit.
@@ -69,7 +96,7 @@ func assertValuesBitEqual(t *testing.T, label string, got, want shapley.Values) 
 // and chunks smaller than, equal to and larger than typical lineages.
 var goldenChunks = []int{1, 2, 3, rankChunk, 64}
 
-// rankGolden asserts that rank scores every lineage fact of the corpus
+// rankGolden asserts that rank scores every lineage fact of goldenInputs
 // bit-for-bit like rankOnFull. It returns the live registry's snapshot, so
 // callers can check which paths the fixture exercised.
 func rankGolden(t *testing.T, cfg ModelConfig, label string,
@@ -78,7 +105,7 @@ func rankGolden(t *testing.T, cfg ModelConfig, label string,
 	c, _ := tinyCorpus(t)
 	tok := buildVocabulary(c, cfg)
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-	ins := caseInputs(c)
+	ins := goldenInputs(c)
 	if len(ins) == 0 {
 		t.Fatal("corpus has no labeled cases")
 	}
@@ -118,22 +145,65 @@ func TestRankOnPrefixGolden(t *testing.T) {
 
 // TestRankOnPrefixGoldenTruncated repeats the golden comparison with a
 // sequence budget small enough that Pack's truncation reaches into the query
-// and tuple segments, forcing the per-fact fallback path for some facts.
+// and tuple segments for some facts, so those facts run on prefix caches of
+// the trimmed query and tuple.
 func TestRankOnPrefixGoldenTruncated(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxSeqLen = 16
-	snap := rankGolden(t, cfg, "RankOn", (*Model).RankOn)
-	if snap.Counters["core.rank.prefix_fallbacks"] == 0 {
-		t.Error("no fact exercised the truncation fallback; lower MaxSeqLen")
+	requirePrefixTrims(t, cfg)
+	rankGolden(t, cfg, "RankOn", (*Model).RankOn)
+}
+
+// prefixTrims counts, over ins and under cfg's sequence budget
+// (tokenizer.FitLengths), the lineage facts whose sequence trims the query or
+// the tuple, all lineage facts, and the lineages whose facts need more than
+// one trimmed (query, tuple) length pair, and so more than one prefix cache.
+func prefixTrims(db *relation.Database, ins []Input, cfg ModelConfig) (trimmed, facts, mixed int) {
+	for _, in := range ins {
+		q, tu := len(tokenizer.TokenizeSQL(in.SQL)), len(tokenizer.TokenizeValues(in.TupleValues))
+		pairs := map[[2]int]bool{}
+		for _, id := range in.Lineage {
+			f := db.Fact(id)
+			if f == nil {
+				continue
+			}
+			lens := tokenizer.FitLengths(cfg.MaxSeqLen, []int{q, tu, len(tokenizer.TokenizeFact(f))})
+			if lens[0] < q || lens[1] < tu {
+				trimmed++
+			}
+			facts++
+			pairs[[2]int{lens[0], lens[1]}] = true
+		}
+		if len(pairs) > 1 {
+			mixed++
+		}
+	}
+	return trimmed, facts, mixed
+}
+
+// requirePrefixTrims fails the test unless some fixture fact trims the query
+// or the tuple under cfg's sequence budget.
+func requirePrefixTrims(t *testing.T, cfg ModelConfig) {
+	t.Helper()
+	c, _ := tinyCorpus(t)
+	if trimmed, _, _ := prefixTrims(c.DB, goldenInputs(c), cfg); trimmed == 0 {
+		t.Fatalf("MaxSeqLen %d: no fixture fact trims the query or the tuple; lower MaxSeqLen", cfg.MaxSeqLen)
 	}
 }
 
 // TestRankOnBatchedGolden sweeps the chunk size of the one-input packed
 // ranker — one fact per pass, and chunks smaller than, equal to and larger
 // than typical lineages — and requires every sweep point to match rankOnFull
-// bit for bit: how facts are packed never changes a score.
+// bit for bit: how facts are packed never changes a score. Some fixture
+// lineages need more than one prefix cache, so passes mix the caches of one
+// lineage.
 func TestRankOnBatchedGolden(t *testing.T) {
-	for i, snap := range chunkedGolden(t, tinyConfig()) {
+	cfg := tinyConfig()
+	c, _ := tinyCorpus(t)
+	if _, _, mixed := prefixTrims(c.DB, goldenInputs(c), cfg); mixed == 0 {
+		t.Fatal("no fixture lineage needs more than one prefix cache; golden test does not cover mixed passes")
+	}
+	for i, snap := range chunkedGolden(t, cfg) {
 		if snap.Counters["core.rank.prefix_hits"] == 0 {
 			t.Errorf("chunk %d: prefix fast path never engaged; golden test is vacuous", goldenChunks[i])
 		}
@@ -142,16 +212,14 @@ func TestRankOnBatchedGolden(t *testing.T) {
 
 // TestRankOnBatchedTruncated repeats the chunk sweep with a sequence budget
 // small enough that truncation reaches the prefix for some facts: the packed
-// ranker must take the per-fact fallback on exactly those facts, at every
-// chunk size, and still match the padded full-length reference bitwise.
+// ranker must score them on prefix caches of the trimmed query and tuple, at
+// every chunk size, and still match the padded full-length reference
+// bitwise.
 func TestRankOnBatchedTruncated(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxSeqLen = 16
-	for i, snap := range chunkedGolden(t, cfg) {
-		if snap.Counters["core.rank.prefix_fallbacks"] == 0 {
-			t.Errorf("chunk %d: no fact exercised the truncation fallback; lower MaxSeqLen", goldenChunks[i])
-		}
-	}
+	requirePrefixTrims(t, cfg)
+	chunkedGolden(t, cfg)
 }
 
 // TestRankOnReplicaParity checks that worker replicas produce bit-identical
@@ -168,12 +236,12 @@ func TestRankOnReplicaParity(t *testing.T) {
 	}
 }
 
-// TestEligibilityExactBudgetEdges pins fast-path eligibility at the exact
-// sequence budget — where a fact flips from prefix reuse to the per-fact
-// fallback: a fact that exactly fills the budget (or overflows while being
-// the longest segment, so only the fact is trimmed) stays on the fast path;
-// one token of overflow with the query or tuple longest reaches into the
-// prefix and forces the fallback.
+// TestEligibilityExactBudgetEdges pins the scorer's truncation at the exact
+// sequence budget, where a fact starts to trim the query or tuple: a fact
+// that exactly fills the budget, one that overflows by one token while being
+// the longest segment (only the fact is trimmed), and one token of overflow
+// with the query or the tuple longest (the prefix is trimmed). At each edge
+// the scorer must pick the (query, tuple, fact) lengths tokenizer.Pack picks.
 func TestEligibilityExactBudgetEdges(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -181,41 +249,57 @@ func TestEligibilityExactBudgetEdges(t *testing.T) {
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 	budget := cfg.MaxSeqLen - 4 // CLS + three SEPs around (q, t, f)
 	cases := []struct {
-		name       string
-		qLen, tLen int
-		factLen    int
-		wantLen    int
-		wantOK     bool
+		name             string
+		qLen, tLen, fLen int
+		want             [3]int
 	}{
-		{"fact exactly fills", 6, 4, budget - 10, budget - 10, true},
-		{"fact overflows by one, fact longest", 6, 4, budget - 9, budget - 10, true},
-		{"query longest on overflow", budget - 14, 4, 11, 0, false},
-		{"tuple longest on overflow", 4, budget - 14, 11, 0, false},
+		{"fact exactly fills", 6, 4, budget - 10, [3]int{6, 4, budget - 10}},
+		{"fact overflows by one, fact longest", 6, 4, budget - 9, [3]int{6, 4, budget - 10}},
+		{"query longest on overflow", budget - 14, 4, 11, [3]int{budget - 15, 4, 11}},
+		{"tuple longest on overflow", 4, budget - 14, 11, [3]int{4, budget - 15, 11}},
 	}
+	words := func(n int) []string { return make([]string, n) }
 	for _, tc := range cases {
-		s := &lineageScorer{m: m, qLen: tc.qLen, tLen: tc.tLen, lens: make([]int, 3)}
-		fToks := make([]string, tc.factLen)
-		fLen, ok := s.eligibleFactLen(fToks)
-		if ok != tc.wantOK || (ok && fLen != tc.wantLen) {
-			t.Errorf("%s: eligibleFactLen(q=%d t=%d f=%d) = (%d, %v), want (%d, %v)",
-				tc.name, tc.qLen, tc.tLen, tc.factLen, fLen, ok, tc.wantLen, tc.wantOK)
+		p := tok.Pack(cfg.MaxSeqLen, 3, words(tc.qLen), words(tc.tLen), words(tc.fLen))
+		var segLen [3]int // real positions per segment, [CLS] and [SEP]s included
+		for i, real := range p.Mask {
+			if real {
+				segLen[p.Segments[i]]++
+			}
+		}
+		packed := [3]int{segLen[0] - 2, segLen[1] - 1, segLen[2] - 1}
+		s := &lineageScorer{m: m, qIDs: make([]int, tc.qLen), tIDs: make([]int, tc.tLen), lens: make([]int, 3)}
+		q, tu, f := s.fitLengths(tc.fLen)
+		if got := [3]int{q, tu, f}; got != packed || got != tc.want {
+			t.Errorf("%s: scorer picks (q, t, f) = %v for (%d, %d, %d), Pack %v, want %v",
+				tc.name, got, tc.qLen, tc.tLen, tc.fLen, packed, tc.want)
 		}
 	}
 }
 
 // TestRankOnBatchedCounterAgreement ranks the same inputs one fact per pass
-// and in chunks of 3 under separate live registries and asserts the prefix
-// hit/fallback counters agree exactly: chunking changes only how facts are
-// packed, never how they are classified. It also pins the packed-pass
-// metrics: every fast-path fact flows through a packed pass, so
-// nn.mbatch.sequences equals the hit count, and chunks of 3 take fewer
-// passes than facts.
+// and in chunks of 3 under separate live registries and asserts the ranking
+// counters agree exactly: chunking changes only how facts are packed. It
+// also pins the packed-pass metrics: every scored fact flows through a packed
+// pass, so nn.mbatch.sequences and core.rank.prefix_hits equal the number of
+// scored facts, and chunks of 3 take fewer passes than facts.
 func TestRankOnBatchedCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
-	cfg.MaxSeqLen = 44 // tight enough that some facts fall back, some don't
-	tok := buildVocabulary(c, cfg)
+	cfg.MaxSeqLen = 44 // tight enough that some facts trim the prefix, some don't
 	ins := caseInputs(c)
+	if trimmed, facts, _ := prefixTrims(c.DB, ins, cfg); trimmed == 0 || trimmed == facts {
+		t.Fatalf("fixture must mix trimmed and untrimmed prefixes: %d of %d facts trim", trimmed, facts)
+	}
+	tok := buildVocabulary(c, cfg)
+	scored := int64(0)
+	for _, in := range ins {
+		for _, id := range in.Lineage {
+			if c.DB.Fact(id) != nil {
+				scored++
+			}
+		}
+	}
 
 	rank := func(chunk int) obs.Snapshot {
 		run := obs.NewRun("batch-counter-test", obs.NewRegistry(), nil, nil)
@@ -232,29 +316,23 @@ func TestRankOnBatchedCounterAgreement(t *testing.T) {
 
 	perFact := rank(1)
 	batched := rank(3)
-	for _, name := range []string{
-		"core.rank.lineages", "core.rank.facts",
-		"core.rank.prefix_hits", "core.rank.prefix_fallbacks",
-	} {
+	for _, name := range []string{"core.rank.lineages", "core.rank.facts", "core.rank.prefix_hits"} {
 		if perFact.Counters[name] != batched.Counters[name] {
 			t.Errorf("counter %s: chunk 1 %d vs chunk 3 %d",
 				name, perFact.Counters[name], batched.Counters[name])
 		}
 	}
-	hits := perFact.Counters["core.rank.prefix_hits"]
-	if hits == 0 || perFact.Counters["core.rank.prefix_fallbacks"] == 0 {
-		t.Fatalf("fixture must exercise both paths: hits=%d fallbacks=%d",
-			hits, perFact.Counters["core.rank.prefix_fallbacks"])
-	}
 	for label, snap := range map[string]obs.Snapshot{"chunk 1": perFact, "chunk 3": batched} {
-		if got := snap.Counters["nn.mbatch.sequences"]; got != hits {
-			t.Errorf("%s: nn.mbatch.sequences = %d, want every fast-path fact (%d)", label, got, hits)
+		for _, name := range []string{"nn.mbatch.sequences", "core.rank.prefix_hits"} {
+			if got := snap.Counters[name]; got != scored {
+				t.Errorf("%s: %s = %d, want every scored fact (%d)", label, name, got, scored)
+			}
 		}
 	}
-	if got := perFact.Counters["nn.mbatch.passes"]; got != hits {
-		t.Errorf("chunk 1: nn.mbatch.passes = %d, want one per fast-path fact (%d)", got, hits)
+	if got := perFact.Counters["nn.mbatch.passes"]; got != scored {
+		t.Errorf("chunk 1: nn.mbatch.passes = %d, want one per scored fact (%d)", got, scored)
 	}
-	if got := batched.Counters["nn.mbatch.passes"]; got == 0 || got >= hits {
-		t.Errorf("chunk 3: nn.mbatch.passes = %d, want packed passes (0 < passes < %d)", got, hits)
+	if got := batched.Counters["nn.mbatch.passes"]; got == 0 || got >= scored {
+		t.Errorf("chunk 3: nn.mbatch.passes = %d, want packed passes (0 < passes < %d)", got, scored)
 	}
 }

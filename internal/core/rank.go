@@ -8,31 +8,28 @@ import (
 )
 
 // Ranking: every lineage fact is scored by the fine-tuned encoder on
-// [CLS] q [SEP] t [SEP] f [SEP]. RankOn encodes the lineage's shared prefix
-// once and packs its fast-path facts into nn.BatchedForwardMultiPrefix
-// passes, so a lineage becomes a few GEMM passes instead of one small pass
-// per fact. Truncation eligibility is decided per fact
-// (lineageScorer.eligibleFactLen), and fallback facts run the per-fact
-// reference pass (Model.predictShapley). Scores are bit-identical to one
-// independent full-length forward pass per fact — packing changes
-// scheduling, never arithmetic (see internal/nn/multiprefix.go for the
-// structural argument).
+// [CLS] q [SEP] t [SEP] f [SEP]. RankOn encodes each (possibly trimmed)
+// query and tuple prefix of the lineage once (lineageScorer) and packs every
+// fact into nn.BatchedForwardMultiPrefix passes, so a lineage becomes a few
+// GEMM passes instead of one small pass per fact; a pass may mix facts of
+// different prefixes. Scores are bit-identical to one independent
+// full-length forward pass per fact — packing changes scheduling, never
+// arithmetic (see internal/nn/multiprefix.go for the structural argument).
 
 // rankChunk is the number of sequences packed into one encoder pass.
 const rankChunk = 8
 
-// factBatcher accumulates one lineage's fast-path facts and flushes them in
-// packed passes of up to chunk sequences. Slot buffers are reused across
-// chunks; queued state holds only owned token slices, mask views of trueMask
-// and the lineage's PrefixCache (whose rows are clones), so interleaved
-// fallback passes — which reset the encoder workspace — cannot corrupt a
-// pending chunk.
+// factBatcher accumulates one lineage's facts and flushes them in packed
+// passes of up to chunk sequences. Slot buffers are reused across chunks;
+// queued state holds only owned token slices, mask views of trueMask and
+// prefix caches (whose rows are clones), so building another prefix cache —
+// which resets the encoder workspace — cannot corrupt a pending chunk.
 type factBatcher struct {
 	s     *lineageScorer
 	out   shapley.Values
 	chunk int
 
-	pcs      []*nn.PrefixCache // s.pc in every slot: the pass takes one cache per sequence
+	pcs      []*nn.PrefixCache // each queued fact's prefix cache
 	ids      []relation.FactID
 	sufs     [][]int
 	sufSegs  [][]int
@@ -49,20 +46,21 @@ func newFactBatcher(s *lineageScorer, out shapley.Values, chunk int) *factBatche
 	return b
 }
 
-// add queues one fast-path fact and flushes when the chunk is full. The
-// caller has already built the lineage's prefix cache.
-func (b *factBatcher) add(id relation.FactID, fToks []string, fLen int) {
+// add queues one fact and flushes when the chunk is full.
+func (b *factBatcher) add(id relation.FactID, fToks []string) {
 	if b.n == len(b.ids) {
-		b.pcs = append(b.pcs, b.s.pc)
+		b.pcs = append(b.pcs, nil)
 		b.ids = append(b.ids, 0)
 		b.sufs = append(b.sufs, nil)
 		b.sufSegs = append(b.sufSegs, nil)
 		b.masks = append(b.masks, nil)
 	}
-	b.ids[b.n] = id
+	qLen, tLen, fLen := b.s.fitLengths(len(fToks))
+	pc := b.s.prefix(qLen, tLen)
+	b.pcs[b.n], b.ids[b.n] = pc, id
 	b.sufs[b.n], b.sufSegs[b.n] = appendFactSuffix(
 		b.sufs[b.n][:0], b.sufSegs[b.n][:0], b.s.m.tok, fToks, fLen)
-	b.masks[b.n] = b.trueMask[:b.s.prefixLen+len(b.sufs[b.n])]
+	b.masks[b.n] = b.trueMask[:pc.Len()+len(b.sufs[b.n])]
 	b.n++
 	if b.n == b.chunk {
 		b.flush()
@@ -75,9 +73,9 @@ func (b *factBatcher) flush() {
 		return
 	}
 	m := b.s.m
-	hidden, offs := m.enc.BatchedForwardMultiPrefix(b.pcs[:b.n], b.sufs[:b.n], b.sufSegs[:b.n], b.masks[:b.n])
+	readout := m.enc.BatchedForwardMultiPrefix(b.pcs[:b.n], b.sufs[:b.n], b.sufSegs[:b.n], b.masks[:b.n])
 	for i, id := range b.ids[:b.n] {
-		b.out[id] = m.shapHead.ForwardAt(hidden, offs[i]) / m.Cfg.TargetScale
+		b.out[id] = m.shapHead.ForwardAt(readout, i) / m.Cfg.TargetScale
 	}
 	b.n = 0
 }
@@ -97,18 +95,8 @@ func (m *Model) rankChunked(db *relation.Database, in Input, chunk int) shapley.
 			out[id] = 0
 			continue
 		}
-		fToks := m.tokensForFact(db, id, f)
-		fLen, ok := s.eligibleFactLen(fToks)
-		if !ok {
-			s.mFallbacks.Add(1)
-			out[id] = m.predictShapley(s.qToks, s.tToks, fToks)
-			continue
-		}
 		s.mHits.Add(1)
-		if s.pc == nil {
-			s.buildPrefix()
-		}
-		b.add(id, fToks, fLen)
+		b.add(id, m.tokensForFact(db, id, f))
 	}
 	b.flush()
 	return out

@@ -73,9 +73,9 @@ func BenchmarkEncoderBatchedForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
-		for _, off := range offs {
-			head.ForwardAt(h, off)
+		readout := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+		for b := 0; b < readout.Rows; b++ {
+			head.ForwardAt(readout, b)
 		}
 	}
 }

@@ -51,8 +51,10 @@ type Encoder struct {
 	tokens, segments []int
 
 	// Per-packed-pass scratch: row offsets and lengths of the packed
-	// sequences (see BatchedForwardMultiPrefix). Reused across calls.
+	// sequences, and of their readout rows (one each, at row b) in the last
+	// layer (see BatchedForwardMultiPrefix). Reused across calls.
 	batchOffs, batchLens []int
+	readOffs, readLens   []int
 
 	// Metric handles, resolved once at construction against the registry
 	// installed at the time (nil handles — the no-op recorder — otherwise).

@@ -270,13 +270,12 @@ func TestIntoKernelsFixedValues(t *testing.T) {
 
 // refAttnScores computes one head's masked attention probabilities the
 // pre-fusion way: materialize scaled scores with -Inf on masked columns, then
-// softmax each row.
+// softmax each row. It has one row per q row and one column per k row.
 func refAttnScores(q, k *Mat, off, dk int, scale float64, mask []bool) *Mat {
-	seq := q.Rows
-	scores := NewMat(seq, seq)
-	for i := 0; i < seq; i++ {
+	scores := NewMat(q.Rows, k.Rows)
+	for i := 0; i < q.Rows; i++ {
 		qi := q.Row(i)[off : off+dk]
-		for j := 0; j < seq; j++ {
+		for j := 0; j < k.Rows; j++ {
 			if !mask[j] {
 				scores.Set(i, j, math.Inf(-1))
 				continue
@@ -293,6 +292,10 @@ func refAttnScores(q, k *Mat, off, dk int, scale float64, mask []bool) *Mat {
 	return scores
 }
 
+// TestAttnScoresSoftmaxMatchesReference checks the fused kernel against
+// refAttnScores with every key row as a query, with one query row (the
+// readout-only last layer's shape), and with a random number of query rows
+// in between.
 func TestAttnScoresSoftmaxMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -300,7 +303,6 @@ func TestAttnScoresSoftmaxMatchesReference(t *testing.T) {
 		heads := 1 + rng.Intn(3)
 		dk := 1 + rng.Intn(6)
 		dim := heads * dk
-		q := randMatZeros(rng, seq, dim, 0.1)
 		k := randMatZeros(rng, seq, dim, 0.1)
 		mask := make([]bool, seq)
 		mask[0] = true // [CLS] is always real
@@ -308,11 +310,15 @@ func TestAttnScoresSoftmaxMatchesReference(t *testing.T) {
 			mask[j] = rng.Float64() < 0.7
 		}
 		scale := 1 / math.Sqrt(float64(dk))
-		for h := 0; h < heads; h++ {
-			off := h * dk
-			out := dirty(rng, seq, seq)
-			AttnScoresSoftmax(q, k, off, dk, scale, mask, out)
-			assertBitEqual(t, "AttnScoresSoftmax", out, refAttnScores(q, k, off, dk, scale, mask))
+		for _, nq := range []int{seq, 1, 1 + rng.Intn(seq)} {
+			q := randMatZeros(rng, nq, dim, 0.1)
+			for h := 0; h < heads; h++ {
+				off := h * dk
+				out := dirty(rng, nq, seq)
+				AttnScoresSoftmax(q, k, off, dk, scale, mask, out)
+				name := fmt.Sprintf("AttnScoresSoftmax %d queries x %d keys", nq, seq)
+				assertBitEqual(t, name, out, refAttnScores(q, k, off, dk, scale, mask))
+			}
 		}
 	}
 }

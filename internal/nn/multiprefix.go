@@ -8,11 +8,17 @@ import "math"
 // applied per sequence on row windows of the packed matrices — sequences
 // never attend across each other, which is exactly a block-diagonal attention
 // mask without materializing it. The sequences may come from different prefix
-// caches (different lineages), so one pass serves one lineage, several, or
-// one fact at a time alike.
+// caches (different lineages, or one lineage's facts under different
+// truncations), so one pass serves any mix of them.
 //
-// Bit-identity with Forward on each full sequence is structural, not
-// numerical luck:
+// The pass returns only what a head reads: one readout row per sequence, its
+// final [CLS] hidden state. Every layer but the last runs on all rows, because
+// the next layer's keys and values need them. The last layer projects K and V
+// from all rows but runs Q, the scores and softmax, probs·V, Wo, both
+// LayerNorms and the FFN on the B readout rows alone.
+//
+// Bit-identity of each readout row with row 0 of Forward on the full sequence
+// is structural, not numerical luck:
 //   - each sequence's prefix rows are copied verbatim from its own cache, and
 //     its suffix rows are embedded at the same absolute positions (posOffset =
 //     that sequence's prefix length) Forward uses; embeddings and LayerNorm are
@@ -20,11 +26,14 @@ import "math"
 //   - every row-local layer (embedding LayerNorm, Linear bias adds, GELU,
 //     residual adds) computes a packed row exactly as it computes the row
 //     alone, and the GEMM kernels accumulate each output row independently in
-//     k-order (see MatMulBlockedInto), so which rows share a matrix never affects any
-//     row's value;
+//     k-order (see MatMulBlockedInto), so which rows share a matrix — all of a
+//     sequence's rows, or only the readout rows of the last layer — never
+//     affects any row's value;
 //   - attention runs the exact per-sequence kernel (AttnScoresSoftmax plus
 //     the probs·V accumulation of the single-sequence path) on views of the
-//     packed Q/K/V, with each sequence's own mask.
+//     packed Q/K/V, with each sequence's own mask; an attention output row
+//     depends only on its own query row and the sequence's keys and values,
+//     so computing it for the readout row alone gives the same row.
 // So a packed pass changes scheduling, never arithmetic.
 
 // PrefixCache holds the embedding-layer output (token+position+segment sums,
@@ -57,14 +66,15 @@ func (e *Encoder) EmbedPrefix(tokens, segments []int) *PrefixCache {
 // pcs[b] + sufTokens[b], the suffix occupying absolute positions from
 // pcs[b].Len(). The caches may differ per sequence (repeats are fine and
 // copy the same rows twice); masks[b] covers sequence b's full prefix+suffix
-// length. It returns the packed hidden states [ΣT×Dim] and the per-sequence
-// row offsets: sequence b's hidden rows start at offsets[b], with its [CLS]
-// representation at that row. Both return values are encoder scratch, valid
-// until the next forward pass. Inference-only: poisons the Backward caches.
-func (e *Encoder) BatchedForwardMultiPrefix(pcs []*PrefixCache, sufTokens, sufSegments [][]int, masks [][]bool) (*Mat, []int) {
+// length. It returns the readout rows [B×Dim]: row b is sequence b's final
+// [CLS] hidden state, bit-identical to row 0 of Forward over that sequence.
+// The matrix is encoder scratch, valid until the next forward pass.
+// Inference-only: poisons the Backward caches.
+func (e *Encoder) BatchedForwardMultiPrefix(pcs []*PrefixCache, sufTokens, sufSegments [][]int, masks [][]bool) *Mat {
 	d := e.Cfg.Dim
 	total, sufTotal, groups := 0, 0, 0
 	e.batchOffs, e.batchLens = e.batchOffs[:0], e.batchLens[:0]
+	e.readOffs, e.readLens = e.readOffs[:0], e.readLens[:0]
 	for b := range sufTokens {
 		seq := pcs[b].Len() + len(sufTokens[b])
 		if seq > e.Cfg.MaxSeqLen {
@@ -72,6 +82,8 @@ func (e *Encoder) BatchedForwardMultiPrefix(pcs []*PrefixCache, sufTokens, sufSe
 		}
 		e.batchOffs = append(e.batchOffs, total)
 		e.batchLens = append(e.batchLens, seq)
+		e.readOffs = append(e.readOffs, b)
+		e.readLens = append(e.readLens, 1)
 		total += seq
 		sufTotal += len(sufTokens[b])
 		if b == 0 || pcs[b] != pcs[b-1] {
@@ -107,7 +119,7 @@ func (e *Encoder) BatchedForwardMultiPrefix(pcs []*PrefixCache, sufTokens, sufSe
 	for b := range sufTokens {
 		copy(x.Data[e.batchOffs[b]*d:e.batchOffs[b]*d+len(pcs[b].X.Data)], pcs[b].X.Data)
 	}
-	return e.encodeBatch(x, masks), e.batchOffs
+	return e.encodeBatch(x, masks)
 }
 
 // recordMultiBatch bumps the packed-pass metrics. seqs is the number of
@@ -126,12 +138,21 @@ func (e *Encoder) recordMultiBatch(seqs, tokens, prefixes int) {
 }
 
 // encodeBatch runs the transformer blocks over the packed post-embedding
-// states. Everything except attention is row-local and runs directly on the
-// packed matrix; attention goes through the per-sequence batched kernel.
+// states and returns the readout rows. Everything except attention is
+// row-local and runs directly on the packed matrix; attention goes through
+// the per-sequence batched kernel. The last layer queries with the readout
+// rows alone: its other rows feed no later layer and no head.
 func (e *Encoder) encodeBatch(x *Mat, masks [][]bool) *Mat {
-	for _, l := range e.layers {
-		h := l.attn.BatchedForward(e.ws, x, e.batchOffs, e.batchLens, masks)
-		h.AddInPlace(x)
+	if len(e.layers) == 0 {
+		return e.readoutRows(x)
+	}
+	for i, l := range e.layers {
+		xq, qOffs, qLens := x, e.batchOffs, e.batchLens
+		if i == len(e.layers)-1 {
+			xq, qOffs, qLens = e.readoutRows(x), e.readOffs, e.readLens
+		}
+		h := l.attn.BatchedForward(e.ws, xq, qOffs, qLens, x, e.batchOffs, e.batchLens, masks)
+		h.AddInPlace(xq)
 		x = l.ln1.Forward(e.ws, h)
 		f := l.ffn.Forward(e.ws, x)
 		f.AddInPlace(x)
@@ -140,26 +161,40 @@ func (e *Encoder) encodeBatch(x *Mat, masks [][]bool) *Mat {
 	return x
 }
 
-// BatchedForward computes self-attention over B sequences packed into
-// x [ΣT×dim]: the Q/K/V/output projections run on the packed matrix (large
-// GEMMs), the score/softmax/probs·V stage runs per sequence on row windows,
-// so position i of sequence b attends exactly the keys of sequence b — no
-// cross-sequence leakage, bit-identical to Forward on each sequence alone.
-// Inference-only: the backward caches are not populated.
-func (a *MultiHeadAttention) BatchedForward(ws *Workspace, x *Mat, offs, lens []int, masks [][]bool) *Mat {
-	q, k, v := a.Wq.Forward(ws, x), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
-	concat := ws.Get(x.Rows, a.Dim)
+// readoutRows gathers the first ([CLS]) row of every packed sequence of x
+// into a [B×Dim] workspace matrix.
+func (e *Encoder) readoutRows(x *Mat) *Mat {
+	out := e.ws.Get(len(e.batchOffs), x.Cols)
+	for b, off := range e.batchOffs {
+		copy(out.Row(b), x.Row(off))
+	}
+	return out
+}
+
+// BatchedForward computes self-attention for B sequences packed into x
+// [ΣT×dim]: sequence b's keys and values are rows [offs[b], offs[b]+lens[b])
+// of x, and its queries are rows [qOffs[b], qOffs[b]+qLens[b]) of xq, some or
+// all of that sequence's rows. The Q/K/V/output projections run on the packed
+// matrices (large GEMMs); the score/softmax/probs·V stage runs per sequence on
+// row windows, so a query of sequence b attends exactly the keys of sequence
+// b — no cross-sequence leakage. The result holds one row per row of xq, each
+// bit-identical to that row of Forward on its sequence alone: an attention
+// output row depends only on its own query row and the sequence's keys and
+// values. Inference-only: the backward caches are not populated.
+func (a *MultiHeadAttention) BatchedForward(ws *Workspace, xq *Mat, qOffs, qLens []int, x *Mat, offs, lens []int, masks [][]bool) *Mat {
+	q, k, v := a.Wq.Forward(ws, xq), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
+	concat := ws.Get(xq.Rows, a.Dim)
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for b := range offs {
-		ro, seq := offs[b], lens[b]
-		qv, kv := ws.View(q, ro, seq), ws.View(k, ro, seq)
+		ro, seq, qo, nq := offs[b], lens[b], qOffs[b], qLens[b]
+		qv, kv := ws.View(q, qo, nq), ws.View(k, ro, seq)
 		for h := 0; h < a.Heads; h++ {
 			off := h * a.dk
-			scores := ws.Get(seq, seq)
+			scores := ws.Get(nq, seq)
 			AttnScoresSoftmax(qv, kv, off, a.dk, scale, masks[b], scores)
-			for i := 0; i < seq; i++ {
+			for i := 0; i < nq; i++ {
 				prow := scores.Row(i)
-				crow := concat.Row(ro + i)[off : off+a.dk]
+				crow := concat.Row(qo + i)[off : off+a.dk]
 				for j := 0; j < seq; j++ {
 					p := prow[j]
 					if p == 0 {

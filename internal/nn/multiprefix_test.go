@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -37,55 +37,51 @@ func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []testPrefix {
 // pass against one Forward call per full prefix+suffix sequence: random
 // batches mix sequences from several distinct prefix caches (including
 // consecutive repeats of the same cache, as the rank batcher produces, and
-// empty suffixes). Bit-identical hidden windows and head readouts are
-// required.
+// empty suffixes), at every parityLayers depth. Bit-identical readout rows
+// and head readouts are required.
 func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	enc, head := batchedTestEncoder(50)
-	prefixes := multiPrefixFixture(enc, rng, 3)
-	for _, batch := range []int{1, 2, 5, 8} {
-		for trial := 0; trial < 8; trial++ {
-			picked := make([]testPrefix, batch)
-			pcs := make([]*PrefixCache, batch)
-			sufs := make([][]int, batch)
-			sufSegs := make([][]int, batch)
-			masks := make([][]bool, batch)
-			for b := range sufs {
-				if b > 0 && rng.Intn(2) == 0 {
-					picked[b] = picked[b-1] // a lineage contributes a run of facts
-				} else {
-					picked[b] = prefixes[rng.Intn(len(prefixes))]
+	for _, layers := range parityLayers {
+		enc, head := batchedTestEncoder(50, layers)
+		prefixes := multiPrefixFixture(enc, rng, 3)
+		for _, batch := range []int{1, 2, 5, 8} {
+			for trial := 0; trial < 8; trial++ {
+				picked := make([]testPrefix, batch)
+				pcs := make([]*PrefixCache, batch)
+				sufs := make([][]int, batch)
+				sufSegs := make([][]int, batch)
+				masks := make([][]bool, batch)
+				for b := range sufs {
+					if b > 0 && rng.Intn(2) == 0 {
+						picked[b] = picked[b-1] // a lineage contributes a run of facts
+					} else {
+						picked[b] = prefixes[rng.Intn(len(prefixes))]
+					}
+					pcs[b] = picked[b].pc
+					p := pcs[b].Len()
+					n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
+					sufs[b] = make([]int, n)
+					sufSegs[b] = make([]int, n)
+					for i := 0; i < n; i++ {
+						sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
+						sufSegs[b][i] = 2
+					}
+					masks[b] = make([]bool, p+n)
+					for i := range masks[b] {
+						masks[b][i] = true
+					}
 				}
-				pcs[b] = picked[b].pc
-				p := pcs[b].Len()
-				n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
-				sufs[b] = make([]int, n)
-				sufSegs[b] = make([]int, n)
-				for i := 0; i < n; i++ {
-					sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
-					sufSegs[b][i] = 2
+				want := make([]*Mat, batch)
+				wantPred := make([]float64, batch)
+				for b := range sufs {
+					tokens := append(append([]int(nil), picked[b].tokens...), sufs[b]...)
+					segs := append(append([]int(nil), picked[b].segs...), sufSegs[b]...)
+					h := enc.Forward(tokens, segs, masks[b])
+					wantPred[b] = head.Forward(h)
+					want[b] = h.Clone()
 				}
-				masks[b] = make([]bool, p+n)
-				for i := range masks[b] {
-					masks[b][i] = true
-				}
-			}
-			want := make([]*Mat, batch)
-			wantPred := make([]float64, batch)
-			for b := range sufs {
-				tokens := append(append([]int(nil), picked[b].tokens...), sufs[b]...)
-				segs := append(append([]int(nil), picked[b].segs...), sufSegs[b]...)
-				h := enc.Forward(tokens, segs, masks[b])
-				wantPred[b] = head.Forward(h)
-				want[b] = h.Clone()
-			}
-			packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
-			for b := range sufs {
-				assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
-				got := head.ForwardAt(packed, offs[b])
-				if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-					t.Fatalf("batch=%d seq %d: head %v vs reference %v", batch, b, got, wantPred[b])
-				}
+				label := fmt.Sprintf("BatchedForwardMultiPrefix layers=%d batch=%d", layers, batch)
+				assertReadoutsBitEqual(t, label, head, enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks), want, wantPred)
 			}
 		}
 	}
@@ -100,7 +96,7 @@ func TestMultiPrefixZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(56))
-	enc, head := batchedTestEncoder(50)
+	enc, head := batchedTestEncoder(50, 2)
 	prefixes := multiPrefixFixture(enc, rng, 3)
 	const batch = 6
 	pcs := make([]*PrefixCache, batch)
@@ -123,9 +119,9 @@ func TestMultiPrefixZeroAllocs(t *testing.T) {
 		}
 	}
 	step := func() {
-		packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
-		for b := range offs {
-			head.ForwardAt(packed, offs[b])
+		readout := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+		for b := 0; b < readout.Rows; b++ {
+			head.ForwardAt(readout, b)
 		}
 	}
 	step()

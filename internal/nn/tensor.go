@@ -74,12 +74,15 @@ func checkMatMulTShapes(a, b, out *Mat) {
 // mask[j] == true, reading the head slice [off, off+dk) of every q/k row.
 // Masked columns receive probability exactly 0 and their key rows are never
 // read, which is bit-identical to scoring them -Inf and softmaxing (exp(-Inf)
-// contributes +0 to the row sum). out must be q.Rows×q.Rows; every element is
-// written. A row with no unmasked column would be all zeros rather than NaN,
-// but no caller produces one ([CLS] is always unmasked).
+// contributes +0 to the row sum). q may hold fewer rows than k (a subset of
+// the sequence's queries): row i depends only on q_i and the keys, so it is
+// the same row either way. mask covers the k.Rows keys; out must be
+// q.Rows×k.Rows, and every element is written. A row with no unmasked column
+// would be all zeros rather than NaN, but no caller produces one ([CLS] is
+// always unmasked).
 func AttnScoresSoftmax(q, k *Mat, off, dk int, scale float64, mask []bool, out *Mat) {
-	seq := q.Rows
-	for i := 0; i < seq; i++ {
+	seq := k.Rows
+	for i := 0; i < q.Rows; i++ {
 		qi := q.Row(i)[off : off+dk]
 		row := out.Row(i)
 		max := math.Inf(-1)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -163,42 +164,41 @@ func TestReplicaWorkspacesIndependent(t *testing.T) {
 }
 
 // TestPrefixReuseMatchesForward checks prefix reuse on its own: one
-// sequence encoded as an embedded prefix cache plus a suffix must give hidden
-// states bit-identical to Forward over the whole sequence.
+// sequence encoded as an embedded prefix cache plus a suffix must give a
+// readout row bit-identical to the [CLS] row of Forward over the whole
+// sequence, at every parityLayers depth.
 func TestPrefixReuseMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	ps := &Params{}
-	enc := NewEncoder(Config{
-		VocabSize: 60, MaxSeqLen: 20, Dim: 16, Heads: 2, Layers: 2, FFNHidden: 32,
-	}, ps, rng)
 	prefix := []int{2, 8, 14, 3, 21, 3}
 	prefixSeg := []int{0, 0, 0, 0, 1, 1}
-	pc := enc.EmbedPrefix(prefix, prefixSeg)
-	for trial := 0; trial < 5; trial++ {
-		sufLen := 1 + rng.Intn(6)
-		suf := make([]int, sufLen)
-		sufSeg := make([]int, sufLen)
-		for i := range suf {
-			suf[i] = rng.Intn(60)
-			sufSeg[i] = 1
-		}
-		full := append(append([]int{}, prefix...), suf...)
-		fullSeg := append(append([]int{}, prefixSeg...), sufSeg...)
-		mask := make([]bool, len(full))
-		for i := range mask {
-			mask[i] = true
-		}
-		want := enc.Forward(full, fullSeg, mask).Clone()
-		got, offs := enc.BatchedForwardMultiPrefix(
-			[]*PrefixCache{pc}, [][]int{suf}, [][]int{sufSeg}, [][]bool{mask})
-		for i := 0; i < want.Rows; i++ {
-			grow, wrow := got.Row(offs[0]+i), want.Row(i)
-			for j := range wrow {
-				if math.Float64bits(grow[j]) != math.Float64bits(wrow[j]) {
-					t.Fatalf("trial %d: prefix-reuse hidden state differs at row %d col %d: %v vs %v",
-						trial, i, j, grow[j], wrow[j])
-				}
+	for _, layers := range parityLayers {
+		ps := &Params{}
+		enc := NewEncoder(Config{
+			VocabSize: 60, MaxSeqLen: 20, Dim: 16, Heads: 2, Layers: layers, FFNHidden: 32,
+		}, ps, rng)
+		head := NewRegressionHead(ps, "head", 16, rng)
+		pc := enc.EmbedPrefix(prefix, prefixSeg)
+		for trial := 0; trial < 5; trial++ {
+			sufLen := 1 + rng.Intn(6)
+			suf := make([]int, sufLen)
+			sufSeg := make([]int, sufLen)
+			for i := range suf {
+				suf[i] = rng.Intn(60)
+				sufSeg[i] = 1
 			}
+			full := append(append([]int{}, prefix...), suf...)
+			fullSeg := append(append([]int{}, prefixSeg...), sufSeg...)
+			mask := make([]bool, len(full))
+			for i := range mask {
+				mask[i] = true
+			}
+			h := enc.Forward(full, fullSeg, mask)
+			wantPred := head.Forward(h)
+			want := h.Clone()
+			got := enc.BatchedForwardMultiPrefix(
+				[]*PrefixCache{pc}, [][]int{suf}, [][]int{sufSeg}, [][]bool{mask})
+			label := fmt.Sprintf("prefix reuse, layers=%d trial %d", layers, trial)
+			assertReadoutsBitEqual(t, label, head, got, []*Mat{want}, []float64{wantPred})
 		}
 	}
 }

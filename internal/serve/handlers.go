@@ -448,7 +448,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // scrutiny, so degradation never turns liveness off.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
-	s.updatePrefixRate()
 	drift := []obs.DriftStatus{s.driftScore.Evaluate(), s.driftMargin.Evaluate()}
 	status := "ok"
 	for _, d := range drift {

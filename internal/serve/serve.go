@@ -14,9 +14,10 @@
 // each own one model replica (core.Model.CloneForWorker: shared read-only
 // weights, private activation workspaces) and score one admitted request at a
 // time, so a request waits only for a free replica. A replica ranks a
-// request's lineage through core.Model.RankOn: the facts run as a few
-// nn.BatchedForwardMultiPrefix GEMM passes over the shared prefix on a
-// warmed, zero-allocation workspace.
+// request's lineage through core.Model.RankOn: every fact runs in one of a
+// few nn.BatchedForwardMultiPrefix GEMM passes over the lineage's embedded
+// prefixes, whose last layer computes only the [CLS] rows the head reads, on
+// a warmed, zero-allocation workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
 // (core.ConcurrentRanker contract), and dispatch only decides which replica
@@ -142,16 +143,13 @@ type Server struct {
 	driftMargin *obs.DriftMonitor
 
 	// Pre-resolved metric handles (nil = no-op without a live obs run).
-	mReloads    *obs.Counter
-	mSlow       *obs.Counter
-	mEvaluate   *obs.Histogram // serve.stage.evaluate_ms
-	mQueueWait  *obs.Histogram // serve.stage.queue_wait_ms
-	mBatchWait  *obs.Histogram // serve.stage.batch_wait_ms
-	mScore      *obs.Histogram // serve.stage.score_ms
-	mWrite      *obs.Histogram // serve.stage.write_ms
-	mPrefixRate *obs.Gauge     // serve.prefix_hit_rate
-	cPrefixHits *obs.Counter   // shared storage with core.rank.prefix_hits
-	cPrefixFb   *obs.Counter   // shared storage with core.rank.prefix_fallbacks
+	mReloads   *obs.Counter
+	mSlow      *obs.Counter
+	mEvaluate  *obs.Histogram // serve.stage.evaluate_ms
+	mQueueWait *obs.Histogram // serve.stage.queue_wait_ms
+	mBatchWait *obs.Histogram // serve.stage.batch_wait_ms
+	mScore     *obs.Histogram // serve.stage.score_ms
+	mWrite     *obs.Histogram // serve.stage.write_ms
 }
 
 // New assembles a server around a trained model and the corpus it was trained
@@ -192,9 +190,6 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		mBatchWait:  reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
 		mScore:      reg.Histogram("serve.stage.score_ms", stageBuckets),
 		mWrite:      reg.Histogram("serve.stage.write_ms", stageBuckets),
-		mPrefixRate: reg.Gauge("serve.prefix_hit_rate"),
-		cPrefixHits: reg.Counter("core.rank.prefix_hits"),
-		cPrefixFb:   reg.Counter("core.rank.prefix_fallbacks"),
 	}
 	s.install(model, "initial")
 	s.b = newBatcher(s)
@@ -287,15 +282,6 @@ func (s *Server) observeRanking(vals shapley.Values) {
 	}
 	if m, ok := top1Margin(vals); ok {
 		s.driftMargin.Observe(m)
-	}
-}
-
-// updatePrefixRate refreshes the serve.prefix_hit_rate gauge from the shared
-// prefix-reuse counters (no-op without a live registry).
-func (s *Server) updatePrefixRate() {
-	hits, fb := s.cPrefixHits.Value(), s.cPrefixFb.Value()
-	if total := hits + fb; total > 0 {
-		s.mPrefixRate.Set(float64(hits) / float64(total))
 	}
 }
 

@@ -30,10 +30,15 @@ echo "== go test -race (concurrency packages) =="
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
 echo "== go test -race (packed passes) =="
-# The packed inference parity tests (the 'Batched' pattern matches
-# TestBatchedForwardMultiPrefixMatchesPerSequence and TestRankOnBatchedGolden)
-# run explicitly under the race detector.
-go test -race ./internal/nn -run 'Batched|MultiPrefix'
+# The packed inference parity tests run explicitly under the race detector:
+# in nn, every readout-row parity test (TestBatchedForwardMatchesForward,
+# TestBatchedForwardMultiPrefixMatchesPerSequence,
+# TestBatchedSharedPrefixMatchesPerSequence, TestPrefixReuseMatchesForward)
+# and the fewer-queries-than-keys attention kernel test
+# (TestAttnScoresSoftmaxMatchesReference); in core, the golden and truncated
+# rankers (TestRankOnPrefixGolden, TestRankOnBatchedGolden,
+# TestRankOnBatchedTruncated and their siblings).
+go test -race ./internal/nn -run 'Batched|MultiPrefix|PrefixReuse|AttnScores'
 go test -race ./internal/core -run 'Batched|Golden'
 
 echo "== go test -race (request observability: traces, ring, drift, exposition) =="
@@ -126,6 +131,15 @@ echo "== corpus import fuzz smoke =="
 # Arbitrary bytes fed to dataset.Import must yield a corpus or an error,
 # never a panic.
 go test ./internal/dataset -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s
+
+echo "== checkpoint load fuzz smoke =="
+# Arbitrary bytes fed to core.LoadModel (the file behind POST /admin/reload)
+# must yield a model that ranks or an error, never a panic or an unbounded
+# allocation. Minimization is off: minimizing each input that reaches new
+# code takes seconds per input at checkpoint sizes, and would fill the whole
+# smoke instead of fuzzing (about 7,000 inputs a second without it on a
+# 2-core host).
+go test ./internal/core -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 10s -fuzzminimizetime 0
 
 echo "== end-to-end run manifest =="
 # Tiny full pipeline (corpus -> train -> eval) with the observability stack on:
