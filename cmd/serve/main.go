@@ -13,9 +13,10 @@
 // SIGINT and SIGTERM drain in-flight requests before exit (and flush
 // -metrics-out).
 //
-// Each of the -workers dispatchers (one per CPU by default) owns one model
-// replica and scores one request at a time through core.Model.RankOn, so a
-// request waits only for a free replica. -tls-cert/-tls-key serve HTTPS;
+// Every request runs on its own handler goroutine: it takes one of
+// -queue-cap plus -workers admission slots, then scores on one of -workers
+// pooled model replicas (one per CPU by default) through core.Model.RankOn,
+// so a request waits only for a free replica. -tls-cert/-tls-key serve HTTPS;
 // -admin-token puts /admin/* behind a bearer token. The repository benchmark
 // (bench/run.sh) measures the daemon under load.
 package main
@@ -54,7 +55,7 @@ func main() {
 
 	// Serving.
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	queueCap := flag.Int("queue-cap", 256, "admission queue bound; overflow answers 429 + Retry-After")
+	queueCap := flag.Int("queue-cap", 256, "admitted requests that may wait beyond -workers; overflow answers 429 + Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	adminToken := flag.String("admin-token", "", "bearer token required on /admin/* endpoints (empty = open)")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate path; with -tls-key, serve HTTPS instead of HTTP")
@@ -62,10 +63,6 @@ func main() {
 
 	// Observability (the obs run flags -metrics-out/-trace/-v come from AddFlags).
 	slowMS := flag.Float64("slow-ms", 0, "log requests slower than this many ms with their trace decomposition (0 = off)")
-	traceRing := flag.Int("trace-ring", 256, "recent request traces kept for GET /debug/trace")
-	driftWindow := flag.Int("drift-window", 256, "rolling window of the online quality-drift monitors")
-	driftProbe := flag.Int("drift-probe", 8, "test-split lineages self-scored at model (re)load for the drift reference")
-	driftPSI := flag.Float64("drift-psi", 0.25, "PSI threshold at which /healthz reports status degraded")
 
 	// Modes.
 	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, verify bit-parity with sequential ranking, then exit")
@@ -83,10 +80,6 @@ func main() {
 	rn.SetConfig("workers", *workers)
 	rn.SetConfig("queue_cap", *queueCap)
 	rn.SetConfig("slow_ms", *slowMS)
-	rn.SetConfig("trace_ring", *traceRing)
-	rn.SetConfig("drift_window", *driftWindow)
-	rn.SetConfig("drift_probe", *driftProbe)
-	rn.SetConfig("drift_psi", *driftPSI)
 
 	kind := dataset.IMDB
 	if *kindFlag == "academic" {
@@ -108,17 +101,13 @@ func main() {
 		*loadPath, *savePath)
 
 	scfg := serve.Config{
-		Addr:        *addr,
-		Workers:     *workers,
-		QueueCap:    *queueCap,
-		AdminToken:  *adminToken,
-		TLSCert:     *tlsCert,
-		TLSKey:      *tlsKey,
-		SlowMS:      *slowMS,
-		TraceRing:   *traceRing,
-		DriftWindow: *driftWindow,
-		DriftProbe:  *driftProbe,
-		DriftPSI:    *driftPSI,
+		Addr:       *addr,
+		Workers:    *workers,
+		QueueCap:   *queueCap,
+		AdminToken: *adminToken,
+		TLSCert:    *tlsCert,
+		TLSKey:     *tlsKey,
+		SlowMS:     *slowMS,
 	}
 	if *selftest > 0 {
 		scfg.Addr = "127.0.0.1:0"

@@ -2,10 +2,10 @@
 // LearnShapley answers real-time "why is this tuple in the result?" requests
 // from only the query and the tuple — no provenance capture needed. The
 // program trains a small model over a synthetic IMDB corpus, starts the
-// production serving stack (internal/serve: per-request dispatch on model
-// replicas, backpressure, graceful drain — the same engine behind cmd/serve),
-// issues a demonstration request against itself, and exits (pass -serve to
-// keep it running).
+// production serving stack (internal/serve: each request scored on a pooled
+// model replica, backpressure, graceful drain — the same engine behind
+// cmd/serve), issues a demonstration request against itself, and exits (pass
+// -serve to keep it running).
 //
 //	POST /rank {"sql": "...", "tuple": ["Alice", ...]}
 //	  -> {"facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}

@@ -148,9 +148,9 @@ func SmallTransformerConfig() ModelConfig {
 // encoder caches activations between forward and backward), but replicas made
 // with CloneForWorker are safe to use concurrently with each other and with
 // the parent — they share the weight tensors, which are read-only at
-// inference, while each replica owns the mutable state (activation caches,
-// gradient accumulators, token cache). Rank/RankOn/RankCase therefore run
-// concurrently by giving each worker goroutine its own replica.
+// inference, while each replica owns the mutable state (activation caches and
+// gradient accumulators). Rank/RankOn/RankCase therefore run concurrently by
+// giving each worker goroutine its own replica.
 type Model struct {
 	Cfg      ModelConfig
 	tok      *tokenizer.Tokenizer
@@ -160,14 +160,7 @@ type Model struct {
 	shapHead *nn.RegressionHead
 	mlmHead  *nn.VocabHead // nil unless Cfg.MLMWeight > 0
 
-	trainDB     *relation.Database
-	queryTokens map[int][]string             // corpus query ID -> cached token sequence
-	tupleTokens map[[2]int][]string          // (query, case) -> cached output-tuple tokens
-	factTokens  map[relation.FactID][]string // training-DB fact -> cached token sequence
-
-	// Token-cache effectiveness counters (no-op without a live registry).
-	mTupleHits, mTupleMisses *obs.Counter
-	mFactHits, mFactMisses   *obs.Counter
+	trainDB *relation.Database
 }
 
 // NumWeights reports the total scalar parameter count.
@@ -195,21 +188,13 @@ func assemble(cfg ModelConfig, tok *tokenizer.Tokenizer, ps *nn.Params, rng *ran
 		FFNHidden: cfg.FFNHidden,
 		Segments:  3,
 	}, ps, rng)
-	reg := obs.Metrics()
 	m := &Model{
-		Cfg:          cfg,
-		tok:          tok,
-		params:       ps,
-		enc:          enc,
-		simHeads:     make(map[string]*nn.RegressionHead),
-		shapHead:     nn.NewRegressionHead(ps, "head.shapley", cfg.Dim, rng),
-		queryTokens:  make(map[int][]string),
-		tupleTokens:  make(map[[2]int][]string),
-		factTokens:   make(map[relation.FactID][]string),
-		mTupleHits:   reg.Counter("core.tok.tuple_hits"),
-		mTupleMisses: reg.Counter("core.tok.tuple_misses"),
-		mFactHits:    reg.Counter("core.tok.fact_hits"),
-		mFactMisses:  reg.Counter("core.tok.fact_misses"),
+		Cfg:      cfg,
+		tok:      tok,
+		params:   ps,
+		enc:      enc,
+		simHeads: make(map[string]*nn.RegressionHead),
+		shapHead: nn.NewRegressionHead(ps, "head.shapley", cfg.Dim, rng),
 	}
 	for _, metric := range cfg.PretrainMetrics {
 		m.simHeads[metric] = nn.NewRegressionHead(ps, "head."+metric, cfg.Dim, rng)
@@ -222,9 +207,9 @@ func assemble(cfg ModelConfig, tok *tokenizer.Tokenizer, ps *nn.Params, rng *ran
 
 // CloneForWorker returns a worker replica of the model: it shares the parent's
 // weight tensors (optimizer updates and checkpoint restores on the parent are
-// immediately visible) but owns its activation caches, gradient accumulators
-// and token cache, so each replica may run forward/backward concurrently with
-// the others. Replica gradients are merged into the parent in a fixed order
+// immediately visible) but owns its activation caches and gradient
+// accumulators, so each replica may run forward/backward concurrently with the
+// others. Replica gradients are merged into the parent in a fixed order
 // via nn.(*Params).AddGradsFrom.
 func (m *Model) CloneForWorker() *Model {
 	rep := m.params.CloneForWorker()

@@ -5,6 +5,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/shapley"
+	"repro/internal/tokenizer"
 )
 
 // Ranking: every lineage fact is scored by the fine-tuned encoder on
@@ -96,7 +97,7 @@ func (m *Model) rankChunked(db *relation.Database, in Input, chunk int) shapley.
 			continue
 		}
 		s.mHits.Add(1)
-		b.add(id, m.tokensForFact(db, id, f))
+		b.add(id, tokenizer.TokenizeFact(f))
 	}
 	b.flush()
 	return out

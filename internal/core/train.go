@@ -184,49 +184,6 @@ func batchSize(cfg ModelConfig, steps int) int {
 	return steps
 }
 
-// tokensForQuery caches the token sequence of a corpus query.
-func (m *Model) tokensForQuery(c *dataset.Corpus, qi int) []string {
-	if t, ok := m.queryTokens[qi]; ok {
-		return t
-	}
-	t := tokenizer.TokenizeSQL(c.Queries[qi].SQL)
-	m.queryTokens[qi] = t
-	return t
-}
-
-// tokensForTuple caches the token sequence of a labeled case's output tuple,
-// so the fine-tuning loop stops re-tokenizing the same tuple on every epoch
-// pass over the sample pool. Like all model caches it is replica-local.
-func (m *Model) tokensForTuple(c *dataset.Corpus, qi, ci int) []string {
-	key := [2]int{qi, ci}
-	if t, ok := m.tupleTokens[key]; ok {
-		m.mTupleHits.Add(1)
-		return t
-	}
-	m.mTupleMisses.Add(1)
-	t := tokenizer.TokenizeValues(c.Queries[qi].Cases[ci].Tuple.Values)
-	m.tupleTokens[key] = t
-	return t
-}
-
-// tokensForFact caches fact token sequences for the training database, the
-// common case of both fine-tuning and ranking. Facts of any other database
-// (cross-schema inference, Section 7) bypass the cache — fact IDs are only
-// unique within one database — and are neither counted as hits nor misses.
-func (m *Model) tokensForFact(db *relation.Database, id relation.FactID, f *relation.Fact) []string {
-	if db != m.trainDB || m.trainDB == nil {
-		return tokenizer.TokenizeFact(f)
-	}
-	if t, ok := m.factTokens[id]; ok {
-		m.mFactHits.Add(1)
-		return t
-	}
-	m.mFactMisses.Add(1)
-	t := tokenizer.TokenizeFact(f)
-	m.factTokens[id] = t
-	return t
-}
-
 // pretrainDraw is one pre-training step with every random decision already
 // made: the query pair plus the MLM mask plan (when the MLM objective is on).
 // Workers consume draws without touching any RNG.
@@ -266,7 +223,7 @@ func (m *Model) pretrain(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg M
 				qb: trainIdx[rng.Intn(len(trainIdx))],
 			}
 			if m.mlmHead != nil {
-				p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, m.tokensForQuery(c, d.qa), m.tokensForQuery(c, d.qb))
+				p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[d.qa].SQL), tokenizer.TokenizeSQL(c.Queries[d.qb].SQL))
 				d.mlmPositions, d.mlmTargets, d.mlmTokens = m.drawMLMMask(p, rng)
 			}
 			draws[s] = d
@@ -309,7 +266,7 @@ func (m *Model) pretrain(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg M
 // ℓ = Σ_metric (pred - sim_metric)² with equal weights (the paper found
 // α=β=γ equal weights best), plus the optional weighted MLM objective.
 func (m *Model) pretrainStep(c *dataset.Corpus, sims *dataset.SimilarityCache, d pretrainDraw) float64 {
-	p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, m.tokensForQuery(c, d.qa), m.tokensForQuery(c, d.qb))
+	p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[d.qa].SQL), tokenizer.TokenizeSQL(c.Queries[d.qb].SQL))
 	for i, pos := range d.mlmPositions {
 		if d.mlmTokens[i] >= 0 {
 			p.Tokens[pos] = d.mlmTokens[i]
@@ -393,7 +350,7 @@ func (m *Model) pretrainDevMSE(c *dataset.Corpus, sims *dataset.SimilarityCache,
 	perPair := make([]float64, len(pairs))
 	parallel.ForEachWorker(workers, len(pairs), func(w, s int) {
 		r := reps[w]
-		p := r.tok.Pack(r.Cfg.MaxSeqLen, 2, r.tokensForQuery(c, pairs[s][0]), r.tokensForQuery(c, pairs[s][1]))
+		p := r.tok.Pack(r.Cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[pairs[s][0]].SQL), tokenizer.TokenizeSQL(c.Queries[pairs[s][1]].SQL))
 		hidden := r.enc.Forward(p.Tokens, p.Segments, p.Mask)
 		for _, metric := range r.Cfg.PretrainMetrics {
 			pred := r.simHeads[metric].Forward(hidden)
@@ -508,10 +465,11 @@ func (m *Model) finetune(c *dataset.Corpus, cfg ModelConfig, trainIdx []int, rng
 // finetuneStep accumulates the squared-loss gradient of one (q, t, f) sample
 // into the model's (or replica's) accumulators, returning the sample loss.
 func (m *Model) finetuneStep(c *dataset.Corpus, sm finetuneSample, cfg ModelConfig) float64 {
-	qToks := m.tokensForQuery(c, sm.query)
-	tToks := m.tokensForTuple(c, sm.query, sm.caseI)
-	fToks := m.tokensForFact(c.DB, sm.fact, c.DB.Fact(sm.fact))
-	p := m.tok.Pack(m.Cfg.MaxSeqLen, 3, qToks, tToks, fToks)
+	q := c.Queries[sm.query]
+	p := m.tok.Pack(m.Cfg.MaxSeqLen, 3,
+		tokenizer.TokenizeSQL(q.SQL),
+		tokenizer.TokenizeValues(q.Cases[sm.caseI].Tuple.Values),
+		tokenizer.TokenizeFact(c.DB.Fact(sm.fact)))
 	hidden := m.enc.Forward(p.Tokens, p.Segments, p.Mask)
 	pred := m.shapHead.Forward(hidden)
 	diff := pred - sm.gold*cfg.TargetScale

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/tokenizer"
 )
@@ -69,7 +68,7 @@ func mlmFixture(t *testing.T) (*Model, tokenizer.Packed) {
 	cfg.MLMWeight = 0.1
 	tok := buildVocabulary(c, cfg)
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-	p := m.tok.Pack(cfg.MaxSeqLen, 2, m.tokensForQuery(c, 0), m.tokensForQuery(c, 1))
+	p := m.tok.Pack(cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[0].SQL), tokenizer.TokenizeSQL(c.Queries[1].SQL))
 	return m, p
 }
 
@@ -191,63 +190,5 @@ func TestSampleNegativesAttemptBound(t *testing.T) {
 	out := m.sampleNegatives(c, c.Train, 10, rand.New(rand.NewSource(3)))
 	if len(out) != 0 {
 		t.Errorf("drew %d negatives from a corpus with no out-of-lineage facts", len(out))
-	}
-}
-
-// TestTokenCacheCounters pins the fact/tuple token caches: the first pass over
-// a lineage tokenizes every fact (misses), the second hits the cache for all
-// of them, scores stay bitwise identical, and facts of a foreign database
-// bypass the cache entirely.
-func TestTokenCacheCounters(t *testing.T) {
-	c, _ := tinyCorpus(t)
-	cfg := tinyConfig()
-	tok := buildVocabulary(c, cfg)
-
-	run := obs.NewRun("tok-cache-test", obs.NewRegistry(), nil, nil)
-	obs.Install(run)
-	defer obs.Uninstall()
-	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-	m.trainDB = c.DB
-
-	in := caseInputs(c)[0]
-	first := m.RankOn(c.DB, in)
-	snap1 := run.Reg.Snapshot()
-	if snap1.Counters["core.tok.fact_misses"] == 0 {
-		t.Fatal("first ranking pass recorded no fact-token misses")
-	}
-	second := m.RankOn(c.DB, in)
-	snap2 := run.Reg.Snapshot()
-	if snap2.Counters["core.tok.fact_misses"] != snap1.Counters["core.tok.fact_misses"] {
-		t.Errorf("second pass re-tokenized cached facts: misses %d -> %d",
-			snap1.Counters["core.tok.fact_misses"], snap2.Counters["core.tok.fact_misses"])
-	}
-	wantHits := snap1.Counters["core.tok.fact_hits"] + int64(len(in.Lineage))
-	if snap2.Counters["core.tok.fact_hits"] != wantHits {
-		t.Errorf("fact-token hits = %d after second pass, want %d",
-			snap2.Counters["core.tok.fact_hits"], wantHits)
-	}
-	assertValuesBitEqual(t, "cached", second, first)
-
-	// Tuple cache: one miss, then hits, returning the same slice.
-	t1 := m.tokensForTuple(c, 0, 0)
-	t2 := m.tokensForTuple(c, 0, 0)
-	if &t1[0] != &t2[0] {
-		t.Error("tuple tokens were re-tokenized on the second lookup")
-	}
-	snap3 := run.Reg.Snapshot()
-	if snap3.Counters["core.tok.tuple_misses"] != 1 || snap3.Counters["core.tok.tuple_hits"] != 1 {
-		t.Errorf("tuple counters = %d misses / %d hits, want 1/1",
-			snap3.Counters["core.tok.tuple_misses"], snap3.Counters["core.tok.tuple_hits"])
-	}
-
-	// A foreign database bypasses the cache and counts nothing.
-	before := run.Reg.Snapshot()
-	f := c.DB.Fact(in.Lineage[0])
-	m.tokensForFact(nil, in.Lineage[0], f)
-	after := run.Reg.Snapshot()
-	for _, name := range []string{"core.tok.fact_hits", "core.tok.fact_misses"} {
-		if before.Counters[name] != after.Counters[name] {
-			t.Errorf("cross-DB lookup changed %s", name)
-		}
 	}
 }

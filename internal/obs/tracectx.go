@@ -10,7 +10,8 @@ import (
 
 // TraceHeader is the HTTP header a request trace ID travels in. Clients may
 // set it to correlate their own logs with the server's; the server echoes it
-// on the response and mints a fresh ID when the request carries none.
+// on the response and mints a fresh ID when the request carries none, or one
+// NewTraceContext does not adopt.
 const TraceHeader = "X-Trace-Id"
 
 // traceSeed makes trace IDs distinct across processes; the atomic counter
@@ -47,14 +48,13 @@ type Stage struct {
 
 // TraceContext identifies one request as it moves through a pipeline and
 // accumulates its per-stage latency decomposition. It is carried in a
-// context.Context (ContextWithTrace / TraceFrom) across the handler →
-// admission queue → batch → replica boundary, so code on any side of a
-// channel can attach stages to the same trace.
+// context.Context (ContextWithTrace / TraceFrom) from the handler into the
+// scoring replica, so serve-side and model-side code attach stages to the
+// same trace.
 //
 // The nil *TraceContext is the no-op recorder: AddStage and StageTimer on nil
 // do nothing, so library code can record unconditionally. All methods are
-// safe for concurrent use — a dispatch goroutine may add the scoring stage
-// while the submitting handler is still blocked.
+// safe for concurrent use.
 type TraceContext struct {
 	TraceID string
 	SpanID  uint64 // root span of this trace
@@ -64,13 +64,29 @@ type TraceContext struct {
 	stages []Stage
 }
 
-// NewTraceContext starts a trace beginning now. An empty id mints a fresh
-// one; a non-empty id (e.g. from an inbound TraceHeader) is adopted verbatim.
+// NewTraceContext starts a trace beginning now. It adopts id (e.g. from an
+// inbound TraceHeader) when id is 1 to 64 bytes of [0-9A-Za-z._-], and mints a
+// fresh one otherwise, so a client cannot make a server echo, store and
+// re-render an arbitrary header value.
 func NewTraceContext(id string) *TraceContext {
-	if id == "" {
+	if !validTraceID(id) {
 		id = NewTraceID()
 	}
 	return &TraceContext{TraceID: id, SpanID: spanCounter.Add(1), begin: time.Now()}
+}
+
+// validTraceID reports whether NewTraceContext adopts id.
+func validTraceID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // Begin reports when the trace started; zero on the nil trace.

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,11 +24,16 @@ func TestNewTraceID(t *testing.T) {
 }
 
 func TestTraceContextAdoptsAndMints(t *testing.T) {
-	if tc := NewTraceContext("deadbeefdeadbeef"); tc.TraceID != "deadbeefdeadbeef" {
-		t.Errorf("inbound ID not adopted: got %q", tc.TraceID)
+	for _, id := range []string{"deadbeefdeadbeef", "req-42.A_z", strings.Repeat("x", 64)} {
+		if tc := NewTraceContext(id); tc.TraceID != id {
+			t.Errorf("inbound ID %q not adopted: got %q", id, tc.TraceID)
+		}
 	}
-	if tc := NewTraceContext(""); tc.TraceID == "" {
-		t.Error("empty inbound ID did not mint a fresh one")
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for _, id := range []string{"", strings.Repeat("x", 65), "abc def", "a/b", "tab\t", "é"} {
+		if tc := NewTraceContext(id); !hex16.MatchString(tc.TraceID) {
+			t.Errorf("inbound ID %q: got %q, want a fresh 16-hex ID", id, tc.TraceID)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/shapley"
 	"repro/internal/sqlparse"
 )
 
@@ -85,8 +86,8 @@ type errorResponse struct {
 // routes assembles the endpoint table with per-endpoint instrumentation.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/rank", s.instrument("rank", s.handleRank))
-	mux.HandleFunc("/explain", s.instrument("explain", s.handleExplain))
+	mux.HandleFunc("/rank", s.instrument("rank", s.handleRank(false)))
+	mux.HandleFunc("/explain", s.instrument("explain", s.handleRank(true)))
 	mux.HandleFunc("/similar", s.instrument("similar", s.handleSimilar))
 	mux.HandleFunc("/admin/reload", s.instrument("reload", s.requireAdmin(s.handleReload)))
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -157,12 +158,12 @@ func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // instrument wraps a handler with the endpoint's request counter and latency
 // histogram, and roots the request's trace: an inbound X-Trace-Id is adopted
-// (and echoed on the response), otherwise a fresh ID is minted. The trace
-// context rides in the request context through the admission queue to the
-// scoring replica; after the handler returns, the completed trace — stages
-// plus the final encode/write segment — lands in the /debug/trace ring and the
-// access/slow logs. Handles are resolved once at route construction (obs
-// contract).
+// (and echoed on the response) when obs.NewTraceContext accepts it, otherwise
+// a fresh ID is minted. The trace context rides in the request context into
+// the scoring replica; after the handler returns, the completed trace —
+// stages plus the final encode/write segment — lands in the /debug/trace ring
+// and the access/slow logs. Handles are resolved once at route construction
+// (obs contract).
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	reg := obs.Metrics()
 	reqs := reg.Counter("serve.req." + name)
@@ -246,10 +247,14 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 // a SQL query plus a tuple, a few KiB; anything near the bound is abuse.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the JSON request body into v, reading at most
-// maxBodyBytes. It answers 413 for an oversized body and 400 for a malformed
-// one, and reports whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodePost decodes the JSON body of a POST request into v, reading at most
+// maxBodyBytes. It answers 405 for any other method, 413 for an oversized
+// body and 400 for a malformed one, and reports whether decoding succeeded.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -263,153 +268,87 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
-// admit runs one job through the admission queue and waits for its result.
-// The returned status is 0 on success; otherwise the HTTP status the caller
-// must answer with (already written). On success, the job's timestamp
-// decomposition is turned into trace stages and the serve.stage.* histograms —
-// the handler side, not the dispatcher, pays the recording cost.
-func (s *Server) admit(w http.ResponseWriter, j *job) int {
-	j.done = make(chan struct{})
-	switch err := s.b.submit(j); err {
-	case nil:
-	case ErrQueueFull:
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, "request queue full (cap %d); retry later", s.cfg.QueueCap)
-		return http.StatusTooManyRequests
-	default: // ErrStopped
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return http.StatusServiceUnavailable
+// handleRank serves /rank and, with explain set, /explain, which adds the
+// query's evaluation plan. The request is admitted before its query is parsed
+// and evaluated, so the admission bound covers evaluation as well as scoring.
+// Parse, evaluation and the tuple lookup are the request's "evaluate" stage.
+func (s *Server) handleRank(explain bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req RankRequest
+		if !s.decodePost(w, r, &req) || !s.admit(w) {
+			return
+		}
+		defer s.release()
+		tc := obs.TraceFrom(r.Context())
+		start := time.Now()
+		q, target, code, err := s.locate(req)
+		d := time.Since(start)
+		tc.AddStage("evaluate", start, d)
+		s.mEvaluate.Observe(durMS(d))
+		if err != nil {
+			s.writeError(w, code, "%v", err)
+			return
+		}
+		var plan string
+		if explain {
+			if plan, err = engine.Explain(s.corpus.DB, q); err != nil {
+				s.writeError(w, http.StatusBadRequest, "explain: %v", err)
+				return
+			}
+		}
+		in := core.Input{SQL: req.SQL, Query: q, TupleValues: target.Values, Lineage: target.Lineage()}
+		var scores shapley.Values
+		s.score(tc, func(m *core.Model) { scores = m.RankCtx(r.Context(), in) })
+		s.observeRanking(scores)
+		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Facts: s.rankedFacts(scores)}
+		if explain {
+			s.writeJSON(w, http.StatusOK, ExplainResponse{
+				Query: resp.Query, Tuple: resp.Tuple, Plan: plan, Facts: resp.Facts,
+			})
+			return
+		}
+		s.writeJSON(w, http.StatusOK, resp)
 	}
-	<-j.done
-	qw := j.tDequeue.Sub(j.tSubmit)
-	bw := j.tScore.Sub(j.tDequeue)
-	sc := j.tDone.Sub(j.tScore)
-	j.tc.AddStage("queue_wait", j.tSubmit, qw)
-	j.tc.AddStage("batch_wait", j.tDequeue, bw)
-	j.tc.AddStage("score", j.tScore, sc)
-	s.mQueueWait.Observe(durMS(qw))
-	s.mBatchWait.Observe(durMS(bw))
-	s.mScore.Observe(durMS(sc))
-	return 0
-}
-
-// resolveTuple evaluates the query and locates the requested output tuple.
-// The parse, evaluation and lookup are the request's "evaluate" stage.
-func (s *Server) resolveTuple(w http.ResponseWriter, r *http.Request) (*engine.OutputTuple, core.Input, bool) {
-	var in core.Input
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil, in, false
-	}
-	// Cheap pre-admission check: under overload, reject before paying for
-	// parse + evaluate. The authoritative check is submit's.
-	if s.b.full() {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, "request queue full (cap %d); retry later", s.cfg.QueueCap)
-		return nil, in, false
-	}
-	var req RankRequest
-	if !s.decodeBody(w, r, &req) {
-		return nil, in, false
-	}
-	start := time.Now()
-	q, target, code, err := s.locate(req)
-	d := time.Since(start)
-	obs.TraceFrom(r.Context()).AddStage("evaluate", start, d)
-	s.mEvaluate.Observe(durMS(d))
-	if err != nil {
-		s.writeError(w, code, "%v", err)
-		return nil, in, false
-	}
-	in = core.Input{
-		SQL:         req.SQL,
-		Query:       q,
-		TupleValues: target.Values,
-		Lineage:     target.Lineage(),
-	}
-	return target, in, true
 }
 
 // rankedFacts renders scored lineage facts in ranking order.
-func (s *Server) rankedFacts(j *job) []RankedFact {
-	facts := make([]RankedFact, 0, len(j.scores))
-	for _, id := range j.scores.Ranking() {
+func (s *Server) rankedFacts(scores shapley.Values) []RankedFact {
+	facts := make([]RankedFact, 0, len(scores))
+	for _, id := range scores.Ranking() {
 		facts = append(facts, RankedFact{
 			ID:    int32(id),
 			Fact:  s.corpus.DB.Fact(id).String(),
-			Score: j.scores[id],
+			Score: scores[id],
 		})
 	}
 	return facts
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	target, in, ok := s.resolveTuple(w, r)
-	if !ok {
-		return
-	}
-	j := &job{kind: jobRank, in: in, tc: obs.TraceFrom(r.Context())}
-	if s.admit(w, j) != 0 {
-		return
-	}
-	s.observeRanking(j.scores)
-	s.writeJSON(w, http.StatusOK, RankResponse{
-		Query: in.Query.SQL(),
-		Tuple: target.String(),
-		Facts: s.rankedFacts(j),
-	})
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	target, in, ok := s.resolveTuple(w, r)
-	if !ok {
-		return
-	}
-	plan, err := engine.Explain(s.corpus.DB, in.Query)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "explain: %v", err)
-		return
-	}
-	j := &job{kind: jobRank, in: in, tc: obs.TraceFrom(r.Context())}
-	if s.admit(w, j) != 0 {
-		return
-	}
-	s.observeRanking(j.scores)
-	s.writeJSON(w, http.StatusOK, ExplainResponse{
-		Query: in.Query.SQL(),
-		Tuple: target.String(),
-		Plan:  plan,
-		Facts: s.rankedFacts(j),
-	})
-}
-
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req SimilarRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	if req.SQLA == "" || req.SQLB == "" {
 		s.writeError(w, http.StatusBadRequest, "sql_a and sql_b are required")
 		return
 	}
-	j := &job{kind: jobSim, simA: req.SQLA, simB: req.SQLB, tc: obs.TraceFrom(r.Context())}
-	if s.admit(w, j) != 0 {
+	if !s.admit(w) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, SimilarResponse{Similarities: j.sims})
+	defer s.release()
+	tc := obs.TraceFrom(r.Context())
+	var sims map[string]float64
+	s.score(tc, func(m *core.Model) {
+		defer tc.StageTimer("core.similar")()
+		sims = m.PredictSimilarities(req.SQLA, req.SQLB)
+	})
+	s.writeJSON(w, http.StatusOK, SimilarResponse{Similarities: sims})
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req ReloadRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	f, err := os.Open(req.Path)
@@ -442,10 +381,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // queue. /healthz?probe=readiness is the load-balancer signal: 503 while
 // draining (Shutdown has begun), 200 otherwise. The body always carries the
 // full picture: readiness and drain state, model identity and swap generation,
-// queue depth, and the online drift verdicts. "degraded" means a monitored
-// distribution (ranking scores or top-1 margins) has walked away from its
-// load-time reference — the daemon still answers, but the answers deserve
-// scrutiny, so degradation never turns liveness off.
+// queue depth (admitted requests in flight), and the online drift verdicts.
+// "degraded" means a monitored distribution (ranking scores or top-1 margins)
+// has walked away from its load-time reference — the daemon still answers,
+// but the answers deserve scrutiny, so degradation never turns liveness off.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
 	drift := []obs.DriftStatus{s.driftScore.Evaluate(), s.driftMargin.Evaluate()}
@@ -469,7 +408,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"model":       st.model.Name(),
 		"version":     st.version,
 		"loaded_utc":  st.loaded.UTC().Format(time.RFC3339),
-		"queue_depth": len(s.b.jobs),
+		"queue_depth": len(s.slots),
 		"workers":     s.cfg.Workers,
 		"drift":       drift,
 	})
@@ -477,7 +416,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics exports the live obs registry. The default is the repo's JSON
 // snapshot — per-endpoint latency histograms, the serve.stage.* decomposition,
-// batch-size histogram, queue-depth gauge and every library metric
+// the admission counters and queue-depth gauge, and every library metric
 // (core.rank.*, nn.mbatch.*, obs.drift.*). ?format=prometheus renders the same
 // snapshot in the Prometheus text exposition format (0.0.4) for scrapers.
 // Empty without a live registry.

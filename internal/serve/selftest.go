@@ -203,7 +203,7 @@ func checkHealthz(client *http.Client, base string) error {
 }
 
 // checkMetrics asserts the /metrics snapshot recorded the traffic just sent:
-// at least n rank requests, at least one dispatch, and a score stage per
+// at least n rank requests, at least one scoring, and a score stage per
 // request. Skipped without a live registry (the snapshot is then legitimately
 // empty).
 func checkMetrics(client *http.Client, base string, n int64) error {
@@ -226,7 +226,7 @@ func checkMetrics(client *http.Client, base string, n int64) error {
 		return fmt.Errorf("selftest: serve.req.rank = %d, want >= %d", got, n)
 	}
 	if h, ok := snap.Histograms["serve.batch.size"]; !ok || h.Count < 1 {
-		return fmt.Errorf("selftest: serve.batch.size histogram recorded no dispatches")
+		return fmt.Errorf("selftest: serve.batch.size histogram recorded no scoring")
 	}
 	if h, ok := snap.Histograms["serve.stage.score_ms"]; !ok || h.Count < n {
 		var got int64

@@ -4,35 +4,35 @@
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handlers ──► bounded queue ──► Workers dispatchers ──► replicas
-//	              │             │429           (first free one)          │
-//	              │        (backpressure)                     RankOn (packed GEMMs)
-//	              ◄──────────────────────────────────────────────────────┘
+//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► RankOn
+//	               ▲                   │429     (parse,      (first free of     (packed
+//	               │             (backpressure)  lineage)      Workers)         GEMMs)
+//	               └──────────── response ◄──── return replica ◄────────────────┘
 //
-// Concurrent requests from independent connections are admitted into one
-// bounded queue. Config.Workers dispatch goroutines (one per CPU by default)
-// each own one model replica (core.Model.CloneForWorker: shared read-only
-// weights, private activation workspaces) and score one admitted request at a
-// time, so a request waits only for a free replica. A replica ranks a
-// request's lineage through core.Model.RankOn: every fact runs in one of a
-// few nn.BatchedForwardMultiPrefix GEMM passes over the lineage's embedded
-// prefixes, whose last layer computes only the [CLS] rows the head reads, on
-// a warmed, zero-allocation workspace.
+// Every request runs on its own net/http handler goroutine. Right after its
+// body decodes, the handler takes one of QueueCap+Workers admission slots
+// without blocking, then parses and evaluates the query, borrows one of
+// Config.Workers model replicas (core.Model.CloneForWorker: shared read-only
+// weights, private activation workspaces), scores on it and gives both back
+// (pool.go). A request therefore waits only for a free replica. A replica
+// ranks a request's lineage through core.Model.RankOn: every fact runs in one
+// of a few nn.BatchedForwardMultiPrefix GEMM passes over the lineage's
+// embedded prefixes, whose last layer computes only the [CLS] rows the head
+// reads, on a warmed, zero-allocation workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
-// (core.ConcurrentRanker contract), and dispatch only decides which replica
+// (core.ConcurrentRanker contract), and the pool only decides which replica
 // scores which request, never the per-request computation. Served scores are
 // therefore bit-identical to sequential core.RankOn at every worker count —
 // enforced by TestServeParitySequential.
 //
 // Overload behaves like a production service, not like a benchmark harness:
-// when the queue is full, requests are rejected immediately with 429 and a
-// Retry-After header instead of queueing unboundedly. Shutdown stops
-// accepting, lets in-flight handlers finish, and drains every admitted job
-// before the dispatchers exit, so no accepted request is ever dropped. A new
-// model checkpoint can be swapped in at runtime (POST /admin/reload) via an
-// atomic pointer flip; dispatch workers re-clone their replicas from the new
-// weights before the next request they score.
+// when every admission slot is taken, requests are rejected immediately with
+// 429 and a Retry-After header instead of queueing unboundedly. Shutdown
+// stops accepting and waits for running handlers, so no admitted request is
+// ever dropped. A new model checkpoint can be swapped in at runtime (POST
+// /admin/reload) via an atomic pointer flip; a pooled replica is re-cloned
+// from the new weights before the next request it scores.
 package serve
 
 import (
@@ -47,6 +47,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/relation"
 	"repro/internal/shapley"
 )
@@ -56,13 +57,15 @@ import (
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Workers is the number of dispatch goroutines, each scoring one request
-	// at a time on its own replica (<= 0 means one per CPU). Replicas share
-	// the model's weight tensors and own their workspaces, so Workers bounds
-	// scoring concurrency without duplicating weights.
+	// Workers is the number of pooled model replicas, each scoring one
+	// request at a time (<= 0 means one per CPU). Replicas share the model's
+	// weight tensors and own their workspaces, so Workers bounds scoring
+	// concurrency without duplicating weights.
 	Workers int
-	// QueueCap bounds the admission queue; requests beyond it are rejected
-	// with 429 + Retry-After.
+	// QueueCap is how many admitted requests may wait beyond the Workers being
+	// scored: at most QueueCap+Workers requests are admitted at once, counted
+	// from body decode to response. Requests beyond that are rejected with
+	// 429 + Retry-After.
 	QueueCap int
 	// AdminToken, when non-empty, locks every /admin/* endpoint behind
 	// "Authorization: Bearer <token>"; failures are rejected with 401 and
@@ -79,33 +82,23 @@ type Config struct {
 	// serve.req.slow). 0 disables the slow log; every request still lands in
 	// the stage histograms and the trace ring.
 	SlowMS float64
-	// TraceRing bounds the in-memory ring of recent request traces served at
-	// /debug/trace (<= 0 means 256).
-	TraceRing int
-	// DriftWindow is the rolling-window size of the online quality-drift
-	// monitors (<= 0 means 256); DriftProbe is how many test-split lineages
-	// are self-scored at model (re)load to capture the reference score and
-	// top-1-margin distributions (<= 0 means 8); DriftPSI is the
-	// population-stability-index threshold at or above which /healthz reports
-	// degraded (<= 0 means 0.25).
-	DriftWindow int
-	DriftProbe  int
-	DriftPSI    float64
 }
 
-// DefaultConfig returns serving defaults: one dispatcher per CPU and a
-// 256-request admission queue.
+// DefaultConfig returns serving defaults: one replica per CPU and 256
+// admitted requests waiting beyond them.
 func DefaultConfig() Config {
-	return Config{
-		Addr:        "127.0.0.1:0",
-		Workers:     0,
-		QueueCap:    256,
-		TraceRing:   256,
-		DriftWindow: 256,
-		DriftProbe:  8,
-		DriftPSI:    0.25,
-	}
+	return Config{Addr: "127.0.0.1:0", QueueCap: 256}
 }
+
+// traceRingSize is how many recent request traces /debug/trace keeps, and
+// driftProbe how many test-split lineages are self-scored at model (re)load
+// to capture the drift monitors' reference score and top-1-margin
+// distributions. The monitors' rolling window (256) and PSI threshold (0.25)
+// are obs.DriftConfig's defaults.
+const (
+	traceRingSize = 256
+	driftProbe    = 8
+)
 
 // modelState is the atomically swapped unit of /admin/reload: the model and
 // the metadata the health/manifest endpoints report. The corpus database is
@@ -123,9 +116,12 @@ type Server struct {
 	cfg    Config
 	corpus *dataset.Corpus
 	st     atomic.Pointer[modelState]
-	gen    atomic.Int64 // bumped on every swap; replicas re-clone when stale
-	b      *batcher
+	gen    atomic.Int64 // bumped on every swap; pooled replicas re-clone when stale
 	mux    *http.ServeMux
+
+	// The replica pool (pool.go): admission slots and idle replicas.
+	slots    chan struct{}
+	replicas chan *replica
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -150,39 +146,34 @@ type Server struct {
 	mBatchWait *obs.Histogram // serve.stage.batch_wait_ms
 	mScore     *obs.Histogram // serve.stage.score_ms
 	mWrite     *obs.Histogram // serve.stage.write_ms
+	// serve.batch.size records 1 per scoring; bench/layers.go still reads its
+	// mean as serve.batch_size_mean.
+	mBatch    *obs.Histogram
+	mDepth    *obs.Gauge   // serve.queue.depth: admitted requests in flight
+	mAdmitted *obs.Counter // serve.queue.admitted
+	mRejected *obs.Counter // serve.queue.rejected
 }
 
 // New assembles a server around a trained model and the corpus it was trained
-// over. The model itself is never used for scoring after Start — dispatch
-// workers clone replicas from it — so the caller must not run it concurrently
-// with the server either.
+// over. The model itself is never used for scoring — the pool clones replicas
+// from it — so the caller must not run it concurrently with the server either.
 func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.Workers <= 0 {
-		cfg.Workers = defaultWorkers()
+		cfg.Workers = parallel.Workers(0)
 	}
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 1
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 256
-	}
-	if cfg.DriftWindow <= 0 {
-		cfg.DriftWindow = 256
-	}
-	if cfg.DriftProbe <= 0 {
-		cfg.DriftProbe = 8
-	}
-	if cfg.DriftPSI <= 0 {
-		cfg.DriftPSI = 0.25
 	}
 	reg := obs.Metrics()
 	stageBuckets := obs.ExpBuckets(0.05, 2, 16)
 	s := &Server{
 		cfg:         cfg,
 		corpus:      corpus,
-		ring:        obs.NewTraceRing(cfg.TraceRing),
-		driftScore:  obs.NewDriftMonitor("score", obs.DriftConfig{Window: cfg.DriftWindow, PSIThreshold: cfg.DriftPSI}),
-		driftMargin: obs.NewDriftMonitor("top1_margin", obs.DriftConfig{Window: cfg.DriftWindow, PSIThreshold: cfg.DriftPSI}),
+		slots:       make(chan struct{}, cfg.QueueCap+cfg.Workers),
+		replicas:    make(chan *replica, cfg.Workers),
+		ring:        obs.NewTraceRing(traceRingSize),
+		driftScore:  obs.NewDriftMonitor("score", obs.DriftConfig{}),
+		driftMargin: obs.NewDriftMonitor("top1_margin", obs.DriftConfig{}),
 		mReloads:    reg.Counter("serve.reloads"),
 		mSlow:       reg.Counter("serve.req.slow"),
 		mEvaluate:   reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
@@ -190,16 +181,22 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		mBatchWait:  reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
 		mScore:      reg.Histogram("serve.stage.score_ms", stageBuckets),
 		mWrite:      reg.Histogram("serve.stage.write_ms", stageBuckets),
+		mBatch:      reg.Histogram("serve.batch.size", []float64{1, 2, 4, 8, 16, 32, 64}),
+		mDepth:      reg.Gauge("serve.queue.depth"),
+		mAdmitted:   reg.Counter("serve.queue.admitted"),
+		mRejected:   reg.Counter("serve.queue.rejected"),
+	}
+	for range cfg.Workers {
+		s.replicas <- &replica{}
 	}
 	s.install(model, "initial")
-	s.b = newBatcher(s)
 	s.mux = s.routes()
 	return s
 }
 
 // install points the server at a model and captures the drift reference from
-// the new model BEFORE it becomes visible to dispatchers — the probe replica
-// is private, so reference capture never races live scoring.
+// the new model BEFORE it becomes visible to the pool — the probe replica is
+// private, so reference capture never races live scoring.
 func (s *Server) install(model *core.Model, version string) {
 	s.captureDriftReference(model)
 	s.st.Store(&modelState{model: model, version: version, loaded: time.Now()})
@@ -213,7 +210,7 @@ func (s *Server) install(model *core.Model, version string) {
 // reference: observations made against the previous model describe the
 // previous model.
 func (s *Server) captureDriftReference(model *core.Model) {
-	probe := probeInputs(s.corpus, s.cfg.DriftProbe)
+	probe := probeInputs(s.corpus, driftProbe)
 	if len(probe) == 0 {
 		s.driftScore.SetReference(nil)
 		s.driftMargin.SetReference(nil)
@@ -292,8 +289,8 @@ func (s *Server) state() *modelState { return s.st.Load() }
 func (s *Server) DB() *relation.Database { return s.corpus.DB }
 
 // SwapModel atomically replaces the serving model (model hot-swap). In-flight
-// requests finish on the old weights; every request dispatched afterwards
-// scores on the new ones.
+// requests finish on the old weights; every request that borrows a replica
+// afterwards scores on the new ones.
 func (s *Server) SwapModel(model *core.Model, version string) {
 	s.install(model, version)
 	s.mReloads.Add(1)
@@ -302,9 +299,8 @@ func (s *Server) SwapModel(model *core.Model, version string) {
 // Handler exposes the route table (tests drive it without a listener).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start binds the listener, launches the dispatch workers and begins serving.
-// It returns once the listener is bound; serving continues on background
-// goroutines until Shutdown.
+// Start binds the listener and begins serving. It returns once the listener is
+// bound; serving continues on a background goroutine until Shutdown.
 func (s *Server) Start() error {
 	if (s.cfg.TLSCert == "") != (s.cfg.TLSKey == "") {
 		return fmt.Errorf("serve: -tls-cert and -tls-key must be set together")
@@ -314,7 +310,6 @@ func (s *Server) Start() error {
 		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
-	s.b.start()
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		var err error
@@ -346,19 +341,16 @@ func (s *Server) URL() string {
 	return "http://" + s.Addr()
 }
 
-// Shutdown drains the server: it stops accepting connections, waits (up to
-// the context deadline) for in-flight handlers — and therefore for every
-// admitted scoring job — to finish, then stops the dispatch workers. After
-// Shutdown no request is ever dropped silently: each was either completed or
-// rejected with 429/503 at admission.
+// Shutdown drains the server: readiness drops, then it stops accepting
+// connections and waits (up to the context deadline) for running handlers.
+// Each admitted request scores and answers on its own handler, so Shutdown
+// returning nil means every admitted request was answered: no request is
+// dropped silently, each was either completed or rejected with 429 at
+// admission.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true) // readiness drops first; liveness stays up
-	var err error
-	if s.httpSrv != nil {
-		// Handlers block on their job's completion, so Shutdown returning nil
-		// means the batcher queue holds no job a client is still waiting on.
-		err = s.httpSrv.Shutdown(ctx)
+	if s.httpSrv == nil {
+		return nil
 	}
-	s.b.close()
-	return err
+	return s.httpSrv.Shutdown(ctx)
 }

@@ -184,23 +184,30 @@ func TestServeParitySequential(t *testing.T) {
 	}
 }
 
-// TestServeDrainOnShutdown verifies no admitted request is dropped: requests
-// racing a Shutdown either complete with 200 or are rejected at admission
-// (429/503) — never cut off mid-flight.
+// TestServeDrainOnShutdown verifies no admitted request is dropped. With
+// every replica held, n requests are admitted and wait for one; Shutdown
+// begins and must keep waiting, then the replicas come back, and all n must
+// answer 200 with their full ranking before Shutdown returns.
 func TestServeDrainOnShutdown(t *testing.T) {
-	_, model := fixture(t)
-	corpus := fixCorpus
+	run := obs.NewRun("drain-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	corpus, model := fixture(t)
 	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, corpus, model)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := sequentialReference(t, model, cases)
+	held := make([]*replica, 0, cap(s.replicas))
+	for len(held) < cap(s.replicas) {
+		held = append(held, <-s.replicas)
+	}
+
 	const n = 12
-	codes := make([]int, n)
 	errs := make([]error, n)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
@@ -209,39 +216,54 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			rr, code, err := postRank(client, s.URL(), cases[i%len(cases)].body)
-			codes[i], errs[i] = code, err
-			if err == nil && code == http.StatusOK && len(rr.Facts) == 0 {
-				errs[i] = fmt.Errorf("request %d: 200 with empty ranking", i)
+			c := i % len(cases)
+			rr, code, err := postRank(client, s.URL(), cases[c].body)
+			switch {
+			case err != nil:
+				errs[i] = fmt.Errorf("request %d: %v", i, err)
+			case code != http.StatusOK:
+				errs[i] = fmt.Errorf("request %d -> %d, want 200", i, code)
+			case len(rr.Facts) != len(want[c]):
+				errs[i] = fmt.Errorf("request %d: %d facts, want %d", i, len(rr.Facts), len(want[c]))
 			}
 		}(i)
 	}
-	// Let some requests get in flight, then drain.
-	time.Sleep(2 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	deadline := time.Now().Add(30 * time.Second)
+	for run.Reg.Snapshot().Counters["serve.queue.admitted"] < n {
+		if time.Now().After(deadline) {
+			t.Fatal("requests were not all admitted within 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(ctx)
+	}()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) while %d admitted requests waited for a replica", err, n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for _, r := range held {
+		s.replicas <- r
+	}
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			// A connection refused after the listener closed is acceptable; a
-			// decode error or truncated response is not.
-			t.Logf("request %d: %v (code %d)", i, errs[i], codes[i])
-			continue
-		}
-		switch codes[i] {
-		case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		default:
-			t.Errorf("request %d: unexpected status %d", i, codes[i])
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
 
 // TestServeHotSwap reloads a different checkpoint through /admin/reload and
 // verifies subsequent scores are bit-identical to the new model's sequential
-// ranking (and no longer match the old model's).
+// ranking (and no longer match the old model's), on replicas that scored on
+// the old model before the swap.
 func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
 	s := startServer(t, Config{Workers: 2, QueueCap: 64})
@@ -250,6 +272,28 @@ func TestServeHotSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldWant := sequentialReference(t, fixModel, cases)
+
+	// Sequential requests take the two replicas in turn, so both score on the
+	// old weights first and the swap must re-clone them.
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	rank := func(i int) (int, *RankResponse) {
+		t.Helper()
+		c := i % len(cases)
+		rr, code, err := postRank(client, s.URL(), cases[c].body)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("rank: code %d err %v", code, err)
+		}
+		return c, rr
+	}
+	for i := 0; i < 2*len(cases); i++ {
+		c, rr := rank(i)
+		for _, fact := range rr.Facts {
+			if id := relation.FactID(fact.ID); fact.Score != oldWant[c][id] {
+				t.Fatalf("fact %d before reload: served %v, old model %v", fact.ID, fact.Score, oldWant[c][id])
+			}
+		}
+	}
 
 	// A second model: same architecture, different seed — different weights.
 	cfg2 := tinyModelConfig(23)
@@ -284,13 +328,8 @@ func TestServeHotSwap(t *testing.T) {
 	}
 
 	newWant := sequentialReference(t, s.state().model, cases)
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	for c := range cases {
-		rr, code, err := postRank(client, s.URL(), cases[c].body)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("rank after reload: code %d err %v", code, err)
-		}
+	for i := 0; i < 2*len(cases); i++ {
+		c, rr := rank(i)
 		sawDiff := false
 		for _, fact := range rr.Facts {
 			id := relation.FactID(fact.ID)
@@ -308,14 +347,19 @@ func TestServeHotSwap(t *testing.T) {
 }
 
 // TestServeBackpressure verifies the HTTP overload contract deterministically:
-// with the queue pre-filled and no dispatcher running, /rank must answer 429
-// with a Retry-After header, not block.
+// with every admission slot held, /rank must answer 429 with a Retry-After
+// header, not block, and must not evaluate the query, because admission
+// precedes evaluation.
 func TestServeBackpressure(t *testing.T) {
+	run := obs.NewRun("backpressure-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
 	corpus, model := fixture(t)
-	s := New(Config{Addr: "127.0.0.1:0", Workers: 1, QueueCap: 1}, corpus, model)
-	// Not started: no dispatcher will ever empty the queue.
-	if err := s.b.submit(&job{done: make(chan struct{})}); err != nil {
-		t.Fatal(err)
+	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	for i := 0; i < cap(s.slots); i++ {
+		if !s.admit(httptest.NewRecorder()) {
+			t.Fatalf("admission %d refused", i+1)
+		}
 	}
 
 	cases, err := selfTestCases(s, 1)
@@ -326,10 +370,35 @@ func TestServeBackpressure(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("full queue -> %d, want 429", rec.Code)
+		t.Fatalf("every slot held -> %d, want 429", rec.Code)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
+	}
+	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != 0 {
+		t.Errorf("a rejected request was evaluated: serve.stage.evaluate_ms recorded %d observations", got)
+	}
+}
+
+// TestServeSlowRequestCounted sets the slow-request threshold below any
+// request's latency: one /rank must count once in serve.req.slow.
+func TestServeSlowRequestCounted(t *testing.T) {
+	run := obs.NewRun("slow-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	corpus, model := fixture(t)
+	s := New(Config{Workers: 1, QueueCap: 1, SlowMS: 1e-6}, corpus, model)
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(cases[0].body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("rank -> %d", rec.Code)
+	}
+	if got := run.Reg.Snapshot().Counters["serve.req.slow"]; got != 1 {
+		t.Errorf("serve.req.slow = %d after one request over the threshold, want 1", got)
 	}
 }
 
@@ -343,8 +412,8 @@ func TestSelfTest(t *testing.T) {
 }
 
 // TestServeRejectsOversizedBody pins the request-size bound: a /rank body
-// larger than maxBodyBytes is answered 413 without ever reaching the
-// admission queue, while a normal request on the same server still is.
+// larger than maxBodyBytes is answered 413 without ever being admitted, while
+// a normal request on the same server still is.
 func TestServeRejectsOversizedBody(t *testing.T) {
 	run := obs.NewRun("body-limit-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -363,7 +432,7 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 		t.Fatalf("oversized body -> %d, want 413", code)
 	}
 	if got := admitted(); got != before {
-		t.Errorf("oversized body reached the queue: serve.queue.admitted %d -> %d", before, got)
+		t.Errorf("oversized body was admitted: serve.queue.admitted %d -> %d", before, got)
 	}
 
 	cases, err := selfTestCases(s, 1)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -47,13 +48,14 @@ func stageNames(tr obs.RequestTrace) map[string]bool {
 }
 
 // TestTraceIDThreadsThroughBatch is the end-to-end trace check: client trace
-// IDs survive the handler → admission queue → dispatcher → replica boundary.
-// Concurrent requests carrying distinct X-Trace-Id headers are scored by
-// different dispatchers, yet each response echoes its own ID and each ring
-// trace carries that request's full stage decomposition — evaluate,
-// queue-wait, batch-wait, score (with the model-side core.rank stage inside
-// it) and write — with the per-stage histograms populated on the live
-// registry, one evaluate observation per /rank or /explain request.
+// IDs survive the handler → pooled replica boundary. Concurrent requests
+// carrying distinct X-Trace-Id headers are scored on different replicas, yet
+// each response echoes its own ID and each ring trace carries that request's
+// full stage decomposition — evaluate, queue-wait, batch-wait, score (with
+// the model-side core.rank stage inside it) and write — with the per-stage
+// histograms populated on the live registry, one evaluate observation per
+// /rank or /explain request. A missing, oversized or malformed inbound ID
+// gets a minted one instead.
 func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -161,15 +163,38 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
 	}
 
-	// A request without an inbound header gets a minted, echoed ID.
-	resp, err = client.Post(s.URL()+"/rank", "application/json", bytes.NewReader(cases[0].body))
-	if err != nil {
-		t.Fatal(err)
+	// A request without a usable inbound ID gets a minted, echoed ID: no
+	// header, a 900 KiB ID (under net/http's 1 MiB header limit) and an ID
+	// with a space. No inbound ID other than the clients' valid ones may
+	// reach the ring.
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	known := make(map[string]bool, n+3)
+	for _, id := range ids {
+		known[id] = true
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get(obs.TraceHeader); len(got) != 16 {
-		t.Errorf("minted trace ID %q, want 16 hex digits", got)
+	for _, id := range []string{"", strings.Repeat("a", 900<<10), "abc def"} {
+		req, err := http.NewRequest(http.MethodPost, s.URL()+"/rank", bytes.NewReader(cases[0].body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.TraceHeader, id)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got := resp.Header.Get(obs.TraceHeader)
+		if resp.StatusCode != http.StatusOK || !hex16.MatchString(got) {
+			t.Errorf("inbound ID of %d bytes -> %d with trace ID %.40q, want 200 with a minted 16-hex ID",
+				len(id), resp.StatusCode, got)
+		}
+		known[got] = true
+	}
+	for _, tr := range ringTraces(t, s, "rank", n+3) {
+		if !known[tr.TraceID] {
+			t.Errorf("ring holds trace ID %.40q (%d bytes), neither a client's nor a minted one", tr.TraceID, len(tr.TraceID))
+		}
 	}
 }
 

@@ -42,18 +42,24 @@ go test -race ./internal/nn -run 'Batched|MultiPrefix|PrefixReuse|AttnScores'
 go test -race ./internal/core -run 'Batched|Golden'
 
 echo "== go test -race (request observability: traces, ring, drift, exposition) =="
-# The trace context is mutated from both sides of the admission queue (handler
-# and dispatch goroutines), the trace ring and drift monitors are written by
-# concurrent handlers — drive their unit tests and the serve-side threading
-# test explicitly under the race detector.
+# Every request records its trace on its own handler goroutine, with the
+# model-side stage added from inside the scoring replica, while concurrent
+# handlers write the shared trace ring and drift monitors. Drive their unit
+# tests, the serve-side threading test and the slow-request counter
+# explicitly under the race detector.
 go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Drift|PSI|Prom|Lint'
-go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|HealthzReadiness|MetricsPrometheus'
+go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|ServeSlowRequestCounted|HealthzReadiness|MetricsPrometheus'
 
-echo "== go test -race (serve dispatch + admin auth + TLS) =="
-# The parity grid sends concurrent client batches at 1, 2 and 3 dispatchers,
-# each scoring on its own replica, so it runs under the race detector
-# explicitly, as do the TLS round trip and the admin auth gate.
+echo "== go test -race (serve replica pool + admin auth + TLS) =="
+# Every handler goroutine shares the replica pool: the admission slots and the
+# channel of idle replicas. The parity grid sends concurrent client batches at
+# 1, 2 and 3 pooled replicas, so it runs under the race detector explicitly,
+# as do the TLS round trip and the admin auth gate. The pool tests (the
+# admission bound, a panic while scoring, 429 before evaluation, and draining
+# admitted requests on shutdown) run ten times each, under a timeout that
+# turns a hang into a failure well before go test's own 10 minutes.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
+go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
 
 echo "== go test -race (blocked kernels) =="
 go test -race ./internal/nn -run 'Blocked'
@@ -132,6 +138,14 @@ echo "== corpus import fuzz smoke =="
 # never a panic.
 go test ./internal/dataset -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s
 
+echo "== tokenizer pack fuzz smoke =="
+# Arbitrary query, tuple and fact strings must tokenize without a panic and
+# pack to exactly [CLS] q [SEP] t [SEP] f [SEP] under FitLengths' trimming.
+# Minimization is off for the reason given for the checkpoint smoke below:
+# minimizing long inputs stalled a 10 s smoke after 3 s on a 2-core host
+# (55,000 inputs against 195,000 without it).
+go test ./internal/tokenizer -run '^$' -fuzz '^FuzzPack$' -fuzztime 10s -fuzzminimizetime 0
+
 echo "== checkpoint load fuzz smoke =="
 # Arbitrary bytes fed to core.LoadModel (the file behind POST /admin/reload)
 # must yield a model that ranks or an error, never a panic or an unbounded
@@ -168,14 +182,14 @@ REPRO_MANIFEST="$manifest_dir/run.json" \
 
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: train a tiny model, start the daemon on an
-# ephemeral port with two dispatchers, fire concurrent /rank requests over
+# ephemeral port with two pooled replicas, fire concurrent /rank requests over
 # real TCP and verify every response bit-for-bit against sequential ranking
 # (cmd/serve -selftest exits non-zero on any mismatch), then drain and flush
 # the run manifest. The schema check asserts the manifest recorded live
-# serve.* metrics (request counters, the serve.batch.size dispatch histogram,
-# the serve.stage.* latency decomposition), the nn.mbatch.* packed-pass
-# counters, and the obs.drift.* quality monitors alongside the core ranking
-# counters.
+# serve.* metrics (request counters, the serve.queue.* admission counters,
+# the serve.batch.size histogram of 1 per scoring, the serve.stage.* latency
+# decomposition), the nn.mbatch.* packed-pass counters, and the obs.drift.*
+# quality monitors alongside the core ranking counters.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
     -workers 2 \
