@@ -204,35 +204,3 @@ func TestTrainWithNegativeSamples(t *testing.T) {
 		t.Errorf("scored %d facts, want at least %d", len(scores), len(cs.Tuple.Lineage()))
 	}
 }
-
-func TestTrainWithMLMObjective(t *testing.T) {
-	c, sims := tinyCorpus(t)
-	cfg := tinyConfig()
-	cfg.MLMWeight = 0.5
-	cfg.PretrainEpochs, cfg.PretrainPairsPerEpoch = 2, 50
-	m, report, err := Train(c, sims, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil {
-		t.Fatal("nil model")
-	}
-	for _, mse := range report.PretrainDevMSE {
-		if math.IsNaN(mse) || math.IsInf(mse, 0) {
-			t.Errorf("dev MSE = %v with MLM enabled", mse)
-		}
-	}
-	// MLM must stay deterministic with the same seed.
-	m2, _, err := Train(c, sims, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qi := c.Test[0]
-	cs := c.Queries[qi].Cases[0]
-	p1, p2 := m.RankCase(c, qi, cs), m2.RankCase(c, qi, cs)
-	for id, v := range p1 {
-		if p2[id] != v {
-			t.Fatalf("MLM training not deterministic at fact %d", id)
-		}
-	}
-}

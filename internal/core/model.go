@@ -49,12 +49,6 @@ type ModelConfig struct {
 	// 1000 to dodge float16 underflow on GPUs; in float64 the scale only sets
 	// the loss magnitude, so a smaller default keeps gradients well-ranged.
 	TargetScale float64
-	// MLMWeight > 0 adds BERT's original masked-language-model objective to
-	// the pre-training loss with the given weight. The paper starts from an
-	// already-pre-trained BERT, whose token representations come from MLM;
-	// since our encoder starts from random weights, MLM is the corresponding
-	// warm-up and is exposed as an optional objective.
-	MLMWeight float64
 	// NegativeSamplesPerEpoch enables the paper's future-work extension
 	// (Section 7): the published system trains only on positive samples
 	// (facts with non-zero Shapley value) and therefore cannot separate
@@ -158,7 +152,6 @@ type Model struct {
 	enc      *nn.Encoder
 	simHeads map[string]*nn.RegressionHead
 	shapHead *nn.RegressionHead
-	mlmHead  *nn.VocabHead // nil unless Cfg.MLMWeight > 0
 
 	trainDB *relation.Database
 }
@@ -198,9 +191,6 @@ func assemble(cfg ModelConfig, tok *tokenizer.Tokenizer, ps *nn.Params, rng *ran
 	}
 	for _, metric := range cfg.PretrainMetrics {
 		m.simHeads[metric] = nn.NewRegressionHead(ps, "head."+metric, cfg.Dim, rng)
-	}
-	if cfg.MLMWeight > 0 {
-		m.mlmHead = nn.NewVocabHead(ps, "head.mlm", cfg.Dim, tok.VocabSize(), rng)
 	}
 	return m
 }
@@ -265,15 +255,10 @@ func (m *Model) RankOn(db *relation.Database, in Input) shapley.Values {
 // request's latency decomposition shows how much of it was model time. The
 // scores are exactly Rank's — trace recording is passive.
 func (m *Model) RankCtx(ctx context.Context, in Input) shapley.Values {
-	return m.RankOnCtx(ctx, m.db(), in)
-}
-
-// RankOnCtx is RankOn with trace-context pass-through (see RankCtx).
-func (m *Model) RankOnCtx(ctx context.Context, db *relation.Database, in Input) shapley.Values {
 	if tc := obs.TraceFrom(ctx); tc != nil {
 		defer tc.StageTimer("core.rank")()
 	}
-	return m.RankOn(db, in)
+	return m.Rank(in)
 }
 
 // db returns the corpus database the model was trained over.

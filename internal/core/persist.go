@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"repro/internal/relation"
@@ -35,7 +36,8 @@ func (m *Model) Save(w io.Writer) error {
 
 // LoadModel reconstructs a model saved with Save. The database must be the
 // one the model was trained over (fact IDs are how Rank resolves lineage
-// members to token sequences).
+// members to token sequences). A checkpoint with a NaN or infinite weight is
+// refused: such a model scores NaN, which nothing downstream can rank.
 func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 	var payload savedModel
 	if err := gob.NewDecoder(r).Decode(&payload); err != nil {
@@ -66,6 +68,11 @@ func LoadModel(r io.Reader, db *relation.Database) (*Model, error) {
 		if len(payload.Weights[i]) != len(p.W) {
 			return nil, fmt.Errorf("core: tensor %q has %d weights, file has %d",
 				p.Name, len(p.W), len(payload.Weights[i]))
+		}
+		for j, w := range payload.Weights[i] {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("core: tensor %q weight %d is %v", p.Name, j, w)
+			}
 		}
 	}
 	m.params.Restore(payload.Weights)

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -56,6 +58,10 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsTamperedWeights pins that LoadModel refuses a truncated
+// checkpoint, and one holding a NaN or an infinite weight with an error that
+// names the tensor. A model with such a weight scores NaN, and binning a NaN
+// score once crashed the serving daemon's drift monitor.
 func TestLoadModelRejectsTamperedWeights(t *testing.T) {
 	c, sims := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -73,12 +79,20 @@ func TestLoadModelRejectsTamperedWeights(t *testing.T) {
 	if _, err := LoadModel(truncated, c.DB); err == nil {
 		t.Error("expected error for truncated payload")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		data, tensor := nonFiniteCheckpoint(t, c, v)
+		_, err := LoadModel(bytes.NewReader(data), c.DB)
+		if err == nil || !strings.Contains(err.Error(), tensor) {
+			t.Errorf("LoadModel of a checkpoint with weight %v in %s: err %v, want an error naming the tensor", v, tensor, err)
+		}
+	}
 }
 
 // legacySavedModel mirrors savedModel as checkpoints were written while
-// ModelConfig still carried the inference-tier knobs Precision and RankBatch
-// and a live TrainBatch. gob matches struct fields by name, so encoding this
-// type produces exactly such a checkpoint.
+// ModelConfig still carried the inference-tier knobs Precision and RankBatch,
+// a live TrainBatch and the MLMWeight of the masked-language-model objective.
+// gob matches struct fields by name, so encoding this type produces exactly
+// such a checkpoint.
 type legacySavedModel struct {
 	Version int
 	Cfg     legacyModelConfig
@@ -103,9 +117,12 @@ type legacyModelConfig struct {
 }
 
 // TestPrecisionCheckpointRoundTrip pins checkpoint compatibility across the
-// retired ranking fields: a checkpoint whose config still names an int8
-// precision tier and a rank-batch of 16 loads, keeps every other config
-// field, and ranks bit-identically to the model that saved it.
+// retired config fields: a checkpoint whose config still names an int8
+// precision tier, a rank-batch of 16 and an MLMWeight of 0 loads, keeps every
+// other config field, and ranks bit-identically to the model that saved it.
+// A checkpoint trained with the masked-language-model objective on carries
+// that objective's vocabulary head as two more tensors, and LoadModel refuses
+// it.
 func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -121,7 +138,7 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 			PretrainPairsPerEpoch: cfg.PretrainPairsPerEpoch, PretrainLR: cfg.PretrainLR,
 			FinetuneEpochs: cfg.FinetuneEpochs, FinetuneSamplesPerEpoch: cfg.FinetuneSamplesPerEpoch,
 			FinetuneLR: cfg.FinetuneLR, BatchSize: cfg.BatchSize, TargetScale: cfg.TargetScale,
-			MLMWeight: cfg.MLMWeight, NegativeSamplesPerEpoch: cfg.NegativeSamplesPerEpoch,
+			MLMWeight: 0, NegativeSamplesPerEpoch: cfg.NegativeSamplesPerEpoch,
 			Seed: cfg.Seed, Workers: cfg.Workers,
 			RankBatch: 16, Precision: "int8",
 		},
@@ -141,6 +158,16 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 	}
 	for _, in := range caseInputs(c) {
 		assertValuesBitEqual(t, "loaded", loaded.RankOn(c.DB, in), m.RankOn(c.DB, in))
+	}
+
+	old.Cfg.MLMWeight = 0.1
+	old.Weights = append(old.Weights, make([]float64, cfg.Dim*tok.VocabSize()), make([]float64, tok.VocabSize()))
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(&buf, c.DB); err == nil || !strings.Contains(err.Error(), "weight tensor count") {
+		t.Fatalf("LoadModel of a checkpoint with the head.mlm tensors: err %v, want a tensor-count error", err)
 	}
 }
 
@@ -193,33 +220,53 @@ func TestMalformedConfigReturnsError(t *testing.T) {
 	}
 }
 
-// FuzzLoadModel feeds arbitrary bytes to LoadModel: it must return a model
-// or an error, never panic or allocate without bound, and a model it returns
-// must rank a lineage. The seeds are a valid checkpoint of a few hundred
-// weights (small, so that mutations land on its config and vocabulary more
-// often than on weight bytes) and one whose config declares MaxSeqLen 1<<40
-// over a single weight.
-func FuzzLoadModel(f *testing.F) {
-	c, _ := tinyCorpus(f)
+// smallModel is an untrained model of a few hundred weights.
+func smallModel(c *dataset.Corpus) *Model {
 	cfg := tinyConfig()
 	cfg.Dim, cfg.Heads, cfg.FFNHidden, cfg.MaxSeqLen, cfg.VocabSize = 4, 1, 4, 16, 12
 	cfg.PretrainMetrics = nil
-	tok := buildVocabulary(c, cfg)
-	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
+	return newModel(cfg, buildVocabulary(c, cfg), rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// nonFiniteCheckpoint saves smallModel with its first position-embedding
+// weight set to v, and returns the checkpoint and that tensor's name.
+func nonFiniteCheckpoint(tb testing.TB, c *dataset.Corpus, v float64) ([]byte, string) {
+	tb.Helper()
+	m := smallModel(c)
+	p := m.params.All()[1] // emb.pos
+	p.W[0] = v
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), p.Name
+}
+
+// FuzzLoadModel feeds arbitrary bytes to LoadModel: it must return a model
+// or an error, never panic or allocate without bound, and a model it returns
+// must rank a lineage. The seeds are a valid checkpoint of smallModel (small,
+// so that mutations land on its config and vocabulary more often than on
+// weight bytes), one whose config declares MaxSeqLen 1<<40 over a single
+// weight, and the valid checkpoint with a NaN weight.
+func FuzzLoadModel(f *testing.F) {
+	c, _ := tinyCorpus(f)
+	m := smallModel(c)
 	var valid bytes.Buffer
 	if err := m.Save(&valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	huge := cfg
+	huge := m.Cfg
 	huge.MaxSeqLen = 1 << 40
 	var crash bytes.Buffer
 	if err := gob.NewEncoder(&crash).Encode(&savedModel{
-		Version: persistVersion, Cfg: huge, Words: tok.Words(), Weights: [][]float64{{0}},
+		Version: persistVersion, Cfg: huge, Words: m.tok.Words(), Weights: [][]float64{{0}},
 	}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(crash.Bytes())
+	nan, _ := nonFiniteCheckpoint(f, c, math.NaN())
+	f.Add(nan)
 	in := caseInputs(c)[0]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadModel(bytes.NewReader(data), c.DB)

@@ -32,10 +32,10 @@ type TrainReport struct {
 // subset enables the varying-log-size study of Section 5.6.
 //
 // Training is data-parallel across cfg.Workers goroutines yet bit-identical
-// for every worker count: all RNG decisions (pair draws, MLM masks, sample
-// schedules) are pre-drawn on the main goroutine in the serial order, each
-// mini-batch sample computes its gradient on its own model replica, and the
-// per-sample gradients are summed in sample order before each optimizer step.
+// for every worker count: all RNG decisions (pair draws, sample schedules)
+// are pre-drawn on the main goroutine in the serial order, each mini-batch
+// sample computes its gradient on its own model replica, and the per-sample
+// gradients are summed in sample order before each optimizer step.
 func Train(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg ModelConfig, trainIdx []int) (*Model, *TrainReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -184,15 +184,9 @@ func batchSize(cfg ModelConfig, steps int) int {
 	return steps
 }
 
-// pretrainDraw is one pre-training step with every random decision already
-// made: the query pair plus the MLM mask plan (when the MLM objective is on).
-// Workers consume draws without touching any RNG.
-type pretrainDraw struct {
-	qa, qb       int
-	mlmPositions []int
-	mlmTargets   []int
-	mlmTokens    []int // replacement written at mlmPositions[i]; -1 keeps the token
-}
+// pretrainDraw is one pre-training step with its random decision already
+// made: the query pair. Workers consume draws without touching any RNG.
+type pretrainDraw struct{ qa, qb int }
 
 // pretrain optimizes the similarity heads on random train-train query pairs,
 // keeping the snapshot with the lowest dev MSE (dev pairs are train×dev).
@@ -214,19 +208,14 @@ func (m *Model) pretrain(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg M
 	for epoch := 0; epoch < cfg.PretrainEpochs; epoch++ {
 		epochDone := obs.Span(fmt.Sprintf("epoch %d", epoch))
 		so.beginEpoch()
-		// Pre-draw the epoch's pairs and MLM masks serially from the main
-		// RNG, in the exact order the serial implementation consumed it.
+		// Pre-draw the epoch's pairs serially from the main RNG, in the
+		// exact order the serial implementation consumed it.
 		draws := make([]pretrainDraw, cfg.PretrainPairsPerEpoch)
 		for s := range draws {
-			d := pretrainDraw{
+			draws[s] = pretrainDraw{
 				qa: trainIdx[rng.Intn(len(trainIdx))],
 				qb: trainIdx[rng.Intn(len(trainIdx))],
 			}
-			if m.mlmHead != nil {
-				p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[d.qa].SQL), tokenizer.TokenizeSQL(c.Queries[d.qb].SQL))
-				d.mlmPositions, d.mlmTargets, d.mlmTokens = m.drawMLMMask(p, rng)
-			}
-			draws[s] = d
 		}
 		for start := 0; start < len(draws); start += bs {
 			end := min(start+bs, len(draws))
@@ -264,14 +253,9 @@ func (m *Model) pretrain(c *dataset.Corpus, sims *dataset.SimilarityCache, cfg M
 
 // pretrainStep accumulates gradients of the multi-head similarity loss
 // ℓ = Σ_metric (pred - sim_metric)² with equal weights (the paper found
-// α=β=γ equal weights best), plus the optional weighted MLM objective.
+// α=β=γ equal weights best).
 func (m *Model) pretrainStep(c *dataset.Corpus, sims *dataset.SimilarityCache, d pretrainDraw) float64 {
 	p := m.tok.Pack(m.Cfg.MaxSeqLen, 2, tokenizer.TokenizeSQL(c.Queries[d.qa].SQL), tokenizer.TokenizeSQL(c.Queries[d.qb].SQL))
-	for i, pos := range d.mlmPositions {
-		if d.mlmTokens[i] >= 0 {
-			p.Tokens[pos] = d.mlmTokens[i]
-		}
-	}
 	hidden := m.enc.Forward(p.Tokens, p.Segments, p.Mask)
 	loss := 0.0
 	var total *nn.Mat
@@ -288,49 +272,10 @@ func (m *Model) pretrainStep(c *dataset.Corpus, sims *dataset.SimilarityCache, d
 			total.AddInPlace(g)
 		}
 	}
-	if m.mlmHead != nil && len(d.mlmPositions) > 0 {
-		mlmLoss, g := m.mlmHead.LossAndBackward(hidden, d.mlmPositions, d.mlmTargets)
-		loss += m.Cfg.MLMWeight * mlmLoss
-		g.Scale(m.Cfg.MLMWeight)
-		if total == nil {
-			total = g
-		} else {
-			total.AddInPlace(g)
-		}
-	}
 	if total != nil {
 		m.enc.Backward(total)
 	}
 	return loss
-}
-
-// drawMLMMask plans a BERT-style corruption of the packed sequence: 15% of
-// real, non-special positions are selected; of those, 80% become [MASK], 10%
-// a random vocabulary token, 10% stay unchanged. It returns the selected
-// positions, their original token IDs as prediction targets, and the
-// replacement token per position (-1 = keep). Only the plan is produced —
-// workers apply it to their own packed copy, keeping all RNG consumption on
-// the main goroutine.
-func (m *Model) drawMLMMask(p tokenizer.Packed, rng *rand.Rand) (positions, targets, replacements []int) {
-	for i, tok := range p.Tokens {
-		if !p.Mask[i] || tok == tokenizer.ClsID || tok == tokenizer.SepID || tok == tokenizer.PadID {
-			continue
-		}
-		if rng.Float64() >= 0.15 {
-			continue
-		}
-		positions = append(positions, i)
-		targets = append(targets, tok)
-		repl := -1
-		switch r := rng.Float64(); {
-		case r < 0.8:
-			repl = tokenizer.MaskID
-		case r < 0.9:
-			repl = rng.Intn(m.tok.VocabSize())
-		}
-		replacements = append(replacements, repl)
-	}
-	return positions, targets, replacements
 }
 
 // pretrainDevMSE measures the mean squared similarity error on a sample of

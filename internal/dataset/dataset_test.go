@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/shapley"
 	"repro/internal/sqlparse"
@@ -221,6 +222,45 @@ func TestSimilarityCache(t *testing.T) {
 	}
 	if got := sc.ByMetric("syntax")(0, 1); got != sc.Syntax(0, 1) {
 		t.Error("ByMetric(syntax) mismatch")
+	}
+}
+
+// TestSimilarityCacheConcurrentPrecompute fills a cache on 4 workers and
+// checks every pair and metric bitwise against serial lookups on a fresh
+// cache; a second Precompute must then hit on every lookup and miss on none.
+// ci.sh runs the package under the race detector, which checks the lock.
+func TestSimilarityCacheConcurrentPrecompute(t *testing.T) {
+	c := buildSmall(t, IMDB)
+	run := obs.NewRun("simcache-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	idx := make([]int, len(c.Queries))
+	for i := range idx {
+		idx[i] = i
+	}
+	metrics := []string{"syntax", "witness", "rank"}
+	sc := NewSimilarityCache(c)
+	sc.Precompute(4, idx)
+	serial := NewSimilarityCache(c)
+	for _, i := range idx {
+		for _, j := range idx {
+			for _, metric := range metrics {
+				got, want := sc.ByMetric(metric)(i, j), serial.ByMetric(metric)(i, j)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s(%d,%d) = %v after Precompute, %v serially", metric, i, j, got, want)
+				}
+			}
+		}
+	}
+	before := run.Reg.Snapshot().Counters
+	sc.Precompute(4, idx)
+	after := run.Reg.Snapshot().Counters
+	pairs := len(idx) * (len(idx) + 1) / 2
+	if hits := after["dataset.simcache.hits"] - before["dataset.simcache.hits"]; hits != int64(pairs*len(metrics)) {
+		t.Errorf("second Precompute hit %d times, want %d", hits, pairs*len(metrics))
+	}
+	if misses := after["dataset.simcache.misses"] - before["dataset.simcache.misses"]; misses != 0 {
+		t.Errorf("second Precompute missed %d times, want 0", misses)
 	}
 }
 

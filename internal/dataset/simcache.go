@@ -2,57 +2,44 @@ package dataset
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/similarity"
 )
 
-// simShards is the number of lock shards; pairs hash across them so
-// concurrent lookups of different pairs rarely contend.
-const simShards = 16
-
 // SimilarityCache memoizes pairwise query-similarity scores over a corpus.
 // Rank-based similarity is by far the most expensive (Kendall tau over a
 // bipartite tuple alignment), so all three metrics are memoized.
 //
-// The cache is safe for concurrent use: entries live in mutex-guarded shards
-// keyed by the unordered query pair, and every metric is a pure function of
-// the immutable corpus, so two goroutines racing on a miss compute the same
+// The cache is safe for concurrent use: one RWMutex guards the per-metric
+// maps keyed by the unordered query pair, and every metric is a pure function
+// of the immutable corpus, so two goroutines racing on a miss compute the same
 // value and the second store is a harmless overwrite. Call Precompute to move
 // the expensive metrics off the training critical path entirely.
 type SimilarityCache struct {
-	c      *Corpus
-	shards [simShards]simShard
-
-	// mHits/mMisses mirror the per-shard intrinsic counters into the metrics
-	// registry installed at construction time, or are nil no-op handles.
-	mHits, mMisses *obs.Counter
-}
-
-type simShard struct {
+	c       *Corpus
 	mu      sync.RWMutex
 	metrics map[string]map[[2]int]float64
 
-	// Intrinsic (always-on) coverage counters behind Stats.
-	hits, misses atomic.Int64
+	// mHits/mMisses count lookups into the metrics registry installed at
+	// construction time, or are nil no-op handles.
+	mHits, mMisses *obs.Counter
 }
 
 // NewSimilarityCache returns an empty cache over the corpus.
 func NewSimilarityCache(c *Corpus) *SimilarityCache {
-	s := &SimilarityCache{c: c}
 	reg := obs.Metrics()
-	s.mHits = reg.Counter("dataset.simcache.hits")
-	s.mMisses = reg.Counter("dataset.simcache.misses")
-	for i := range s.shards {
-		s.shards[i].metrics = map[string]map[[2]int]float64{
+	return &SimilarityCache{
+		c: c,
+		metrics: map[string]map[[2]int]float64{
 			"syntax":  make(map[[2]int]float64),
 			"witness": make(map[[2]int]float64),
 			"rank":    make(map[[2]int]float64),
-		}
+		},
+		mHits:   reg.Counter("dataset.simcache.hits"),
+		mMisses: reg.Counter("dataset.simcache.misses"),
 	}
-	return s
 }
 
 func key(i, j int) [2]int {
@@ -66,21 +53,18 @@ func key(i, j int) [2]int {
 // on a miss. The compute runs outside the lock so slow metrics never serialize
 // unrelated lookups.
 func (s *SimilarityCache) memo(metric string, k [2]int, compute func() float64) float64 {
-	sh := &s.shards[(k[0]*31+k[1])%simShards]
-	sh.mu.RLock()
-	v, ok := sh.metrics[metric][k]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	v, ok := s.metrics[metric][k]
+	s.mu.RUnlock()
 	if ok {
-		sh.hits.Add(1)
 		s.mHits.Add(1)
 		return v
 	}
-	sh.misses.Add(1)
 	s.mMisses.Add(1)
 	v = compute()
-	sh.mu.Lock()
-	sh.metrics[metric][k] = v
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.metrics[metric][k] = v
+	s.mu.Unlock()
 	return v
 }
 
@@ -125,7 +109,7 @@ func (s *SimilarityCache) ByMetric(metric string) func(i, j int) float64 {
 
 // Precompute fills the cache for every unordered query pair over idx, for the
 // given metrics (all three when none are named), computing pairs across
-// workers. Subsequent lookups of those pairs are lock-free-fast read hits, so
+// workers. Subsequent lookups of those pairs are read-locked hits, so
 // training loops touch no expensive similarity code on their critical path.
 func (s *SimilarityCache) Precompute(workers int, idx []int, metrics ...string) {
 	if len(metrics) == 0 {
@@ -147,53 +131,5 @@ func (s *SimilarityCache) Precompute(workers int, idx []int, metrics ...string) 
 			s.ByMetric(metric)(pairs[p][0], pairs[p][1])
 		}
 	})
-	// Report precompute coverage once instead of finishing silently: a debug
-	// log line (so default command output stays byte-identical) plus registry
-	// gauges for the run manifest.
-	st := s.Stats()
-	obs.Debugf("dataset: similarity cache precomputed %d pairs x %d metrics: %d entries in %d shards, %d hits / %d misses\n",
-		len(pairs), len(metrics), st.Entries, st.Shards, st.Hits, st.Misses)
-	if reg := obs.Metrics(); reg != nil {
-		reg.Gauge("dataset.simcache.entries").Set(float64(st.Entries))
-		reg.Gauge("dataset.simcache.shards").Set(float64(st.Shards))
-	}
-}
-
-// CacheStats is the coverage report of a SimilarityCache: how many scores are
-// materialized, across how many lock shards, and the lookup hit/miss split
-// (a Precompute miss is the expected fill; a post-Precompute miss means the
-// training loop touched a pair outside the precomputed index set). PerShard
-// breaks the same numbers down by lock shard, exposing pair-hash skew.
-type CacheStats struct {
-	Entries  int           `json:"entries"`
-	Shards   int           `json:"shards"`
-	Hits     int64         `json:"hits"`
-	Misses   int64         `json:"misses"`
-	PerShard []ShardCounts `json:"per_shard,omitempty"`
-}
-
-// ShardCounts is the coverage of one lock shard.
-type ShardCounts struct {
-	Entries int   `json:"entries"`
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-}
-
-// Stats reports the cache's current coverage. Safe for concurrent use.
-func (s *SimilarityCache) Stats() CacheStats {
-	st := CacheStats{Shards: simShards, PerShard: make([]ShardCounts, simShards)}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sc := ShardCounts{Hits: sh.hits.Load(), Misses: sh.misses.Load()}
-		sh.mu.RLock()
-		for _, m := range sh.metrics {
-			sc.Entries += len(m)
-		}
-		sh.mu.RUnlock()
-		st.PerShard[i] = sc
-		st.Entries += sc.Entries
-		st.Hits += sc.Hits
-		st.Misses += sc.Misses
-	}
-	return st
+	obs.Debugf("dataset: similarity cache precomputed %d pairs x %d metrics\n", len(pairs), len(metrics))
 }

@@ -1,7 +1,7 @@
 package nn
 
-// Blocked kernels (see DESIGN.md "Kernels"): register-blocked, cache-tiled variants of the three
-// GEMM kernels. The warmed encoder step is 0 allocs/op, so the remaining
+// Blocked kernels (see DESIGN.md "Kernels"): register-blocked variants of the
+// three GEMM kernels. The warmed encoder step is 0 allocs/op, so the remaining
 // inference cost is pure arithmetic and memory traffic — these kernels attack
 // exactly that, while staying **bit-identical** to the reference kernels in
 // kernels_ref_test.go:
@@ -20,12 +20,6 @@ package nn
 //     four independent dot products per pass over a's row (each accumulator
 //     its own in-order k-chain).
 //
-//   - Cache tiling splits wide outputs into column panels of blockedJPanel
-//     elements, so the b-rows (and the output row) touched by a panel fit in
-//     L1 while the k-loop streams over them. Tiling only regroups the j-loop;
-//     every output element still receives its additions in k-order, once per
-//     panel membership (each element belongs to exactly one panel).
-//
 //   - The av == 0 skip branches are preserved verbatim: a fused group is
 //     formed from the *non-zero* k-steps in order (a·b), or degrades to
 //     per-k updates when a group mixes zeros (aᵀ·b), so the blocked kernels
@@ -38,43 +32,30 @@ package nn
 // patterns, exactly as kernels_ref_test.go does for the allocating originals
 // one tier further down). Every Linear layer runs on these kernels.
 
-// blockedJPanel is the cache-tile width in output columns. 256 float64s =
-// 2 KiB per b-row slice; a fused group streams four of them plus the output
-// row — 10 KiB live per panel pass, comfortably inside L1 on anything the
-// repo targets. Encoder-shaped GEMMs (≤ 4·Dim columns) take a single panel;
-// the tile only splits genuinely wide outputs (the Dim×VocabSize MLM head).
-const blockedJPanel = 256
-
 // blockedK is the register-blocking depth: fused k-steps per output-row pass.
 const blockedK = 4
 
 // MatMulBlockedInto computes out = a·b exactly like MatMulInto — bit-identical
-// for every shape and zero pattern — with register-blocked, cache-tiled loops.
-// out must be a.Rows×b.Cols and must not alias a or b.
+// for every shape and zero pattern — with register-blocked loops. out must be
+// a.Rows×b.Cols and must not alias a or b.
 func MatMulBlockedInto(a, b, out *Mat) {
 	checkMatMulShapes(a, b, out)
+	if b.Cols == 0 {
+		return // the fused loops assume a non-empty output row
+	}
 	for i := 0; i < a.Rows; i++ {
 		matMulRowBlocked(a, b, out, i)
 	}
 }
 
-// matMulRowBlocked computes output row i of a·b with the blocked kernel.
+// matMulRowBlocked computes output row i of a·b: the non-zero k-steps are
+// gathered in increasing order and applied in fused groups of blockedK, so
+// each output element's addition chain is exactly the reference kernel's
+// (k-major, zeros skipped).
 func matMulRowBlocked(a, b, out *Mat, i int) {
+	arow := a.Row(i)
 	orow := out.Row(i)
 	clear(orow)
-	for j0 := 0; j0 < b.Cols; j0 += blockedJPanel {
-		j1 := min(j0+blockedJPanel, b.Cols)
-		matMulPanelRow(a, b, out, i, j0, j1)
-	}
-}
-
-// matMulPanelRow accumulates columns [j0, j1) of output row i: the non-zero
-// k-steps are gathered in increasing order and applied in fused groups of
-// blockedK, so each output element's addition chain is exactly the reference
-// kernel's (k-major, zeros skipped).
-func matMulPanelRow(a, b, out *Mat, i, j0, j1 int) {
-	arow := a.Row(i)
-	orow := out.Row(i)[j0:j1]
 	var av [blockedK]float64
 	var br [blockedK][]float64
 	n := 0
@@ -83,7 +64,7 @@ func matMulPanelRow(a, b, out *Mat, i, j0, j1 int) {
 			continue
 		}
 		av[n] = v
-		br[n] = b.Row(k)[j0:j1]
+		br[n] = b.Row(k)
 		n++
 		if n == blockedK {
 			fusedAxpy4(orow, &av, &br)
@@ -163,8 +144,11 @@ func matMulTRowBlocked(a, b, out *Mat, i int) {
 }
 
 // TMatMulBlockedInto computes out = aᵀ·b exactly like TMatMulInto —
-// bit-identical for every shape and zero pattern — with register-blocked,
-// cache-tiled loops. out must be a.Cols×b.Cols and must not alias a or b.
+// bit-identical for every shape and zero pattern — with register-blocked
+// loops. k-steps are fused in groups of blockedK when all four a-entries of an
+// output row are non-zero; a group that mixes zeros degrades to per-k updates,
+// skipping exactly the terms the reference kernel skips, in the same order.
+// out must be a.Cols×b.Cols and must not alias a or b.
 func TMatMulBlockedInto(a, b, out *Mat) {
 	if a.Rows != b.Rows {
 		panic("nn: TmatMul shape mismatch")
@@ -173,24 +157,16 @@ func TMatMulBlockedInto(a, b, out *Mat) {
 		panic("nn: TmatMul out shape mismatch")
 	}
 	clear(out.Data)
-	for j0 := 0; j0 < b.Cols; j0 += blockedJPanel {
-		j1 := min(j0+blockedJPanel, b.Cols)
-		tMatMulPanel(a, b, out, j0, j1)
+	if b.Cols == 0 {
+		return // the fused loops assume a non-empty output row
 	}
-}
-
-// tMatMulPanel accumulates columns [j0, j1) of aᵀ·b. k-steps are fused in
-// groups of blockedK when all four a-entries of an output row are non-zero;
-// a group that mixes zeros degrades to per-k updates, skipping exactly the
-// terms the reference kernel skips, in the same order.
-func tMatMulPanel(a, b, out *Mat, j0, j1 int) {
 	k0 := 0
 	for ; k0+blockedK <= a.Rows; k0 += blockedK {
 		a0, a1, a2, a3 := a.Row(k0), a.Row(k0+1), a.Row(k0+2), a.Row(k0+3)
-		b0, b1, b2, b3 := b.Row(k0)[j0:j1], b.Row(k0 + 1)[j0:j1], b.Row(k0 + 2)[j0:j1], b.Row(k0 + 3)[j0:j1]
+		b0, b1, b2, b3 := b.Row(k0), b.Row(k0+1), b.Row(k0+2), b.Row(k0+3)
 		for i := 0; i < a.Cols; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			orow := out.Row(i)[j0:j1]
+			orow := out.Row(i)
 			if v0 != 0 && v1 != 0 && v2 != 0 && v3 != 0 {
 				av := [blockedK]float64{v0, v1, v2, v3}
 				br := [blockedK][]float64{b0, b1, b2, b3}
@@ -216,12 +192,12 @@ func tMatMulPanel(a, b, out *Mat, j0, j1 int) {
 	// Remainder k-steps (< blockedK), reference loop order.
 	for ; k0 < a.Rows; k0++ {
 		arow := a.Row(k0)
-		brow := b.Row(k0)[j0:j1]
+		brow := b.Row(k0)
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			axpy(out.Row(i)[j0:j1], av, brow)
+			axpy(out.Row(i), av, brow)
 		}
 	}
 }

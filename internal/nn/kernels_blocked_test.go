@@ -10,12 +10,13 @@ import (
 // bit-identical to its reference kernel (tensor.go) — the same contract
 // kernels_ref_test.go enforces between the Into kernels and the allocating
 // originals, pushed one tier up. Shapes deliberately straddle the blocking
-// parameters: rows/cols/k that are not multiples of blockedK, widths around
-// the blockedJPanel cache tile, and the 1×N / N×1 degenerate mats.
+// parameters: rows/cols/k that are not multiples of blockedK, wide outputs,
+// empty outputs, and the 1×N / N×1 degenerate mats.
 
 // blockedShapes are the (m, k, n) cases every blocked-vs-reference comparison
 // sweeps: tiny odd shapes, exact multiples of blockedK, one-off remainders,
-// degenerate vectors, and widths that cross the blockedJPanel boundary.
+// degenerate vectors, outputs several hundred columns wide, and outputs with no
+// rows or no columns.
 var blockedShapes = [][3]int{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -27,10 +28,12 @@ var blockedShapes = [][3]int{
 	{7, 9, 11},
 	{8, 8, 8},
 	{9, 13, 5},
-	{2, 3, blockedJPanel},
-	{3, 5, blockedJPanel + 1},
-	{2, 9, blockedJPanel + 17},
-	{1, 12, 2*blockedJPanel + 3},
+	{2, 3, 256},
+	{3, 5, 257},
+	{2, 9, 273},
+	{1, 12, 515},
+	{0, 5, 3},
+	{6, 5, 0},
 }
 
 func TestBlockedKernelsMatchReference(t *testing.T) {

@@ -125,10 +125,3 @@ func (m *Mat) AddInPlace(o *Mat) {
 		m.Data[i] += o.Data[i]
 	}
 }
-
-// Scale multiplies every element by s.
-func (m *Mat) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}

@@ -101,12 +101,20 @@ func NewDriftMonitor(name string, cfg DriftConfig) *DriftMonitor {
 
 // SetReference captures the reference sketch from a set of self-scored probe
 // values and resets the rolling window — observations made against the
-// previous reference describe the previous model. An empty sample set clears
-// the reference (the monitor then never degrades). Nil-safe.
+// previous reference describe the previous model. NaN and infinite values are
+// skipped; a set with no finite value clears the reference (the monitor then
+// never degrades). Nil-safe.
 func (d *DriftMonitor) SetReference(samples []float64) {
 	if d == nil {
 		return
 	}
+	finite := make([]float64, 0, len(samples))
+	for _, v := range samples {
+		if isFinite(v) {
+			finite = append(finite, v)
+		}
+	}
+	samples = finite
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.n, d.next, d.seen = 0, 0, 0
@@ -136,8 +144,12 @@ func (d *DriftMonitor) SetReference(samples []float64) {
 	}
 }
 
-// bin maps a value to its sketch bin: 0 is underflow, 1..Bins the interior,
-// Bins+1 overflow. Caller holds d.mu (or is initializing).
+// isFinite reports whether v is neither NaN nor ±Inf: the values bin can
+// place, since a NaN ratio would convert to a negative index.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// bin maps a finite value to its sketch bin: 0 is underflow, 1..Bins the
+// interior, Bins+1 overflow. Caller holds d.mu (or is initializing).
 func (d *DriftMonitor) bin(v float64) int {
 	if v < d.lo {
 		return 0
@@ -150,9 +162,10 @@ func (d *DriftMonitor) bin(v float64) int {
 
 // Observe records one served value into the rolling window. When the window
 // wraps, the monitor re-evaluates automatically so the drift gauges stay
-// fresh under sustained traffic even if nothing polls Evaluate. Nil-safe.
+// fresh under sustained traffic even if nothing polls Evaluate. NaN and
+// infinite values are skipped. Nil-safe.
 func (d *DriftMonitor) Observe(v float64) {
-	if d == nil {
+	if d == nil || !isFinite(v) {
 		return
 	}
 	d.cObserved.Add(1)

@@ -110,6 +110,52 @@ func TestDriftSetReferenceResetsWindow(t *testing.T) {
 	}
 }
 
+// TestDriftSkipsNonFinite: NaN and infinite values are skipped, in the
+// reference and in the rolling window, so the verdict equals that of the
+// finite values alone. Binning a NaN, or any value against a -Inf reference
+// bound, once turned a NaN ratio into a negative bin index and panicked.
+func TestDriftSkipsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	window := make([]float64, 32) // half inside the reference range, half above
+	for i := range window {
+		window[i] = float64(i%8) / 4
+	}
+	withNonFinite := func(vs []float64) []float64 {
+		var out []float64
+		for i, v := range vs {
+			out = append(out, v)
+			if i%5 == 0 {
+				out = append(out, nan, -inf, inf)
+			}
+		}
+		return out
+	}
+	verdict := func(ref, observed []float64) (wrapped, evaluated DriftStatus) {
+		d := NewDriftMonitor("test_nonfinite", DriftConfig{Window: 32, MinSamples: 8})
+		d.SetReference(ref)
+		for _, v := range observed {
+			d.Observe(v)
+		}
+		return d.Status(), d.Evaluate()
+	}
+	wantWrapped, wantEvaluated := verdict(refSamples(32), window)
+	if wantEvaluated.PSI == 0 || wantEvaluated.WindowSamples != 32 || wantWrapped != wantEvaluated {
+		t.Fatalf("finite verdict %+v after the wrap, %+v evaluated: want one non-zero PSI over a full window",
+			wantWrapped, wantEvaluated)
+	}
+	for name, c := range map[string][2][]float64{
+		"reference": {withNonFinite(refSamples(32)), window},
+		"window":    {refSamples(32), withNonFinite(window)},
+		"both":      {withNonFinite(refSamples(32)), withNonFinite(window)},
+	} {
+		wrapped, evaluated := verdict(c[0], c[1])
+		if wrapped != wantWrapped || evaluated != wantEvaluated {
+			t.Errorf("non-finite values in the %s: verdict %+v / %+v, want %+v / %+v",
+				name, wrapped, evaluated, wantWrapped, wantEvaluated)
+		}
+	}
+}
+
 func TestDriftNilSafe(t *testing.T) {
 	var d *DriftMonitor
 	d.SetReference(refSamples(8))

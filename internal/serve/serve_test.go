@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -344,6 +347,87 @@ func TestServeHotSwap(t *testing.T) {
 			t.Errorf("case %d: scores identical to the old model — swap had no effect", c)
 		}
 	}
+}
+
+// TestServeReloadRejectsNonFiniteWeights posts /admin/reload with the
+// fixture model's checkpoint after setting one weight (the first position
+// embedding) to NaN. The daemon must answer 400 and keep serving the old
+// model at the same generation, with its drift windows untouched. Before
+// LoadModel refused such weights, the drift reference capture panicked
+// inside the handler and the client got no status at all.
+func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	cases, err := selfTestCases(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialReference(t, fixModel, cases)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	rankAll := func(when string) {
+		t.Helper()
+		for c := range cases {
+			rr, code, err := postRank(client, s.URL(), cases[c].body)
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("rank %s the reload: code %d err %v", when, code, err)
+			}
+			for _, fact := range rr.Facts {
+				if id := relation.FactID(fact.ID); fact.Score != want[c][id] {
+					t.Fatalf("fact %d %s the reload: served %v, fixture model %v", fact.ID, when, fact.Score, want[c][id])
+				}
+			}
+		}
+	}
+	rankAll("before")
+
+	var buf bytes.Buffer
+	if err := fixModel.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The fields of core's checkpoint payload; gob matches them by name.
+	var ckpt struct {
+		Version int
+		Cfg     core.ModelConfig
+		Words   []string
+		Weights [][]float64
+	}
+	if err := gob.NewDecoder(&buf).Decode(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Weights[1][0] = math.NaN() // emb.pos, position 0
+	path := filepath.Join(t.TempDir(), "nan.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gen, drift := s.gen.Load(), s.driftScore.Evaluate()
+	body, err := json.Marshal(ReloadRequest{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(s.URL()+"/admin/reload", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("emb.pos")) {
+		t.Fatalf("reload of a NaN checkpoint -> %s %s, want 400 naming emb.pos", resp.Status, msg)
+	}
+	if got := s.gen.Load(); got != gen {
+		t.Errorf("generation moved from %d to %d on a refused reload", gen, got)
+	}
+	if got := s.driftScore.Evaluate(); got != drift {
+		t.Errorf("score drift %+v after a refused reload, want %+v", got, drift)
+	}
+	rankAll("after")
 }
 
 // TestServeBackpressure verifies the HTTP overload contract deterministically:

@@ -18,7 +18,9 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Special token IDs. The vocabulary always reserves these.
+// Special token IDs. The vocabulary always reserves these. No objective
+// reads [MASK] any more, but dropping it would shift every word's ID and
+// break loading every saved checkpoint.
 const (
 	PadID = iota
 	UnkID

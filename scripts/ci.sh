@@ -54,11 +54,12 @@ echo "== go test -race (serve replica pool + admin auth + TLS) =="
 # Every handler goroutine shares the replica pool: the admission slots and the
 # channel of idle replicas. The parity grid sends concurrent client batches at
 # 1, 2 and 3 pooled replicas, so it runs under the race detector explicitly,
-# as do the TLS round trip and the admin auth gate. The pool tests (the
-# admission bound, a panic while scoring, 429 before evaluation, and draining
-# admitted requests on shutdown) run ten times each, under a timeout that
-# turns a hang into a failure well before go test's own 10 minutes.
-go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
+# as do the TLS round trip, the admin auth gate and the refused reload of a
+# checkpoint with a NaN weight. The pool tests (the admission bound, a panic
+# while scoring, 429 before evaluation, and draining admitted requests on
+# shutdown) run ten times each, under a timeout that turns a hang into a
+# failure well before go test's own 10 minutes.
+go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS|ServeReloadRejectsNonFiniteWeights'
 go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
 
 echo "== go test -race (blocked kernels) =="
@@ -189,11 +190,15 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # serve.* metrics (request counters, the serve.queue.* admission counters,
 # the serve.batch.size histogram of 1 per scoring, the serve.stage.* latency
 # decomposition), the nn.mbatch.* packed-pass counters, and the obs.drift.*
-# quality monitors alongside the core ranking counters.
+# quality monitors alongside the core ranking counters. The trained model is
+# saved, and a second daemon serves that checkpoint from disk: -load over the
+# same corpus flags rebuilds the same database, and its selftest checks the
+# loaded model's concurrent answers against its own sequential ranking.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
-    -workers 2 \
+    -workers 2 -save "$manifest_dir/model.gob" \
     -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
+go run ./cmd/serve -queries 12 -cases 3 -load "$manifest_dir/model.gob" -workers 2 -selftest 8 -quiet
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
