@@ -47,14 +47,12 @@ func main() {
 	rn.SetConfig("label_fallback", *labelFallback)
 
 	kinds := []dataset.Kind{dataset.IMDB, dataset.Academic}
-	switch *kindFlag {
-	case "imdb":
-		kinds = []dataset.Kind{dataset.IMDB}
-	case "academic":
-		kinds = []dataset.Kind{dataset.Academic}
-	case "both":
-	default:
-		log.Fatalf("unknown -db %q", *kindFlag)
+	if *kindFlag != "both" {
+		kind, err := dataset.ParseKind(*kindFlag)
+		if err != nil {
+			log.Fatalf("-db: %v, or both", err)
+		}
+		kinds = []dataset.Kind{kind}
 	}
 
 	fmt.Printf("%-10s %-8s %10s %10s %12s\n", "database", "split", "#queries", "#results", "#facts")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 
 	"repro/internal/relation"
 	"repro/internal/tokenizer"
@@ -32,6 +33,16 @@ func (m *Model) Save(w io.Writer) error {
 		Weights: m.params.Snapshot(),
 	}
 	return gob.NewEncoder(w).Encode(&payload)
+}
+
+// LoadModelFile opens the checkpoint at path and runs LoadModel on it.
+func LoadModelFile(path string, db *relation.Database) (*Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // read only: a close error cannot lose data
+	return LoadModel(f, db)
 }
 
 // LoadModel reconstructs a model saved with Save. The database must be the

@@ -31,6 +31,18 @@ func (k Kind) String() string {
 	return "IMDB"
 }
 
+// ParseKind returns the database a command-line name selects: "imdb" or
+// "academic", spelled exactly so.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "imdb":
+		return IMDB, nil
+	case "academic":
+		return Academic, nil
+	}
+	return 0, fmt.Errorf("dataset: unknown database %q (want imdb, academic)", name)
+}
+
 // Config parameterizes corpus construction. The zero value is not usable;
 // start from DefaultConfig.
 type Config struct {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -10,6 +11,30 @@ import (
 	"repro/internal/shapley"
 	"repro/internal/sqlparse"
 )
+
+func TestParseKind(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Kind
+		ok   bool
+	}{
+		{"imdb", IMDB, true},
+		{"academic", Academic, true},
+		{"IMDB", 0, false},
+		{"imbd", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseKind(tc.name)
+		switch {
+		case tc.ok && (err != nil || got != tc.want):
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		case !tc.ok && err == nil:
+			t.Errorf("ParseKind(%q) = %v, want an error", tc.name, got)
+		case !tc.ok && !strings.Contains(err.Error(), "imdb, academic"):
+			t.Errorf("ParseKind(%q) error %q does not name both databases", tc.name, err)
+		}
+	}
+}
 
 func smallConfig(kind Kind) Config {
 	cfg := DefaultConfig(kind)

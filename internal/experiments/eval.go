@@ -45,12 +45,13 @@ func inputFor(c *dataset.Corpus, qi int, cs dataset.Case) core.Input {
 	}
 }
 
-// evaluateRanker scores a ranker over the labeled cases of the given query
-// split, capped at maxCases pairs. Cases are ranked across workers when the
-// ranker supports replicas (core.ConcurrentRanker) and reduced in case order,
-// so the result is identical for every worker count; pass workers=1 when
-// per-case inference timings must not share the machine (Table 6).
-func evaluateRanker(c *dataset.Corpus, r core.Ranker, split []int, maxCases, workers int) EvalResult {
+// Evaluate scores a ranker over the labeled cases of the given query split,
+// capped at maxCases pairs (0 = every case). Cases are ranked across workers
+// when the ranker supports replicas (core.ConcurrentRanker) and summed in case
+// order, so the result is identical for every worker count and equals
+// metrics.Mean over the per-case scores; pass workers=1 when per-case
+// inference timings must not share the machine (Table 6).
+func Evaluate(c *dataset.Corpus, r core.Ranker, split []int, maxCases, workers int) EvalResult {
 	res := EvalResult{Method: r.Name()}
 	// Flatten the split into (query, case) refs, respecting the cap.
 	type ref struct{ qi, ci int }

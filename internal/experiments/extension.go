@@ -73,7 +73,7 @@ func ExtensionCrossSchema(s *Suite, w io.Writer) (CrossSchemaResult, error) {
 	}
 	var out CrossSchemaResult
 	imdb, _ := s.Corpus(dataset.IMDB)
-	out.InDomainNDCG = evaluateRanker(imdb, m, imdb.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers).NDCG10
+	out.InDomainNDCG = Evaluate(imdb, m, imdb.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers).NDCG10
 
 	acad, _ := s.Corpus(dataset.Academic)
 	var scores []float64

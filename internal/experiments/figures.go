@@ -120,7 +120,7 @@ func (s *Suite) Figure9(w io.Writer) (Figure9Result, error) {
 	if err != nil {
 		return Figure9Result{}, err
 	}
-	res := evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
+	res := Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
 	var sizes, tables, scores []float64
 	for _, cs := range res.PerCase {
 		sizes = append(sizes, float64(cs.LineageSize))
@@ -197,7 +197,7 @@ func (s *Suite) Figure10(w io.Writer) (Figure10Result, error) {
 	if err != nil {
 		return Figure10Result{}, err
 	}
-	res := evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
+	res := Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
 	out := Figure10Result{Corr: make(map[string]map[string]float64)}
 	for _, metric := range []string{"syntax", "witness", "rank"} {
 		f := sims.ByMetric(metric)
@@ -256,10 +256,10 @@ func (s *Suite) Figure11(w io.Writer) (Figure11Result, error) {
 		if err != nil {
 			return out, err
 		}
-		row["LearnShapley"] = evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
+		row["LearnShapley"] = Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
 		for _, metric := range []string{"syntax", "witness"} {
 			nq := baselines.NewNearestQueries(c, sims, metric, 3, sub)
-			row["kNN-"+metric] = evaluateRanker(c, nq, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
+			row["kNN-"+metric] = Evaluate(c, nq, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
 		}
 		out.Rows[pct] = row
 		out.UnseenPct[pct] = unseenFraction(c, sub)

@@ -103,7 +103,7 @@ func (s *Suite) Table3(w io.Writer) (Table3Result, error) {
 		var rows []EvalResult
 		for _, metric := range []string{"syntax", "witness", "rank"} {
 			nq := s.Baseline(kind, metric, 3)
-			rows = append(rows, evaluateRanker(c, nq, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers))
+			rows = append(rows, Evaluate(c, nq, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers))
 		}
 		for _, cfg := range []core.ModelConfig{
 			s.ablationCfg(core.SmallTransformerConfig()),
@@ -115,7 +115,7 @@ func (s *Suite) Table3(w io.Writer) (Table3Result, error) {
 			if err != nil {
 				return out, err
 			}
-			rows = append(rows, evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers))
+			rows = append(rows, Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers))
 		}
 		out.Rows[kind.String()] = rows
 		fmt.Fprintf(w, "\n[%s]\n%-28s %8s %8s %8s %8s\n", kind, "method", "NDCG@10", "p@1", "p@3", "p@5")
@@ -171,7 +171,7 @@ func (s *Suite) Table4(w io.Writer) (Table4Result, error) {
 		if err != nil {
 			return out, err
 		}
-		r := evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
+		r := Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, s.Cfg.Workers)
 		out.Rows = append(out.Rows, r)
 		fmt.Fprintf(w, "%-30s %8.3f %8.3f %8.3f %8.3f\n", r.Method, r.NDCG10, r.P1, r.P3, r.P5)
 	}
@@ -290,7 +290,7 @@ func (s *Suite) Table6(w io.Writer) (Table6Result, error) {
 	}
 	for _, metric := range []string{"witness", "syntax"} {
 		nq := s.Baseline(dataset.IMDB, metric, 3)
-		r := evaluateRanker(c, nq, c.Test, s.Cfg.MaxEvalCases, 1)
+		r := Evaluate(c, nq, c.Test, s.Cfg.MaxEvalCases, 1)
 		add(r.Method, r.AvgMS, r.MaxMS)
 	}
 	for _, cfg := range []core.ModelConfig{s.Cfg.Base, s.Cfg.Large} {
@@ -298,7 +298,7 @@ func (s *Suite) Table6(w io.Writer) (Table6Result, error) {
 		if err != nil {
 			return out, err
 		}
-		r := evaluateRanker(c, m, c.Test, s.Cfg.MaxEvalCases, 1)
+		r := Evaluate(c, m, c.Test, s.Cfg.MaxEvalCases, 1)
 		add(r.Method, r.AvgMS, r.MaxMS)
 	}
 	// Exact computation (knowledge compilation) over the same cases.

@@ -189,25 +189,3 @@ func LinearTrend(xs, ys []float64) float64 {
 	}
 	return sxy / sxx
 }
-
-// Percentile returns the p-th percentile (0..100) of xs by nearest-rank on a
-// sorted copy; 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}

@@ -145,25 +145,13 @@ func TestLinearTrend(t *testing.T) {
 	}
 }
 
-func TestMeanAndPercentile(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	if Mean(xs) != 2.5 {
 		t.Errorf("mean = %v", Mean(xs))
 	}
 	if Mean(nil) != 0 {
 		t.Error("mean of empty should be 0")
-	}
-	if got := Percentile(xs, 50); got != 2 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("percentile of empty should be 0")
 	}
 }
 

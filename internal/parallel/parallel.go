@@ -8,8 +8,9 @@
 //   - Scheduling independence: a work function may write only to state owned
 //     by its index (a slot of a results slice, a per-index RNG, a per-worker
 //     replica), never to state shared across indices.
-//   - Ordered reduction: results are folded in strict index order (MapReduce,
-//     ForEachErr) so floating-point sums do not depend on completion order.
+//   - Ordered reduction: Map returns results in index order and ForEachErr
+//     the error of the lowest failing index; callers fold results in index
+//     order, so floating-point sums do not depend on completion order.
 //
 // Everything concurrent in this repository (corpus labeling, mini-batch
 // gradients, similarity precomputation, evaluation) goes through this package
@@ -151,14 +152,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// MapReduce maps [0, n) through mapFn and folds the results in strict index
-// order (i = 0, 1, ..., n-1), so floating-point reductions are bit-identical
-// for every worker count.
-func MapReduce[T, A any](workers, n int, mapFn func(i int) T, acc A, reduceFn func(A, T) A) A {
-	for _, v := range Map(workers, n, mapFn) {
-		acc = reduceFn(acc, v)
-	}
-	return acc
 }

@@ -113,16 +113,3 @@ func (d *Database) Fact(id FactID) *Fact {
 
 // NumFacts returns the total number of facts across all relations.
 func (d *Database) NumFacts() int { return len(d.facts) }
-
-// ColumnValue resolves rel.col on a fact; the fact must belong to rel.
-func (d *Database) ColumnValue(f *Fact, column string) (Value, error) {
-	r, ok := d.Relation(f.Relation)
-	if !ok {
-		return Null(), fmt.Errorf("relation: fact %d references unknown relation %q", f.ID, f.Relation)
-	}
-	i, ok := r.Schema.ColumnIndex(column)
-	if !ok {
-		return Null(), fmt.Errorf("relation: no column %q in relation %q", column, f.Relation)
-	}
-	return f.Values[i], nil
-}

@@ -98,24 +98,6 @@ func TestDatabaseDuplicateRelation(t *testing.T) {
 	}
 }
 
-func TestDatabaseColumnValue(t *testing.T) {
-	db := NewDatabase()
-	if _, err := db.AddRelation(personSchema(t)); err != nil {
-		t.Fatal(err)
-	}
-	f := db.MustInsert("person", Str("alice"), Int(45))
-	v, err := db.ColumnValue(f, "age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsInt() != 45 {
-		t.Errorf("age = %v", v)
-	}
-	if _, err := db.ColumnValue(f, "salary"); err == nil {
-		t.Error("expected missing-column error")
-	}
-}
-
 func TestFactString(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.AddRelation(personSchema(t)); err != nil {

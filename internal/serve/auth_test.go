@@ -26,9 +26,12 @@ import (
 // TestServeAdminAuth pins the /admin/* bearer-token contract: with
 // Config.AdminToken set, missing or wrong tokens are rejected with 401 (plus
 // a WWW-Authenticate challenge and a serve.req.unauthorized count) before the
-// handler runs, a correct token reaches the handler, and the scoring
-// endpoints stay open — auth guards administration, not service.
+// handler runs, a correct token reaches the handler, the scoring endpoints
+// stay open — auth guards administration, not service — and the open
+// /debug/manifest, whose args list the command line, never shows the token.
 func TestServeAdminAuth(t *testing.T) {
+	defer func(args []string) { os.Args = args }(os.Args)
+	os.Args = []string{"serve", "-admin-token", "tiny-secret", "-admin-token=tiny-secret", "-quiet"}
 	run := obs.NewRun("admin-auth-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
@@ -58,13 +61,28 @@ func TestServeAdminAuth(t *testing.T) {
 	if rec := reload("Basic dGlueS1zZWNyZXQ="); rec.Code != http.StatusUnauthorized {
 		t.Fatalf("non-bearer scheme -> %d, want 401", rec.Code)
 	}
-	// The right token must clear auth and reach the handler: the bogus
-	// checkpoint path then fails inside handleReload with a non-401 status.
-	if rec := reload("Bearer tiny-secret"); rec.Code == http.StatusUnauthorized {
-		t.Fatalf("correct token rejected with 401: %s", rec.Body.String())
+	// The right token must clear auth and reach the handler: the missing
+	// checkpoint then fails inside handleReload with 400.
+	if rec := reload("Bearer tiny-secret"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("correct token, missing checkpoint -> %d, want 400: %s", rec.Code, rec.Body.String())
 	}
 	if got := run.Reg.Snapshot().Counters["serve.req.unauthorized"]; got != 3 {
 		t.Errorf("serve.req.unauthorized = %d, want 3", got)
+	}
+
+	// The manifest stays open but redacts the token in both flag forms; the
+	// -metrics-out file is written from the same run.Manifest.
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/manifest", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tokenless /debug/manifest -> %d, want 200", rec.Code)
+	}
+	if strings.Contains(rec.Body.String(), "tiny-secret") {
+		t.Errorf("/debug/manifest leaks the admin token: %s", rec.Body.String())
+	}
+	want := []string{"-admin-token", "<redacted>", "-admin-token=<redacted>", "-quiet"}
+	if args := run.Manifest().Args; strings.Join(args, " ") != strings.Join(want, " ") {
+		t.Errorf("manifest args = %q, want %q", args, want)
 	}
 
 	// Scoring endpoints stay open without a token: a tokenless /rank against

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -351,19 +350,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !s.decodePost(w, r, &req) {
 		return
 	}
-	f, err := os.Open(req.Path)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "open checkpoint: %v", err)
-		return
-	}
-	model, err := core.LoadModel(f, s.corpus.DB)
-	closeErr := f.Close()
+	model, err := core.LoadModelFile(req.Path, s.corpus.DB)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "load checkpoint: %v", err)
-		return
-	}
-	if closeErr != nil {
-		s.writeError(w, http.StatusInternalServerError, "close checkpoint: %v", closeErr)
 		return
 	}
 	version := fmt.Sprintf("%s@%s", req.Path, time.Now().UTC().Format(time.RFC3339))

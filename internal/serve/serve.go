@@ -157,6 +157,7 @@ type Server struct {
 // New assembles a server around a trained model and the corpus it was trained
 // over. The model itself is never used for scoring — the pool clones replicas
 // from it — so the caller must not run it concurrently with the server either.
+// The installed obs run redacts cfg.AdminToken from its manifest.
 func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = parallel.Workers(0)
@@ -189,6 +190,8 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	for range cfg.Workers {
 		s.replicas <- &replica{}
 	}
+	// /debug/manifest is open, and the manifest lists the command line.
+	obs.Live().Redact(cfg.AdminToken)
 	s.install(model, "initial")
 	s.mux = s.routes()
 	return s

@@ -30,10 +30,7 @@ func TestShapleyAxiomsEveryEngine(t *testing.T) {
 		// {1, 2, 3} and {4, 5} are symmetry classes; 7 is absorbed.
 		provenance.FromMonomials(m(1, 2, 3), m(4, 5), m(4, 5, 7)),
 	}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		dnfs = append(dnfs, randomDNF(rng, 5+trial%8, 3+trial%7))
-	}
+	dnfs = append(dnfs, axiomRandomDNFs()...)
 	symTol := map[string]float64{"exact": 1e-12, "amc": 0.04}
 	nulls, pairs := 0, 0
 	for _, name := range Names() {
@@ -80,6 +77,59 @@ func TestShapleyAxiomsEveryEngine(t *testing.T) {
 	// The hand-built cases alone guarantee both checks ran.
 	if nulls == 0 || pairs == 0 {
 		t.Fatalf("vacuous run: %d null players and %d symmetric pairs checked", nulls, pairs)
+	}
+}
+
+// axiomRandomDNFs returns the random monotone DNFs the axiom checks run over.
+func axiomRandomDNFs() []*provenance.DNF {
+	rng := rand.New(rand.NewSource(17))
+	var dnfs []*provenance.DNF
+	for trial := 0; trial < 30; trial++ {
+		dnfs = append(dnfs, randomDNF(rng, 5+trial%8, 3+trial%7))
+	}
+	return dnfs
+}
+
+// TestShapleyMonotonicityEveryEngine checks monotonicity on every engine Parse
+// builds: adding the monomial {i} to a DNF never lowers fact i's value. The
+// game is unchanged on coalitions without i and can only rise on coalitions
+// with i, so every marginal contribution of i can only grow. Exact may move by
+// rounding (1e-12). For amc the lineage, and so every permutation drawn at the
+// same seed, is unchanged, and each walk's pivot can only move to i: its
+// count cannot drop at all.
+func TestShapleyMonotonicityEveryEngine(t *testing.T) {
+	slack := map[string]float64{"exact": 1e-12, "amc": 0}
+	for _, name := range Names() {
+		// The property holds at any amc budget; a small one keeps the
+		// test fast.
+		l, err := Parse(name, 4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol, ok := slack[name]
+		if !ok {
+			t.Fatalf("no monotonicity slack for engine %q", name)
+		}
+		checks := 0
+		for i, d := range axiomRandomDNFs() {
+			seed := DeriveSeed(11, uint64(i))
+			before, err := l.Label(d, seed)
+			if err != nil {
+				t.Fatalf("%s case %d: %v", name, i, err)
+			}
+			for _, id := range d.Lineage() {
+				grown := provenance.FromMonomials(append(append([]provenance.Monomial(nil), d.Monomials...), provenance.NewMonomial(id))...)
+				after, err := l.Label(grown, seed)
+				if err != nil {
+					t.Fatalf("%s case %d + {%d}: %v", name, i, id, err)
+				}
+				checks++
+				if after[id] < before[id]-tol {
+					t.Errorf("%s case %d %v: adding {%d} lowers its value from %v to %v", name, i, d, id, before[id], after[id])
+				}
+			}
+		}
+		t.Logf("%s: %d monotonicity checks", name, checks)
 	}
 }
 

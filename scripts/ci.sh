@@ -165,21 +165,38 @@ trap 'rm -rf "$manifest_dir"' EXIT
 # The (small, one-epoch) pre-training and fine-tuning schedules must show live
 # core.pretrain.* metrics, and evaluation ranking live nn.mbatch.* and
 # core.rank.* metrics — asserted below via REPRO_MANIFEST_EXPECT_METRICS.
-# -labeler amc labels the corpus with the antithetic Monte Carlo sampler, so
-# live shapley.approx.* metrics must show up in the same manifest.
-go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
-    -pepochs 1 -ppairs 16 \
-    -labeler amc -label-samples 64 \
-    -dim 8 -layers 1 -workers 2 \
+tiny=(-queries 16 -cases 2 -epochs 1 -samples 40 -pepochs 1 -ppairs 16 -dim 8 -layers 1)
+go run ./cmd/learnshap "${tiny[@]}" -workers 2 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
+    REPRO_MANIFEST_EXPECT_METRICS="nn.mbatch.,core.rank.,core.pretrain." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 # Metric-naming lint over the live registry snapshot the run actually
 # produced: every registered name must follow the repo convention and survive
 # Prometheus normalization without collisions.
 REPRO_MANIFEST="$manifest_dir/run.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
+# -labeler amc labels a corpus with the antithetic Monte Carlo sampler, so
+# live shapley.approx.* metrics must show up in dbshap-gen's manifest.
+go run ./cmd/dbshap-gen -db academic -queries 16 -cases 2 -labeler amc -label-samples 64 \
+    -similarities=false -workers 2 -metrics-out "$manifest_dir/gen.json" -quiet >/dev/null
+REPRO_MANIFEST="$manifest_dir/gen.json" \
+    REPRO_MANIFEST_EXPECT_METRICS="shapley.approx." \
+    go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
+REPRO_MANIFEST="$manifest_dir/gen.json" \
+    go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
+
+echo "== learnshap worker determinism gate =="
+# Training, ranking and evaluation are bit-identical at every worker count, so
+# the tiny pipeline's printed table must be byte-identical at 1 and 2 workers.
+go run ./cmd/learnshap "${tiny[@]}" -workers 1 -quiet >"$manifest_dir/workers1.txt"
+go run ./cmd/learnshap "${tiny[@]}" -workers 2 -quiet >"$manifest_dir/workers2.txt"
+if ! cmp "$manifest_dir/workers1.txt" "$manifest_dir/workers2.txt"; then
+    diff "$manifest_dir/workers1.txt" "$manifest_dir/workers2.txt" >&2 || true
+    echo "learnshap output differs between -workers 1 and -workers 2" >&2
+    exit 1
+fi
+echo "ok"
 
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: train a tiny model, start the daemon on an
