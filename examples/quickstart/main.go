@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nExact Shapley values (d-DNNF circuit of %d nodes):\n", stats.CircuitNodes)
+		fmt.Printf("\nExact Shapley values (decomposition tree of %d nodes):\n", stats.CircuitNodes)
 		for rank, id := range values.Ranking() {
 			fmt.Printf("  %2d. %-40s %.6f\n", rank+1, db.Fact(id), values[id])
 		}

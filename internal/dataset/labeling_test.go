@@ -3,7 +3,12 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/parallel"
+	"repro/internal/shapley"
 )
 
 // TestSamplerLabelerBuild builds a corpus with the amc sampler as the
@@ -165,5 +170,54 @@ func TestBuildRejectsBadLabelerConfig(t *testing.T) {
 	cfg.LabelFallback = "exact"
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("exact accepted as its own fallback")
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled = false
+
+// TestExactLabelsLargeAcademicLineages runs the exact engine on every output
+// tuple of the default Academic corpus over MaxLineage: 12 tuples of 101–175
+// facts, all from 7-table chain joins, which labeling skips for size. The
+// decision diagram that preceded the decomposition tree ran out of memory on
+// 4 of them under a 3 GB limit and took 34 s on another. Each must now finish
+// under the node budget with values that sum to 1.
+func TestExactLabelsLargeAcademicLineages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("seconds of single-goroutine arithmetic; the race detector only multiplies them")
+	}
+	cfg := DefaultConfig(Academic)
+	c, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var large []*engine.OutputTuple
+	for _, q := range c.Queries {
+		for _, tp := range q.Result.Tuples {
+			if len(tp.Lineage()) > cfg.MaxLineage {
+				large = append(large, tp)
+			}
+		}
+	}
+	if len(large) != 12 {
+		t.Fatalf("the default Academic corpus has %d tuples over %d facts, want 12", len(large), cfg.MaxLineage)
+	}
+	// Largest first, so the two slowest do not end up on one worker.
+	sort.Slice(large, func(i, j int) bool { return len(large[i].Lineage()) > len(large[j].Lineage()) })
+	errs := parallel.Map(0, len(large), func(i int) error {
+		vals, st, err := shapley.Exact(large[i].Prov)
+		if err != nil {
+			return err
+		}
+		t.Logf("%d facts: %d tree nodes", st.LineageSize, st.CircuitNodes)
+		if s := vals.Sum(); math.Abs(s-1) > 1e-9 {
+			t.Errorf("%d facts: values sum to %v", st.LineageSize, s)
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%d facts: %v", len(large[i].Lineage()), err)
+		}
 	}
 }

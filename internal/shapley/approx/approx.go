@@ -2,10 +2,12 @@
 // common Labeler interface that the exact knowledge-compilation algorithm
 // also implements.
 //
-// Exact labeling is the offline bottleneck of the whole pipeline: compiling
-// the provenance DNF into a d-DNNF circuit took the paper days on DBShap, and
-// it is what caps the training-corpus size. The sampler here trades
-// exactness for one to three orders of magnitude of labeling speed:
+// Exact labeling took the paper days on DBShap. Here the exact engine's
+// decomposition tree labels both default corpora in well under a second, but
+// its cost follows a lineage's structure rather than its size, and it
+// refuses lineages past its node budget or of more than 512 facts
+// (shapley.ErrBudget). The sampler covers those: it trades exactness for a
+// cost linear in the lineage, whatever its structure:
 //
 //   - AMC: antithetic-variate Monte Carlo permutation sampling. For a
 //     monotone provenance, a uniformly random permutation of the lineage
@@ -17,18 +19,12 @@
 //     positions are negatively correlated on monotone games, which cancels
 //     part of the sampling variance at the same evaluation budget.
 //
-// Coalition evaluation deliberately does NOT go through circuit compilation:
-// a CPU profile of shapley.Exact on the golden lineages spends about 86% of
-// its time in provenance.DNF.Minimize's pairwise absorption (58% flat in
-// Monomial.SubsetOf) and only about 10% hashing canonical keys (DNF.Key), so
-// a sampler that compiled first would inherit the bottleneck it exists to
-// avoid. Instead the sampler evaluates the raw DNF with incremental
-// per-monomial missing-fact counters: walking a permutation costs O(Σ|m|)
-// amortized, independent of how large the compiled circuit would have been,
-// and works on lineages far beyond the exact engine's 512-variable limit.
-// Circuit.Eval remains the differential-testing oracle: the pivot found by
-// the counter walk is property-tested against a pivot search over the
-// compiled circuit (and Circuit.Eval itself against direct DNF evaluation).
+// The sampler never compiles the formula. It evaluates the raw DNF with
+// incremental per-monomial missing-fact counters: walking a permutation costs
+// O(Σ|m|) amortized, independent of how large the compiled tree would be, and
+// works on lineages far beyond the exact engine's limits. The pivot the
+// counter walk finds is property-tested against a pivot search by direct DNF
+// evaluation.
 //
 // Determinism: every Label call derives all of its randomness from the seed
 // argument alone — no package-level RNG, no time. Callers that label many
@@ -92,9 +88,10 @@ type Exact struct{}
 // Name implements Labeler.
 func (Exact) Name() string { return "exact" }
 
-// Label implements Labeler via d-DNNF compilation. It inherits the exact
-// engine's lineage-size limit and returns its error beyond it — the signal
-// corpus building uses to fall back to a sampler.
+// Label implements Labeler with the decomposition tree. It inherits the exact
+// engine's limits and returns its error past them, which wraps
+// shapley.ErrBudget — the signal corpus building uses to fall back to a
+// sampler.
 func (Exact) Label(d *provenance.DNF, _ uint64) (shapley.Values, error) {
 	done := observe("exact", 0)
 	vals, _, err := shapley.Exact(d)

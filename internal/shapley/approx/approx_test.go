@@ -136,19 +136,15 @@ func TestSameSeedBitIdentical(t *testing.T) {
 }
 
 // TestPivotAgreesWithCircuitEval cross-checks the incremental counter walk
-// against the compiled circuit: adding facts one by one in permutation order,
-// the first prefix on which Circuit.Eval flips to true must end at exactly
-// the pivot the counters report.
+// against direct evaluation of the formula: adding facts one by one in
+// permutation order, the first prefix on which DNF.Eval flips to true must
+// end at exactly the pivot the counters report.
 func TestPivotAgreesWithCircuitEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		d := randomDNF(rng, 14, 12)
 		li := indexLineage(d)
 		g := newGame(d, li)
-		c, err := shapley.Compile(d)
-		if err != nil {
-			t.Fatal(err)
-		}
 		perm := make([]int, len(li.facts))
 		for i := range perm {
 			perm[i] = i
@@ -160,13 +156,13 @@ func TestPivotAgreesWithCircuitEval(t *testing.T) {
 			want := -1
 			for _, p := range perm {
 				present[li.facts[p]] = true
-				if c.Eval(func(id relation.FactID) bool { return present[id] }) {
+				if d.Eval(func(id relation.FactID) bool { return present[id] }) {
 					want = p
 					break
 				}
 			}
 			if got != want {
-				t.Fatalf("trial %d: counter pivot %d, circuit pivot %d (perm %v)", trial, got, want, perm)
+				t.Fatalf("trial %d: counter pivot %d, formula pivot %d (perm %v)", trial, got, want, perm)
 			}
 			if rev := g.pivotReverse(perm); rev != func() int {
 				rp := make([]int, len(perm))

@@ -13,8 +13,10 @@ import (
 // GateSamples is the permutation budget at which the ci parity gate
 // (TestSamplerOracleParityGate) holds amc to Spearman >= 0.95 against the
 // exact oracle on every golden lineage. 48k permutations clear the bar with
-// margin (min Spearman 0.96 over a 5-seed sweep on the worst lineage) while
-// staying >= 10x faster than exact compilation on the largest lineage.
+// margin (min Spearman 0.96 over a 5-seed sweep on the worst lineage). They
+// cost more than exact labeling there: on a 2-core host, amc at this budget
+// takes 50–124 ms per golden lineage and exact 2–51 ms (124 ms against 51 ms
+// on the largest, chain_tiers_266).
 const GateSamples = 49152
 
 // Accuracy summarizes a labeler's agreement with the exact oracle on one
@@ -114,14 +116,13 @@ func (b BenchLineage) Facts() int { return len(b.DNF.Lineage()) }
 //   - tritier_105: the same ladder over complete *tripartite* blocks
 //     A_t × B_t × C_t with sizes (t, t+1, t+2), t = 1..7 — width-3
 //     derivations across three relations.
-//   - chain_tiers_266: the speedup headline — the bipartite ladder scaled to
-//     fourteen tiers (t, t+4) and *entangled*: tier t's hubs also join the
-//     first few leaves of tier t+1's pool, so the provenance no longer
-//     factors into independent blocks and exact compilation must track
-//     cross-tier cofactors (expensive, but bounded — the overlap couples
-//     only adjacent tiers, unlike global sharing, which blows the diagram
-//     up exponentially). Still rank-gated: the overlap leaves just add more
-//     symmetry classes to the ladder.
+//   - chain_tiers_266: the bipartite ladder scaled to fourteen tiers
+//     (t, t+4) and *entangled*: tier t's hubs also join the first few leaves
+//     of tier t+1's pool, so the provenance no longer splits into
+//     independent blocks and exact compilation must branch across tiers
+//     (bounded: the overlap couples only adjacent tiers, unlike global
+//     sharing). Still rank-gated: the overlap leaves just add more symmetry
+//     classes to the ladder.
 func BenchmarkLineages() []BenchLineage {
 	var out []BenchLineage
 

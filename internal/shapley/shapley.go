@@ -13,11 +13,12 @@
 // Three algorithms are provided:
 //
 //   - BruteForce: subset enumeration, exponential, the testing oracle.
-//   - Exact: knowledge compilation of the provenance DNF into a quasi-reduced
-//     ordered decision diagram — a deterministic and decomposable (d-DNNF)
-//     circuit — followed by a two-pass counting scheme that yields every
-//     fact's exact value in one compilation. This mirrors the exact algorithm
-//     of Deutch et al. used to label DBShap.
+//   - Exact: knowledge compilation of the provenance DNF into a decomposition
+//     tree — independent AND and OR nodes over disjoint facts, and Shannon
+//     nodes only where the formula does not split — followed by one upward
+//     and one adjoint pass that yield every fact's exact value. This is the
+//     exact algorithm family of Deutch et al. used to label DBShap, with the
+//     decomposable nodes that keep the compiled circuits small.
 //   - CNFProxy: the fast inexact ranking heuristic applied to the Tseytin CNF
 //     of the provenance, mirroring the paper's inexact baseline.
 package shapley
