@@ -139,6 +139,14 @@ echo "== corpus import fuzz smoke =="
 # never a panic.
 go test ./internal/dataset -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s
 
+echo "== SQL parse and lex fuzz smokes =="
+# Every /rank body carries SQL that sqlparse lexes and parses before anything
+# else runs. Arbitrary strings must lex to a token stream ending in EOF, and
+# parse to an error or to a query whose rendered SQL re-parses to the same
+# text; neither may panic.
+go test ./internal/sqlparse -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s
+go test ./internal/sqlparse -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s
+
 echo "== tokenizer pack fuzz smoke =="
 # Arbitrary query, tuple and fact strings must tokenize without a panic and
 # pack to exactly [CLS] q [SEP] t [SEP] f [SEP] under FitLengths' trimming.
