@@ -15,8 +15,11 @@
 //
 // Every request runs on its own handler goroutine: it takes one of
 // -queue-cap plus -workers admission slots, then scores on one of -workers
-// pooled model replicas (one per CPU by default) through core.Model.RankOn,
-// so a request waits only for a free replica. -tls-cert/-tls-key serve HTTPS;
+// pooled model replicas (one per CPU by default), so a request waits only for
+// a free replica. On the replica, /rank and /explain answer with exact
+// Shapley values when the lineage compiles within a fixed budget of
+// decomposition-tree nodes, and through core.Model.RankOn past it; the
+// response's "engine" field says which. -tls-cert/-tls-key serve HTTPS;
 // -admin-token puts /admin/* behind a bearer token, and the run manifest
 // (/debug/manifest, -metrics-out) shows it as <redacted>. The corpus and model
 // flags, and the load-or-train step behind them, are the ones cmd/learnshap

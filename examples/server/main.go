@@ -1,14 +1,16 @@
 // Server demonstrates the deployment story of Section 5.8: once trained,
 // LearnShapley answers real-time "why is this tuple in the result?" requests
-// from only the query and the tuple — no provenance capture needed. The
-// program trains a small model over a synthetic IMDB corpus, starts the
-// production serving stack (internal/serve: each request scored on a pooled
-// model replica, backpressure, graceful drain — the same engine behind
-// cmd/serve), issues a demonstration request against itself, and exits (pass
-// -serve to keep it running).
+// from only the query and the tuple. The program trains a small model over a
+// synthetic IMDB corpus, starts the production serving stack (internal/serve:
+// each request scored on a pooled model replica, backpressure, graceful
+// drain — the same engine behind cmd/serve), issues a demonstration request
+// against itself, and exits (pass -serve to keep it running). The server
+// answers with exact Shapley values when the lineage's provenance compiles
+// within a fixed node budget, as every small IMDB lineage does, and with the
+// model's predictions past it; "engine" says which.
 //
 //	POST /rank {"sql": "...", "tuple": ["Alice", ...]}
-//	  -> {"facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}
+//	  -> {"engine": "exact", "facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}
 package main
 
 import (

@@ -58,7 +58,7 @@ func ShapleyAblation(s *Suite, w io.Writer) error {
 		proxyMS /= float64(proxyN)
 	}
 	fmt.Fprintf(w, "%-28s %12s %10s %8s\n", "algorithm", "avg [ms]", "cases", "NDCG@10")
-	fmt.Fprintf(w, "%-28s %12.4f %10d %8s\n", "exact (d-DNNF compilation)", exactMS, exactN, "1.000")
+	fmt.Fprintf(w, "%-28s %12.4f %10d %8s\n", "exact (decomposition tree)", exactMS, exactN, "1.000")
 	fmt.Fprintf(w, "%-28s %12.4f %10d %8s\n", "brute force (≤18 facts)", bruteMS, bruteN, "1.000")
 	fmt.Fprintf(w, "%-28s %12.4f %10d %8.3f\n", "CNF proxy (inexact)", proxyMS, proxyN, metrics.Mean(proxyNDCG))
 	return nil

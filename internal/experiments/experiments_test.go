@@ -255,7 +255,7 @@ func TestShapleyAblationRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"exact (d-DNNF compilation)", "brute force", "CNF proxy"} {
+	for _, want := range []string{"exact (decomposition tree)", "brute force", "CNF proxy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in ablation output", want)
 		}

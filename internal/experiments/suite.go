@@ -2,8 +2,8 @@
 // evaluation (Section 5) over synthetic DBShap-style corpora. Each artifact
 // has one entry point (Table1 ... Table6, Figure7 ... Figure12) that computes
 // the result and renders rows shaped like the paper's. The per-experiment
-// index in DESIGN.md maps artifacts to these functions and to the bench
-// targets in bench_test.go.
+// index in DESIGN.md maps artifacts to these functions and to the names
+// `go run ./cmd/experiments -only <artifact>` selects them by.
 package experiments
 
 import (
@@ -36,9 +36,8 @@ type Config struct {
 	Workers int
 }
 
-// BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
-// qualitative effect intact. It runs one worker per GOMAXPROCS, so
-// `go test -bench . -cpu 1,2` times the same benchmark at each parallelism.
+// BenchConfig is the scale of `go run ./cmd/experiments -bench`: minutes of
+// CPU, every qualitative effect intact. It runs one worker per GOMAXPROCS.
 func BenchConfig() Config {
 	base := core.BaseConfig()
 	base.FinetuneEpochs, base.FinetuneSamplesPerEpoch = 5, 1600

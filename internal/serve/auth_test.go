@@ -141,7 +141,8 @@ func writeSelfSignedCert(t *testing.T, dir string) (certPath, keyPath string) {
 // drives the full round trip over TLS: /healthz, a scored /rank (bit-exact
 // against the sequential reference), and a tokened /admin round trip — the
 // deployment shape the bearer token is meant for. Also pins that a cert
-// without a key refuses to start.
+// without a key refuses to start. The exact budget is 0, so the model answers
+// the /rank requests.
 func TestServeTLS(t *testing.T) {
 	corpus, model := fixture(t)
 	certPath, keyPath := writeSelfSignedCert(t, t.TempDir())
@@ -154,10 +155,10 @@ func TestServeTLS(t *testing.T) {
 		t.Error("cert without key must refuse to start")
 	}
 
-	s := startServer(t, Config{
+	s := startServerBudget(t, Config{
 		Workers: 2, QueueCap: 64,
 		AdminToken: "tls-secret", TLSCert: certPath, TLSKey: keyPath,
-	})
+	}, 0)
 	if !strings.HasPrefix(s.URL(), "https://") {
 		t.Fatalf("TLS server URL = %q, want https scheme", s.URL())
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/provenance"
 	"repro/internal/shapley"
 	"repro/internal/sqlparse"
 )
@@ -19,37 +21,50 @@ import (
 // RankRequest asks for the ranked lineage of one output tuple: the service
 // evaluates the query to locate the tuple and its lineage (a production
 // deployment would read the lineage from the engine's provenance capture),
-// then scores every lineage fact with the model — the Section 5.8 deployment
-// story: no provenance capture at question time, interactive latency.
+// then scores every lineage fact. Lineages whose provenance compiles within
+// the exact budget get their exact Shapley values; the others get the model's
+// predictions, the Section 5.8 deployment story of interactive latency
+// without exact computation.
 type RankRequest struct {
 	SQL   string   `json:"sql"`
 	Tuple []string `json:"tuple"`
 }
 
 // RankedFact is one scored lineage member. ID resolves against the server's
-// database; Score is the model's predicted Shapley contribution, serialized
-// at full float64 round-trip precision (the parity tests compare it bitwise).
+// database; Score is the fact's exact Shapley value or the model's predicted
+// contribution, as the response's Engine says, serialized at full float64
+// round-trip precision (the parity tests compare it bitwise).
 type RankedFact struct {
 	ID    int32   `json:"id"`
 	Fact  string  `json:"fact"`
 	Score float64 `json:"score"`
 }
 
-// RankResponse is the /rank payload: lineage facts in ranked order.
+// RankResponse is the /rank payload: lineage facts in ranked order. Engine
+// names what scored them: "exact" for exact Shapley values, "model" for the
+// learned ranker's predictions.
 type RankResponse struct {
-	Query string       `json:"query"`
-	Tuple string       `json:"tuple"`
-	Facts []RankedFact `json:"facts"`
+	Query  string       `json:"query"`
+	Tuple  string       `json:"tuple"`
+	Engine string       `json:"engine"`
+	Facts  []RankedFact `json:"facts"`
 }
 
 // ExplainResponse is the /explain payload: the ranking plus the evaluation
 // plan, for "why is this tuple in the result?" answers a human can read.
 type ExplainResponse struct {
-	Query string       `json:"query"`
-	Tuple string       `json:"tuple"`
-	Plan  string       `json:"plan"`
-	Facts []RankedFact `json:"facts"`
+	Query  string       `json:"query"`
+	Tuple  string       `json:"tuple"`
+	Plan   string       `json:"plan"`
+	Engine string       `json:"engine"`
+	Facts  []RankedFact `json:"facts"`
 }
+
+// The values of RankResponse.Engine and ExplainResponse.Engine.
+const (
+	engineExact = "exact"
+	engineModel = "model"
+)
 
 // SimilarRequest asks the pre-training heads how similar two queries are.
 type SimilarRequest struct {
@@ -130,11 +145,13 @@ func bearerToken(r *http.Request) (string, bool) {
 
 // statusWriter records the response status and the instant of the first byte
 // out, so the instrument wrapper can decompose encode/write time without
-// touching individual handlers.
+// touching individual handlers, and the engine a /rank or /explain answer
+// came from, for the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	first  time.Time
+	engine string
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
@@ -192,15 +209,16 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			TotalUS:     total.Microseconds(),
 			Stages:      tc.Stages(),
 		})
-		s.logRequest(name, tc, sw.status, durMS(total))
+		s.logRequest(name, tc, sw, durMS(total))
 	}
 }
 
 // logRequest emits the structured JSON access-log line for one completed
 // request (debug level, so -v 2) and — when the request breached the -slow-ms
 // threshold — the always-on slow-request line plus the serve.req.slow counter.
-// The line is built only when someone will read it.
-func (s *Server) logRequest(name string, tc *obs.TraceContext, status int, totalMS float64) {
+// Ranking requests also name the engine that answered. The line is built only
+// when someone will read it.
+func (s *Server) logRequest(name string, tc *obs.TraceContext, sw *statusWriter, totalMS float64) {
 	slow := s.cfg.SlowMS > 0 && totalMS >= s.cfg.SlowMS
 	if slow {
 		s.mSlow.Add(1)
@@ -208,16 +226,20 @@ func (s *Server) logRequest(name string, tc *obs.TraceContext, status int, total
 	if !slow && obs.Live() == nil {
 		return
 	}
-	line, _ := json.Marshal(map[string]any{
+	fields := map[string]any{
 		"trace_id":      tc.TraceID,
 		"endpoint":      name,
-		"status":        status,
+		"status":        sw.status,
 		"total_ms":      totalMS,
 		"evaluate_ms":   durMS(tc.StageDur("evaluate")),
 		"queue_wait_ms": durMS(tc.StageDur("queue_wait")),
 		"batch_wait_ms": durMS(tc.StageDur("batch_wait")),
 		"score_ms":      durMS(tc.StageDur("score")),
-	})
+	}
+	if sw.engine != "" {
+		fields["engine"] = sw.engine
+	}
+	line, _ := json.Marshal(fields)
 	obs.Debugf("serve: access %s\n", line)
 	if slow {
 		obs.Infof("serve: slow %s\n", line)
@@ -270,7 +292,9 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 // handleRank serves /rank and, with explain set, /explain, which adds the
 // query's evaluation plan. The request is admitted before its query is parsed
 // and evaluated, so the admission bound covers evaluation as well as scoring.
-// Parse, evaluation and the tuple lookup are the request's "evaluate" stage.
+// Parse, evaluation and the tuple lookup are the request's "evaluate" stage;
+// the exact attempt and any model pass run on the borrowed replica's turn, as
+// its "score" stage.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -297,17 +321,39 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 		}
 		in := core.Input{SQL: req.SQL, Query: q, TupleValues: target.Values, Lineage: target.Lineage()}
 		var scores shapley.Values
-		s.score(tc, func(m *core.Model) { scores = m.RankCtx(r.Context(), in) })
-		s.observeRanking(scores)
-		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Facts: s.rankedFacts(scores)}
+		var eng string
+		s.score(tc, func(m *core.Model) { scores, eng = s.answer(r.Context(), m, target.Prov, in) })
+		if eng == engineExact {
+			s.mExact.Add(1)
+		} else {
+			s.mModel.Add(1)
+			s.observeRanking(scores)
+		}
+		if sw, ok := w.(*statusWriter); ok {
+			sw.engine = eng
+		}
+		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: s.rankedFacts(scores)}
 		if explain {
 			s.writeJSON(w, http.StatusOK, ExplainResponse{
-				Query: resp.Query, Tuple: resp.Tuple, Plan: plan, Facts: resp.Facts,
+				Query: resp.Query, Tuple: resp.Tuple, Plan: plan, Engine: eng, Facts: resp.Facts,
 			})
 			return
 		}
 		s.writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+// answer scores one lineage: with its exact Shapley values when the
+// provenance compiles within the server's exact budget, else with the model
+// on m, whose pass is the trace's "core.rank" stage.
+func (s *Server) answer(ctx context.Context, m *core.Model, prov *provenance.DNF, in core.Input) (shapley.Values, string) {
+	vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
+	if err == nil {
+		return vals, engineExact
+	}
+	// Every ExactBudget error wraps shapley.ErrBudget: the lineage is over
+	// the budget.
+	return m.RankCtx(ctx, in), engineModel
 }
 
 // rankedFacts renders scored lineage facts in ranking order.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
@@ -12,14 +13,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/provenance"
 	"repro/internal/relation"
 	"repro/internal/shapley"
 )
 
 // SelfTest is the end-to-end gate behind `cmd/serve -selftest` (scripts/ci.sh
 // runs it): it fires n concurrent /rank requests over real TCP connections at
-// the running server, checks every response bit-for-bit against sequential
-// core.RankOn on the same lineages, exercises /similar, /healthz and
+// the running server and checks every response bit-for-bit against the engine
+// the server picks for its lineage: exact Shapley values when the lineage
+// compiles within the exact budget, sequential core.RankOn otherwise, with
+// the matching "engine" field. It then exercises /similar, /healthz and
 // /metrics, and fails if the metrics snapshot shows no serve activity. The
 // server keeps running; the caller owns shutdown.
 func SelfTest(s *Server, n int) error {
@@ -36,8 +40,9 @@ func SelfTest(s *Server, n int) error {
 	// exactly what a per-request deployment would have computed.
 	ref := s.state().model.CloneForWorker()
 	want := make([]shapley.Values, len(cases))
+	engines := make([]string, len(cases))
 	for i, c := range cases {
-		want[i] = ref.Rank(c.in)
+		want[i], engines[i] = s.answer(context.Background(), ref, c.prov, c.in)
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -51,8 +56,8 @@ func SelfTest(s *Server, n int) error {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			c := cases[i%len(cases)]
-			errs[i] = checkRank(client, s.URL(), c.body, want[i%len(cases)])
+			c := i % len(cases)
+			errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
 		}(i)
 	}
 	wg.Wait()
@@ -80,11 +85,13 @@ func insecureTLSFor(baseURL string) *tls.Config {
 	return &tls.Config{InsecureSkipVerify: true}
 }
 
-// selfTestCase is one prepared request with its scoring input.
+// selfTestCase is one prepared request with its scoring input and the
+// provenance the exact engine compiles.
 type selfTestCase struct {
 	sql  string
 	body []byte
 	in   core.Input
+	prov *provenance.DNF
 }
 
 // selfTestCases prepares up to n distinct (query, tuple) requests from the
@@ -111,6 +118,7 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 					TupleValues: cs.Tuple.Values,
 					Lineage:     cs.Tuple.Lineage(),
 				},
+				prov: cs.Tuple.Prov,
 			})
 			if len(out) >= n {
 				return out, nil
@@ -123,9 +131,10 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 	return out, nil
 }
 
-// checkRank posts one /rank request and compares every returned score bitwise
-// against the sequential reference (float64 JSON round-trips exactly).
-func checkRank(client *http.Client, base string, body []byte, want shapley.Values) error {
+// checkRank posts one /rank request, requires the expected engine and
+// compares every returned score bitwise against the sequential reference
+// (float64 JSON round-trips exactly).
+func checkRank(client *http.Client, base string, body []byte, engine string, want shapley.Values) error {
 	resp, err := client.Post(base+"/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("selftest: rank request: %w", err)
@@ -139,8 +148,11 @@ func checkRank(client *http.Client, base string, body []byte, want shapley.Value
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		return fmt.Errorf("selftest: decode rank response: %w", err)
 	}
+	if rr.Engine != engine {
+		return fmt.Errorf("selftest: rank answered with engine %q, want %q", rr.Engine, engine)
+	}
 	if len(rr.Facts) != len(want) {
-		return fmt.Errorf("selftest: rank returned %d facts, sequential RankOn %d", len(rr.Facts), len(want))
+		return fmt.Errorf("selftest: rank returned %d facts, the %s reference %d", len(rr.Facts), engine, len(want))
 	}
 	for _, f := range rr.Facts {
 		w, ok := want[relation.FactID(f.ID)]
@@ -148,7 +160,7 @@ func checkRank(client *http.Client, base string, body []byte, want shapley.Value
 			return fmt.Errorf("selftest: rank returned fact %d outside the lineage", f.ID)
 		}
 		if f.Score != w {
-			return fmt.Errorf("selftest: fact %d scored %v over HTTP, %v sequentially (served scores must be bit-identical)", f.ID, f.Score, w)
+			return fmt.Errorf("selftest: fact %d scored %v over HTTP, %v by the %s reference (served scores must be bit-identical)", f.ID, f.Score, w, engine)
 		}
 	}
 	return nil

@@ -1,30 +1,38 @@
 // Package serve is the production ranking daemon behind cmd/serve: it wraps a
-// trained LearnShapley model in an HTTP/JSON service whose scoring hot path
-// runs on the repo's packed ranking pass.
+// trained LearnShapley model in an HTTP/JSON service that answers each /rank
+// request with exact Shapley values when the lineage compiles within a fixed
+// node budget, and with the model's packed ranking pass otherwise.
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► RankOn
-//	               ▲                   │429     (parse,      (first free of     (packed
-//	               │             (backpressure)  lineage)      Workers)         GEMMs)
-//	               └──────────── response ◄──── return replica ◄────────────────┘
+//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► ExactBudget ──► RankOn
+//	               ▲                   │429     (parse,      (first free of     (≤ 2^14 tree    (packed GEMMs,
+//	               │             (backpressure)  lineage)      Workers)          nodes)          over budget)
+//	               └──────────── response ◄──── return replica ◄────────────────────┴───────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
 // body decodes, the handler takes one of QueueCap+Workers admission slots
 // without blocking, then parses and evaluates the query, borrows one of
 // Config.Workers model replicas (core.Model.CloneForWorker: shared read-only
 // weights, private activation workspaces), scores on it and gives both back
-// (pool.go). A request therefore waits only for a free replica. A replica
-// ranks a request's lineage through core.Model.RankOn: every fact runs in one
-// of a few nn.BatchedForwardMultiPrefix GEMM passes over the lineage's
-// embedded prefixes, whose last layer computes only the [CLS] rows the head
-// reads, on a warmed, zero-allocation workspace.
+// (pool.go). A request therefore waits only for a free replica.
 //
-// Determinism: replicas produce bit-identical scores to their parent
-// (core.ConcurrentRanker contract), and the pool only decides which replica
-// scores which request, never the per-request computation. Served scores are
-// therefore bit-identical to sequential core.RankOn at every worker count —
-// enforced by TestServeParitySequential.
+// On the replica's turn the handler first compiles the lineage's provenance
+// with shapley.ExactBudget under rankExactNodes tree nodes. When the tree
+// fits, the exact values are the answer ("engine": "exact"). When it does
+// not, the replica ranks the lineage through core.Model.RankOn ("engine":
+// "model"): every fact runs in one of a few nn.BatchedForwardMultiPrefix GEMM
+// passes over the lineage's embedded prefixes, whose last layer computes only
+// the [CLS] rows the head reads, on a warmed, zero-allocation workspace. The
+// choice depends only on the lineage's tree size, so the same request always
+// gets the same engine; only model answers feed the drift monitors.
+//
+// Determinism: an exact answer equals shapley.Exact bit for bit. Replicas
+// produce bit-identical scores to their parent (core.ConcurrentRanker
+// contract), and the pool only decides which replica scores which request,
+// never the per-request computation, so a model answer is bit-identical to
+// sequential core.RankOn at every worker count. TestServeExactSelector and
+// TestServeParitySequential enforce both.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when every admission slot is taken, requests are rejected immediately with
@@ -100,6 +108,14 @@ const (
 	driftProbe    = 8
 )
 
+// rankExactNodes is the decomposition-tree budget of /rank's exact attempt,
+// fact leaves included. On the default Academic corpus it admits all but
+// three of 809 tuples, and every tuple it admits compiles faster than the
+// model ranks it (the closest, 152 facts in 15,190 nodes, in 253 ms against
+// 285 ms on a 2-core host). A refused attempt stops as soon as the tree
+// passes the budget. DESIGN.md §8 gives the measurements behind the choice.
+const rankExactNodes = 1 << 14
+
 // modelState is the atomically swapped unit of /admin/reload: the model and
 // the metadata the health/manifest endpoints report. The corpus database is
 // fixed for the server's lifetime (checkpoints are per-database; fact IDs in
@@ -118,6 +134,10 @@ type Server struct {
 	st     atomic.Pointer[modelState]
 	gen    atomic.Int64 // bumped on every swap; pooled replicas re-clone when stale
 	mux    *http.ServeMux
+
+	// exactNodes is /rank's exact budget, rankExactNodes; in-package tests
+	// lower it before Start, and 0 makes the model answer every request.
+	exactNodes int
 
 	// The replica pool (pool.go): admission slots and idle replicas.
 	slots    chan struct{}
@@ -141,6 +161,8 @@ type Server struct {
 	// Pre-resolved metric handles (nil = no-op without a live obs run).
 	mReloads   *obs.Counter
 	mSlow      *obs.Counter
+	mExact     *obs.Counter   // serve.rank.exact: rankings answered exactly
+	mModel     *obs.Counter   // serve.rank.model: rankings answered by the model
 	mEvaluate  *obs.Histogram // serve.stage.evaluate_ms
 	mQueueWait *obs.Histogram // serve.stage.queue_wait_ms
 	mBatchWait *obs.Histogram // serve.stage.batch_wait_ms
@@ -170,6 +192,7 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	s := &Server{
 		cfg:         cfg,
 		corpus:      corpus,
+		exactNodes:  rankExactNodes,
 		slots:       make(chan struct{}, cfg.QueueCap+cfg.Workers),
 		replicas:    make(chan *replica, cfg.Workers),
 		ring:        obs.NewTraceRing(traceRingSize),
@@ -177,6 +200,8 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		driftMargin: obs.NewDriftMonitor("top1_margin", obs.DriftConfig{}),
 		mReloads:    reg.Counter("serve.reloads"),
 		mSlow:       reg.Counter("serve.req.slow"),
+		mExact:      reg.Counter("serve.rank.exact"),
+		mModel:      reg.Counter("serve.rank.model"),
 		mEvaluate:   reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
 		mQueueWait:  reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
 		mBatchWait:  reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
@@ -273,9 +298,11 @@ func top1Margin(vals shapley.Values) (float64, bool) {
 	return top1 - top2, true
 }
 
-// observeRanking feeds one served ranking into the drift monitors. Purely
-// read-only over the scores — serving output is bit-identical with monitoring
-// on (TestServeParitySequential runs with it enabled).
+// observeRanking feeds one model-answered ranking into the drift monitors,
+// whose reference is the model's own scores; exact answers are ground truth
+// and would only dilute it. Purely read-only over the scores — serving output
+// is bit-identical with monitoring on (TestServeParitySequential runs with it
+// enabled).
 func (s *Server) observeRanking(vals shapley.Values) {
 	for _, v := range vals {
 		s.driftScore.Observe(v)

@@ -64,9 +64,18 @@ func fixture(t *testing.T) (*dataset.Corpus, *core.Model) {
 // shutdown as cleanup.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return startServerBudget(t, cfg, rankExactNodes)
+}
+
+// startServerBudget is startServer with /rank's exact budget set before
+// Start. At 0 the model answers every request, which the tests of the model
+// path need: at the default budget every fixture lineage compiles exactly.
+func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
+	t.Helper()
 	corpus, model := fixture(t)
 	cfg.Addr = "127.0.0.1:0"
 	s := New(cfg, corpus, model)
+	s.exactNodes = exactNodes
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,8 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 
 // TestServeParitySequential is the determinism gate from the package doc:
 // scores served to concurrent requests must be bit-identical to sequential
-// core.RankOn at 1, 2 and 3 workers. Each grid point sends its requests in
+// core.RankOn at 1, 2 and 3 workers. The exact budget is 0, so the model
+// answers every request. Each grid point sends its requests in
 // client batches of `batch` concurrent requests and starts the next batch
 // `window` after the previous one was answered, so the sweep covers one
 // request in flight at a time, bursts that occupy every replica, and bursts
@@ -133,7 +143,7 @@ func TestServeParitySequential(t *testing.T) {
 	} {
 		name := fmt.Sprintf("batch%d_w%d_win%v", tc.batch, tc.workers, tc.window)
 		t.Run(name, func(t *testing.T) {
-			s := startServer(t, Config{Workers: tc.workers, QueueCap: 64})
+			s := startServerBudget(t, Config{Workers: tc.workers, QueueCap: 64}, 0)
 			cases, err := selfTestCases(s, 6)
 			if err != nil {
 				t.Fatal(err)
@@ -190,13 +200,15 @@ func TestServeParitySequential(t *testing.T) {
 // TestServeDrainOnShutdown verifies no admitted request is dropped. With
 // every replica held, n requests are admitted and wait for one; Shutdown
 // begins and must keep waiting, then the replicas come back, and all n must
-// answer 200 with their full ranking before Shutdown returns.
+// answer 200 with their full ranking before Shutdown returns. The exact
+// budget is 0, so the requests drain through model passes.
 func TestServeDrainOnShutdown(t *testing.T) {
 	run := obs.NewRun("drain-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
 	corpus, model := fixture(t)
 	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, corpus, model)
+	s.exactNodes = 0
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +278,11 @@ func TestServeDrainOnShutdown(t *testing.T) {
 // TestServeHotSwap reloads a different checkpoint through /admin/reload and
 // verifies subsequent scores are bit-identical to the new model's sequential
 // ranking (and no longer match the old model's), on replicas that scored on
-// the old model before the swap.
+// the old model before the swap. The exact budget is 0, so the model answers
+// every request.
 func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
-	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -354,9 +367,10 @@ func TestServeHotSwap(t *testing.T) {
 // embedding) to NaN. The daemon must answer 400 and keep serving the old
 // model at the same generation, with its drift windows untouched. Before
 // LoadModel refused such weights, the drift reference capture panicked
-// inside the handler and the client got no status at all.
+// inside the handler and the client got no status at all. The exact budget is
+// 0, so the model answers every request.
 func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -487,11 +501,105 @@ func TestServeSlowRequestCounted(t *testing.T) {
 }
 
 // TestSelfTest runs the ci e2e gate in-process: concurrent TCP traffic,
-// bitwise parity, endpoint and metrics checks.
+// bitwise parity, endpoint and metrics checks. At the default budget the
+// exact engine answers every fixture request, at 0 the model does.
 func TestSelfTest(t *testing.T) {
-	s := startServer(t, DefaultConfig())
-	if err := SelfTest(s, 8); err != nil {
-		t.Fatal(err)
+	for _, budget := range []int{rankExactNodes, 0} {
+		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+			s := startServerBudget(t, DefaultConfig(), budget)
+			if err := SelfTest(s, 8); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestServeExactSelector pins which engine answers /rank and /explain. At the
+// default budget every fixture lineage compiles, so each answer must say
+// "exact" and list shapley.Exact's values in Values.Ranking order, bit for
+// bit. At budget 0 each must say "model" and list sequential RankOn's scores
+// in the same order. serve.rank.<engine> counts every answer, and the drift
+// windows observe model answers only.
+func TestServeExactSelector(t *testing.T) {
+	_, model := fixture(t)
+	for _, tc := range []struct {
+		engine string
+		budget int
+	}{{engineExact, rankExactNodes}, {engineModel, 0}} {
+		t.Run(tc.engine, func(t *testing.T) {
+			run := obs.NewRun("selector-test", obs.NewRegistry(), nil, nil)
+			obs.Install(run)
+			defer obs.Uninstall()
+			s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, tc.budget)
+			cases, err := selfTestCases(s, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sequentialReference(t, model, cases)
+			if tc.engine == engineExact {
+				for i, c := range cases {
+					if want[i], _, err = shapley.Exact(c.prov); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			client := &http.Client{}
+			defer client.CloseIdleConnections()
+			answers, facts, margins := 0, 0, 0
+			for _, endpoint := range []string{"/rank", "/explain"} {
+				for c := range cases {
+					resp, err := client.Post(s.URL()+endpoint, "application/json", bytes.NewReader(cases[c].body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var er ExplainResponse // a /rank answer decodes with an empty plan
+					err = json.NewDecoder(resp.Body).Decode(&er)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s case %d -> %d, decode err %v", endpoint, c, resp.StatusCode, err)
+					}
+					if er.Engine != tc.engine {
+						t.Fatalf("%s case %d answered by %q, want %q", endpoint, c, er.Engine, tc.engine)
+					}
+					order := want[c].Ranking()
+					if len(er.Facts) != len(order) {
+						t.Fatalf("%s case %d: %d facts, want %d", endpoint, c, len(er.Facts), len(order))
+					}
+					for k, f := range er.Facts {
+						if relation.FactID(f.ID) != order[k] || f.Score != want[c][order[k]] {
+							t.Fatalf("%s case %d rank %d: fact %d scored %v, want fact %d scored %v",
+								endpoint, c, k, f.ID, f.Score, order[k], want[c][order[k]])
+						}
+					}
+					answers++
+					facts += len(order)
+					if len(order) > 1 {
+						margins++
+					}
+				}
+			}
+
+			counters := run.Reg.Snapshot().Counters
+			for _, engine := range []string{engineExact, engineModel} {
+				got, wantN := counters["serve.rank."+engine], int64(0)
+				if engine == tc.engine {
+					wantN = int64(answers)
+				}
+				if got != wantN {
+					t.Errorf("serve.rank.%s = %d after %d %s answers, want %d", engine, got, answers, tc.engine, wantN)
+				}
+			}
+			if tc.engine == engineExact {
+				facts, margins = 0, 0 // exact answers never reach the drift windows
+			}
+			if got := s.driftScore.Evaluate().WindowSamples; got != min(facts, 256) {
+				t.Errorf("score drift window holds %d samples, want %d", got, min(facts, 256))
+			}
+			if got := s.driftMargin.Evaluate().WindowSamples; got != min(margins, 256) {
+				t.Errorf("margin drift window holds %d samples, want %d", got, min(margins, 256))
+			}
+		})
 	}
 }
 

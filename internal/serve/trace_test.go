@@ -55,13 +55,14 @@ func stageNames(tr obs.RequestTrace) map[string]bool {
 // the model-side core.rank stage inside it) and write — with the per-stage
 // histograms populated on the live registry, one evaluate observation per
 // /rank or /explain request. A missing, oversized or malformed inbound ID
-// gets a minted one instead.
+// gets a minted one instead. The exact budget is 0, so every request reaches
+// the model on its replica.
 func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
 
-	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -25,9 +25,10 @@ const maxExactVars = 512
 // bound, before the value passes run.
 const maxTreeNodes = 1 << 16
 
-// ErrBudget is wrapped by every error Exact returns for a lineage it refuses:
-// one of more than 512 facts, or one whose decomposition tree would pass
-// maxTreeNodes. Callers fall back to a sampler on it.
+// ErrBudget is wrapped by every error Exact and ExactBudget return for a
+// lineage they refuse: one of more than 512 facts, or one whose decomposition
+// tree would pass the node budget. Callers fall back to a sampler or to the
+// learned ranker on it.
 var ErrBudget = errors.New("shapley: lineage over the exact engine's budget")
 
 // Stats reports the size of the compiled tree, for the runtime analyses.
@@ -67,11 +68,16 @@ type Stats struct {
 // The values are snapped to the 2^-40 grid. Lineages of more than 512 facts,
 // and trees past maxTreeNodes, return an error wrapping ErrBudget.
 func Exact(d *provenance.DNF) (Values, *Stats, error) {
-	return exact(d, maxTreeNodes)
+	return ExactBudget(d, maxTreeNodes)
 }
 
-// exact is Exact under a given node budget.
-func exact(d *provenance.DNF, budget int) (Values, *Stats, error) {
+// ExactBudget is Exact under a node budget of its own: compilation stops with
+// ErrBudget as soon as the tree passes budget nodes, fact leaves included.
+// The tree does not depend on the budget, so whenever both succeed its values
+// equal Exact's bit for bit. A caller with less time than labeling has, such
+// as a ranking request, can try it first and answer some other way on
+// ErrBudget.
+func ExactBudget(d *provenance.DNF, budget int) (Values, *Stats, error) {
 	reg := obs.Metrics()
 	var t0 time.Time
 	if reg != nil {

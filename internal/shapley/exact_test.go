@@ -89,34 +89,40 @@ func TestExactValuesOnGrid(t *testing.T) {
 	}
 }
 
-// TestExactNodeBudget checks the budget at its edge, where a lineage
-// compiles under a budget equal to its tree size and one node less returns
-// ErrBudget, and on a lineage far over it, where compilation must stop as
-// soon as the tree passes the budget.
+// TestExactNodeBudget checks ExactBudget at the budget's edge, where a
+// lineage compiles under a budget equal to its tree size, to values equal to
+// Exact's bit for bit, and one node less returns ErrBudget; and on a lineage
+// far over it, where compilation must stop as soon as the tree passes the
+// budget.
 func TestExactNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		d := sparseDNF(rng, 40, 40)
-		want, st, err := exact(d, maxTreeNodes)
+		want, st, err := Exact(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st2, err := exact(d, st.CircuitNodes)
-		if err != nil {
-			t.Fatalf("trial %d: budget of exactly %d nodes refused: %v", trial, st.CircuitNodes, err)
-		}
-		if st2.CircuitNodes != st.CircuitNodes {
-			t.Fatalf("trial %d: tree size %d, then %d", trial, st.CircuitNodes, st2.CircuitNodes)
-		}
-		for id, v := range want {
-			if got[id] != v {
-				t.Fatalf("trial %d: fact %d: %v vs %v", trial, id, got[id], v)
+		for _, budget := range []int{maxTreeNodes, st.CircuitNodes} {
+			got, st2, err := ExactBudget(d, budget)
+			if err != nil {
+				t.Fatalf("trial %d: budget of %d nodes for a %d-node tree refused: %v", trial, budget, st.CircuitNodes, err)
+			}
+			if st2.CircuitNodes != st.CircuitNodes {
+				t.Fatalf("trial %d: tree size %d under Exact, %d under a budget of %d", trial, st.CircuitNodes, st2.CircuitNodes, budget)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %d values under a budget of %d, Exact has %d", trial, len(got), budget, len(want))
+			}
+			for id, v := range want {
+				if got[id] != v {
+					t.Fatalf("trial %d: fact %d: %v under a budget of %d, %v from Exact", trial, id, got[id], budget, v)
+				}
 			}
 		}
 		if st.CircuitNodes == 0 {
 			continue
 		}
-		if _, _, err := exact(d, st.CircuitNodes-1); !errors.Is(err, ErrBudget) {
+		if _, _, err := ExactBudget(d, st.CircuitNodes-1); !errors.Is(err, ErrBudget) {
 			t.Fatalf("trial %d: budget of %d nodes for a %d-node tree: err = %v", trial, st.CircuitNodes-1, st.CircuitNodes, err)
 		}
 	}

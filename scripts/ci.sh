@@ -50,16 +50,19 @@ echo "== go test -race (request observability: traces, ring, drift, exposition) 
 go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Drift|PSI|Prom|Lint'
 go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|ServeSlowRequestCounted|HealthzReadiness|MetricsPrometheus'
 
-echo "== go test -race (serve replica pool + admin auth + TLS) =="
+echo "== go test -race (serve replica pool + engine selector + admin auth + TLS) =="
 # Every handler goroutine shares the replica pool: the admission slots and the
 # channel of idle replicas. The parity grid sends concurrent client batches at
-# 1, 2 and 3 pooled replicas, so it runs under the race detector explicitly,
-# as do the TLS round trip, the admin auth gate and the refused reload of a
-# checkpoint with a NaN weight. The pool tests (the admission bound, a panic
-# while scoring, 429 before evaluation, and draining admitted requests on
-# shutdown) run ten times each, under a timeout that turns a hang into a
-# failure well before go test's own 10 minutes.
-go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS|ServeReloadRejectsNonFiniteWeights'
+# 1, 2 and 3 pooled replicas with the exact budget at 0, so the model answers
+# them all; it runs under the race detector explicitly, as do the engine
+# selector (exact answers at the default budget, model answers at 0, and the
+# drift windows fed by model answers only), the TLS round trip, the admin
+# auth gate and the refused reload of a checkpoint with a NaN weight. The
+# pool tests (the admission bound, a panic while scoring, 429 before
+# evaluation, and draining admitted requests on shutdown) run ten times each,
+# under a timeout that turns a hang into a failure well before go test's own
+# 10 minutes.
+go test -race ./internal/serve -run 'ServeParitySequential|ServeExactSelector|ServeAdminAuth|ServeTLS|ServeReloadRejectsNonFiniteWeights'
 go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
 
 echo "== go test -race (blocked kernels) =="
@@ -209,23 +212,28 @@ echo "ok"
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: train a tiny model, start the daemon on an
 # ephemeral port with two pooled replicas, fire concurrent /rank requests over
-# real TCP and verify every response bit-for-bit against sequential ranking
-# (cmd/serve -selftest exits non-zero on any mismatch), then drain and flush
-# the run manifest. The schema check asserts the manifest recorded live
-# serve.* metrics (request counters, the serve.queue.* admission counters,
-# the serve.batch.size histogram of 1 per scoring, the serve.stage.* latency
-# decomposition), the nn.mbatch.* packed-pass counters, and the obs.drift.*
-# quality monitors alongside the core ranking counters. The trained model is
-# saved, and a second daemon serves that checkpoint from disk: -load over the
-# same corpus flags rebuilds the same database, and its selftest checks the
-# loaded model's concurrent answers against its own sequential ranking.
+# real TCP and verify every response bit-for-bit against the engine that
+# answered it: exact Shapley values within the exact budget, sequential
+# ranking past it (cmd/serve -selftest exits non-zero on any mismatch or on
+# the wrong engine), then drain and flush the run manifest. Every lineage of
+# this tiny corpus compiles within the budget, so its answers are all exact;
+# the model path's concurrency parity is gated by TestServeParitySequential
+# under -race above. The schema check asserts the manifest recorded live
+# serve.* metrics (request counters, the serve.rank.* per-engine answer
+# counters, the serve.queue.* admission counters, the serve.batch.size
+# histogram of 1 per scoring, the serve.stage.* latency decomposition), the
+# nn.mbatch.* packed-pass counters, and the obs.drift.* quality monitors
+# alongside the core ranking counters. The trained model is saved, and a
+# second daemon serves that checkpoint from disk: -load over the same corpus
+# flags rebuilds the same database, and its selftest checks the loaded
+# daemon's concurrent answers the same way.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
     -workers 2 -save "$manifest_dir/model.gob" \
     -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 go run ./cmd/serve -queries 12 -cases 3 -load "$manifest_dir/model.gob" -workers 2 -selftest 8 -quiet
 REPRO_MANIFEST="$manifest_dir/serve.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
+    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
