@@ -56,7 +56,7 @@ func main() {
 	slowMS := flag.Float64("slow-ms", 0, "log requests slower than this many ms with their trace decomposition (0 = off)")
 
 	// Modes.
-	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, verify bit-parity with sequential ranking, then exit")
+	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, check each answer bit for bit against the engine that answered it (exact Shapley within the budget, sequential ranking past it), then exit")
 
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -99,7 +99,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to sequential ranking\n", *selftest)
+		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to the engine that answered each\n", *selftest)
 	default:
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -294,7 +294,7 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 // and evaluated, so the admission bound covers evaluation as well as scoring.
 // Parse, evaluation and the tuple lookup are the request's "evaluate" stage;
 // the exact attempt and any model pass run on the borrowed replica's turn, as
-// its "score" stage.
+// its "score" stage (see answer).
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -327,7 +327,6 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 			s.mExact.Add(1)
 		} else {
 			s.mModel.Add(1)
-			s.observeRanking(scores)
 		}
 		if sw, ok := w.(*statusWriter); ok {
 			sw.engine = eng
@@ -345,9 +344,12 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 
 // answer scores one lineage: with its exact Shapley values when the
 // provenance compiles within the server's exact budget, else with the model
-// on m, whose pass is the trace's "core.rank" stage.
+// on m. The exact attempt, refused or not, is the "shapley.exact" stage of
+// the trace ctx carries, and the model pass its "core.rank" stage.
 func (s *Server) answer(ctx context.Context, m *core.Model, prov *provenance.DNF, in core.Input) (shapley.Values, string) {
+	done := obs.TraceFrom(ctx).StageTimer("shapley.exact")
 	vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
+	done()
 	if err == nil {
 		return vals, engineExact
 	}
@@ -411,48 +413,36 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz answers both health probes. Plain GET /healthz is liveness:
-// 200 whenever the process can answer at all — even while draining or
-// quality-degraded, because restarting a slow-but-alive daemon throws away its
-// queue. /healthz?probe=readiness is the load-balancer signal: 503 while
-// draining (Shutdown has begun), 200 otherwise. The body always carries the
-// full picture: readiness and drain state, model identity and swap generation,
-// queue depth (admitted requests in flight), and the online drift verdicts.
-// "degraded" means a monitored distribution (ranking scores or top-1 margins)
-// has walked away from its load-time reference — the daemon still answers,
-// but the answers deserve scrutiny, so degradation never turns liveness off.
+// 200 whenever the process can answer at all — even while draining, because
+// restarting a slow-but-alive daemon throws away its queue.
+// /healthz?probe=readiness is the load-balancer signal: 503 while draining
+// (Shutdown has begun), 200 otherwise. The body always carries the full
+// picture: readiness and drain state, model identity and swap generation,
+// queue depth (admitted requests in flight) and worker count.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
-	drift := []obs.DriftStatus{s.driftScore.Evaluate(), s.driftMargin.Evaluate()}
-	status := "ok"
-	for _, d := range drift {
-		if d.Degraded {
-			status = "degraded"
-		}
-	}
-	ready := !s.draining.Load() && st != nil
+	draining := s.draining.Load()
 	code := http.StatusOK
-	if r.URL.Query().Get("probe") == "readiness" && !ready {
+	if r.URL.Query().Get("probe") == "readiness" && draining {
 		code = http.StatusServiceUnavailable
 	}
 	s.writeJSON(w, code, map[string]any{
-		"status":      status,
 		"live":        true,
-		"ready":       ready,
-		"draining":    s.draining.Load(),
+		"ready":       !draining,
+		"draining":    draining,
 		"generation":  s.gen.Load(),
 		"model":       st.model.Name(),
 		"version":     st.version,
 		"loaded_utc":  st.loaded.UTC().Format(time.RFC3339),
 		"queue_depth": len(s.slots),
 		"workers":     s.cfg.Workers,
-		"drift":       drift,
 	})
 }
 
 // handleMetrics exports the live obs registry. The default is the repo's JSON
 // snapshot — per-endpoint latency histograms, the serve.stage.* decomposition,
 // the admission counters and queue-depth gauge, and every library metric
-// (core.rank.*, nn.mbatch.*, obs.drift.*). ?format=prometheus renders the same
+// (core.rank.*, nn.mbatch.*). ?format=prometheus renders the same
 // snapshot in the Prometheus text exposition format (0.0.4) for scrapers.
 // Empty without a live registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

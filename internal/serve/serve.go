@@ -25,7 +25,7 @@
 // passes over the lineage's embedded prefixes, whose last layer computes only
 // the [CLS] rows the head reads, on a warmed, zero-allocation workspace. The
 // choice depends only on the lineage's tree size, so the same request always
-// gets the same engine; only model answers feed the drift monitors.
+// gets the same engine.
 //
 // Determinism: an exact answer equals shapley.Exact bit for bit. Replicas
 // produce bit-identical scores to their parent (core.ConcurrentRanker
@@ -46,7 +46,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -57,7 +56,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/relation"
-	"repro/internal/shapley"
 )
 
 // Config sizes the daemon. The zero value is not usable; start from
@@ -98,15 +96,8 @@ func DefaultConfig() Config {
 	return Config{Addr: "127.0.0.1:0", QueueCap: 256}
 }
 
-// traceRingSize is how many recent request traces /debug/trace keeps, and
-// driftProbe how many test-split lineages are self-scored at model (re)load
-// to capture the drift monitors' reference score and top-1-margin
-// distributions. The monitors' rolling window (256) and PSI threshold (0.25)
-// are obs.DriftConfig's defaults.
-const (
-	traceRingSize = 256
-	driftProbe    = 8
-)
+// traceRingSize is how many recent request traces /debug/trace keeps.
+const traceRingSize = 256
 
 // rankExactNodes is the decomposition-tree budget of /rank's exact attempt,
 // fact leaves included. On the default Academic corpus it admits all but
@@ -150,13 +141,10 @@ type Server struct {
 	// readiness (the load-balancer signal) is false — see handleHealthz.
 	draining atomic.Bool
 
-	// Request-observability state: the bounded ring of recent request traces
-	// (/debug/trace) and the online quality-drift monitors over the ranking
-	// score and top-1-margin distributions. Always on — both are passive and
-	// bounded — independent of whether a metrics registry is live.
-	ring        *obs.TraceRing
-	driftScore  *obs.DriftMonitor
-	driftMargin *obs.DriftMonitor
+	// ring is the bounded ring of recent request traces (/debug/trace).
+	// Always on — it is passive and bounded — independent of whether a
+	// metrics registry is live.
+	ring *obs.TraceRing
 
 	// Pre-resolved metric handles (nil = no-op without a live obs run).
 	mReloads   *obs.Counter
@@ -190,27 +178,25 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	reg := obs.Metrics()
 	stageBuckets := obs.ExpBuckets(0.05, 2, 16)
 	s := &Server{
-		cfg:         cfg,
-		corpus:      corpus,
-		exactNodes:  rankExactNodes,
-		slots:       make(chan struct{}, cfg.QueueCap+cfg.Workers),
-		replicas:    make(chan *replica, cfg.Workers),
-		ring:        obs.NewTraceRing(traceRingSize),
-		driftScore:  obs.NewDriftMonitor("score", obs.DriftConfig{}),
-		driftMargin: obs.NewDriftMonitor("top1_margin", obs.DriftConfig{}),
-		mReloads:    reg.Counter("serve.reloads"),
-		mSlow:       reg.Counter("serve.req.slow"),
-		mExact:      reg.Counter("serve.rank.exact"),
-		mModel:      reg.Counter("serve.rank.model"),
-		mEvaluate:   reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
-		mQueueWait:  reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
-		mBatchWait:  reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
-		mScore:      reg.Histogram("serve.stage.score_ms", stageBuckets),
-		mWrite:      reg.Histogram("serve.stage.write_ms", stageBuckets),
-		mBatch:      reg.Histogram("serve.batch.size", []float64{1, 2, 4, 8, 16, 32, 64}),
-		mDepth:      reg.Gauge("serve.queue.depth"),
-		mAdmitted:   reg.Counter("serve.queue.admitted"),
-		mRejected:   reg.Counter("serve.queue.rejected"),
+		cfg:        cfg,
+		corpus:     corpus,
+		exactNodes: rankExactNodes,
+		slots:      make(chan struct{}, cfg.QueueCap+cfg.Workers),
+		replicas:   make(chan *replica, cfg.Workers),
+		ring:       obs.NewTraceRing(traceRingSize),
+		mReloads:   reg.Counter("serve.reloads"),
+		mSlow:      reg.Counter("serve.req.slow"),
+		mExact:     reg.Counter("serve.rank.exact"),
+		mModel:     reg.Counter("serve.rank.model"),
+		mEvaluate:  reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
+		mQueueWait: reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
+		mBatchWait: reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),
+		mScore:     reg.Histogram("serve.stage.score_ms", stageBuckets),
+		mWrite:     reg.Histogram("serve.stage.write_ms", stageBuckets),
+		mBatch:     reg.Histogram("serve.batch.size", []float64{1, 2, 4, 8, 16, 32, 64}),
+		mDepth:     reg.Gauge("serve.queue.depth"),
+		mAdmitted:  reg.Counter("serve.queue.admitted"),
+		mRejected:  reg.Counter("serve.queue.rejected"),
 	}
 	for range cfg.Workers {
 		s.replicas <- &replica{}
@@ -222,94 +208,11 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	return s
 }
 
-// install points the server at a model and captures the drift reference from
-// the new model BEFORE it becomes visible to the pool — the probe replica is
-// private, so reference capture never races live scoring.
+// install points the server at a model and bumps the generation, so pooled
+// replicas re-clone from it before their next request.
 func (s *Server) install(model *core.Model, version string) {
-	s.captureDriftReference(model)
 	s.st.Store(&modelState{model: model, version: version, loaded: time.Now()})
 	s.gen.Add(1)
-}
-
-// captureDriftReference self-scores a small probe set (test-split lineages —
-// inputs the model was NOT fine-tuned on) on a private replica of the
-// incoming model and records the resulting score and top-1-margin
-// distributions as the drift reference. The rolling windows reset with the
-// reference: observations made against the previous model describe the
-// previous model.
-func (s *Server) captureDriftReference(model *core.Model) {
-	probe := probeInputs(s.corpus, driftProbe)
-	if len(probe) == 0 {
-		s.driftScore.SetReference(nil)
-		s.driftMargin.SetReference(nil)
-		return
-	}
-	rep := model.CloneForWorker()
-	var scores, margins []float64
-	for _, in := range probe {
-		vals := rep.Rank(in)
-		for _, v := range vals {
-			scores = append(scores, v)
-		}
-		if m, ok := top1Margin(vals); ok {
-			margins = append(margins, m)
-		}
-	}
-	s.driftScore.SetReference(scores)
-	s.driftMargin.SetReference(margins)
-}
-
-// probeInputs prepares up to n scoring inputs from the corpus's test split —
-// the same request mix selftest draws from.
-func probeInputs(c *dataset.Corpus, n int) []core.Input {
-	var out []core.Input
-	for _, qi := range c.Test {
-		q := c.Queries[qi]
-		for _, cs := range q.Cases {
-			out = append(out, core.Input{
-				SQL:         q.SQL,
-				Query:       q.Query,
-				TupleValues: cs.Tuple.Values,
-				Lineage:     cs.Tuple.Lineage(),
-			})
-			if len(out) >= n {
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// top1Margin returns the gap between the highest and second-highest score of
-// one ranking — the monitored confidence proxy. ok is false for lineages with
-// fewer than two facts.
-func top1Margin(vals shapley.Values) (float64, bool) {
-	if len(vals) < 2 {
-		return 0, false
-	}
-	top1, top2 := math.Inf(-1), math.Inf(-1)
-	for _, v := range vals {
-		if v > top1 {
-			top1, top2 = v, top1
-		} else if v > top2 {
-			top2 = v
-		}
-	}
-	return top1 - top2, true
-}
-
-// observeRanking feeds one model-answered ranking into the drift monitors,
-// whose reference is the model's own scores; exact answers are ground truth
-// and would only dilute it. Purely read-only over the scores — serving output
-// is bit-identical with monitoring on (TestServeParitySequential runs with it
-// enabled).
-func (s *Server) observeRanking(vals shapley.Values) {
-	for _, v := range vals {
-		s.driftScore.Observe(v)
-	}
-	if m, ok := top1Margin(vals); ok {
-		s.driftMargin.Observe(m)
-	}
 }
 
 // state returns the current model state (never nil after New).

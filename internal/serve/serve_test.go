@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,10 +366,8 @@ func TestServeHotSwap(t *testing.T) {
 // TestServeReloadRejectsNonFiniteWeights posts /admin/reload with the
 // fixture model's checkpoint after setting one weight (the first position
 // embedding) to NaN. The daemon must answer 400 and keep serving the old
-// model at the same generation, with its drift windows untouched. Before
-// LoadModel refused such weights, the drift reference capture panicked
-// inside the handler and the client got no status at all. The exact budget is
-// 0, so the model answers every request.
+// model at the same generation. The exact budget is 0, so the model answers
+// every request.
 func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
 	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
 	cases, err := selfTestCases(s, 2)
@@ -421,7 +420,7 @@ func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gen, drift := s.gen.Load(), s.driftScore.Evaluate()
+	gen := s.gen.Load()
 	body, err := json.Marshal(ReloadRequest{Path: path})
 	if err != nil {
 		t.Fatal(err)
@@ -437,9 +436,6 @@ func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
 	}
 	if got := s.gen.Load(); got != gen {
 		t.Errorf("generation moved from %d to %d on a refused reload", gen, got)
-	}
-	if got := s.driftScore.Evaluate(); got != drift {
-		t.Errorf("score drift %+v after a refused reload, want %+v", got, drift)
 	}
 	rankAll("after")
 }
@@ -479,9 +475,15 @@ func TestServeBackpressure(t *testing.T) {
 }
 
 // TestServeSlowRequestCounted sets the slow-request threshold below any
-// request's latency: one /rank must count once in serve.req.slow.
+// request's latency and logs at debug level, so every request writes one
+// access line and one slow line. It sends /rank at the default exact budget,
+// /rank at budget 0 and one /similar. Each must count once in serve.req.slow,
+// and each of its two lines must carry the response's X-Trace-Id, the
+// evaluate, queue-wait, batch-wait and score durations, and the engine that
+// answered on /rank only.
 func TestServeSlowRequestCounted(t *testing.T) {
-	run := obs.NewRun("slow-test", obs.NewRegistry(), nil, nil)
+	var logs bytes.Buffer
+	run := obs.NewRun("slow-test", obs.NewRegistry(), nil, obs.NewLogger(&logs, obs.LevelDebug))
 	obs.Install(run)
 	defer obs.Uninstall()
 	corpus, model := fixture(t)
@@ -490,13 +492,58 @@ func TestServeSlowRequestCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(cases[0].body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("rank -> %d", rec.Code)
+	similar, err := json.Marshal(SimilarRequest{SQLA: cases[0].sql, SQLB: cases[0].sql})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := run.Reg.Snapshot().Counters["serve.req.slow"]; got != 1 {
-		t.Errorf("serve.req.slow = %d after one request over the threshold, want 1", got)
+	for i, req := range []struct {
+		path   string
+		body   []byte
+		budget int
+		engine string // "" when the line must carry no engine
+	}{
+		{"/rank", cases[0].body, rankExactNodes, engineExact},
+		{"/rank", cases[0].body, 0, engineModel},
+		{"/similar", similar, rankExactNodes, ""},
+	} {
+		s.exactNodes = req.budget
+		logs.Reset()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, bytes.NewReader(req.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s -> %d", req.path, rec.Code)
+		}
+		if got := run.Reg.Snapshot().Counters["serve.req.slow"]; got != int64(i+1) {
+			t.Errorf("serve.req.slow = %d after %d requests over the threshold, want %d", got, i+1, i+1)
+		}
+		kinds := map[string]int{}
+		for _, line := range strings.Split(logs.String(), "\n") {
+			kind, doc, ok := strings.Cut(strings.TrimPrefix(line, "serve: "), " {")
+			if !ok || (kind != "access" && kind != "slow") {
+				continue
+			}
+			kinds[kind]++
+			var fields map[string]any
+			if err := json.Unmarshal([]byte("{"+doc), &fields); err != nil {
+				t.Fatalf("%s %s line is not JSON: %v: %s", req.path, kind, err, line)
+			}
+			if got, want := fields["trace_id"], rec.Header().Get(obs.TraceHeader); got != want {
+				t.Errorf("%s %s line has trace_id %v, the response %q", req.path, kind, got, want)
+			}
+			for _, key := range []string{"evaluate_ms", "queue_wait_ms", "batch_wait_ms", "score_ms"} {
+				if _, ok := fields[key].(float64); !ok {
+					t.Errorf("%s %s line lacks %s: %s", req.path, kind, key, line)
+				}
+			}
+			if got, ok := fields["engine"]; req.engine == "" && ok {
+				t.Errorf("%s %s line names engine %v, want none", req.path, kind, got)
+			} else if req.engine != "" && got != req.engine {
+				t.Errorf("%s %s line names engine %v, want %q", req.path, kind, got, req.engine)
+			}
+		}
+		if kinds["access"] != 1 || kinds["slow"] != 1 {
+			t.Errorf("%s wrote %d access and %d slow lines, want 1 each:\n%s", req.path, kinds["access"], kinds["slow"], logs.String())
+		}
 	}
 }
 
@@ -518,8 +565,7 @@ func TestSelfTest(t *testing.T) {
 // default budget every fixture lineage compiles, so each answer must say
 // "exact" and list shapley.Exact's values in Values.Ranking order, bit for
 // bit. At budget 0 each must say "model" and list sequential RankOn's scores
-// in the same order. serve.rank.<engine> counts every answer, and the drift
-// windows observe model answers only.
+// in the same order. serve.rank.<engine> counts every answer.
 func TestServeExactSelector(t *testing.T) {
 	_, model := fixture(t)
 	for _, tc := range []struct {
@@ -546,7 +592,7 @@ func TestServeExactSelector(t *testing.T) {
 
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
-			answers, facts, margins := 0, 0, 0
+			answers := 0
 			for _, endpoint := range []string{"/rank", "/explain"} {
 				for c := range cases {
 					resp, err := client.Post(s.URL()+endpoint, "application/json", bytes.NewReader(cases[c].body))
@@ -573,10 +619,6 @@ func TestServeExactSelector(t *testing.T) {
 						}
 					}
 					answers++
-					facts += len(order)
-					if len(order) > 1 {
-						margins++
-					}
 				}
 			}
 
@@ -589,15 +631,6 @@ func TestServeExactSelector(t *testing.T) {
 				if got != wantN {
 					t.Errorf("serve.rank.%s = %d after %d %s answers, want %d", engine, got, answers, tc.engine, wantN)
 				}
-			}
-			if tc.engine == engineExact {
-				facts, margins = 0, 0 // exact answers never reach the drift windows
-			}
-			if got := s.driftScore.Evaluate().WindowSamples; got != min(facts, 256) {
-				t.Errorf("score drift window holds %d samples, want %d", got, min(facts, 256))
-			}
-			if got := s.driftMargin.Evaluate().WindowSamples; got != min(margins, 256) {
-				t.Errorf("margin drift window holds %d samples, want %d", got, min(margins, 256))
 			}
 		})
 	}

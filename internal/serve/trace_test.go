@@ -47,16 +47,39 @@ func stageNames(tr obs.RequestTrace) map[string]bool {
 	return out
 }
 
+// checkExactInScore requires a shapley.exact stage inside the trace's score
+// stage. Offsets and durations are truncated to whole microseconds, so the
+// inner stage may end up to 1 µs past the outer one.
+func checkExactInScore(t *testing.T, tr obs.RequestTrace) {
+	t.Helper()
+	var score, exact *obs.Stage
+	for i := range tr.Stages {
+		switch tr.Stages[i].Name {
+		case "score":
+			score = &tr.Stages[i]
+		case "shapley.exact":
+			exact = &tr.Stages[i]
+		}
+	}
+	if score == nil || exact == nil {
+		t.Errorf("%s trace %s lacks stage score or shapley.exact (has %v)", tr.Endpoint, tr.TraceID, stageNames(tr))
+		return
+	}
+	if exact.StartUS < score.StartUS || exact.StartUS+exact.DurUS > score.StartUS+score.DurUS+1 {
+		t.Errorf("%s trace %s: shapley.exact %+v lies outside score %+v", tr.Endpoint, tr.TraceID, *exact, *score)
+	}
+}
+
 // TestTraceIDThreadsThroughBatch is the end-to-end trace check: client trace
 // IDs survive the handler → pooled replica boundary. Concurrent requests
 // carrying distinct X-Trace-Id headers are scored on different replicas, yet
 // each response echoes its own ID and each ring trace carries that request's
 // full stage decomposition — evaluate, queue-wait, batch-wait, score (with
-// the model-side core.rank stage inside it) and write — with the per-stage
-// histograms populated on the live registry, one evaluate observation per
-// /rank or /explain request. A missing, oversized or malformed inbound ID
-// gets a minted one instead. The exact budget is 0, so every request reaches
-// the model on its replica.
+// the exact attempt's shapley.exact stage and the model-side core.rank stage
+// inside it) and write — with the per-stage histograms populated on the live
+// registry, one evaluate observation per /rank or /explain request. A
+// missing, oversized or malformed inbound ID gets a minted one instead. The
+// exact budget is 0, so every request reaches the model on its replica.
 func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -128,6 +151,7 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 				t.Errorf("trace %s lacks stage %q (has %v)", id, want, names)
 			}
 		}
+		checkExactInScore(t, tr)
 		if tr.Status != http.StatusOK || tr.TotalUS < 0 {
 			t.Errorf("trace %s: status %d total %dus", id, tr.Status, tr.TotalUS)
 		}
@@ -147,7 +171,7 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n)
 	}
 
-	// /explain shares the evaluate stage.
+	// /explain shares the evaluate stage and the exact attempt.
 	resp, err := client.Post(s.URL()+"/explain", "application/json", bytes.NewReader(cases[0].body))
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +181,11 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain -> %d", resp.StatusCode)
 	}
-	if names := stageNames(ringTraces(t, s, "explain", 1)[0]); !names["evaluate"] {
+	explainTrace := ringTraces(t, s, "explain", 1)[0]
+	if names := stageNames(explainTrace); !names["evaluate"] {
 		t.Errorf("explain trace lacks stage \"evaluate\" (has %v)", names)
 	}
+	checkExactInScore(t, explainTrace)
 	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n+1 {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
 	}
@@ -291,9 +317,6 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 	if _, ok := body["queue_depth"]; !ok {
 		t.Error("healthz body missing queue_depth")
-	}
-	if _, ok := body["drift"]; !ok {
-		t.Error("healthz body missing drift statuses")
 	}
 	if code, _ := get("/healthz?probe=readiness"); code != http.StatusOK {
 		t.Fatalf("readiness probe on serving daemon -> %d, want 200", code)

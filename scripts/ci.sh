@@ -41,13 +41,13 @@ echo "== go test -race (packed passes) =="
 go test -race ./internal/nn -run 'Batched|MultiPrefix|PrefixReuse|AttnScores'
 go test -race ./internal/core -run 'Batched|Golden'
 
-echo "== go test -race (request observability: traces, ring, drift, exposition) =="
+echo "== go test -race (request observability: traces, ring, exposition) =="
 # Every request records its trace on its own handler goroutine, with the
-# model-side stage added from inside the scoring replica, while concurrent
-# handlers write the shared trace ring and drift monitors. Drive their unit
-# tests, the serve-side threading test and the slow-request counter
-# explicitly under the race detector.
-go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Drift|PSI|Prom|Lint'
+# exact and model stages added from inside the scoring replica, while
+# concurrent handlers write the shared trace ring. Drive their unit tests,
+# the serve-side threading test and the slow-request counter explicitly
+# under the race detector.
+go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Prom|Lint'
 go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|ServeSlowRequestCounted|HealthzReadiness|MetricsPrometheus'
 
 echo "== go test -race (serve replica pool + engine selector + admin auth + TLS) =="
@@ -55,13 +55,12 @@ echo "== go test -race (serve replica pool + engine selector + admin auth + TLS)
 # channel of idle replicas. The parity grid sends concurrent client batches at
 # 1, 2 and 3 pooled replicas with the exact budget at 0, so the model answers
 # them all; it runs under the race detector explicitly, as do the engine
-# selector (exact answers at the default budget, model answers at 0, and the
-# drift windows fed by model answers only), the TLS round trip, the admin
-# auth gate and the refused reload of a checkpoint with a NaN weight. The
-# pool tests (the admission bound, a panic while scoring, 429 before
-# evaluation, and draining admitted requests on shutdown) run ten times each,
-# under a timeout that turns a hang into a failure well before go test's own
-# 10 minutes.
+# selector (exact answers at the default budget, model answers at 0), the TLS
+# round trip, the admin auth gate and the refused reload of a checkpoint with
+# a NaN weight. The pool tests (the admission bound, a panic while scoring,
+# 429 before evaluation, and draining admitted requests on shutdown) run ten
+# times each, under a timeout that turns a hang into a failure well before
+# go test's own 10 minutes.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeExactSelector|ServeAdminAuth|ServeTLS|ServeReloadRejectsNonFiniteWeights'
 go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
 
@@ -221,19 +220,18 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # under -race above. The schema check asserts the manifest recorded live
 # serve.* metrics (request counters, the serve.rank.* per-engine answer
 # counters, the serve.queue.* admission counters, the serve.batch.size
-# histogram of 1 per scoring, the serve.stage.* latency decomposition), the
-# nn.mbatch.* packed-pass counters, and the obs.drift.* quality monitors
-# alongside the core ranking counters. The trained model is saved, and a
-# second daemon serves that checkpoint from disk: -load over the same corpus
-# flags rebuilds the same database, and its selftest checks the loaded
-# daemon's concurrent answers the same way.
+# histogram of 1 per scoring, the serve.stage.* latency decomposition), and
+# the nn.mbatch.* packed-pass counters alongside the core ranking counters.
+# The trained model is saved, and a second daemon serves that checkpoint from
+# disk: -load over the same corpus flags rebuilds the same database, and its
+# selftest checks the loaded daemon's concurrent answers the same way.
 go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
     -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
     -workers 2 -save "$manifest_dir/model.gob" \
     -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 go run ./cmd/serve -queries 12 -cases 3 -load "$manifest_dir/model.gob" -workers 2 -selftest 8 -quiet
 REPRO_MANIFEST="$manifest_dir/serve.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch.,obs.drift." \
+    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
