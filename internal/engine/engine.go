@@ -8,11 +8,18 @@
 // available equi-join predicates, falling back to filtered cross products
 // for disconnected query graphs. Output tuples are grouped by value under set
 // semantics, which is also what provenance capture requires.
+//
+// A caller that wants one output tuple, such as the serving daemon ranking a
+// requested tuple's lineage, names it in Options.Tuple. The planner then
+// pushes the tuple's values into the scans of the projected columns as well,
+// so only that tuple's derivations are joined, grouped and minimized.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/provenance"
@@ -65,11 +72,22 @@ func (r *Result) WitnessKeys() map[string]bool {
 	return out
 }
 
-// Options configures evaluation limits.
+// Options configures evaluation.
 type Options struct {
 	// MaxRows bounds the number of intermediate join rows; evaluation fails
 	// with an error beyond it. Zero means the default of 2,000,000.
 	MaxRows int
+	// Tuple, when non-nil, evaluates only the output tuples that render as
+	// these strings, one per projected column. Every UNION branch's base
+	// scans keep a fact only when its value in each projected column is
+	// Key-equal to a value whose String() is the requested one: the string
+	// itself, the number it parses to, NULL or a boolean. All derivations of
+	// an output tuple share their projected values, so a tuple keeps all of
+	// them or none, with the provenance full evaluation gives it. Values that
+	// render alike but are not Key-equal, such as the string "5" and the
+	// integer 5, remain separate tuples. A branch that projects a different
+	// number of columns adds no rows.
+	Tuple []string
 }
 
 const defaultMaxRows = 2_000_000
@@ -142,7 +160,7 @@ func (d derivations) result() *Result {
 }
 
 func evaluateSelect(db *relation.Database, s *sqlparse.SelectStmt, opts Options, groups derivations) error {
-	plan, err := buildPlan(db, s)
+	plan, err := buildPlan(db, s, opts.Tuple)
 	if err != nil {
 		return err
 	}
@@ -179,7 +197,10 @@ type plan struct {
 	filters []resolvedPred // cross-relation non-equi comparisons
 }
 
-func buildPlan(db *relation.Database, s *sqlparse.SelectStmt) (*plan, error) {
+// buildPlan resolves the branch's columns and scans its base relations with
+// their selections pushed down, including a requested tuple's (see
+// Options.Tuple; nil requests none).
+func buildPlan(db *relation.Database, s *sqlparse.SelectStmt, tuple []string) (*plan, error) {
 	p := &plan{db: db, stmt: s}
 	fromIdx := make(map[string]int, len(s.From))
 	schemas := make([]*relation.Schema, len(s.From))
@@ -237,17 +258,66 @@ func buildPlan(db *relation.Database, s *sqlparse.SelectStmt) (*plan, error) {
 		}
 	}
 	p.base = make([][]*relation.Fact, len(s.From))
+	// A requested tuple adds one selection per projected column to the scan
+	// of the column's relation.
+	matches := make([][]valueMatch, len(s.From))
+	if tuple != nil {
+		if len(tuple) != len(p.projections) {
+			// No output tuple of this branch has the requested arity: every
+			// scan stays empty.
+			return p, nil
+		}
+		for k, pc := range p.projections {
+			matches[pc.fromIdx] = append(matches[pc.fromIdx], valueMatch{col: pc.colIdx, vals: renderingsOf(tuple[k])})
+		}
+	}
 	for i, name := range s.From {
 		rel, _ := db.Relation(name)
 		facts := make([]*relation.Fact, 0, len(rel.Facts))
 		for _, f := range rel.Facts {
-			if factSatisfies(f, selections[i]) {
+			if factSatisfies(f, selections[i]) && factMatches(f, matches[i]) {
 				facts = append(facts, f)
 			}
 		}
 		p.base[i] = facts
 	}
 	return p, nil
+}
+
+// valueMatch is the selection a requested tuple pushes into a scan: a fact's
+// value in column col must be Key-equal to one of vals.
+type valueMatch struct {
+	col  int
+	vals []relation.Value
+}
+
+func factMatches(f *relation.Fact, ms []valueMatch) bool {
+	for _, m := range ms {
+		if !slices.ContainsFunc(m.vals, f.Values[m.col].KeyEqual) {
+			return false
+		}
+	}
+	return true
+}
+
+// renderingsOf returns, up to Key-equality, every value whose String() is s:
+// the string itself, NULL, a boolean, and the integer and the float that s
+// parses to when they render back as s (so "05" and "+5" name no number).
+func renderingsOf(s string) []relation.Value {
+	vals := []relation.Value{relation.Str(s)}
+	switch s {
+	case "NULL":
+		vals = append(vals, relation.Null())
+	case "true", "false":
+		vals = append(vals, relation.Bool(s == "true"))
+	}
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil && relation.Int(i).String() == s {
+		vals = append(vals, relation.Int(i))
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil && relation.Float(f).String() == s {
+		vals = append(vals, relation.Float(f))
+	}
+	return vals
 }
 
 func factSatisfies(f *relation.Fact, preds []resolvedPred) bool {

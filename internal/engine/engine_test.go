@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/paperdb"
@@ -212,8 +214,12 @@ func randomDatabase(rng *rand.Rand) *relation.Database {
 	for i := 0; i < 3+rng.Intn(8); i++ {
 		db.MustInsert("t2", relation.Int(int64(rng.Intn(5))), relation.Int(int64(rng.Intn(4))))
 	}
+	// t3.u, which queries project, mixes kinds that render alike: the integer
+	// 2 and the float 2 are Key-equal, the string "2" is not.
 	for i := 0; i < 3+rng.Intn(8); i++ {
-		db.MustInsert("t3", relation.Int(int64(rng.Intn(5))), relation.Int(int64(rng.Intn(4))))
+		u := rng.Intn(4)
+		kinds := []relation.Value{relation.Int(int64(u)), relation.Float(float64(u)), relation.Str(fmt.Sprint(u))}
+		db.MustInsert("t3", relation.Int(int64(rng.Intn(5))), kinds[rng.Intn(len(kinds))])
 	}
 	return db
 }
@@ -269,6 +275,184 @@ func TestEvaluateAgainstNaiveOracle(t *testing.T) {
 					trial, sql, fast.Tuples[i], fast.Tuples[i].Prov, slow.Tuples[i].Prov)
 			}
 		}
+		for _, want := range fast.Tuples {
+			checkTupleEvaluation(t, db, q, fast, rendering(want))
+		}
+	}
+}
+
+// rendering returns the strings an output tuple renders as, the form in
+// which a caller requests it.
+func rendering(t *OutputTuple) []string {
+	out := make([]string, len(t.Values))
+	for i, v := range t.Values {
+		out[i] = v.String()
+	}
+	return out
+}
+
+// firstRendering returns the first tuple of r, in Key order, that renders as
+// tuple, or nil.
+func firstRendering(r *Result, tuple []string) *OutputTuple {
+	for _, t := range r.Tuples {
+		if slices.Equal(rendering(t), tuple) {
+			return t
+		}
+	}
+	return nil
+}
+
+// checkTupleEvaluation evaluates q with Options.Tuple set to tuple and
+// compares the result with the full result: every tuple it holds is a
+// full-result tuple with the same provenance (no output group was split),
+// every full-result tuple that renders as tuple is among them, and the first
+// that renders as tuple is the full result's first. It returns the
+// restricted result.
+func checkTupleEvaluation(t *testing.T, db *relation.Database, q *sqlparse.Query, full *Result, tuple []string) *Result {
+	t.Helper()
+	got, err := EvaluateWithOptions(db, q, Options{Tuple: tuple})
+	if err != nil {
+		t.Fatalf("%s: evaluate tuple %q: %v", q.SQL(), tuple, err)
+	}
+	fullByKey := make(map[string]*OutputTuple, len(full.Tuples))
+	for _, ft := range full.Tuples {
+		fullByKey[ft.Key()] = ft
+	}
+	for _, gt := range got.Tuples {
+		ft, ok := fullByKey[gt.Key()]
+		if !ok {
+			t.Fatalf("%s: tuple %q evaluated %v, which full evaluation does not produce", q.SQL(), tuple, gt)
+		}
+		if gt.Prov.Key() != ft.Prov.Key() {
+			t.Fatalf("%s: tuple %q: provenance of %v is %v, full evaluation gives %v", q.SQL(), tuple, gt, gt.Prov, ft.Prov)
+		}
+	}
+	kept := got.WitnessKeys()
+	for _, ft := range full.Tuples {
+		if slices.Equal(rendering(ft), tuple) && !kept[ft.Key()] {
+			t.Fatalf("%s: tuple %q dropped %v", q.SQL(), tuple, ft)
+		}
+	}
+	a, b := firstRendering(full, tuple), firstRendering(got, tuple)
+	if a == nil || b == nil || a.Key() != b.Key() {
+		t.Fatalf("%s: first tuple rendering as %q is %v, full evaluation's is %v", q.SQL(), tuple, b, a)
+	}
+	return got
+}
+
+// TestRenderingsOfCoversEveryValue checks the candidates a requested string
+// selects by, over every kind and the numeric edge cases: each value must be
+// Key-equal to a candidate of its own rendering, so the selection keeps every
+// fact that renders as requested, and every candidate must render as the
+// string, so strings that only parse to a number ("05", "+5", "1e6", "Inf")
+// select no number.
+func TestRenderingsOfCoversEveryValue(t *testing.T) {
+	vals := []relation.Value{
+		relation.Null(), relation.Bool(true), relation.Bool(false),
+		relation.Str(""), relation.Str("NULL"), relation.Str("5"), relation.Str("05"), relation.Str("+5"),
+		relation.Str("1e6"), relation.Str("Inf"), relation.Str("nan"),
+		relation.Int(math.MinInt64), relation.Int(math.MaxInt64), relation.Int(1 << 53), relation.Int(1<<53 + 1),
+		relation.Float(math.Copysign(0, -1)), relation.Float(math.NaN()), relation.Float(math.Inf(1)), relation.Float(math.Inf(-1)),
+		relation.Float(1e6), relation.Float(5.5),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, relation.Int(rng.Int63()-rng.Int63()), relation.Int(int64(rng.Intn(2000)-1000)),
+			relation.Float(math.Float64frombits(rng.Uint64())), relation.Float(rng.NormFloat64()*1e6))
+	}
+	for _, v := range vals {
+		s := v.String()
+		candidates := renderingsOf(s)
+		if !slices.ContainsFunc(candidates, v.KeyEqual) {
+			t.Errorf("%s %v: no candidate of %q is Key-equal to it: %v", v.Kind(), v, s, candidates)
+		}
+		for _, c := range candidates {
+			if c.String() != s {
+				t.Errorf("candidate %s %v of %q renders as %q", c.Kind(), c, s, c.String())
+			}
+		}
+	}
+}
+
+// TestEvaluateTupleKeepsGroupsWhole pins Options.Tuple on values that render
+// alike. The integer 5 and the float 5 are Key-equal, so their derivations
+// (from both UNION branches) form one output tuple; the string "5" forms
+// another, and so do NULL and the string "NULL". Requesting "5" or "NULL"
+// must keep both of its groups whole and merge neither. The integer 1000000
+// and the float 1e6 are Key-equal too but render differently, so a
+// selection by rendering alone would split their tuple. A tuple of the
+// wrong arity must select nothing, branch by branch.
+func TestEvaluateTupleKeepsGroupsWhole(t *testing.T) {
+	db := relation.NewDatabase()
+	for _, s := range []*relation.Schema{
+		relation.MustSchema("a", relation.Column{Name: "k", Type: relation.KindInt}, relation.Column{Name: "v", Type: relation.KindString}),
+		relation.MustSchema("b", relation.Column{Name: "k", Type: relation.KindInt}),
+		relation.MustSchema("c", relation.Column{Name: "w", Type: relation.KindString}),
+	} {
+		if _, err := db.AddRelation(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range [][2]relation.Value{
+		{relation.Int(1), relation.Int(5)},
+		{relation.Int(2), relation.Float(5)},
+		{relation.Int(3), relation.Str("5")},
+		{relation.Int(1), relation.Null()},
+		{relation.Int(2), relation.Str("NULL")},
+		{relation.Int(3), relation.Int(6)},
+		{relation.Int(1), relation.Int(1000000)},
+	} {
+		db.MustInsert("a", r[0], r[1])
+	}
+	for _, k := range []int64{1, 2, 3, 2} {
+		db.MustInsert("b", relation.Int(k))
+	}
+	for _, w := range []relation.Value{relation.Float(5), relation.Str("NULL"), relation.Null(), relation.Str("5"), relation.Int(7), relation.Float(1e6), relation.Float(5.5)} {
+		db.MustInsert("c", w)
+	}
+	q := sqlparse.MustParse(`SELECT a.v FROM a, b WHERE a.k = b.k UNION SELECT c.w FROM c`)
+	full, err := Evaluate(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tuple string
+		// derivations of each group that renders as tuple, in Key order
+		derivations []int
+	}{
+		{"5", []int{4, 2}},    // 5 (a's Int and Float, b twice for k=2, c's Float); "5"
+		{"NULL", []int{2, 3}}, // NULL; "NULL"
+		{"1000000", []int{2}}, // a's 1000000 and c's 1e+06
+		{"5.5", []int{1}},     // a float that no integer renders as
+	} {
+		got := checkTupleEvaluation(t, db, q, full, []string{tc.tuple})
+		var derivations []int
+		for _, gt := range got.Tuples {
+			derivations = append(derivations, len(gt.Prov.Monomials))
+		}
+		if fmt.Sprint(derivations) != fmt.Sprint(tc.derivations) {
+			t.Errorf("tuple %q: groups %v with %v derivations, want %v", tc.tuple, tupleStrings(got), derivations, tc.derivations)
+		}
+	}
+
+	for _, tuple := range [][]string{{}, {"5", "5"}} {
+		got, err := EvaluateWithOptions(db, q, Options{Tuple: tuple})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Tuples) != 0 {
+			t.Errorf("tuple %q of the wrong arity: %v, want no tuples", tuple, tupleStrings(got))
+		}
+	}
+	// A branch of another arity adds no rows; the others still do. The
+	// parser rejects such a UNION, so the second branch is widened in the AST.
+	q.Selects[1].Projections = append(q.Selects[1].Projections, q.Selects[1].Projections[0])
+	got, err := EvaluateWithOptions(db, q, Options{Tuple: []string{"5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Tuples) != 2 || len(got.Tuples[0].Prov.Monomials) != 3 || len(got.Tuples[1].Prov.Monomials) != 1 {
+		t.Errorf("tuple 5 with a two-column second branch: %v, want the first branch's 5 (3 derivations) and \"5\" (1)", tupleStrings(got))
 	}
 }
 

@@ -8,15 +8,19 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Explain renders the evaluation plan the engine would execute for the query:
-// per-branch base scans with pushed-down selections (and their post-filter
-// cardinalities), the greedy join order with the join predicates each step
-// uses, and the residual filters. It never executes the joins.
-func Explain(db *relation.Database, q *sqlparse.Query) (string, error) {
+// Explain renders the evaluation plan EvaluateWithOptions would execute for
+// the query under opts: per-branch base scans with pushed-down selections,
+// a requested tuple's included (and their post-filter cardinalities), the
+// greedy join order with the join predicates each step uses, and the
+// residual filters. It never executes the joins, so opts.MaxRows is unused.
+func Explain(db *relation.Database, q *sqlparse.Query, opts Options) (string, error) {
 	var b strings.Builder
+	if opts.Tuple != nil {
+		fmt.Fprintf(&b, "tuple (%s) pushed into the projected columns' scans\n", strings.Join(opts.Tuple, ", "))
+	}
 	for bi := range q.Selects {
 		s := &q.Selects[bi]
-		p, err := buildPlan(db, s)
+		p, err := buildPlan(db, s, opts.Tuple)
 		if err != nil {
 			return "", fmt.Errorf("engine: branch %d: %w", bi, err)
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestExplainChainJoin(t *testing.T) {
 	db, _ := paperdb.New()
-	plan, err := Explain(db, sqlparse.MustParse(paperdb.QInf))
+	plan, err := Explain(db, sqlparse.MustParse(paperdb.QInf), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestExplainChainJoin(t *testing.T) {
 
 func TestExplainCrossJoin(t *testing.T) {
 	db, _ := paperdb.New()
-	plan, err := Explain(db, sqlparse.MustParse(`SELECT actors.name, companies.name FROM actors, companies`))
+	plan, err := Explain(db, sqlparse.MustParse(`SELECT actors.name, companies.name FROM actors, companies`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestExplainCrossJoin(t *testing.T) {
 func TestExplainUnionBranches(t *testing.T) {
 	db, _ := paperdb.New()
 	plan, err := Explain(db, sqlparse.MustParse(
-		`SELECT actors.name FROM actors UNION SELECT companies.name FROM companies`))
+		`SELECT actors.name FROM actors UNION SELECT companies.name FROM companies`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExplainUnionBranches(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	db, _ := paperdb.New()
-	if _, err := Explain(db, sqlparse.MustParse(`SELECT nosuch.x FROM nosuch`)); err == nil {
+	if _, err := Explain(db, sqlparse.MustParse(`SELECT nosuch.x FROM nosuch`), Options{}); err == nil {
 		t.Error("expected unknown-relation error")
 	}
 }
@@ -70,11 +70,51 @@ func TestExplainShowsFilters(t *testing.T) {
 		RightIsColumn: true,
 		RightColumn:   sqlparse.ColumnRef{Relation: "actors", Column: "age"},
 	})
-	plan, err := Explain(db, q)
+	plan, err := Explain(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "filter movies.year > actors.age") {
 		t.Errorf("plan missing residual filter:\n%s", plan)
 	}
+}
+
+// TestExplainTupleSelection pins that the plan shows a requested tuple's
+// selection, as EvaluateWithOptions runs it: QInf's actors scan keeps only
+// Alice, so the greedy order starts there, while the movies scan keeps its
+// year selection alone. A tuple of the wrong arity empties every scan.
+func TestExplainTupleSelection(t *testing.T) {
+	db, _ := paperdb.New()
+	q := sqlparse.MustParse(paperdb.QInf)
+	plan, err := Explain(db, q, Options{Tuple: []string{"Alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rel, want := range map[string]string{"actors": "1/4", "movies": "4/5", "roles": "8/8"} {
+		if line := scanLine(plan, rel); !strings.Contains(line, want+" rows after pushdown") {
+			t.Errorf("%s scan %q, want %s rows in plan:\n%s", rel, line, want, plan)
+		}
+	}
+	for _, want := range []string{"tuple (Alice) pushed", "start with actors"} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("missing %q in plan:\n%s", want, plan)
+		}
+	}
+	plan, err = Explain(db, q, Options{Tuple: []string{"Alice", "Bob"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := scanLine(plan, "movies"); !strings.Contains(line, " 0/5 rows") {
+		t.Errorf("movies scan %q under a two-value tuple, want 0/5 rows in plan:\n%s", line, plan)
+	}
+}
+
+// scanLine returns the plan's scan line of the relation.
+func scanLine(plan, rel string) string {
+	for _, line := range strings.Split(plan, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "scan" && f[1] == rel {
+			return line
+		}
+	}
+	return ""
 }

@@ -34,7 +34,7 @@ type naivePlan struct {
 func buildNaive(db *relation.Database, s *sqlparse.SelectStmt) (*naivePlan, error) {
 	// Reuse the optimized planner's resolution, but keep every predicate as a
 	// residual filter applied to full rows and scan unfiltered relations.
-	base, err := buildPlan(db, s)
+	base, err := buildPlan(db, s, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -212,5 +213,27 @@ func (v Value) Key() string {
 		return "b:0"
 	default:
 		return "?"
+	}
+}
+
+// KeyEqual reports whether v.Key() == o.Key() without building either key.
+// Key renders a number by its float64 image in shortest form, which tells
+// every two float64 values apart except NaNs, so numbers compare by their
+// bits: 0 and -0 differ, and any NaN equals any NaN.
+func (v Value) KeyEqual(o Value) bool {
+	if v.isNumeric() && o.isNumeric() {
+		a, b := v.AsFloat(), o.AsFloat()
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	if v.kind != o.kind {
+		return false
+	}
+	switch v.kind {
+	case KindString:
+		return v.s == o.s
+	case KindBool:
+		return v.b == o.b
+	default:
+		return true
 	}
 }

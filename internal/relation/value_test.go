@@ -83,6 +83,28 @@ func TestValueKeyAgreesWithEqual(t *testing.T) {
 	}
 }
 
+// TestValueKeyEqualAgreesWithKey compares KeyEqual with Key equality over
+// every pair of a grid that mixes kinds, numbers of one magnitude in both
+// numeric kinds, integers past 2^53 that share a float64 image, signed zeros
+// and NaNs of different payloads.
+func TestValueKeyEqualAgreesWithKey(t *testing.T) {
+	vals := []Value{
+		Null(), Bool(true), Bool(false),
+		Str(""), Str("5"), Str("NULL"), Str("true"), Str("f:5"),
+		Int(0), Int(5), Int(-5), Int(1000000), Int(1 << 53), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(5), Float(5.5), Float(1e6), Float(1 << 53),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)),
+		Float(math.Inf(1)), Float(math.Inf(-1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.KeyEqual(b), a.Key() == b.Key(); got != want {
+				t.Errorf("%s %v KeyEqual %s %v = %v, keys %q and %q", a.Kind(), a, b.Kind(), b, got, a.Key(), b.Key())
+			}
+		}
+	}
+}
+
 func TestValueCompareAntisymmetricProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := Int(a), Int(b)

@@ -18,13 +18,14 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// RankRequest asks for the ranked lineage of one output tuple: the service
-// evaluates the query to locate the tuple and its lineage (a production
-// deployment would read the lineage from the engine's provenance capture),
-// then scores every lineage fact. Lineages whose provenance compiles within
-// the exact budget get their exact Shapley values; the others get the model's
-// predictions, the Section 5.8 deployment story of interactive latency
-// without exact computation.
+// RankRequest asks for the ranked lineage of one output tuple, given as the
+// strings its values render as: the service evaluates only that tuple of the
+// query, with the tuple's values pushed into the query's scans, to find its
+// provenance and lineage (a production deployment would read the lineage
+// from the engine's provenance capture), then scores every lineage fact.
+// Lineages whose provenance compiles within the exact budget get their exact
+// Shapley values; the others get the model's predictions, the Section 5.8
+// deployment story of interactive latency without exact computation.
 type RankRequest struct {
 	SQL   string   `json:"sql"`
 	Tuple []string `json:"tuple"`
@@ -290,11 +291,13 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // handleRank serves /rank and, with explain set, /explain, which adds the
-// query's evaluation plan. The request is admitted before its query is parsed
-// and evaluated, so the admission bound covers evaluation as well as scoring.
-// Parse, evaluation and the tuple lookup are the request's "evaluate" stage;
-// the exact attempt and any model pass run on the borrowed replica's turn, as
-// its "score" stage (see answer).
+// evaluation plan that located the tuple, the requested tuple's selection
+// included. The request is admitted before its query is parsed and
+// evaluated, so the admission bound covers evaluation as well as scoring.
+// Parse, the evaluation of the requested tuple and the match among what it
+// leaves are the request's "evaluate" stage (see locate); the exact attempt
+// and any model pass run on the borrowed replica's turn, as its "score"
+// stage (see answer).
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -314,7 +317,7 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 		}
 		var plan string
 		if explain {
-			if plan, err = engine.Explain(s.corpus.DB, q); err != nil {
+			if plan, err = engine.Explain(s.corpus.DB, q, engine.Options{Tuple: req.Tuple}); err != nil {
 				s.writeError(w, http.StatusBadRequest, "explain: %v", err)
 				return
 			}
@@ -485,17 +488,27 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, run.Manifest())
 }
 
-// locate parses and evaluates the request's query against the server's
-// database and finds the requested output tuple; on failure it also returns
-// the HTTP status to answer with. The database is read-only, so concurrent
-// handler goroutines may evaluate freely (the corpus build already evaluates
-// queries in parallel over the same structures).
+// locate parses the request's query and evaluates only the requested output
+// tuple against the server's database; on failure it also returns the HTTP
+// status to answer with. engine.Options.Tuple pushes the tuple's values into
+// the scans of every UNION branch, so only that tuple's derivations are
+// joined, grouped and minimized. Values that render alike stay separate
+// tuples (the integer 5 and the string "5"), so a few may remain; locate
+// keeps the first in Key order that renders as requested, the tuple and
+// provenance a full evaluation would have given. A request without a tuple
+// selects nothing, never the whole result. The database is read-only, so
+// concurrent handler goroutines may evaluate freely (the corpus build
+// already evaluates queries in parallel over the same structures).
 func (s *Server) locate(req RankRequest) (*sqlparse.Query, *engine.OutputTuple, int, error) {
 	q, err := sqlparse.Parse(req.SQL)
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("parse: %w", err)
 	}
-	res, err := engine.Evaluate(s.corpus.DB, q)
+	tuple := req.Tuple
+	if tuple == nil {
+		tuple = []string{}
+	}
+	res, err := engine.EvaluateWithOptions(s.corpus.DB, q, engine.Options{Tuple: tuple})
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("evaluate: %w", err)
 	}

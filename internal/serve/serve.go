@@ -6,16 +6,19 @@
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
 //	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► ExactBudget ──► RankOn
-//	               ▲                   │429     (parse,      (first free of     (≤ 2^14 tree    (packed GEMMs,
-//	               │             (backpressure)  lineage)      Workers)          nodes)          over budget)
+//	               ▲                   │429     (parse, the  (first free of     (≤ 2^14 tree    (packed GEMMs,
+//	               │             (backpressure)  requested     Workers)          nodes)          over budget)
+//	               │                             tuple only)
 //	               └──────────── response ◄──── return replica ◄────────────────────┴───────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
 // body decodes, the handler takes one of QueueCap+Workers admission slots
-// without blocking, then parses and evaluates the query, borrows one of
-// Config.Workers model replicas (core.Model.CloneForWorker: shared read-only
-// weights, private activation workspaces), scores on it and gives both back
-// (pool.go). A request therefore waits only for a free replica.
+// without blocking, then parses the query and evaluates only the requested
+// tuple (engine.Options.Tuple pushes its values into the query's scans),
+// borrows one of Config.Workers model replicas (core.Model.CloneForWorker:
+// shared read-only weights, private activation workspaces), scores on it and
+// gives both back (pool.go). A request therefore waits only for a free
+// replica.
 //
 // On the replica's turn the handler first compiles the lineage's provenance
 // with shapley.ExactBudget under rankExactNodes tree nodes. When the tree

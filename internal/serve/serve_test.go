@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/shapley"
@@ -669,5 +670,108 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	}
 	if got := admitted(); got != before+1 {
 		t.Errorf("serve.queue.admitted = %d after one normal request, want %d", got, before+1)
+	}
+}
+
+// TestServeLocateErrors pins locate's error answers on /rank and /explain:
+// unparsable SQL and an unknown relation answer 400, a tuple absent from the
+// result 404, and so do a request without a tuple and a tuple with one value
+// too few or one too many, which the tuple evaluation must reject by arity
+// instead of indexing past the projection list. Every answer carries a JSON
+// error body.
+func TestServeLocateErrors(t *testing.T) {
+	corpus, model := fixture(t)
+	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var valid RankRequest
+	if err := json.Unmarshal(cases[0].body, &valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		req   RankRequest
+		code  int
+		error string // a substring of the error body
+	}{
+		{"unparsable", RankRequest{SQL: "SELEC nothing", Tuple: valid.Tuple}, http.StatusBadRequest, "parse"},
+		{"unknown_relation", RankRequest{SQL: "SELECT nosuch.x FROM nosuch", Tuple: []string{"x"}}, http.StatusBadRequest, "unknown relation"},
+		{"absent_tuple", RankRequest{SQL: valid.SQL, Tuple: append(make([]string, len(valid.Tuple)-1), "no such value")}, http.StatusNotFound, "not found"},
+		{"missing_tuple", RankRequest{SQL: valid.SQL}, http.StatusNotFound, "not found"},
+		{"one_value_too_few", RankRequest{SQL: valid.SQL, Tuple: valid.Tuple[:len(valid.Tuple)-1]}, http.StatusNotFound, "not found"},
+		{"one_value_too_many", RankRequest{SQL: valid.SQL, Tuple: append(append([]string(nil), valid.Tuple...), valid.Tuple[0])}, http.StatusNotFound, "not found"},
+	} {
+		for _, path := range []string{"/rank", "/explain"} {
+			t.Run(tc.name+"_"+path[1:], func(t *testing.T) {
+				body, err := json.Marshal(tc.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code != tc.code {
+					t.Fatalf("-> %d, want %d: %s", rec.Code, tc.code, rec.Body)
+				}
+				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+					t.Errorf("Content-Type %q, want application/json", ct)
+				}
+				var er errorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, tc.error) {
+					t.Errorf("error body %q (decode err %v), want an error mentioning %q", rec.Body, err, tc.error)
+				}
+			})
+		}
+	}
+}
+
+// TestLocateMatchesFullEvaluation requests every output tuple of every query
+// of the default IMDB and Academic corpora by its rendering. locate evaluates
+// only that tuple; it must resolve to the tuple that full evaluation plus a
+// first-match scan in Key order gives, with the same values and the same
+// provenance.
+func TestLocateMatchesFullEvaluation(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.IMDB, dataset.Academic} {
+		t.Run(kind.String(), func(t *testing.T) {
+			corpus, err := dataset.Build(dataset.DefaultConfig(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &Server{corpus: corpus} // locate reads only the corpus's database
+			tuples := 0
+			for _, entry := range corpus.Queries {
+				for _, ft := range entry.Result.Tuples {
+					req := RankRequest{SQL: entry.SQL, Tuple: make([]string, len(ft.Values))}
+					for i, v := range ft.Values {
+						req.Tuple[i] = v.String()
+					}
+					var want *engine.OutputTuple
+					for _, c := range entry.Result.Tuples {
+						if tupleMatches(c, req.Tuple) {
+							want = c
+							break
+						}
+					}
+					_, got, code, err := s.locate(req)
+					if err != nil {
+						t.Fatalf("query %d tuple %q: %d %v", entry.ID, req.Tuple, code, err)
+					}
+					for i := range want.Values {
+						if got.Values[i] != want.Values[i] {
+							t.Fatalf("query %d tuple %q: located %v, full evaluation %v", entry.ID, req.Tuple, got, want)
+						}
+					}
+					if got.Prov.Key() != want.Prov.Key() {
+						t.Fatalf("query %d tuple %v: provenance %v, full evaluation %v", entry.ID, want, got.Prov, want.Prov)
+					}
+					tuples++
+				}
+			}
+			if tuples == 0 {
+				t.Fatal("the corpus has no output tuples")
+			}
+			t.Logf("%d tuples located", tuples)
+		})
 	}
 }

@@ -221,7 +221,9 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # serve.* metrics (request counters, the serve.rank.* per-engine answer
 # counters, the serve.queue.* admission counters, the serve.batch.size
 # histogram of 1 per scoring, the serve.stage.* latency decomposition), and
-# the nn.mbatch.* packed-pass counters alongside the core ranking counters.
+# the core.rank.* and nn.mbatch.* ranking counters. Those two come from
+# training's dev-set evaluation inside pipeline.Build, before serving starts,
+# not from the daemon's traffic: no request here reaches the model.
 # The trained model is saved, and a second daemon serves that checkpoint from
 # disk: -load over the same corpus flags rebuilds the same database, and its
 # selftest checks the loaded daemon's concurrent answers the same way.
