@@ -1,7 +1,8 @@
 // Command dbshap-gen builds a synthetic DBShap-style corpus (database +
 // SPJU workload + exact Shapley labels) and prints its statistics in the
 // shape of the paper's Tables 1 and 2. With -sql it also dumps the generated
-// workload.
+// workload. The amc sampler labels the tuples exact labeling refuses, unless
+// -label-fallback=false drops them.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/pipeline"
 	"repro/internal/dataset"
 	"repro/internal/obs"
 )
@@ -25,13 +27,10 @@ func main() {
 	dumpSQL := flag.Bool("sql", false, "dump the generated workload")
 	similarities := flag.Bool("similarities", true, "compute Table 2 split similarities")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building (0 = one per CPU); output is identical for every value")
-	labeler := flag.String("labeler", "exact", "Shapley labeling engine: exact or amc")
-	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for the amc sampler (0 = engine default)")
-	labelSeed := flag.Uint64("label-seed", 1, "base seed for the amc sampler; corpora are byte-identical for a fixed seed at every -workers")
-	labelFallback := flag.String("label-fallback", "amc", "sampler labeling the lineages the exact engine refuses (too large); \"none\" drops them instead")
+	labelFallback := flag.Bool("label-fallback", true, "label the lineages exact labeling refuses (too large) with the amc sampler, seeded from -seed; false drops them")
 	export := flag.String("export", "", "write the labeled corpus as JSON to this path (suffixed with the database name when -db both)")
 	o := obs.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pipeline.Parse()
 
 	rn := o.Start("dbshap-gen")
 	defer finish(rn)
@@ -41,9 +40,6 @@ func main() {
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("scale", *scale)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("labeler", *labeler)
-	rn.SetConfig("label_samples", *labelSamples)
-	rn.SetConfig("label_seed", *labelSeed)
 	rn.SetConfig("label_fallback", *labelFallback)
 
 	kinds := []dataset.Kind{dataset.IMDB, dataset.Academic}
@@ -61,14 +57,9 @@ func main() {
 		cfg.Seed = *seed
 		cfg.NumQueries = *queries
 		cfg.MaxCasesPerQuery = *cases
-		cfg.Scale = dataset.Scale{Base: *scale}
+		cfg.Scale = *scale
 		cfg.Workers = *workers
-		cfg.Labeler = *labeler
-		cfg.LabelSamples = *labelSamples
-		cfg.LabelSeed = *labelSeed
-		if *labelFallback != "none" {
-			cfg.LabelFallback = *labelFallback
-		}
+		cfg.LabelFallback = *labelFallback
 		start := time.Now()
 		c, err := dataset.Build(cfg)
 		if err != nil {
@@ -87,15 +78,15 @@ func main() {
 		}
 		rn.Log.Infof("%-10s built in %v (%d database facts)\n", kind, elapsed.Round(time.Millisecond), c.DB.NumFacts())
 
-		// Labeling summary: what the configured engine labeled, what fell back,
-		// and what was dropped as too large — printed and recorded in the run
+		// Labeling summary: what exact labeling labeled, what fell back, and
+		// what was dropped as too large — printed and recorded in the run
 		// manifest so corpus provenance survives the console.
 		ls := c.Labels
-		fmt.Printf("%-10s labeling engine=%s labeled=%d (exact=%d sampled=%d fallbacks=%d) skipped-too-large=%d\n",
-			kind, *labeler, ls.Labeled, ls.Exact, ls.Sampled, ls.Fallback, ls.Skipped)
+		fmt.Printf("%-10s labeling labeled=%d (exact=%d fallbacks=%d) skipped-too-large=%d\n",
+			kind, ls.Labeled, ls.Exact, ls.Fallback, ls.Skipped)
 		kindKey := strings.ToLower(kind.String())
 		rn.SetConfig("label_summary_"+kindKey, map[string]int{
-			"labeled": ls.Labeled, "exact": ls.Exact, "sampled": ls.Sampled,
+			"labeled": ls.Labeled, "exact": ls.Exact,
 			"fallbacks": ls.Fallback, "skipped_too_large": ls.Skipped,
 		})
 

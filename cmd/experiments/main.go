@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/pipeline"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -24,7 +25,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated artifact list (e.g. table1,figure9); empty = all")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building, training and evaluation (0 = one per CPU); results are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pipeline.Parse()
 
 	cfg := experiments.FullConfig()
 	if *benchScale {
@@ -39,7 +40,7 @@ func main() {
 	rn.SetConfig("only", *only)
 	rn.SetConfig("workers", cfg.Workers)
 	rn.SetConfig("queries_per_db", cfg.QueriesPerDB)
-	rn.SetConfig("scale", cfg.Scale.Base)
+	rn.SetConfig("scale", cfg.Scale)
 
 	start := time.Now()
 	rn.Log.Infof("Building corpora (offline Shapley labeling pipeline)...\n")

@@ -1,6 +1,7 @@
 // Package pipeline is the front end cmd/learnshap and cmd/serve share: one
 // definition of their corpus and model flags, and one step that builds the
-// corpus, then loads or trains the model and saves it.
+// corpus, then loads or trains the model and saves it. Every command parses
+// its command line through Parse.
 package pipeline
 
 import (
@@ -56,6 +57,30 @@ func AddFlags(fs *flag.FlagSet, db string, queries, cases int) *Flags {
 	fs.StringVar(&f.load, "load", "", "load this gob checkpoint instead of training")
 	fs.StringVar(&f.save, "save", "", "write the model to this file (a checkpoint for -load and /admin/reload)")
 	return f
+}
+
+// Parse parses the command line into flag.CommandLine like flag.Parse, and
+// exits with status 2, as the flag package does for a bad flag, when an
+// argument is left over.
+func Parse() {
+	if err := ParseArgs(flag.CommandLine, os.Args[1:]); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
+}
+
+// ParseArgs parses args into fs and fails naming the arguments left over. The
+// flag package stops at the first argument that is not a flag, so without
+// this check every flag after a stray word would be dropped silently.
+func ParseArgs(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: flags after a non-flag argument are not parsed", fs.Args())
+	}
+	return nil
 }
 
 // dbFlag is -db: a database name dataset.ParseKind accepts.

@@ -68,3 +68,40 @@ func TestModelOverrides(t *testing.T) {
 		t.Errorf("-pepochs 0 left pre-training on: %d epochs over %v", cfg.PretrainEpochs, cfg.PretrainMetrics)
 	}
 }
+
+// TestParseArgsRejectsStrayArguments pins the check behind Parse: the flag
+// package stops at the first argument that is not a flag, so the flags after
+// it never take effect, and the command must fail naming what was left over
+// instead of running without them.
+func TestParseArgsRejectsStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		left string
+	}{
+		{[]string{"-queries", "10", "stray", "-load", "/nonexistent/model.gob"}, `["stray" "-load" "/nonexistent/model.gob"]`},
+		{[]string{"stray"}, `["stray"]`},
+		// A bool flag takes no separate value, so "amc" is left over.
+		{[]string{"-fallback", "amc", "-db", "academic"}, `["amc" "-db" "academic"]`},
+	} {
+		fs := flag.NewFlagSet("pipeline-test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := AddFlags(fs, "imdb", 20, 6)
+		fs.Bool("fallback", true, "a bool flag")
+		err := ParseArgs(fs, tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.left) {
+			t.Errorf("%q: error %v, want one naming %s", tc.args, err, tc.left)
+		}
+		if f.load != "" || f.db.name != "imdb" {
+			t.Errorf("%q: a flag after the stray argument took effect: -load %q, -db %q", tc.args, f.load, f.db.name)
+		}
+	}
+	fs := flag.NewFlagSet("pipeline-test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	AddFlags(fs, "imdb", 20, 6)
+	if err := ParseArgs(fs, []string{"-queries", "10", "-load", "m.gob"}); err != nil {
+		t.Errorf("flags alone: %v", err)
+	}
+	if err := ParseArgs(fs, []string{"-bogus"}); err == nil {
+		t.Error("an unknown flag parsed")
+	}
+}

@@ -30,7 +30,7 @@ func main() {
 	pf := pipeline.AddFlags(flag.CommandLine, "academic", 36, 10)
 	explain := flag.Int("explain", -1, "test case index to print a full ranking for")
 	o := obs.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pipeline.Parse()
 
 	rn := o.Start("learnshap")
 	defer finish(rn)

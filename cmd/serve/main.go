@@ -59,7 +59,7 @@ func main() {
 	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, check each answer bit for bit against the engine that answered it (exact Shapley within the budget, sequential ranking past it), then exit")
 
 	o := obs.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pipeline.Parse()
 
 	rn := o.Start("serve")
 	defer finish(rn)

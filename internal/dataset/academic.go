@@ -24,7 +24,7 @@ var confPrefixes = []string{"Symposium on", "Conference on", "Workshop on", "Int
 //	domain_conference(conf, domain)
 //	publication(title, year, conf)
 //	writes(author, pub)
-func GenAcademic(seed int64, scale Scale) *relation.Database {
+func GenAcademic(seed int64, scale float64) *relation.Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := relation.NewDatabase()
 	mustAdd(db, relation.MustSchema("organization",
@@ -51,11 +51,11 @@ func GenAcademic(seed int64, scale Scale) *relation.Database {
 		relation.Column{Name: "author", Type: relation.KindString},
 		relation.Column{Name: "pub", Type: relation.KindString}))
 
-	nOrgs := Scale.n(scale, 16)
-	nAuthors := Scale.n(scale, 70)
-	nConfs := Scale.n(scale, 20)
-	nPubs := Scale.n(scale, 150)
-	nWrites := Scale.n(scale, 320)
+	nOrgs := scaled(scale, 16)
+	nAuthors := scaled(scale, 70)
+	nConfs := scaled(scale, 20)
+	nPubs := scaled(scale, 150)
+	nWrites := scaled(scale, 320)
 
 	orgs := make([]string, nOrgs)
 	for i := range orgs {

@@ -48,50 +48,35 @@ func ParseKind(name string) (Kind, error) {
 type Config struct {
 	Kind             Kind
 	Seed             int64
-	Scale            Scale
+	Scale            float64 // multiplies every relation's cardinality; 1 is the bench scale
 	NumQueries       int
-	MaxResults       int // acceptance cap on result cardinality
-	MaxCasesPerQuery int // output tuples labeled with exact Shapley values
-	MaxLineage       int // tuples with larger lineages are not labeled
-	RankTuples       int // tuples per query used by rank-based similarity
+	MaxCasesPerQuery int // output tuples labeled with Shapley values
 	// Workers bounds the goroutines used to evaluate and Shapley-label the
 	// workload; <= 0 means one per CPU. The corpus is bit-identical for every
 	// worker count — and to a fully serial build — because all RNG draws stay
-	// on the main goroutine in the serial order (sampling labelers derive
-	// their RNG streams from LabelSeed per tuple, off no goroutine at all).
+	// on the main goroutine in the serial order (the fallback sampler derives
+	// its RNG stream from Seed per tuple, off no goroutine at all).
 	Workers int
-	// Labeler names the engine labeling every candidate tuple: "exact" (or
-	// empty, the default) or the "amc" sampler. The sampler has no
-	// lineage-size limit, so under it MaxLineage does not apply and no tuple
-	// is dropped for size.
-	Labeler string
-	// LabelSamples is the per-lineage permutation budget for the sampler;
-	// <= 0 selects approx.DefaultSamples.
-	LabelSamples int
-	// LabelSeed is the base seed for sampler randomness. Each tuple's engine
-	// seed is derived from (LabelSeed, query ID, tuple index), so labels are
-	// independent of both worker count and labeling order.
-	LabelSeed uint64
-	// LabelFallback names the sampler that labels a tuple the exact engine
-	// refuses (lineage over MaxLineage, or past the limits behind
-	// shapley.ErrBudget).
-	// Empty preserves the historical behavior: such tuples are dropped.
-	LabelFallback string
+	// LabelFallback labels the tuples exact labeling refuses (lineages over
+	// maxLineage facts, or past the limits behind shapley.ErrBudget) with the
+	// amc sampler. Off, such tuples are dropped.
+	LabelFallback bool
 }
+
+const (
+	maxResults = 300 // acceptance cap on a workload query's result cardinality
+	maxLineage = 100 // exact labeling skips larger lineages
+	rankTuples = 8   // tuples per query used by rank-based similarity
+)
 
 // DefaultConfig returns the bench-scale configuration for a database kind.
 func DefaultConfig(kind Kind) Config {
 	return Config{
 		Kind:             kind,
 		Seed:             1,
-		Scale:            Scale{Base: 1},
+		Scale:            1,
 		NumQueries:       40,
-		MaxResults:       300,
 		MaxCasesPerQuery: 12,
-		MaxLineage:       100,
-		RankTuples:       8,
-		Labeler:          "exact",
-		LabelSeed:        1,
 	}
 }
 
@@ -100,7 +85,6 @@ func DefaultConfig(kind Kind) Config {
 type LabelStats struct {
 	Labeled  int // cases labeled, total
 	Exact    int // labeled by the exact engine
-	Sampled  int // labeled by the configured primary sampler
 	Fallback int // exact refused the lineage; labeled by the fallback sampler
 	Skipped  int // exact refused and no fallback configured — tuple dropped
 }
@@ -126,13 +110,10 @@ type QueryEntry struct {
 	TotalFacts int
 }
 
-// Rankings returns the per-tuple fact rankings used by rank-based similarity,
-// capped at the configured number of tuples.
-func (q *QueryEntry) Rankings(cap int) []similarity.TupleRanking {
-	n := len(q.Cases)
-	if cap > 0 && n > cap {
-		n = cap
-	}
+// Rankings returns the per-tuple fact rankings used by rank-based similarity:
+// those of the first rankTuples cases.
+func (q *QueryEntry) Rankings() []similarity.TupleRanking {
+	n := min(len(q.Cases), rankTuples)
 	out := make([]similarity.TupleRanking, n)
 	for i := 0; i < n; i++ {
 		out[i] = similarity.TupleRanking{TupleKey: q.Cases[i].Tuple.Key(), Scores: q.Cases[i].Gold}
@@ -174,7 +155,7 @@ func Build(cfg Config) (*Corpus, error) {
 	default:
 		return nil, fmt.Errorf("dataset: unknown kind %d", cfg.Kind)
 	}
-	sqls, err := GenerateWorkload(db, templates, cfg.NumQueries, cfg.MaxResults, rng)
+	sqls, err := GenerateWorkload(db, templates, cfg.NumQueries, maxResults, rng)
 	genDone()
 	if err != nil {
 		return nil, err
@@ -201,33 +182,18 @@ func Build(cfg Config) (*Corpus, error) {
 	for i, entry := range c.Queries {
 		perms[i] = rng.Perm(len(entry.Result.Tuples))
 	}
-	// Phase 3 (parallel, main-RNG-free): Shapley labeling per query through
-	// the configured engine. Sampling engines draw from per-tuple seeds
-	// derived from (LabelSeed, query ID, tuple index) — a pure function — so
-	// this phase stays bit-identical across worker counts too.
-	primary, err := approx.Parse(cfg.Labeler, cfg.LabelSamples)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	var fallback approx.Labeler
-	if cfg.LabelFallback != "" {
-		fallback, err = approx.Parse(cfg.LabelFallback, cfg.LabelSamples)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: label fallback: %w", err)
-		}
-		if fallback.Name() == "exact" {
-			return nil, fmt.Errorf("dataset: label fallback must be a sampler, not %q", cfg.LabelFallback)
-		}
-	}
+	// Phase 3 (parallel, main-RNG-free): Shapley labeling per query. The
+	// fallback sampler draws from per-tuple seeds derived from (Seed, query
+	// ID, tuple index) — a pure function — so this phase stays bit-identical
+	// across worker counts too.
 	labelDone := obs.Span("shapley.label")
 	stats := parallel.Map(cfg.Workers, len(c.Queries), func(i int) LabelStats {
-		return labelEntry(c.Queries[i], cfg, perms[i], primary, fallback)
+		return labelEntry(c.Queries[i], cfg, perms[i])
 	})
 	labelDone()
 	for _, s := range stats {
 		c.Labels.Labeled += s.Labeled
 		c.Labels.Exact += s.Exact
-		c.Labels.Sampled += s.Sampled
 		c.Labels.Fallback += s.Fallback
 		c.Labels.Skipped += s.Skipped
 	}
@@ -274,14 +240,12 @@ func evalEntry(db *relation.Database, id int, sql string) (*QueryEntry, error) {
 // single-derivation tuples (where every fact ties at 1/n and any ranking is
 // perfect) only fill remaining capacity.
 //
-// With the exact engine, lineages over MaxLineage (or past the exact
-// engine's limits) go to the fallback sampler when one is configured and are
-// dropped otherwise — the historical behavior. A sampler as the primary
-// engine has no size limit: every candidate tuple is labeled.
-func labelEntry(entry *QueryEntry, cfg Config, perm []int, primary, fallback approx.Labeler) LabelStats {
+// shapley.Exact labels every tuple of at most maxLineage facts. The tuples
+// it refuses and those over maxLineage go to the amc sampler when
+// cfg.LabelFallback is set and are dropped otherwise.
+func labelEntry(entry *QueryEntry, cfg Config, perm []int) LabelStats {
 	var stats LabelStats
 	res := entry.Result
-	exactPrimary := primary.Name() == "exact"
 	for _, interesting := range []bool{true, false} {
 		for _, ti := range perm {
 			if len(entry.Cases) >= cfg.MaxCasesPerQuery {
@@ -291,35 +255,24 @@ func labelEntry(entry *QueryEntry, cfg Config, perm []int, primary, fallback app
 			if (len(t.Prov.Monomials) >= 2) != interesting {
 				continue
 			}
-			seed := approx.DeriveSeed(cfg.LabelSeed, uint64(entry.ID), uint64(ti))
-			eng := primary
-			viaFallback := false
-			if exactPrimary && len(t.Lineage()) > cfg.MaxLineage {
-				if fallback == nil {
-					stats.Skipped++
-					continue
-				}
-				eng, viaFallback = fallback, true
+			var gold shapley.Values
+			err := shapley.ErrBudget // exact is not tried past maxLineage
+			if len(t.Lineage()) <= maxLineage {
+				gold, _, err = shapley.Exact(t.Prov)
 			}
-			gold, err := eng.Label(t.Prov, seed)
-			if err != nil && exactPrimary && !viaFallback && fallback != nil {
-				eng, viaFallback = fallback, true
-				gold, err = eng.Label(t.Prov, seed)
-			}
-			if err != nil {
+			switch {
+			case err == nil:
+				stats.Exact++
+			case cfg.LabelFallback:
+				seed := approx.DeriveSeed(uint64(cfg.Seed), uint64(entry.ID), uint64(ti))
+				gold, _ = approx.MC{Samples: approx.DefaultSamples}.Label(t.Prov, seed) // never fails
+				stats.Fallback++
+			default:
 				stats.Skipped++
 				continue
 			}
 			entry.Cases = append(entry.Cases, Case{Tuple: t, Gold: gold})
 			stats.Labeled++
-			switch {
-			case viaFallback:
-				stats.Fallback++
-			case exactPrimary:
-				stats.Exact++
-			default:
-				stats.Sampled++
-			}
 		}
 	}
 	return stats

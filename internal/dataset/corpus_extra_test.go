@@ -104,8 +104,8 @@ func TestWorkloadIncludesUnions(t *testing.T) {
 }
 
 func TestScaleControlsDatabaseSize(t *testing.T) {
-	small := GenIMDB(5, Scale{Base: 0.5})
-	big := GenIMDB(5, Scale{Base: 2})
+	small := GenIMDB(5, 0.5)
+	big := GenIMDB(5, 2)
 	if small.NumFacts() >= big.NumFacts() {
 		t.Errorf("scale ignored: %d vs %d facts", small.NumFacts(), big.NumFacts())
 	}

@@ -53,7 +53,7 @@ func buildSmall(t *testing.T, kind Kind) *Corpus {
 }
 
 func TestGenIMDBShape(t *testing.T) {
-	db := GenIMDB(7, Scale{Base: 1})
+	db := GenIMDB(7, 1)
 	for _, rel := range []string{"companies", "movies", "actors", "roles"} {
 		r, ok := db.Relation(rel)
 		if !ok {
@@ -78,7 +78,7 @@ func TestGenIMDBShape(t *testing.T) {
 }
 
 func TestGenAcademicShape(t *testing.T) {
-	db := GenAcademic(7, Scale{Base: 1})
+	db := GenAcademic(7, 1)
 	for _, rel := range []string{"organization", "author", "conference", "domain", "domain_conference", "publication", "writes"} {
 		if _, ok := db.Relation(rel); !ok {
 			t.Fatalf("missing relation %q", rel)
@@ -99,8 +99,8 @@ func TestGenAcademicShape(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := GenIMDB(42, Scale{Base: 1})
-	b := GenIMDB(42, Scale{Base: 1})
+	a := GenIMDB(42, 1)
+	b := GenIMDB(42, 1)
 	if a.NumFacts() != b.NumFacts() {
 		t.Fatalf("fact counts differ: %d vs %d", a.NumFacts(), b.NumFacts())
 	}

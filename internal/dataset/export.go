@@ -33,15 +33,11 @@ type exportConfig struct {
 	Seed             int64   `json:"seed"`
 	ScaleBase        float64 `json:"scale_base"`
 	NumQueries       int     `json:"num_queries"`
-	MaxResults       int     `json:"max_results"`
 	MaxCasesPerQuery int     `json:"max_cases_per_query"`
-	MaxLineage       int     `json:"max_lineage"`
-	RankTuples       int     `json:"rank_tuples"`
-	// Labeling engine fields; absent in files from before approximate
-	// labeling existed, where the zero values mean exact-only.
-	Labeler       string `json:"labeler,omitempty"`
-	LabelSamples  int    `json:"label_samples,omitempty"`
-	LabelSeed     uint64 `json:"label_seed,omitempty"`
+	// LabelFallback is "amc" when the fallback sampler labeled the tuples
+	// exact labeling refuses, and absent when they were dropped. Older files
+	// also carry max_results, max_lineage, rank_tuples, labeler,
+	// label_samples and label_seed; Import ignores them.
 	LabelFallback string `json:"label_fallback,omitempty"`
 }
 
@@ -79,18 +75,14 @@ func (c *Corpus) Export(w io.Writer) error {
 		Config: exportConfig{
 			Kind:             int(c.Config.Kind),
 			Seed:             c.Config.Seed,
-			ScaleBase:        c.Config.Scale.Base,
+			ScaleBase:        c.Config.Scale,
 			NumQueries:       c.Config.NumQueries,
-			MaxResults:       c.Config.MaxResults,
 			MaxCasesPerQuery: c.Config.MaxCasesPerQuery,
-			MaxLineage:       c.Config.MaxLineage,
-			RankTuples:       c.Config.RankTuples,
-			Labeler:          c.Config.Labeler,
-			LabelSamples:     c.Config.LabelSamples,
-			LabelSeed:        c.Config.LabelSeed,
-			LabelFallback:    c.Config.LabelFallback,
 		},
 		Splits: map[string][]int{"train": c.Train, "dev": c.Dev, "test": c.Test},
+	}
+	if c.Config.LabelFallback {
+		f.Config.LabelFallback = "amc"
 	}
 	for _, name := range c.DB.RelationNames() {
 		rel, _ := c.DB.Relation(name)
@@ -178,16 +170,10 @@ func Import(r io.Reader) (*Corpus, error) {
 		Config: Config{
 			Kind:             Kind(f.Config.Kind),
 			Seed:             f.Config.Seed,
-			Scale:            Scale{Base: f.Config.ScaleBase},
+			Scale:            f.Config.ScaleBase,
 			NumQueries:       f.Config.NumQueries,
-			MaxResults:       f.Config.MaxResults,
 			MaxCasesPerQuery: f.Config.MaxCasesPerQuery,
-			MaxLineage:       f.Config.MaxLineage,
-			RankTuples:       f.Config.RankTuples,
-			Labeler:          f.Config.Labeler,
-			LabelSamples:     f.Config.LabelSamples,
-			LabelSeed:        f.Config.LabelSeed,
-			LabelFallback:    f.Config.LabelFallback,
+			LabelFallback:    f.Config.LabelFallback != "",
 		},
 		DB:    db,
 		Train: f.Splits["train"],

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,55 @@ func TestExportImportRoundTrip(t *testing.T) {
 	all := append(append(append([]int(nil), orig.Train...), orig.Dev...), orig.Test...)
 	if got.Stats(all) != orig.Stats(all) {
 		t.Fatalf("stats differ: %+v vs %+v", got.Stats(all), orig.Stats(all))
+	}
+}
+
+// TestImportReadsOldConfigKeys imports an export whose config block has the
+// keys files carried before the labeling-engine knobs were removed, with the
+// fallback written as "amc": the file must import with the same labels and
+// the fallback on.
+func TestImportReadsOldConfigKeys(t *testing.T) {
+	orig := buildSmall(t, IMDB)
+	var buf bytes.Buffer
+	if err := orig.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	file["config"] = map[string]any{
+		"kind": 0, "seed": 1, "scale_base": 1, "num_queries": 12, "max_results": 300,
+		"max_cases_per_query": 6, "max_lineage": 100, "rank_tuples": 8,
+		"labeler": "exact", "label_samples": 64, "label_seed": 1, "label_fallback": "amc",
+	}
+	old, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Import(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := orig.Config
+	want.LabelFallback = true
+	if got.Config != want {
+		t.Fatalf("config %+v, want %+v", got.Config, want)
+	}
+	var again bytes.Buffer
+	if err := got.Export(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(again.String(), `"label_fallback": "amc"`) {
+		t.Error("re-export lost the fallback")
+	}
+	for i, q := range orig.Queries {
+		for ci, cs := range q.Cases {
+			gc := got.Queries[i].Cases[ci]
+			if gc.Tuple.Key() != cs.Tuple.Key() || !reflect.DeepEqual(gc.Gold, cs.Gold) {
+				t.Fatalf("query %d case %d differs after import", i, ci)
+			}
+		}
 	}
 }
 

@@ -14,18 +14,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Scale sizes a synthetic database.
-type Scale struct {
-	// Base multiplies every relation's cardinality; 1.0 is the bench scale.
-	Base float64
-}
-
-func (s Scale) n(base int) int {
-	v := int(float64(base) * s.Base)
-	if v < 2 {
-		v = 2
-	}
-	return v
+// scaled returns a relation's cardinality at a database scale: base facts
+// at scale 1, never fewer than 2.
+func scaled(scale float64, base int) int {
+	return max(int(float64(base)*scale), 2)
 }
 
 var firstNames = []string{
@@ -63,7 +55,7 @@ func zipfIndex(rng *rand.Rand, n int) int {
 //	movies(title, year, company)
 //	actors(name, age)
 //	roles(movie, actor)
-func GenIMDB(seed int64, scale Scale) *relation.Database {
+func GenIMDB(seed int64, scale float64) *relation.Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := relation.NewDatabase()
 	mustAdd(db, relation.MustSchema("companies",
@@ -80,10 +72,10 @@ func GenIMDB(seed int64, scale Scale) *relation.Database {
 		relation.Column{Name: "movie", Type: relation.KindString},
 		relation.Column{Name: "actor", Type: relation.KindString}))
 
-	nCompanies := Scale.n(scale, 24)
-	nMovies := Scale.n(scale, 130)
-	nActors := Scale.n(scale, 90)
-	nRoles := Scale.n(scale, 420)
+	nCompanies := scaled(scale, 24)
+	nMovies := scaled(scale, 130)
+	nActors := scaled(scale, 90)
+	nRoles := scaled(scale, 420)
 
 	companies := make([]string, nCompanies)
 	for i := range companies {

@@ -3,78 +3,51 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/shapley"
+	"repro/internal/shapley/approx"
 )
 
-// TestSamplerLabelerBuild builds a corpus with the amc sampler as the
-// primary labeler: every candidate tuple is labeled (no size skips), the
-// estimates satisfy efficiency, and the stats attribute every case to the
-// sampler.
-func TestSamplerLabelerBuild(t *testing.T) {
-	cfg := smallConfig(IMDB)
-	cfg.Labeler = "amc"
-	cfg.LabelSamples = 64
-	cfg.LabelSeed = 9
-	c, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Labels.Labeled == 0 {
-		t.Fatal("sampler build labeled nothing")
-	}
-	if c.Labels.Sampled != c.Labels.Labeled || c.Labels.Exact != 0 || c.Labels.Fallback != 0 {
-		t.Fatalf("stats misattributed: %+v", c.Labels)
-	}
-	if c.Labels.Skipped != 0 {
-		t.Fatalf("sampler primary skipped %d tuples; samplers have no size limit", c.Labels.Skipped)
-	}
-	for _, q := range c.Queries {
-		for _, cs := range q.Cases {
-			if s := cs.Gold.Sum(); math.Abs(s-1) > 1e-9 {
-				t.Fatalf("query %d: sampled Shapley sum = %v", q.ID, s)
-			}
-			if len(cs.Gold) != len(cs.Tuple.Lineage()) {
-				t.Fatalf("query %d: %d values over %d lineage facts", q.ID, len(cs.Gold), len(cs.Tuple.Lineage()))
-			}
-		}
-	}
+// fallbackConfig is the default Academic corpus with the fallback sampler on:
+// 11 of its candidate tuples are over maxLineage.
+func fallbackConfig() Config {
+	cfg := DefaultConfig(Academic)
+	cfg.LabelFallback = true
+	return cfg
 }
 
-// TestExactFallbackRescuesLargeLineages pins the automatic-fallback contract:
-// with a tight MaxLineage the exact-only build drops tuples, and configuring
-// a fallback sampler turns every one of those drops into a labeled case.
+// TestExactFallbackRescuesLargeLineages pins the fallback contract on the
+// default Academic corpus: without the fallback, exact labeling drops the
+// over-maxLineage tuples it meets, and with it every one of those drops
+// becomes a labeled case.
 func TestExactFallbackRescuesLargeLineages(t *testing.T) {
-	base := smallConfig(IMDB)
-	base.MaxLineage = 6 // tight enough that real join lineages exceed it
-
+	base := fallbackConfig()
+	base.LabelFallback = false
 	noFB, err := Build(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noFB.Labels.Skipped == 0 {
-		t.Fatal("test premise broken: nothing skipped at MaxLineage=6")
+		t.Fatal("test premise broken: nothing skipped without the fallback")
 	}
 	if noFB.Labels.Fallback != 0 {
 		t.Fatalf("no fallback configured, yet stats report %d", noFB.Labels.Fallback)
 	}
 
-	withFB := base
-	withFB.LabelFallback = "amc"
-	withFB.LabelSamples = 64
-	c, err := Build(withFB)
+	c, err := Build(fallbackConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Labels.Skipped != 0 {
 		t.Fatalf("fallback configured but %d tuples still skipped", c.Labels.Skipped)
 	}
-	if c.Labels.Fallback == 0 {
-		t.Fatal("fallback configured but never used")
+	if c.Labels.Fallback != 11 {
+		t.Fatalf("fallback labeled %d tuples, want 11", c.Labels.Fallback)
 	}
 	if c.Labels.Labeled < noFB.Labels.Labeled {
 		t.Fatalf("fallback shrank the corpus: %d < %d", c.Labels.Labeled, noFB.Labels.Labeled)
@@ -85,29 +58,29 @@ func TestExactFallbackRescuesLargeLineages(t *testing.T) {
 	overLimit := 0
 	for _, q := range c.Queries {
 		for _, cs := range q.Cases {
-			if len(cs.Tuple.Lineage()) > withFB.MaxLineage {
+			if len(cs.Tuple.Lineage()) > maxLineage {
 				overLimit++
 			}
 		}
 	}
-	if overLimit == 0 {
-		t.Fatal("no over-MaxLineage tuple made it into the corpus via fallback")
+	if overLimit != c.Labels.Fallback {
+		t.Fatalf("%d over-maxLineage cases, %d fallback labels", overLimit, c.Labels.Fallback)
 	}
 }
 
 // TestCorpusBytesIdenticalAcrossWorkers is the seed-determinism gate for the
-// amc sampler (ci-enforced; do not rename): the same -label-seed must
-// produce byte-identical corpus exports at every worker count.
+// fallback sampler (ci-enforced; do not rename): the default Academic corpus,
+// whose 11 over-maxLineage tuples amc labels, must export byte-identically at
+// every worker count, and every fallback label must be amc's at the seed
+// derived from (Seed, query ID, tuple index), bit for bit.
 func TestCorpusBytesIdenticalAcrossWorkers(t *testing.T) {
-	cfg := smallConfig(IMDB)
-	cfg.Labeler = "amc"
-	cfg.LabelSamples = 64
-	cfg.LabelSeed = 5
+	cfg := fallbackConfig()
 	var exports [][]byte
+	var c *Corpus
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
-		c, err := Build(cfg)
-		if err != nil {
+		var err error
+		if c, err = Build(cfg); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -119,57 +92,57 @@ func TestCorpusBytesIdenticalAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(exports[0], exports[1]) {
 		t.Fatal("corpus export differs between workers=1 and workers=4")
 	}
-	// The seed must actually steer the labels.
-	cfg.Workers = 1
-	cfg.LabelSeed = 6
-	c, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sampled := 0
+	for _, q := range c.Queries {
+		for _, cs := range q.Cases {
+			if len(cs.Tuple.Lineage()) <= maxLineage {
+				continue
+			}
+			sampled++
+			ti := slices.Index(q.Result.Tuples, cs.Tuple)
+			seed := approx.DeriveSeed(uint64(cfg.Seed), uint64(q.ID), uint64(ti))
+			want, err := approx.MC{Samples: approx.DefaultSamples}.Label(cs.Tuple.Prov, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(cs.Gold) {
+				t.Fatalf("query %d tuple %d: %d labels, amc gives %d", q.ID, ti, len(cs.Gold), len(want))
+			}
+			for id, v := range want {
+				if math.Float64bits(cs.Gold[id]) != math.Float64bits(v) {
+					t.Fatalf("query %d tuple %d fact %d: label %v, amc at the derived seed %v", q.ID, ti, id, cs.Gold[id], v)
+				}
+			}
+		}
 	}
-	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(exports[0], buf.Bytes()) {
-		t.Fatal("changing the label seed left the corpus unchanged")
+	if sampled != 11 || c.Labels.Fallback != 11 {
+		t.Fatalf("%d over-maxLineage cases and %d fallback labels, want 11 of each", sampled, c.Labels.Fallback)
 	}
 }
 
+// TestLabelConfigRoundTrip pins that every Config field but Workers survives
+// export and import, with the fallback on and off.
 func TestLabelConfigRoundTrip(t *testing.T) {
-	cfg := smallConfig(Academic)
-	cfg.Labeler = "amc"
-	cfg.LabelSamples = 128
-	cfg.LabelSeed = 77
-	cfg.LabelFallback = ""
-	c, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Import(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.Config
-	if got.Labeler != cfg.Labeler || got.LabelSamples != cfg.LabelSamples ||
-		got.LabelSeed != cfg.LabelSeed || got.LabelFallback != cfg.LabelFallback {
-		t.Fatalf("label config mangled in round trip: %+v vs %+v", got, cfg)
-	}
-}
-
-func TestBuildRejectsBadLabelerConfig(t *testing.T) {
-	cfg := smallConfig(IMDB)
-	cfg.Labeler = "bogus"
-	if _, err := Build(cfg); err == nil {
-		t.Fatal("unknown labeler accepted")
-	}
-	cfg = smallConfig(IMDB)
-	cfg.LabelFallback = "exact"
-	if _, err := Build(cfg); err == nil {
-		t.Fatal("exact accepted as its own fallback")
+	for _, fallback := range []bool{true, false} {
+		cfg := smallConfig(Academic)
+		cfg.Seed = 3
+		cfg.Scale = 0.75
+		cfg.LabelFallback = fallback
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Import(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Config != cfg {
+			t.Fatalf("config mangled in round trip: %+v vs %+v", back.Config, cfg)
+		}
 	}
 }
 
@@ -177,7 +150,7 @@ func TestBuildRejectsBadLabelerConfig(t *testing.T) {
 var raceEnabled = false
 
 // TestExactLabelsLargeAcademicLineages runs the exact engine on every output
-// tuple of the default Academic corpus over MaxLineage: 12 tuples of 101–175
+// tuple of the default Academic corpus over maxLineage: 12 tuples of 101–175
 // facts, all from 7-table chain joins, which labeling skips for size. The
 // decision diagram that preceded the decomposition tree ran out of memory on
 // 4 of them under a 3 GB limit and took 34 s on another. Each must now finish
@@ -194,13 +167,13 @@ func TestExactLabelsLargeAcademicLineages(t *testing.T) {
 	var large []*engine.OutputTuple
 	for _, q := range c.Queries {
 		for _, tp := range q.Result.Tuples {
-			if len(tp.Lineage()) > cfg.MaxLineage {
+			if len(tp.Lineage()) > maxLineage {
 				large = append(large, tp)
 			}
 		}
 	}
 	if len(large) != 12 {
-		t.Fatalf("the default Academic corpus has %d tuples over %d facts, want 12", len(large), cfg.MaxLineage)
+		t.Fatalf("the default Academic corpus has %d tuples over %d facts, want 12", len(large), maxLineage)
 	}
 	// Largest first, so the two slowest do not end up on one worker.
 	sort.Slice(large, func(i, j int) bool { return len(large[i].Lineage()) > len(large[j].Lineage()) })

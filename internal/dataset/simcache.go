@@ -85,12 +85,11 @@ func (s *SimilarityCache) Witness(i, j int) float64 {
 }
 
 // Rank returns sim_r between queries i and j of the corpus, computed over
-// the configured per-query tuple cap.
+// the first rankTuples cases of each.
 func (s *SimilarityCache) Rank(i, j int) float64 {
 	k := key(i, j)
 	return s.memo("rank", k, func() float64 {
-		cap := s.c.Config.RankTuples
-		return similarity.RankBased(s.c.Queries[k[0]].Rankings(cap), s.c.Queries[k[1]].Rankings(cap))
+		return similarity.RankBased(s.c.Queries[k[0]].Rankings(), s.c.Queries[k[1]].Rankings())
 	})
 }
 

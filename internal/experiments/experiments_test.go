@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 )
 
 // testConfig is deliberately tiny: the experiment suite's correctness is
@@ -24,7 +23,7 @@ func testConfig() Config {
 	return Config{
 		Seed:                3,
 		QueriesPerDB:        16,
-		Scale:               dataset.Scale{Base: 0.8},
+		Scale:               0.8,
 		MaxCasesPerQuery:    5,
 		MaxEvalCases:        20,
 		Base:                base,

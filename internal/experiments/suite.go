@@ -20,7 +20,7 @@ import (
 type Config struct {
 	Seed             int64
 	QueriesPerDB     int
-	Scale            dataset.Scale
+	Scale            float64 // database size multiplier (dataset.Config.Scale)
 	MaxCasesPerQuery int
 	MaxEvalCases     int // cap on evaluated (q,t) pairs per split
 
@@ -46,7 +46,7 @@ func BenchConfig() Config {
 	return Config{
 		Seed:                1,
 		QueriesPerDB:        36,
-		Scale:               dataset.Scale{Base: 1},
+		Scale:               1,
 		MaxCasesPerQuery:    10,
 		MaxEvalCases:        80,
 		Base:                base,
@@ -60,7 +60,7 @@ func BenchConfig() Config {
 func FullConfig() Config {
 	c := BenchConfig()
 	c.QueriesPerDB = 60
-	c.Scale = dataset.Scale{Base: 1.5}
+	c.Scale = 1.5
 	c.MaxCasesPerQuery = 12
 	c.MaxEvalCases = 150
 	c.Base.PretrainEpochs = 3

@@ -218,13 +218,13 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // request (debug level, so -v 2) and — when the request breached the -slow-ms
 // threshold — the always-on slow-request line plus the serve.req.slow counter.
 // Ranking requests also name the engine that answered. The line is built only
-// when someone will read it.
+// when the request is slow or the installed logger prints debug lines.
 func (s *Server) logRequest(name string, tc *obs.TraceContext, sw *statusWriter, totalMS float64) {
 	slow := s.cfg.SlowMS > 0 && totalMS >= s.cfg.SlowMS
 	if slow {
 		s.mSlow.Add(1)
 	}
-	if !slow && obs.Live() == nil {
+	if r := obs.Live(); !slow && (r == nil || r.Log.Level() < obs.LevelDebug) {
 		return
 	}
 	fields := map[string]any{

@@ -548,6 +548,29 @@ func TestServeSlowRequestCounted(t *testing.T) {
 	}
 }
 
+// TestLogRequestQuietAllocs pins the access log's cost when nothing prints
+// it: with a run installed at quiet or info level, a request under the
+// -slow-ms threshold, or with no threshold, must not build the JSON line.
+func TestLogRequestQuietAllocs(t *testing.T) {
+	tc := obs.NewTraceContext("")
+	tc.AddStage("evaluate", tc.Begin(), time.Millisecond)
+	sw := &statusWriter{status: http.StatusOK, engine: engineExact}
+	for _, level := range []obs.Level{obs.LevelQuiet, obs.LevelInfo} {
+		var logs bytes.Buffer
+		obs.Install(obs.NewRun("alloc-test", obs.NewRegistry(), nil, obs.NewLogger(&logs, level)))
+		for _, slowMS := range []float64{0, 1000} {
+			s := &Server{cfg: Config{SlowMS: slowMS}}
+			if allocs := testing.AllocsPerRun(100, func() { s.logRequest("rank", tc, sw, 1.5) }); allocs != 0 {
+				t.Errorf("level %d, slow-ms %v: %v allocs per request, want 0", level, slowMS, allocs)
+			}
+		}
+		obs.Uninstall()
+		if logs.Len() != 0 {
+			t.Errorf("level %d: wrote %q", level, logs.String())
+		}
+	}
+}
+
 // TestSelfTest runs the ci e2e gate in-process: concurrent TCP traffic,
 // bitwise parity, endpoint and metrics checks. At the default budget the
 // exact engine answers every fixture request, at 0 the model does.

@@ -1,13 +1,15 @@
-// Package approx provides the approximate Shapley labeling engine behind a
-// common Labeler interface that the exact knowledge-compilation algorithm
-// also implements.
+// Package approx provides amc, the sampling Shapley engine that corpus
+// labeling falls back to for the lineages the exact engine (shapley.Exact)
+// refuses.
 //
 // Exact labeling took the paper days on DBShap. Here the exact engine's
-// decomposition tree labels both default corpora in well under a second, but
-// its cost follows a lineage's structure rather than its size, and it
-// refuses lineages past its node budget or of more than 512 facts
-// (shapley.ErrBudget). The sampler covers those: it trades exactness for a
-// cost linear in the lineage, whatever its structure:
+// decomposition tree labels every default-corpus lineage of up to 100 facts
+// in well under a second, but its cost follows a lineage's structure rather
+// than its size: labeling the 11 default Academic tuples past 100 facts
+// exactly would stretch that corpus's build from 56–65 ms to 2.2–2.4 s on a
+// 2-core host, and it refuses lineages past its node budget or of more than
+// 512 facts (shapley.ErrBudget). The sampler covers those: it trades
+// exactness for a cost linear in the lineage, whatever its structure:
 //
 //   - AMC: antithetic-variate Monte Carlo permutation sampling. For a
 //     monotone provenance, a uniformly random permutation of the lineage
@@ -33,7 +35,6 @@
 package approx
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -42,65 +43,11 @@ import (
 	"repro/internal/shapley"
 )
 
-// Labeler computes (exact or approximate) Shapley values for every fact in
-// the lineage of a provenance DNF. Implementations must be stateless after
-// construction: Label must be safe for concurrent use and must derive all
-// randomness from the seed argument, so that a fixed (formula, seed) pair
-// yields bit-identical values on every call.
-type Labeler interface {
-	// Name returns the engine's registry name ("exact" or "amc").
-	Name() string
-	// Label returns a Values map covering exactly the facts of d.Lineage().
-	Label(d *provenance.DNF, seed uint64) (shapley.Values, error)
-}
-
-// Names lists the engines Parse accepts, exact first.
-func Names() []string { return []string{"exact", "amc"} }
-
-// DefaultSamples is the per-lineage permutation budget used when Parse gets
-// no positive budget — the corpus-labeling speed default. Rank fidelity
-// rises with the budget; the parity gate measures it at GateSamples, where
-// amc holds Spearman >= 0.95 against the exact oracle on the golden
-// lineages.
+// DefaultSamples is the per-lineage permutation budget corpus labeling gives
+// the fallback sampler. Rank fidelity rises with the budget; the parity gate
+// measures it at GateSamples, where amc holds Spearman >= 0.95 against the
+// exact oracle on the golden lineages.
 const DefaultSamples = 512
-
-// Parse builds the named engine. samples is the permutation budget per
-// lineage for amc; <= 0 selects DefaultSamples. Unknown names list the valid
-// ones.
-func Parse(name string, samples int) (Labeler, error) {
-	if samples <= 0 {
-		samples = DefaultSamples
-	}
-	switch name {
-	case "", "exact":
-		return Exact{}, nil
-	case "amc":
-		return MC{Samples: samples}, nil
-	default:
-		return nil, fmt.Errorf("approx: unknown labeler %q (valid: exact, amc)", name)
-	}
-}
-
-// Exact adapts the knowledge-compilation algorithm (shapley.Exact) to the
-// Labeler interface. The seed is ignored; the result is exact.
-type Exact struct{}
-
-// Name implements Labeler.
-func (Exact) Name() string { return "exact" }
-
-// Label implements Labeler with the decomposition tree. It inherits the exact
-// engine's limits and returns its error past them, which wraps
-// shapley.ErrBudget — the signal corpus building uses to fall back to a
-// sampler.
-func (Exact) Label(d *provenance.DNF, _ uint64) (shapley.Values, error) {
-	done := observe("exact", 0)
-	vals, _, err := shapley.Exact(d)
-	if err != nil {
-		return nil, err
-	}
-	done(len(vals), 0)
-	return vals, nil
-}
 
 // DeriveSeed mixes a base seed with per-lineage coordinates (for corpus
 // building: query ID and tuple index) into an independent engine seed via
@@ -123,10 +70,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // observe starts a metrics observation for one Label call and returns the
-// closer that records it. Both engines fund the same shapley.approx.*
-// families plus a per-engine call counter, mirroring the shapley.exact.*
-// convention. With no live registry the closer is a no-op.
-func observe(name string, samples int) func(lineage int, estVar float64) {
+// closer that records it in the shapley.approx.* families, mirroring the
+// shapley.exact.* convention. With no live registry the closer is a no-op.
+func observe(samples int) func(lineage int, estVar float64) {
 	reg := obs.Metrics()
 	if reg == nil {
 		return func(int, float64) {}
@@ -134,7 +80,6 @@ func observe(name string, samples int) func(lineage int, estVar float64) {
 	t0 := time.Now()
 	return func(lineage int, estVar float64) {
 		reg.Counter("shapley.approx.calls").Add(1)
-		reg.Counter("shapley.approx." + name + ".calls").Add(1)
 		if samples > 0 {
 			reg.Histogram("shapley.approx.samples", obs.ExpBuckets(1, 2, 14)).Observe(float64(samples))
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/provenance"
@@ -28,44 +27,21 @@ func randomDNF(rng *rand.Rand, vars, monomials int) *provenance.DNF {
 	return provenance.FromMonomials(ms...)
 }
 
-func TestParseEngines(t *testing.T) {
-	for _, name := range Names() {
-		l, err := Parse(name, 0)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", name, err)
-		}
-		if l.Name() != name {
-			t.Fatalf("Parse(%q).Name() = %q", name, l.Name())
-		}
-	}
-	if l, err := Parse("", 0); err != nil || l.Name() != "exact" {
-		t.Fatalf("Parse(\"\") = %v, %v; want exact adapter", l, err)
-	}
-	if _, err := Parse("bogus", 0); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("Parse(bogus) err = %v; want error naming the input", err)
-	}
-	// Default budget applies when no positive budget is given.
-	if l, _ := Parse("amc", 0); l.(MC).Samples != DefaultSamples {
-		t.Fatalf("default samples = %d, want %d", l.(MC).Samples, DefaultSamples)
-	}
-	if l, _ := Parse("amc", 64); l.(MC).Samples != 64 {
-		t.Fatalf("amc budget not honored: %+v", l)
-	}
+// engine is one Shapley engine under test.
+type engine struct {
+	name  string
+	label func(d *provenance.DNF, seed uint64) (shapley.Values, error)
 }
 
-func TestExactAdapterMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := randomDNF(rng, 10, 8)
-	want, _, err := shapley.Exact(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Exact{}.Label(d, 999) // seed must be ignored
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("adapter diverges from shapley.Exact:\n got %v\nwant %v", got, want)
+// engines returns the two engines corpus labeling uses: exact, which ignores
+// the seed, and amc at the given permutation budget.
+func engines(samples int) []engine {
+	return []engine{
+		{"exact", func(d *provenance.DNF, _ uint64) (shapley.Values, error) {
+			vals, _, err := shapley.Exact(d)
+			return vals, err
+		}},
+		{"amc", MC{Samples: samples}.Label},
 	}
 }
 
@@ -75,10 +51,7 @@ func TestExactAdapterMatchesExact(t *testing.T) {
 // every budget.
 func TestSamplersConvergeToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	l, err := Parse("amc", 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := MC{Samples: 40000}
 	for trial := 0; trial < 5; trial++ {
 		d := randomDNF(rng, 8+trial, 6+trial)
 		gold, _, err := shapley.Exact(d)
@@ -109,25 +82,21 @@ func TestSamplersConvergeToExact(t *testing.T) {
 func TestSameSeedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randomDNF(rng, 12, 10)
-	for _, name := range Names() {
-		l, err := Parse(name, 256)
+	for _, e := range engines(256) {
+		a, err := e.label(d, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := l.Label(d, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := l.Label(d.Clone(), 42)
+		b, err := e.label(d.Clone(), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: same seed diverged:\n %v\n %v", name, a, b)
+			t.Fatalf("%s: same seed diverged:\n %v\n %v", e.name, a, b)
 		}
 	}
 	// Different seeds must actually change sampled estimates.
-	amc, _ := Parse("amc", 64)
+	amc := MC{Samples: 64}
 	a, _ := amc.Label(d, 1)
 	b, _ := amc.Label(d, 2)
 	if reflect.DeepEqual(a, b) {
@@ -181,31 +150,27 @@ func TestDegenerateLineages(t *testing.T) {
 	empty := provenance.FromMonomials()                           // constant false
 	taut := provenance.FromMonomials(provenance.NewMonomial())    // constant true
 	single := provenance.FromMonomials(provenance.NewMonomial(5)) // one critical fact
-	for _, name := range Names() {
-		l, err := Parse(name, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name != "exact" { // exact rejects constant-false; samplers return empty
-			if got, err := l.Label(empty, 1); err != nil || len(got) != 0 {
-				t.Fatalf("%s on empty DNF: %v, %v", name, got, err)
+	for _, e := range engines(16) {
+		if e.name != "exact" { // exact rejects constant-false; samplers return empty
+			if got, err := e.label(empty, 1); err != nil || len(got) != 0 {
+				t.Fatalf("%s on empty DNF: %v, %v", e.name, got, err)
 			}
-			if got, err := l.Label(taut, 1); err != nil {
-				t.Fatalf("%s on tautology: %v", name, err)
+			if got, err := e.label(taut, 1); err != nil {
+				t.Fatalf("%s on tautology: %v", e.name, err)
 			} else {
 				for id, v := range got {
 					if v != 0 {
-						t.Fatalf("%s on tautology: fact %d = %v, want 0 (null players)", name, id, v)
+						t.Fatalf("%s on tautology: fact %d = %v, want 0 (null players)", e.name, id, v)
 					}
 				}
 			}
 		}
-		got, err := l.Label(single, 1)
+		got, err := e.label(single, 1)
 		if err != nil {
-			t.Fatalf("%s on single-fact DNF: %v", name, err)
+			t.Fatalf("%s on single-fact DNF: %v", e.name, err)
 		}
 		if got[5] != 1 {
-			t.Fatalf("%s on single-fact DNF: value %v, want exactly 1", name, got[5])
+			t.Fatalf("%s on single-fact DNF: value %v, want exactly 1", e.name, got[5])
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/relation"
 )
 
-// TestShapleyAxiomsEveryEngine checks the Shapley axioms on every engine
-// Parse builds, over random monotone DNFs plus hand-built cases with absorbed
+// TestShapleyAxiomsEveryEngine checks the Shapley axioms on both engines,
+// over random monotone DNFs plus hand-built cases with absorbed
 // monomials and symmetric facts:
 //
 //   - efficiency: the values sum to 1;
@@ -33,17 +33,14 @@ func TestShapleyAxiomsEveryEngine(t *testing.T) {
 	dnfs = append(dnfs, axiomRandomDNFs()...)
 	symTol := map[string]float64{"exact": 1e-12, "amc": 0.04}
 	nulls, pairs := 0, 0
-	for _, name := range Names() {
-		l, err := Parse(name, 40000)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range engines(40000) {
+		name := e.name
 		tol, ok := symTol[name]
 		if !ok {
 			t.Fatalf("no symmetry tolerance for engine %q", name)
 		}
 		for i, d := range dnfs {
-			vals, err := l.Label(d, DeriveSeed(11, uint64(i)))
+			vals, err := e.label(d, DeriveSeed(11, uint64(i)))
 			if err != nil {
 				t.Fatalf("%s case %d: %v", name, i, err)
 			}
@@ -90,8 +87,8 @@ func axiomRandomDNFs() []*provenance.DNF {
 	return dnfs
 }
 
-// TestShapleyMonotonicityEveryEngine checks monotonicity on every engine Parse
-// builds: adding the monomial {i} to a DNF never lowers fact i's value. The
+// TestShapleyMonotonicityEveryEngine checks monotonicity on both engines:
+// adding the monomial {i} to a DNF never lowers fact i's value. The
 // game is unchanged on coalitions without i and can only rise on coalitions
 // with i, so every marginal contribution of i can only grow. Exact may move by
 // rounding (1e-12). For amc the lineage, and so every permutation drawn at the
@@ -99,13 +96,9 @@ func axiomRandomDNFs() []*provenance.DNF {
 // count cannot drop at all.
 func TestShapleyMonotonicityEveryEngine(t *testing.T) {
 	slack := map[string]float64{"exact": 1e-12, "amc": 0}
-	for _, name := range Names() {
-		// The property holds at any amc budget; a small one keeps the
-		// test fast.
-		l, err := Parse(name, 4000)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// The property holds at any amc budget; a small one keeps the test fast.
+	for _, e := range engines(4000) {
+		name := e.name
 		tol, ok := slack[name]
 		if !ok {
 			t.Fatalf("no monotonicity slack for engine %q", name)
@@ -113,13 +106,13 @@ func TestShapleyMonotonicityEveryEngine(t *testing.T) {
 		checks := 0
 		for i, d := range axiomRandomDNFs() {
 			seed := DeriveSeed(11, uint64(i))
-			before, err := l.Label(d, seed)
+			before, err := e.label(d, seed)
 			if err != nil {
 				t.Fatalf("%s case %d: %v", name, i, err)
 			}
 			for _, id := range d.Lineage() {
 				grown := provenance.FromMonomials(append(append([]provenance.Monomial(nil), d.Monomials...), provenance.NewMonomial(id))...)
-				after, err := l.Label(grown, seed)
+				after, err := e.label(grown, seed)
 				if err != nil {
 					t.Fatalf("%s case %d + {%d}: %v", name, i, id, err)
 				}

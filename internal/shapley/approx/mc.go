@@ -20,13 +20,13 @@ type MC struct {
 	Antithetic bool
 }
 
-// Name implements Labeler.
-func (MC) Name() string { return "amc" }
-
-// Label implements Labeler.
+// Label estimates the Shapley value of every fact of d.Lineage() from
+// Samples permutations. All of its randomness comes from seed, so a fixed
+// (formula, seed) pair yields bit-identical values on every call, and it is
+// safe for concurrent use. The error is always nil.
 func (m MC) Label(d *provenance.DNF, seed uint64) (shapley.Values, error) {
 	li := indexLineage(d)
-	done := observe(m.Name(), m.Samples)
+	done := observe(m.Samples)
 	if len(li.facts) == 0 || d.IsTrue() {
 		done(len(li.facts), 0)
 		return li.zeroValues(), nil

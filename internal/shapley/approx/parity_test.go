@@ -16,10 +16,7 @@ import (
 // exactly as corpus labeling schedules it.
 func TestSamplerOracleParityGate(t *testing.T) {
 	lineages := BenchmarkLineages()
-	amc, err := Parse("amc", GateSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
+	amc := MC{Samples: GateSamples}
 	type verdict struct {
 		acc Accuracy
 		err error

@@ -25,116 +25,59 @@ go test ./...
 
 echo "== go test -race (concurrency packages) =="
 # internal/shapley/... is in the list because corpus labeling schedules the
-# (exact and sampling) engines over internal/parallel: the parity gate and the
-# dataset worker-determinism test both fan labeling out across goroutines.
+# exact engine and the fallback sampler over internal/parallel: the parity
+# gate and the dataset worker-determinism test both fan labeling out across
+# goroutines. The run covers every packed-pass parity test of nn and core
+# (readout rows, multi-prefix passes, prefix reuse, the attention and blocked
+# kernels, the golden and truncated rankers), the trace, ring and exposition
+# tests of obs and serve, and serve's replica pool, engine selector, TLS
+# round trip, admin auth gate and refused reload of a NaN checkpoint.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
-echo "== go test -race (packed passes) =="
-# The packed inference parity tests run explicitly under the race detector:
-# in nn, every readout-row parity test (TestBatchedForwardMatchesForward,
-# TestBatchedForwardMultiPrefixMatchesPerSequence,
-# TestBatchedSharedPrefixMatchesPerSequence, TestPrefixReuseMatchesForward)
-# and the fewer-queries-than-keys attention kernel test
-# (TestAttnScoresSoftmaxMatchesReference); in core, the golden and truncated
-# rankers (TestRankOnPrefixGolden, TestRankOnBatchedGolden,
-# TestRankOnBatchedTruncated and their siblings).
-go test -race ./internal/nn -run 'Batched|MultiPrefix|PrefixReuse|AttnScores'
-go test -race ./internal/core -run 'Batched|Golden'
-
-echo "== go test -race (request observability: traces, ring, exposition) =="
-# Every request records its trace on its own handler goroutine, with the
-# exact and model stages added from inside the scoring replica, while
-# concurrent handlers write the shared trace ring. Drive their unit tests,
-# the serve-side threading test and the slow-request counter explicitly
-# under the race detector.
-go test -race ./internal/obs -run 'TraceContext|TraceID|TraceRing|ChromeTrace|Prom|Lint'
-go test -race ./internal/serve -run 'TraceIDThreadsThroughBatch|ServeSlowRequestCounted|HealthzReadiness|MetricsPrometheus'
-
-echo "== go test -race (serve replica pool + engine selector + admin auth + TLS) =="
+echo "== go test -race (serve replica pool, repeated) =="
 # Every handler goroutine shares the replica pool: the admission slots and the
-# channel of idle replicas. The parity grid sends concurrent client batches at
-# 1, 2 and 3 pooled replicas with the exact budget at 0, so the model answers
-# them all; it runs under the race detector explicitly, as do the engine
-# selector (exact answers at the default budget, model answers at 0), the TLS
-# round trip, the admin auth gate and the refused reload of a checkpoint with
-# a NaN weight. The pool tests (the admission bound, a panic while scoring,
-# 429 before evaluation, and draining admitted requests on shutdown) run ten
-# times each, under a timeout that turns a hang into a failure well before
-# go test's own 10 minutes.
-go test -race ./internal/serve -run 'ServeParitySequential|ServeExactSelector|ServeAdminAuth|ServeTLS|ServeReloadRejectsNonFiniteWeights'
+# channel of idle replicas. The pool tests (the admission bound, a panic while
+# scoring, 429 before evaluation, and draining admitted requests on shutdown)
+# run ten times each, under a timeout that turns a hang into a failure well
+# before go test's own 10 minutes.
 go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
 
-echo "== go test -race (blocked kernels) =="
-go test -race ./internal/nn -run 'Blocked'
+# must_pass PKG TEST runs one test without the race detector and fails unless
+# it PASSed: a gate that skips itself must not pass silently.
+must_pass() {
+    local out
+    out=$(go test "$1" -run "^$2\$" -v)
+    echo "$out" | grep -v '^=== RUN' || true
+    if [[ $out != *"--- PASS: $2 "* ]]; then
+        echo "$2 did not pass (skipped?)" >&2
+        exit 1
+    fi
+}
 
-echo "== allocation regression gate =="
-# TestEncoderStepZeroAllocs pins the warmed encoder step to 0 allocs/op. It
-# self-skips under the race detector, so run it without -race here and fail
-# unless it actually PASSed (a skip must not silently satisfy the gate).
-alloc_out=$(go test ./internal/nn -run '^TestEncoderStepZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocs'; then
-    echo "TestEncoderStepZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The instrumented sibling pins the same 0 allocs/op with a LIVE metrics
-# registry installed AND a live request trace context attached to the scoring
-# context, so observability (metrics or tracing) can never silently
-# reintroduce per-step allocations.
-alloc_out=$(go test ./internal/nn -run '^TestEncoderStepZeroAllocsInstrumented$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocsInstrumented'; then
-    echo "TestEncoderStepZeroAllocsInstrumented did not pass (skipped?)" >&2
-    exit 1
-fi
-# The batched sibling pins a warmed single-lineage packed inference pass
-# (packed forward + per-sequence head readouts) to the same 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestBatchedSharedPrefixZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedSharedPrefixZeroAllocs'; then
-    echo "TestBatchedSharedPrefixZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The blocked kernel tier must also be allocation-free: every layer now routes
-# through it, so a regression here would silently break the warmed-step
-# contract above.
-alloc_out=$(go test ./internal/nn -run '^TestBlockedKernelsZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBlockedKernelsZeroAllocs'; then
-    echo "TestBlockedKernelsZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The multi-prefix pass (suffixes of different prefix caches packed into one
-# chunk, per-sequence prefix attention) backs the ranking hot path; a warmed
-# pass must also run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestMultiPrefixZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestMultiPrefixZeroAllocs'; then
-    echo "TestMultiPrefixZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
+echo "== allocation regression gates =="
+# The warmed encoder step runs at 0 allocs/op: plain, with a live metrics
+# registry and a live request trace context attached (so observability can
+# never silently reintroduce per-step allocations), as a packed single-lineage
+# inference pass, through the blocked kernel tier every layer routes through,
+# and as a multi-prefix pass (suffixes of different prefix caches packed into
+# one chunk), which backs the ranking hot path. The tests self-skip under the
+# race detector, so they run without it here.
+must_pass ./internal/nn TestEncoderStepZeroAllocs
+must_pass ./internal/nn TestEncoderStepZeroAllocsInstrumented
+must_pass ./internal/nn TestBatchedSharedPrefixZeroAllocs
+must_pass ./internal/nn TestBlockedKernelsZeroAllocs
+must_pass ./internal/nn TestMultiPrefixZeroAllocs
 
 echo "== sampler-vs-exact parity gate =="
 # The amc sampler must hold Spearman >= 0.95 against the exact oracle on the
-# golden lineages at the GateSamples budget. Like the allocation gates, a
-# skip must not silently satisfy the gate — fail unless the test actually
-# PASSed.
-parity_out=$(go test ./internal/shapley/approx -run '^TestSamplerOracleParityGate$' -v)
-echo "$parity_out" | grep -E 'spearman=|--- (PASS|FAIL|SKIP)' || true
-if ! echo "$parity_out" | grep -q -- '--- PASS: TestSamplerOracleParityGate'; then
-    echo "TestSamplerOracleParityGate did not pass (skipped?)" >&2
-    exit 1
-fi
+# golden lineages at the GateSamples budget.
+must_pass ./internal/shapley/approx TestSamplerOracleParityGate
 
 echo "== corpus seed-determinism gate =="
-# A fixed -label-seed must produce byte-identical corpus exports at every
-# -workers count under the amc sampler; non-skippable for the same reason.
-det_out=$(go test ./internal/dataset -run '^TestCorpusBytesIdenticalAcrossWorkers$' -v)
-echo "$det_out" | tail -n 3
-if ! echo "$det_out" | grep -q -- '--- PASS: TestCorpusBytesIdenticalAcrossWorkers'; then
-    echo "TestCorpusBytesIdenticalAcrossWorkers did not pass (skipped?)" >&2
-    exit 1
-fi
+# The default Academic corpus, whose 11 tuples over 100 facts the amc
+# fallback labels from seeds derived from the corpus seed, must export
+# byte-identically at every -workers count.
+must_pass ./internal/dataset TestCorpusBytesIdenticalAcrossWorkers
 
 echo "== corpus import fuzz smoke =="
 # Arbitrary bytes fed to dataset.Import must yield a corpus or an error,
@@ -186,10 +129,11 @@ REPRO_MANIFEST="$manifest_dir/run.json" \
 # Prometheus normalization without collisions.
 REPRO_MANIFEST="$manifest_dir/run.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
-# -labeler amc labels a corpus with the antithetic Monte Carlo sampler, so
-# live shapley.approx.* metrics must show up in dbshap-gen's manifest.
-go run ./cmd/dbshap-gen -db academic -queries 16 -cases 2 -labeler amc -label-samples 64 \
-    -similarities=false -workers 2 -metrics-out "$manifest_dir/gen.json" -quiet >/dev/null
+# dbshap-gen's fallback is on by default: the amc sampler labels the default
+# Academic corpus's 11 tuples over 100 facts, so live shapley.approx.* metrics
+# must show up in its manifest.
+go run ./cmd/dbshap-gen -db academic -similarities=false -workers 2 \
+    -metrics-out "$manifest_dir/gen.json" -quiet >/dev/null
 REPRO_MANIFEST="$manifest_dir/gen.json" \
     REPRO_MANIFEST_EXPECT_METRICS="shapley.approx." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
