@@ -1,6 +1,7 @@
-// Command serve is the production ranking daemon: it loads (or trains) a
-// LearnShapley model and serves "why is this tuple in the result?" requests
-// over HTTP (internal/serve).
+// Command serve is the production ranking daemon: it serves "why is this
+// tuple in the result?" requests over HTTP (internal/serve), ranking each
+// lineage from its provenance, and loads (or trains) a LearnShapley model for
+// /similar.
 //
 //	serve -db imdb -load model.gob -addr :8080        # serve a checkpoint
 //	serve -db imdb -queries 20 -cases 6               # train a demo model, then serve
@@ -16,10 +17,11 @@
 // Every request runs on its own handler goroutine: it takes one of
 // -queue-cap plus -workers admission slots, then scores on one of -workers
 // pooled model replicas (one per CPU by default), so a request waits only for
-// a free replica. On the replica, /rank and /explain answer with exact
-// Shapley values when the lineage compiles within a fixed budget of
-// decomposition-tree nodes, and through core.Model.RankOn past it; the
-// response's "engine" field says which. -tls-cert/-tls-key serve HTTPS;
+// a free replica. /rank and /explain answer with exact Shapley values when
+// the lineage compiles within a fixed budget of decomposition-tree nodes, and
+// with the CNF proxy's derivation counts past it (a refused lineage skips the
+// attempt from then on); the response's "engine" field says which. Only
+// /similar runs the model. -tls-cert/-tls-key serve HTTPS;
 // -admin-token puts /admin/* behind a bearer token, and the run manifest
 // (/debug/manifest, -metrics-out) shows it as <redacted>. The corpus and model
 // flags, and the load-or-train step behind them, are the ones cmd/learnshap
@@ -56,7 +58,7 @@ func main() {
 	slowMS := flag.Float64("slow-ms", 0, "log requests slower than this many ms with their trace decomposition (0 = off)")
 
 	// Modes.
-	selftest := flag.Int("selftest", 0, "fire this many concurrent self-requests, check each answer bit for bit against the engine that answered it (exact Shapley within the budget, sequential ranking past it), then exit")
+	selftest := flag.Int("selftest", 0, "fire this many concurrent /rank self-requests, check each answer bit for bit against the engine that answered it (exact Shapley within the budget, the CNF proxy past it), then exit")
 
 	o := obs.AddFlags(flag.CommandLine)
 	pipeline.Parse()
@@ -99,7 +101,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rn.Log.Infof("selftest ok: %d concurrent requests bit-identical to the engine that answered each\n", *selftest)
+		rn.Log.Infof("selftest ok: %d concurrent /rank requests bit-identical to the engine that answered each (exact or proxy)\n", *selftest)
 	default:
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,13 +1,15 @@
-// Server demonstrates the deployment story of Section 5.8: once trained,
-// LearnShapley answers real-time "why is this tuple in the result?" requests
-// from only the query and the tuple. The program trains a small model over a
-// synthetic IMDB corpus, starts the production serving stack (internal/serve:
-// each request scored on a pooled model replica, backpressure, graceful
-// drain — the same engine behind cmd/serve), issues a demonstration request
-// against itself, and exits (pass -serve to keep it running). The server
-// answers with exact Shapley values when the lineage's provenance compiles
-// within a fixed node budget, as every small IMDB lineage does, and with the
-// model's predictions past it; "engine" says which.
+// Server demonstrates the production serving stack (internal/serve, the
+// engine behind cmd/serve) answering real-time "why is this tuple in the
+// result?" requests from only the query and the tuple. The program trains a
+// small model over a synthetic IMDB corpus, starts the stack (each request
+// scored on a pooled replica, backpressure, graceful drain), issues a
+// demonstration request against itself, and exits (pass -serve to keep it
+// running). The server answers with exact Shapley values when the lineage's
+// provenance compiles within a fixed node budget, as every small IMDB lineage
+// does, and with the CNF proxy's derivation counts past it; "engine" says
+// which. The paper's Section 5.8 serves the learned ranker instead, because
+// exact computation is too slow there; here both engines are faster than the
+// model and rank better (DESIGN.md §8), and the model answers /similar.
 //
 //	POST /rank {"sql": "...", "tuple": ["Alice", ...]}
 //	  -> {"engine": "exact", "facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/shapley"
 	"repro/internal/tokenizer"
@@ -247,18 +245,6 @@ func (m *Model) Rank(in Input) shapley.Values {
 // pass per fact.
 func (m *Model) RankOn(db *relation.Database, in Input) shapley.Values {
 	return m.rankChunked(db, in, rankChunk)
-}
-
-// RankCtx is Rank with a request context: when ctx carries an
-// obs.TraceContext (a request threading through a serving pipeline), the
-// scoring pass records itself as a "core.rank" stage on that trace, so a
-// request's latency decomposition shows how much of it was model time. The
-// scores are exactly Rank's — trace recording is passive.
-func (m *Model) RankCtx(ctx context.Context, in Input) shapley.Values {
-	if tc := obs.TraceFrom(ctx); tc != nil {
-		defer tc.StageTimer("core.rank")()
-	}
-	return m.Rank(in)
 }
 
 // db returns the corpus database the model was trained over.

@@ -265,7 +265,7 @@ func labelEntry(entry *QueryEntry, cfg Config, perm []int) LabelStats {
 				stats.Exact++
 			case cfg.LabelFallback:
 				seed := approx.DeriveSeed(uint64(cfg.Seed), uint64(entry.ID), uint64(ti))
-				gold, _ = approx.MC{Samples: approx.DefaultSamples}.Label(t.Prov, seed) // never fails
+				gold, _ = approx.MC{Samples: approx.DefaultSamples}.Label(t.Prov, seed) // fails only below 1 sample
 				stats.Fallback++
 			default:
 				stats.Skipped++

@@ -336,14 +336,20 @@ func factSatisfies(f *relation.Fact, preds []resolvedPred) bool {
 	return true
 }
 
-// run executes the join greedily: start from the smallest filtered base
-// relation, repeatedly hash-join in the connected relation that minimizes the
-// base size, then apply residual filters.
-func (p *plan) run(maxRows int) ([]row, error) {
+// step is one relation of the greedy join order with the equi-join
+// predicates that connect it to the relations joined before it: none for the
+// first relation, and none for a cross product.
+type step struct {
+	rel  int
+	keys []resolvedPred
+}
+
+// joinOrder is the greedy join order: the smallest filtered base relation
+// first, then repeatedly the relation pickNext prefers, each with the
+// equi-joins that connect it to the relations before it.
+func (p *plan) joinOrder() []step {
 	n := len(p.base)
 	joined := make([]bool, n)
-	order := make([]int, 0, n)
-	// Current rows only populate positions already joined; others are nil.
 	start := 0
 	for i := 1; i < n; i++ {
 		if len(p.base[i]) < len(p.base[start]) {
@@ -351,19 +357,43 @@ func (p *plan) run(maxRows int) ([]row, error) {
 		}
 	}
 	joined[start] = true
-	order = append(order, start)
+	steps := []step{{rel: start}}
+	for len(steps) < n {
+		st := step{rel: p.pickNext(joined)}
+		for _, j := range p.joins {
+			if j.connects(st.rel, joined) {
+				st.keys = append(st.keys, j)
+			}
+		}
+		joined[st.rel] = true
+		steps = append(steps, st)
+	}
+	return steps
+}
+
+// connects reports whether the equi-join links relation i to a relation
+// marked in joined.
+func (j *resolvedPred) connects(i int, joined []bool) bool {
+	return (j.left.fromIdx == i && joined[j.right.fromIdx]) ||
+		(j.right.fromIdx == i && joined[j.left.fromIdx])
+}
+
+// run executes the joins in joinOrder, hash-joining each relation on its key
+// predicates, then applies the residual filters.
+func (p *plan) run(maxRows int) ([]row, error) {
+	n := len(p.base)
+	steps := p.joinOrder()
+	// Current rows only populate positions already joined; others are nil.
+	start := steps[0].rel
 	rows := make([]row, 0, len(p.base[start]))
 	for _, f := range p.base[start] {
 		r := make(row, n)
 		r[start] = f
 		rows = append(rows, r)
 	}
-	for len(order) < n {
-		next := p.pickNext(joined)
-		joined[next] = true
-		order = append(order, next)
+	for _, st := range steps[1:] {
 		var err error
-		rows, err = p.joinStep(rows, next, joined, maxRows)
+		rows, err = p.joinStep(rows, st, maxRows)
 		if err != nil {
 			return nil, err
 		}
@@ -388,8 +418,7 @@ func (p *plan) pickNext(joined []bool) int {
 		}
 		connected := false
 		for _, j := range p.joins {
-			if (j.left.fromIdx == i && joined[j.right.fromIdx]) ||
-				(j.right.fromIdx == i && joined[j.left.fromIdx]) {
+			if j.connects(i, joined) {
 				connected = true
 				break
 			}
@@ -403,19 +432,10 @@ func (p *plan) pickNext(joined []bool) int {
 	return best
 }
 
-func (p *plan) joinStep(rows []row, next int, joined []bool, maxRows int) ([]row, error) {
-	// Join predicates usable now: next on one side, an already-joined
-	// relation on the other.
-	var keyPreds []resolvedPred
-	for _, j := range p.joins {
-		if j.left.fromIdx == next && joined[j.right.fromIdx] && j.right.fromIdx != next {
-			keyPreds = append(keyPreds, j)
-		} else if j.right.fromIdx == next && joined[j.left.fromIdx] && j.left.fromIdx != next {
-			keyPreds = append(keyPreds, j)
-		}
-	}
+func (p *plan) joinStep(rows []row, st step, maxRows int) ([]row, error) {
+	next := st.rel
 	newRows := make([]row, 0, len(rows))
-	if len(keyPreds) == 0 {
+	if len(st.keys) == 0 {
 		// Cross product.
 		for _, r := range rows {
 			for _, f := range p.base[next] {
@@ -431,9 +451,9 @@ func (p *plan) joinStep(rows []row, next int, joined []bool, maxRows int) ([]row
 		return newRows, nil
 	}
 	// Build hash index on the new relation's join columns.
-	nextCols := make([]int, len(keyPreds))
-	rowSide := make([]colRef, len(keyPreds))
-	for i, kp := range keyPreds {
+	nextCols := make([]int, len(st.keys))
+	rowSide := make([]colRef, len(st.keys))
+	for i, kp := range st.keys {
 		if kp.left.fromIdx == next {
 			nextCols[i] = kp.left.colIdx
 			rowSide[i] = kp.right

@@ -38,31 +38,18 @@ func explainBranch(b *strings.Builder, p *plan, s *sqlparse.SelectStmt) {
 		fmt.Fprintf(b, "  scan %-18s %6d/%d rows after pushdown\n",
 			name, len(p.base[i]), len(rel.Facts))
 	}
-	// Replay the greedy join-order decision without materializing rows.
-	joined := make([]bool, len(p.base))
-	start := 0
-	for i := 1; i < len(p.base); i++ {
-		if len(p.base[i]) < len(p.base[start]) {
-			start = i
+	steps := p.joinOrder()
+	fmt.Fprintf(b, "  start with %s\n", s.From[steps[0].rel])
+	for _, st := range steps[1:] {
+		if len(st.keys) == 0 {
+			fmt.Fprintf(b, "  cross join %-12s (no connecting predicate)\n", s.From[st.rel])
+			continue
 		}
-	}
-	joined[start] = true
-	fmt.Fprintf(b, "  start with %s\n", s.From[start])
-	for done := 1; done < len(p.base); done++ {
-		next := p.pickNext(joined)
-		var preds []string
-		for _, j := range p.joins {
-			if (j.left.fromIdx == next && joined[j.right.fromIdx]) ||
-				(j.right.fromIdx == next && joined[j.left.fromIdx]) {
-				preds = append(preds, j.pred.String())
-			}
+		preds := make([]string, len(st.keys))
+		for i, j := range st.keys {
+			preds[i] = j.pred.String()
 		}
-		joined[next] = true
-		if len(preds) > 0 {
-			fmt.Fprintf(b, "  hash join %-12s on %s\n", s.From[next], strings.Join(preds, " AND "))
-		} else {
-			fmt.Fprintf(b, "  cross join %-12s (no connecting predicate)\n", s.From[next])
-		}
+		fmt.Fprintf(b, "  hash join %-12s on %s\n", s.From[st.rel], strings.Join(preds, " AND "))
 	}
 	for _, f := range p.filters {
 		fmt.Fprintf(b, "  filter %s\n", f.pred.String())

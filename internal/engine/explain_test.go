@@ -118,3 +118,56 @@ func scanLine(plan, rel string) string {
 	}
 	return ""
 }
+
+// TestExplainPinnedText pins the whole plan text of QInf and of a 3-relation
+// chain, with and without a requested tuple, so that the join order and the
+// key predicates Explain prints stay those run executes.
+func TestExplainPinnedText(t *testing.T) {
+	db, _ := paperdb.New()
+	const chain = `SELECT DISTINCT movies.title FROM movies, roles, actors
+WHERE movies.title = roles.movie AND roles.actor = actors.name AND actors.age > 30`
+	for _, tc := range []struct {
+		name  string
+		sql   string
+		tuple []string
+		want  string
+	}{
+		{"qinf", paperdb.QInf, nil, `  scan movies                  4/5 rows after pushdown
+  scan actors                  4/4 rows after pushdown
+  scan companies               3/4 rows after pushdown
+  scan roles                   8/8 rows after pushdown
+  start with companies
+  hash join movies       on movies.company = companies.name
+  hash join roles        on movies.title = roles.movie
+  hash join actors       on actors.name = roles.actor
+  project DISTINCT actors.name
+`},
+		{"chain", chain, nil, `  scan movies                  5/5 rows after pushdown
+  scan roles                   8/8 rows after pushdown
+  scan actors                  2/4 rows after pushdown
+  start with actors
+  hash join roles        on roles.actor = actors.name
+  hash join movies       on movies.title = roles.movie
+  project DISTINCT movies.title
+`},
+		{"chain_tuple", chain, []string{"Batman"}, `tuple (Batman) pushed into the projected columns' scans
+  scan movies                  1/5 rows after pushdown
+  scan roles                   8/8 rows after pushdown
+  scan actors                  2/4 rows after pushdown
+  start with movies
+  hash join roles        on movies.title = roles.movie
+  hash join actors       on roles.actor = actors.name
+  project DISTINCT movies.title
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := Explain(db, sqlparse.MustParse(tc.sql), Options{Tuple: tc.tuple})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan != tc.want {
+				t.Errorf("plan:\n%s\nwant:\n%s", plan, tc.want)
+			}
+		})
+	}
+}

@@ -64,6 +64,9 @@ func ShapleyAblation(s *Suite, w io.Writer) error {
 	return nil
 }
 
+// msSince returns the milliseconds since t at full clock resolution: the
+// proxy takes under a microsecond per lineage here, which whole microseconds
+// would round to 0.
 func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000.0
+	return float64(time.Since(t).Nanoseconds()) / 1e6
 }

@@ -49,8 +49,8 @@ type Stage struct {
 // TraceContext identifies one request as it moves through a pipeline and
 // accumulates its per-stage latency decomposition. It is carried in a
 // context.Context (ContextWithTrace / TraceFrom) from the handler into the
-// scoring replica, so serve-side and model-side code attach stages to the
-// same trace.
+// scoring replica, so the handler and the engines it calls attach stages to
+// the same trace.
 //
 // The nil *TraceContext is the no-op recorder: AddStage and StageTimer on nil
 // do nothing, so library code can record unconditionally. All methods are
@@ -123,7 +123,7 @@ func (tc *TraceContext) AddStage(name string, start time.Time, d time.Duration) 
 
 // StageTimer starts a stage now and returns the closer that records it:
 //
-//	defer tc.StageTimer("core.rank")()
+//	defer tc.StageTimer("shapley.proxy")()
 //
 // Safe on the nil trace (returns the shared no-op closer).
 func (tc *TraceContext) StageTimer(name string) func() {

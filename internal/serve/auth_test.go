@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/shapley"
 )
 
 // TestServeAdminAuth pins the /admin/* bearer-token contract: with
@@ -139,10 +140,9 @@ func writeSelfSignedCert(t *testing.T, dir string) (certPath, keyPath string) {
 
 // TestServeTLS starts the daemon on HTTPS with a self-signed certificate and
 // drives the full round trip over TLS: /healthz, a scored /rank (bit-exact
-// against the sequential reference), and a tokened /admin round trip — the
-// deployment shape the bearer token is meant for. Also pins that a cert
-// without a key refuses to start. The exact budget is 0, so the model answers
-// the /rank requests.
+// against shapley.Exact), and a tokened /admin round trip — the deployment
+// shape the bearer token is meant for. Also pins that a cert without a key
+// refuses to start.
 func TestServeTLS(t *testing.T) {
 	corpus, model := fixture(t)
 	certPath, keyPath := writeSelfSignedCert(t, t.TempDir())
@@ -155,10 +155,10 @@ func TestServeTLS(t *testing.T) {
 		t.Error("cert without key must refuse to start")
 	}
 
-	s := startServerBudget(t, Config{
+	s := startServer(t, Config{
 		Workers: 2, QueueCap: 64,
 		AdminToken: "tls-secret", TLSCert: certPath, TLSKey: keyPath,
-	}, 0)
+	})
 	if !strings.HasPrefix(s.URL(), "https://") {
 		t.Fatalf("TLS server URL = %q, want https scheme", s.URL())
 	}
@@ -178,15 +178,21 @@ func TestServeTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sequentialReference(t, s.state().model, cases)
-	for c := range cases {
-		rr, code, err := postRank(client, s.URL(), cases[c].body)
+	for _, c := range cases {
+		want, _, err := shapley.Exact(c.prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, code, err := postRank(client, s.URL(), c.body)
 		if err != nil || code != http.StatusOK {
 			t.Fatalf("rank over TLS: code %d err %v", code, err)
 		}
+		if rr.Engine != engineExact || len(rr.Facts) != len(want) {
+			t.Fatalf("rank over TLS: engine %q with %d facts, want %q with %d", rr.Engine, len(rr.Facts), engineExact, len(want))
+		}
 		for _, f := range rr.Facts {
-			if got, ref := f.Score, want[c][relation.FactID(f.ID)]; got != ref {
-				t.Fatalf("fact %d over TLS: %v != sequential %v", f.ID, got, ref)
+			if got, ref := f.Score, want[relation.FactID(f.ID)]; got != ref {
+				t.Fatalf("fact %d over TLS: %v != exact %v", f.ID, got, ref)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"strings"
 	"time"
@@ -24,17 +25,18 @@ import (
 // provenance and lineage (a production deployment would read the lineage
 // from the engine's provenance capture), then scores every lineage fact.
 // Lineages whose provenance compiles within the exact budget get their exact
-// Shapley values; the others get the model's predictions, the Section 5.8
-// deployment story of interactive latency without exact computation.
+// Shapley values; the others get shapley.CNFProxy's scores, a ranking read
+// off the provenance in well under a millisecond.
 type RankRequest struct {
 	SQL   string   `json:"sql"`
 	Tuple []string `json:"tuple"`
 }
 
 // RankedFact is one scored lineage member. ID resolves against the server's
-// database; Score is the fact's exact Shapley value or the model's predicted
-// contribution, as the response's Engine says, serialized at full float64
-// round-trip precision (the parity tests compare it bitwise).
+// database; Score is the fact's exact Shapley value or its CNFProxy score,
+// the number of derivations that hold it, as the response's Engine says,
+// serialized at full float64 round-trip precision (the parity tests compare
+// it bitwise).
 type RankedFact struct {
 	ID    int32   `json:"id"`
 	Fact  string  `json:"fact"`
@@ -42,8 +44,8 @@ type RankedFact struct {
 }
 
 // RankResponse is the /rank payload: lineage facts in ranked order. Engine
-// names what scored them: "exact" for exact Shapley values, "model" for the
-// learned ranker's predictions.
+// names what scored them: "exact" for exact Shapley values, "proxy" for
+// shapley.CNFProxy's scores.
 type RankResponse struct {
 	Query  string       `json:"query"`
 	Tuple  string       `json:"tuple"`
@@ -64,7 +66,7 @@ type ExplainResponse struct {
 // The values of RankResponse.Engine and ExplainResponse.Engine.
 const (
 	engineExact = "exact"
-	engineModel = "model"
+	engineProxy = "proxy"
 )
 
 // SimilarRequest asks the pre-training heads how similar two queries are.
@@ -296,8 +298,9 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 // evaluated, so the admission bound covers evaluation as well as scoring.
 // Parse, the evaluation of the requested tuple and the match among what it
 // leaves are the request's "evaluate" stage (see locate); the exact attempt
-// and any model pass run on the borrowed replica's turn, as its "score"
-// stage (see answer).
+// and any proxy pass run on a borrowed replica's turn, as its "score" stage
+// (see answer), though neither reads the model: the turn bounds how many
+// lineages compile at once to Config.Workers.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -322,14 +325,13 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 				return
 			}
 		}
-		in := core.Input{SQL: req.SQL, Query: q, TupleValues: target.Values, Lineage: target.Lineage()}
 		var scores shapley.Values
 		var eng string
-		s.score(tc, func(m *core.Model) { scores, eng = s.answer(r.Context(), m, target.Prov, in) })
+		s.score(tc, func(*core.Model) { scores, eng = s.answer(r.Context(), target.Prov) })
 		if eng == engineExact {
 			s.mExact.Add(1)
 		} else {
-			s.mModel.Add(1)
+			s.mProxy.Add(1)
 		}
 		if sw, ok := w.(*statusWriter); ok {
 			sw.engine = eng
@@ -346,19 +348,28 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 }
 
 // answer scores one lineage: with its exact Shapley values when the
-// provenance compiles within the server's exact budget, else with the model
-// on m. The exact attempt, refused or not, is the "shapley.exact" stage of
-// the trace ctx carries, and the model pass its "core.rank" stage.
-func (s *Server) answer(ctx context.Context, m *core.Model, prov *provenance.DNF, in core.Input) (shapley.Values, string) {
-	done := obs.TraceFrom(ctx).StageTimer("shapley.exact")
-	vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
-	done()
-	if err == nil {
-		return vals, engineExact
+// provenance compiles within the server's exact budget, else with
+// shapley.CNFProxy. A lineage the exact attempt refused is remembered in
+// s.refused and skips the attempt while it keeps its slot. The exact attempt
+// is the "shapley.exact" stage of the trace ctx carries, and the proxy its
+// "shapley.proxy" stage.
+func (s *Server) answer(ctx context.Context, prov *provenance.DNF) (shapley.Values, string) {
+	tc := obs.TraceFrom(ctx)
+	h := maphash.String(refusalSeed, prov.Key())
+	slot := &s.refused[h%refusalSlots]
+	if slot.Load() != h|1 {
+		done := tc.StageTimer("shapley.exact")
+		vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
+		done()
+		if err == nil {
+			return vals, engineExact
+		}
+		// Every ExactBudget error wraps shapley.ErrBudget: the lineage is over
+		// the budget.
+		slot.Store(h | 1)
 	}
-	// Every ExactBudget error wraps shapley.ErrBudget: the lineage is over
-	// the budget.
-	return m.RankCtx(ctx, in), engineModel
+	defer tc.StageTimer("shapley.proxy")()
+	return shapley.CNFProxy(prov), engineProxy
 }
 
 // rankedFacts renders scored lineage facts in ranking order.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/shapley"
 )
 
 // TestBatcherQueueFull pins the admission bound: QueueCap+Workers requests are
@@ -58,19 +57,11 @@ func TestPoolPanicKeepsReplica(t *testing.T) {
 				i+1, len(s.replicas), len(s.slots))
 		}
 	}
-	cases, err := selfTestCases(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sequentialReference(t, model, cases)[0]
-	var got shapley.Values
-	s.score(nil, func(m *core.Model) { got = m.Rank(cases[0].in) })
-	if len(got) != len(want) {
-		t.Fatalf("scored %d facts after the panics, want %d", len(got), len(want))
-	}
-	for id, w := range want {
-		if got[id] != w {
-			t.Fatalf("fact %d scored %v after the panics, want %v", id, got[id], w)
-		}
+	c := similarCases(t, s, 1)[0]
+	want := similarReference(model, []similarCase{c})[0]
+	var got map[string]float64
+	s.score(nil, func(m *core.Model) { got = m.PredictSimilarities(c.a, c.b) })
+	if err := sameSimilarities(got, want); err != nil {
+		t.Fatalf("after the panics: %v", err)
 	}
 }

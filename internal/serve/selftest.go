@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/relation"
@@ -22,10 +21,10 @@ import (
 // runs it): it fires n concurrent /rank requests over real TCP connections at
 // the running server and checks every response bit-for-bit against the engine
 // the server picks for its lineage: exact Shapley values when the lineage
-// compiles within the exact budget, sequential core.RankOn otherwise, with
-// the matching "engine" field. It then exercises /similar, /healthz and
-// /metrics, and fails if the metrics snapshot shows no serve activity. The
-// server keeps running; the caller owns shutdown.
+// compiles within the exact budget, shapley.CNFProxy otherwise, with the
+// matching "engine" field. It then exercises /similar, /healthz and /metrics,
+// and fails if the metrics snapshot shows no serve activity. The server keeps
+// running; the caller owns shutdown.
 func SelfTest(s *Server, n int) error {
 	if n < 1 {
 		n = 1
@@ -35,14 +34,11 @@ func SelfTest(s *Server, n int) error {
 		return err
 	}
 
-	// Sequential reference pass, before any traffic: a fresh replica shares
-	// the served weights but owns its activation state, so the reference is
-	// exactly what a per-request deployment would have computed.
-	ref := s.state().model.CloneForWorker()
+	// Sequential reference pass, before any traffic.
 	want := make([]shapley.Values, len(cases))
 	engines := make([]string, len(cases))
 	for i, c := range cases {
-		want[i], engines[i] = s.answer(context.Background(), ref, c.prov, c.in)
+		want[i], engines[i] = s.answer(context.Background(), c.prov)
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -85,12 +81,10 @@ func insecureTLSFor(baseURL string) *tls.Config {
 	return &tls.Config{InsecureSkipVerify: true}
 }
 
-// selfTestCase is one prepared request with its scoring input and the
-// provenance the exact engine compiles.
+// selfTestCase is one prepared request with the provenance of its tuple.
 type selfTestCase struct {
 	sql  string
 	body []byte
-	in   core.Input
 	prov *provenance.DNF
 }
 
@@ -109,17 +103,7 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, selfTestCase{
-				sql:  q.SQL,
-				body: body,
-				in: core.Input{
-					SQL:         q.SQL,
-					Query:       q.Query,
-					TupleValues: cs.Tuple.Values,
-					Lineage:     cs.Tuple.Lineage(),
-				},
-				prov: cs.Tuple.Prov,
-			})
+			out = append(out, selfTestCase{sql: q.SQL, body: body, prov: cs.Tuple.Prov})
 			if len(out) >= n {
 				return out, nil
 			}

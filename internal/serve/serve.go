@@ -1,14 +1,15 @@
-// Package serve is the production ranking daemon behind cmd/serve: it wraps a
-// trained LearnShapley model in an HTTP/JSON service that answers each /rank
-// request with exact Shapley values when the lineage compiles within a fixed
-// node budget, and with the model's packed ranking pass otherwise.
+// Package serve is the production ranking daemon behind cmd/serve: an
+// HTTP/JSON service that answers each /rank request with exact Shapley values
+// when the lineage compiles within a fixed node budget, and with
+// shapley.CNFProxy's ranking read off the provenance otherwise. A trained
+// LearnShapley model answers /similar.
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► ExactBudget ──► RankOn
-//	               ▲                   │429     (parse, the  (first free of     (≤ 2^14 tree    (packed GEMMs,
-//	               │             (backpressure)  requested     Workers)          nodes)          over budget)
-//	               │                             tuple only)
+//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► ExactBudget ──► CNFProxy
+//	               ▲                   │429     (parse, the  (first free of     (≤ 2^14 tree    (derivation
+//	               │             (backpressure)  requested     Workers)          nodes)          counts, over
+//	               │                             tuple only)                                     budget)
 //	               └──────────── response ◄──── return replica ◄────────────────────┴───────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
@@ -18,24 +19,22 @@
 // borrows one of Config.Workers model replicas (core.Model.CloneForWorker:
 // shared read-only weights, private activation workspaces), scores on it and
 // gives both back (pool.go). A request therefore waits only for a free
-// replica.
+// replica. Only /similar reads the replica's model; the turn of a /rank or
+// /explain request bounds how many lineages compile at once.
 //
 // On the replica's turn the handler first compiles the lineage's provenance
 // with shapley.ExactBudget under rankExactNodes tree nodes. When the tree
 // fits, the exact values are the answer ("engine": "exact"). When it does
-// not, the replica ranks the lineage through core.Model.RankOn ("engine":
-// "model"): every fact runs in one of a few nn.BatchedForwardMultiPrefix GEMM
-// passes over the lineage's embedded prefixes, whose last layer computes only
-// the [CLS] rows the head reads, on a warmed, zero-allocation workspace. The
-// choice depends only on the lineage's tree size, so the same request always
-// gets the same engine.
+// not, shapley.CNFProxy scores every fact by the number of derivations that
+// hold it ("engine": "proxy"), and the server remembers the refusal, so later
+// requests for the lineage skip the attempt. Whether the tree fits depends
+// only on the lineage, so the same request always gets the same engine.
 //
-// Determinism: an exact answer equals shapley.Exact bit for bit. Replicas
-// produce bit-identical scores to their parent (core.ConcurrentRanker
-// contract), and the pool only decides which replica scores which request,
-// never the per-request computation, so a model answer is bit-identical to
-// sequential core.RankOn at every worker count. TestServeExactSelector and
-// TestServeParitySequential enforce both.
+// Determinism: an exact answer equals shapley.Exact bit for bit, and a proxy
+// answer equals shapley.CNFProxy. Replicas predict bit-identically to their
+// parent, and the pool only decides which replica serves which request, so a
+// /similar answer equals sequential PredictSimilarities at every worker
+// count. TestServeExactSelector and TestServeParitySequential enforce both.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when every admission slot is taken, requests are rejected immediately with
@@ -49,6 +48,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -66,10 +66,12 @@ import (
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Workers is the number of pooled model replicas, each scoring one
-	// request at a time (<= 0 means one per CPU). Replicas share the model's
-	// weight tensors and own their workspaces, so Workers bounds scoring
-	// concurrency without duplicating weights.
+	// Workers is the number of pooled model replicas, each serving one
+	// /rank, /explain or /similar request at a time (<= 0 means one per
+	// CPU). Replicas share the model's weight tensors and own their
+	// workspaces. Workers bounds how many lineages compile at once, each
+	// refused attempt allocating up to about 60 MB, and how many /similar
+	// passes run.
 	Workers int
 	// QueueCap is how many admitted requests may wait beyond the Workers being
 	// scored: at most QueueCap+Workers requests are admitted at once, counted
@@ -104,11 +106,17 @@ const traceRingSize = 256
 
 // rankExactNodes is the decomposition-tree budget of /rank's exact attempt,
 // fact leaves included. On the default Academic corpus it admits all but
-// three of 809 tuples, and every tuple it admits compiles faster than the
-// model ranks it (the closest, 152 facts in 15,190 nodes, in 253 ms against
-// 285 ms on a 2-core host). A refused attempt stops as soon as the tree
-// passes the budget. DESIGN.md §8 gives the measurements behind the choice.
+// three of 809 tuples. It bounds one attempt's time and memory: a refused
+// attempt stops as soon as the tree passes the budget, after 84–121 ms and
+// 50–61 MB on those three (2-core host), and is paid once per lineage (see
+// Server.refused). DESIGN.md §8 gives the measurements behind the choice.
 const rankExactNodes = 1 << 14
+
+// refusalSlots is how many refused lineages a server remembers at once.
+const refusalSlots = 1024
+
+// refusalSeed seeds the lineage hashes that pick Server.refused's slots.
+var refusalSeed = maphash.MakeSeed()
 
 // modelState is the atomically swapped unit of /admin/reload: the model and
 // the metadata the health/manifest endpoints report. The corpus database is
@@ -130,8 +138,17 @@ type Server struct {
 	mux    *http.ServeMux
 
 	// exactNodes is /rank's exact budget, rankExactNodes; in-package tests
-	// lower it before Start, and 0 makes the model answer every request.
+	// lower it before the first request, and 0 makes the proxy answer every
+	// request.
 	exactNodes int
+
+	// refused remembers the lineages whose exact attempt was refused. The
+	// low bits of the 64-bit hash of a lineage's DNF.Key() pick its slot,
+	// which holds that hash with its lowest bit set, so an empty slot (0)
+	// matches no lineage. A refusal depends only on the DNF and exactNodes,
+	// so a match skips the attempt. A lineage evicted by another costs one
+	// repeated attempt; a wrong skip needs two lineages with equal hashes.
+	refused [refusalSlots]atomic.Uint64
 
 	// The replica pool (pool.go): admission slots and idle replicas.
 	slots    chan struct{}
@@ -153,7 +170,7 @@ type Server struct {
 	mReloads   *obs.Counter
 	mSlow      *obs.Counter
 	mExact     *obs.Counter   // serve.rank.exact: rankings answered exactly
-	mModel     *obs.Counter   // serve.rank.model: rankings answered by the model
+	mProxy     *obs.Counter   // serve.rank.proxy: rankings answered by CNFProxy
 	mEvaluate  *obs.Histogram // serve.stage.evaluate_ms
 	mQueueWait *obs.Histogram // serve.stage.queue_wait_ms
 	mBatchWait *obs.Histogram // serve.stage.batch_wait_ms
@@ -168,8 +185,9 @@ type Server struct {
 }
 
 // New assembles a server around a trained model and the corpus it was trained
-// over. The model itself is never used for scoring — the pool clones replicas
-// from it — so the caller must not run it concurrently with the server either.
+// over. The model itself never scores: the pool clones the replicas that
+// answer /similar from it. The caller must not run it concurrently with the
+// server either.
 // The installed obs run redacts cfg.AdminToken from its manifest.
 func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.Workers <= 0 {
@@ -190,7 +208,7 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		mReloads:   reg.Counter("serve.reloads"),
 		mSlow:      reg.Counter("serve.req.slow"),
 		mExact:     reg.Counter("serve.rank.exact"),
-		mModel:     reg.Counter("serve.rank.model"),
+		mProxy:     reg.Counter("serve.rank.proxy"),
 		mEvaluate:  reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
 		mQueueWait: reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
 		mBatchWait: reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -70,7 +71,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // startServerBudget is startServer with /rank's exact budget set before
-// Start. At 0 the model answers every request, which the tests of the model
+// Start. At 0 the proxy answers every request, which the tests of the proxy
 // path need: at the default budget every fixture lineage compiles exactly.
 func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
 	t.Helper()
@@ -91,16 +92,70 @@ func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
 	return s
 }
 
-// sequentialReference scores every prepared case exactly as a per-request
-// deployment would: one replica, one request at a time, core.RankOn.
-func sequentialReference(t *testing.T, model *core.Model, cases []selfTestCase) []shapley.Values {
+// similarCase is one prepared /similar request.
+type similarCase struct {
+	a, b string
+	body []byte
+}
+
+// similarCases prepares n /similar requests, each pairing one query of the
+// server's corpus with the next.
+func similarCases(t *testing.T, s *Server, n int) []similarCase {
 	t.Helper()
+	qs := s.corpus.Queries
+	out := make([]similarCase, n)
+	for i := range out {
+		a, b := qs[i%len(qs)].SQL, qs[(i+1)%len(qs)].SQL
+		body, err := json.Marshal(SimilarRequest{SQLA: a, SQLB: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = similarCase{a: a, b: b, body: body}
+	}
+	return out
+}
+
+// similarReference predicts every prepared pair exactly as a per-request
+// deployment would: one fresh replica, one request at a time.
+func similarReference(model *core.Model, cases []similarCase) []map[string]float64 {
 	ref := model.CloneForWorker()
-	want := make([]shapley.Values, len(cases))
+	want := make([]map[string]float64, len(cases))
 	for i, c := range cases {
-		want[i] = ref.Rank(c.in)
+		want[i] = ref.PredictSimilarities(c.a, c.b)
 	}
 	return want
+}
+
+// postSimilar posts one /similar request and returns its similarities; it
+// fails on any status but 200.
+func postSimilar(client *http.Client, base string, body []byte) (map[string]float64, error) {
+	resp, err := client.Post(base+"/similar", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("similar -> %d", resp.StatusCode)
+	}
+	var sr SimilarResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		return nil, err
+	}
+	return sr.Similarities, nil
+}
+
+// sameSimilarities requires a served answer to hold the reference's metrics
+// with bit-identical values (float64 JSON round-trips exactly).
+func sameSimilarities(got, want map[string]float64) error {
+	if len(want) == 0 || len(got) != len(want) {
+		return fmt.Errorf("served %d similarities, the reference %d (want at least one)", len(got), len(want))
+	}
+	for metric, w := range want {
+		if g, ok := got[metric]; !ok || g != w {
+			return fmt.Errorf("%s: served %v (present %v), sequential %v", metric, g, ok, w)
+		}
+	}
+	return nil
 }
 
 func postRank(client *http.Client, base string, body []byte) (*RankResponse, int, error) {
@@ -120,13 +175,12 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 }
 
 // TestServeParitySequential is the determinism gate from the package doc:
-// scores served to concurrent requests must be bit-identical to sequential
-// core.RankOn at 1, 2 and 3 workers. The exact budget is 0, so the model
-// answers every request. Each grid point sends its requests in
-// client batches of `batch` concurrent requests and starts the next batch
-// `window` after the previous one was answered, so the sweep covers one
-// request in flight at a time, bursts that occupy every replica, and bursts
-// that queue behind busy replicas.
+// /similar answers served to concurrent requests must be bit-identical to a
+// sequential replica's at 1, 2 and 3 workers. Each grid point sends its
+// requests in client batches of `batch` concurrent requests and starts the
+// next batch `window` after the previous one was answered, so the sweep
+// covers one request in flight at a time, bursts that occupy every replica,
+// and bursts that queue behind busy replicas.
 func TestServeParitySequential(t *testing.T) {
 	_, model := fixture(t)
 	for _, tc := range []struct {
@@ -145,32 +199,18 @@ func TestServeParitySequential(t *testing.T) {
 	} {
 		name := fmt.Sprintf("batch%d_w%d_win%v", tc.batch, tc.workers, tc.window)
 		t.Run(name, func(t *testing.T) {
-			s := startServerBudget(t, Config{Workers: tc.workers, QueueCap: 64}, 0)
-			cases, err := selfTestCases(s, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sequentialReference(t, model, cases)
+			s := startServer(t, Config{Workers: tc.workers, QueueCap: 64})
+			cases := similarCases(t, s, 6)
+			want := similarReference(model, cases)
 
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
 			check := func(c int) error {
-				rr, code, err := postRank(client, s.URL(), cases[c].body)
+				got, err := postSimilar(client, s.URL(), cases[c].body)
 				if err != nil {
 					return err
 				}
-				if code != http.StatusOK {
-					return fmt.Errorf("rank -> %d", code)
-				}
-				if len(rr.Facts) != len(want[c]) {
-					return fmt.Errorf("got %d facts, want %d", len(rr.Facts), len(want[c]))
-				}
-				for _, f := range rr.Facts {
-					if got, ref := f.Score, want[c][relation.FactID(f.ID)]; got != ref {
-						return fmt.Errorf("fact %d: served %v != sequential %v", f.ID, got, ref)
-					}
-				}
-				return nil
+				return sameSimilarities(got, want[c])
 			}
 			const rounds = 3 // every case several times
 			n := rounds * len(cases)
@@ -202,15 +242,13 @@ func TestServeParitySequential(t *testing.T) {
 // TestServeDrainOnShutdown verifies no admitted request is dropped. With
 // every replica held, n requests are admitted and wait for one; Shutdown
 // begins and must keep waiting, then the replicas come back, and all n must
-// answer 200 with their full ranking before Shutdown returns. The exact
-// budget is 0, so the requests drain through model passes.
+// answer 200 with their full ranking before Shutdown returns.
 func TestServeDrainOnShutdown(t *testing.T) {
 	run := obs.NewRun("drain-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
 	corpus, model := fixture(t)
 	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, corpus, model)
-	s.exactNodes = 0
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +256,6 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sequentialReference(t, model, cases)
 	held := make([]*replica, 0, cap(s.replicas))
 	for len(held) < cap(s.replicas) {
 		held = append(held, <-s.replicas)
@@ -240,8 +277,8 @@ func TestServeDrainOnShutdown(t *testing.T) {
 				errs[i] = fmt.Errorf("request %d: %v", i, err)
 			case code != http.StatusOK:
 				errs[i] = fmt.Errorf("request %d -> %d, want 200", i, code)
-			case len(rr.Facts) != len(want[c]):
-				errs[i] = fmt.Errorf("request %d: %d facts, want %d", i, len(rr.Facts), len(want[c]))
+			case len(rr.Facts) != len(cases[c].prov.Lineage()):
+				errs[i] = fmt.Errorf("request %d: %d facts, want %d", i, len(rr.Facts), len(cases[c].prov.Lineage()))
 			}
 		}(i)
 	}
@@ -278,44 +315,40 @@ func TestServeDrainOnShutdown(t *testing.T) {
 }
 
 // TestServeHotSwap reloads a different checkpoint through /admin/reload and
-// verifies subsequent scores are bit-identical to the new model's sequential
-// ranking (and no longer match the old model's), on replicas that scored on
-// the old model before the swap. The exact budget is 0, so the model answers
-// every request.
+// verifies subsequent /similar answers are bit-identical to the new model's
+// sequential predictions (and no longer match the old model's), on replicas
+// that served the old model before the swap.
 func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
-	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
-	cases, err := selfTestCases(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldWant := sequentialReference(t, fixModel, cases)
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	cases := similarCases(t, s, 2)
+	oldWant := similarReference(fixModel, cases)
 
-	// Sequential requests take the two replicas in turn, so both score on the
+	// Sequential requests take the two replicas in turn, so both serve the
 	// old weights first and the swap must re-clone them.
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
-	rank := func(i int) (int, *RankResponse) {
+	similar := func(i int) (int, map[string]float64) {
 		t.Helper()
 		c := i % len(cases)
-		rr, code, err := postRank(client, s.URL(), cases[c].body)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("rank: code %d err %v", code, err)
+		got, err := postSimilar(client, s.URL(), cases[c].body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return c, rr
+		return c, got
 	}
 	for i := 0; i < 2*len(cases); i++ {
-		c, rr := rank(i)
-		for _, fact := range rr.Facts {
-			if id := relation.FactID(fact.ID); fact.Score != oldWant[c][id] {
-				t.Fatalf("fact %d before reload: served %v, old model %v", fact.ID, fact.Score, oldWant[c][id])
-			}
+		c, got := similar(i)
+		if err := sameSimilarities(got, oldWant[c]); err != nil {
+			t.Fatalf("case %d before reload: %v", c, err)
 		}
 	}
 
 	// A second model: same architecture, different seed — different weights.
+	// Fine-tuning only is fast, and its untrained similarity heads still
+	// answer /similar.
 	cfg2 := tinyModelConfig(23)
-	cfg2.PretrainEpochs, cfg2.PretrainMetrics = 0, nil // fine-tune only: fast, still serveable
+	cfg2.PretrainEpochs = 0
 	m2, _, err := core.Train(corpus, dataset.NewSimilarityCache(corpus), cfg2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -345,21 +378,14 @@ func TestServeHotSwap(t *testing.T) {
 		t.Fatalf("reload -> %s", resp.Status)
 	}
 
-	newWant := sequentialReference(t, s.state().model, cases)
+	newWant := similarReference(s.state().model, cases)
 	for i := 0; i < 2*len(cases); i++ {
-		c, rr := rank(i)
-		sawDiff := false
-		for _, fact := range rr.Facts {
-			id := relation.FactID(fact.ID)
-			if fact.Score != newWant[c][id] {
-				t.Fatalf("fact %d: served %v, new model %v", fact.ID, fact.Score, newWant[c][id])
-			}
-			if fact.Score != oldWant[c][id] {
-				sawDiff = true
-			}
+		c, got := similar(i)
+		if err := sameSimilarities(got, newWant[c]); err != nil {
+			t.Fatalf("case %d after reload: %v", c, err)
 		}
-		if !sawDiff {
-			t.Errorf("case %d: scores identical to the old model — swap had no effect", c)
+		if sameSimilarities(got, oldWant[c]) == nil {
+			t.Errorf("case %d: similarities identical to the old model — swap had no effect", c)
 		}
 	}
 }
@@ -367,32 +393,26 @@ func TestServeHotSwap(t *testing.T) {
 // TestServeReloadRejectsNonFiniteWeights posts /admin/reload with the
 // fixture model's checkpoint after setting one weight (the first position
 // embedding) to NaN. The daemon must answer 400 and keep serving the old
-// model at the same generation. The exact budget is 0, so the model answers
-// every request.
+// model, on /similar, at the same generation.
 func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
-	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
-	cases, err := selfTestCases(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sequentialReference(t, fixModel, cases)
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
+	cases := similarCases(t, s, 2)
+	want := similarReference(fixModel, cases)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
-	rankAll := func(when string) {
+	similarAll := func(when string) {
 		t.Helper()
 		for c := range cases {
-			rr, code, err := postRank(client, s.URL(), cases[c].body)
-			if err != nil || code != http.StatusOK {
-				t.Fatalf("rank %s the reload: code %d err %v", when, code, err)
+			got, err := postSimilar(client, s.URL(), cases[c].body)
+			if err == nil {
+				err = sameSimilarities(got, want[c])
 			}
-			for _, fact := range rr.Facts {
-				if id := relation.FactID(fact.ID); fact.Score != want[c][id] {
-					t.Fatalf("fact %d %s the reload: served %v, fixture model %v", fact.ID, when, fact.Score, want[c][id])
-				}
+			if err != nil {
+				t.Fatalf("case %d %s the reload: %v", c, when, err)
 			}
 		}
 	}
-	rankAll("before")
+	similarAll("before")
 
 	var buf bytes.Buffer
 	if err := fixModel.Save(&buf); err != nil {
@@ -438,7 +458,7 @@ func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
 	if got := s.gen.Load(); got != gen {
 		t.Errorf("generation moved from %d to %d on a refused reload", gen, got)
 	}
-	rankAll("after")
+	similarAll("after")
 }
 
 // TestServeBackpressure verifies the HTTP overload contract deterministically:
@@ -504,7 +524,7 @@ func TestServeSlowRequestCounted(t *testing.T) {
 		engine string // "" when the line must carry no engine
 	}{
 		{"/rank", cases[0].body, rankExactNodes, engineExact},
-		{"/rank", cases[0].body, 0, engineModel},
+		{"/rank", cases[0].body, 0, engineProxy},
 		{"/similar", similar, rankExactNodes, ""},
 	} {
 		s.exactNodes = req.budget
@@ -573,7 +593,7 @@ func TestLogRequestQuietAllocs(t *testing.T) {
 
 // TestSelfTest runs the ci e2e gate in-process: concurrent TCP traffic,
 // bitwise parity, endpoint and metrics checks. At the default budget the
-// exact engine answers every fixture request, at 0 the model does.
+// exact engine answers every fixture request, at 0 the proxy does.
 func TestSelfTest(t *testing.T) {
 	for _, budget := range []int{rankExactNodes, 0} {
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
@@ -588,14 +608,14 @@ func TestSelfTest(t *testing.T) {
 // TestServeExactSelector pins which engine answers /rank and /explain. At the
 // default budget every fixture lineage compiles, so each answer must say
 // "exact" and list shapley.Exact's values in Values.Ranking order, bit for
-// bit. At budget 0 each must say "model" and list sequential RankOn's scores
-// in the same order. serve.rank.<engine> counts every answer.
+// bit. At budget 0 each must say "proxy" and list shapley.CNFProxy's values
+// in the same order, and the model must not rank: core.rank.lineages stays
+// where it was. serve.rank.<engine> counts every answer.
 func TestServeExactSelector(t *testing.T) {
-	_, model := fixture(t)
 	for _, tc := range []struct {
 		engine string
 		budget int
-	}{{engineExact, rankExactNodes}, {engineModel, 0}} {
+	}{{engineExact, rankExactNodes}, {engineProxy, 0}} {
 		t.Run(tc.engine, func(t *testing.T) {
 			run := obs.NewRun("selector-test", obs.NewRegistry(), nil, nil)
 			obs.Install(run)
@@ -605,14 +625,15 @@ func TestServeExactSelector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := sequentialReference(t, model, cases)
-			if tc.engine == engineExact {
-				for i, c := range cases {
-					if want[i], _, err = shapley.Exact(c.prov); err != nil {
-						t.Fatal(err)
-					}
+			want := make([]shapley.Values, len(cases))
+			for i, c := range cases {
+				if tc.engine == engineProxy {
+					want[i] = shapley.CNFProxy(c.prov)
+				} else if want[i], _, err = shapley.Exact(c.prov); err != nil {
+					t.Fatal(err)
 				}
 			}
+			lineages := run.Reg.Snapshot().Counters["core.rank.lineages"]
 
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
@@ -647,7 +668,7 @@ func TestServeExactSelector(t *testing.T) {
 			}
 
 			counters := run.Reg.Snapshot().Counters
-			for _, engine := range []string{engineExact, engineModel} {
+			for _, engine := range []string{engineExact, engineProxy} {
 				got, wantN := counters["serve.rank."+engine], int64(0)
 				if engine == tc.engine {
 					wantN = int64(answers)
@@ -656,8 +677,39 @@ func TestServeExactSelector(t *testing.T) {
 					t.Errorf("serve.rank.%s = %d after %d %s answers, want %d", engine, got, answers, tc.engine, wantN)
 				}
 			}
+			if got := counters["core.rank.lineages"]; got != lineages {
+				t.Errorf("core.rank.lineages moved from %d to %d: the model ranked a /rank or /explain request", lineages, got)
+			}
 		})
 	}
+}
+
+// TestAnswerRefusalsConcurrent answers the same lineages at budget 0 from
+// several goroutines at once, so the refusal memory's slots are read and
+// written concurrently (ci runs it under -race, ten times): every answer must
+// still be the proxy's, bit for bit.
+func TestAnswerRefusalsConcurrent(t *testing.T) {
+	corpus, model := fixture(t)
+	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s.exactNodes = 0
+	cases, err := selfTestCases(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range cases {
+				got, eng := s.answer(context.Background(), c.prov)
+				if want := shapley.CNFProxy(c.prov); eng != engineProxy || !reflect.DeepEqual(got, want) {
+					t.Errorf("answer = %v by %q, want %v by %q", got, eng, want, engineProxy)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestServeRejectsOversizedBody pins the request-size bound: a /rank body

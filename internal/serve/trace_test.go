@@ -47,26 +47,26 @@ func stageNames(tr obs.RequestTrace) map[string]bool {
 	return out
 }
 
-// checkExactInScore requires a shapley.exact stage inside the trace's score
-// stage. Offsets and durations are truncated to whole microseconds, so the
-// inner stage may end up to 1 µs past the outer one.
-func checkExactInScore(t *testing.T, tr obs.RequestTrace) {
+// checkInScore requires the named stage inside the trace's score stage.
+// Offsets and durations are truncated to whole microseconds, so the inner
+// stage may end up to 1 µs past the outer one.
+func checkInScore(t *testing.T, tr obs.RequestTrace, name string) {
 	t.Helper()
-	var score, exact *obs.Stage
+	var score, inner *obs.Stage
 	for i := range tr.Stages {
 		switch tr.Stages[i].Name {
 		case "score":
 			score = &tr.Stages[i]
-		case "shapley.exact":
-			exact = &tr.Stages[i]
+		case name:
+			inner = &tr.Stages[i]
 		}
 	}
-	if score == nil || exact == nil {
-		t.Errorf("%s trace %s lacks stage score or shapley.exact (has %v)", tr.Endpoint, tr.TraceID, stageNames(tr))
+	if score == nil || inner == nil {
+		t.Errorf("%s trace %s lacks stage score or %s (has %v)", tr.Endpoint, tr.TraceID, name, stageNames(tr))
 		return
 	}
-	if exact.StartUS < score.StartUS || exact.StartUS+exact.DurUS > score.StartUS+score.DurUS+1 {
-		t.Errorf("%s trace %s: shapley.exact %+v lies outside score %+v", tr.Endpoint, tr.TraceID, *exact, *score)
+	if inner.StartUS < score.StartUS || inner.StartUS+inner.DurUS > score.StartUS+score.DurUS+1 {
+		t.Errorf("%s trace %s: %s %+v lies outside score %+v", tr.Endpoint, tr.TraceID, name, *inner, *score)
 	}
 }
 
@@ -75,17 +75,16 @@ func checkExactInScore(t *testing.T, tr obs.RequestTrace) {
 // carrying distinct X-Trace-Id headers are scored on different replicas, yet
 // each response echoes its own ID and each ring trace carries that request's
 // full stage decomposition — evaluate, queue-wait, batch-wait, score (with
-// the exact attempt's shapley.exact stage and the model-side core.rank stage
-// inside it) and write — with the per-stage histograms populated on the live
-// registry, one evaluate observation per /rank or /explain request. A
-// missing, oversized or malformed inbound ID gets a minted one instead. The
-// exact budget is 0, so every request reaches the model on its replica.
+// the exact attempt's shapley.exact stage inside it) and write — with the
+// per-stage histograms populated on the live registry, one evaluate
+// observation per /rank or /explain request. A missing, oversized or
+// malformed inbound ID gets a minted one instead.
 func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
 
-	s := startServerBudget(t, Config{Workers: 2, QueueCap: 64}, 0)
+	s := startServer(t, Config{Workers: 2, QueueCap: 64})
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +145,12 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 			t.Fatalf("trace %s missing from the ring", id)
 		}
 		names := stageNames(tr)
-		for _, want := range []string{"evaluate", "queue_wait", "batch_wait", "score", "core.rank", "write"} {
+		for _, want := range []string{"evaluate", "queue_wait", "batch_wait", "score", "write"} {
 			if !names[want] {
 				t.Errorf("trace %s lacks stage %q (has %v)", id, want, names)
 			}
 		}
-		checkExactInScore(t, tr)
+		checkInScore(t, tr, "shapley.exact")
 		if tr.Status != http.StatusOK || tr.TotalUS < 0 {
 			t.Errorf("trace %s: status %d total %dus", id, tr.Status, tr.TotalUS)
 		}
@@ -185,7 +184,7 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	if names := stageNames(explainTrace); !names["evaluate"] {
 		t.Errorf("explain trace lacks stage \"evaluate\" (has %v)", names)
 	}
-	checkExactInScore(t, explainTrace)
+	checkInScore(t, explainTrace, "shapley.exact")
 	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n+1 {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
 	}
@@ -222,6 +221,53 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 		if !known[tr.TraceID] {
 			t.Errorf("ring holds trace ID %.40q (%d bytes), neither a client's nor a minted one", tr.TraceID, len(tr.TraceID))
 		}
+	}
+}
+
+// TestServeRemembersRefusals sends one lineage twice at budget 0, set before
+// the first request. The first request's exact attempt is refused and the
+// proxy answers; the second skips the attempt. So the first trace holds
+// shapley.exact and shapley.proxy, the second only shapley.proxy, both inside
+// score, shapley.exact.refused counts one refusal, and the two answers are
+// identical.
+func TestServeRemembersRefusals(t *testing.T) {
+	run := obs.NewRun("refusal-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	corpus, model := fixture(t)
+	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s.exactNodes = 0
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers [2]string
+	for i := range answers {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(cases[0].body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d -> %d: %s", i+1, rec.Code, rec.Body)
+		}
+		answers[i] = rec.Body.String()
+	}
+	if answers[0] != answers[1] || !strings.Contains(answers[0], `"engine":"proxy"`) {
+		t.Errorf("answers differ or are not the proxy's:\n%s\n%s", answers[0], answers[1])
+	}
+	traces := ringTraces(t, s, "rank", 2)
+	for i, want := range []map[string]bool{
+		{"shapley.exact": true, "shapley.proxy": true},
+		{"shapley.exact": false, "shapley.proxy": true},
+	} {
+		names := stageNames(traces[i])
+		for stage, present := range want {
+			if names[stage] != present {
+				t.Errorf("request %d: stage %s present %v, want %v (has %v)", i+1, stage, names[stage], present, names)
+			}
+		}
+		checkInScore(t, traces[i], "shapley.proxy")
+	}
+	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
+		t.Errorf("shapley.exact.refused = %d after two requests for one lineage, want 1", got)
 	}
 }
 

@@ -230,3 +230,22 @@ func TestBenchmarkLineagesShape(t *testing.T) {
 		t.Fatalf("%d golden lineages, want >= 3", len(lineages))
 	}
 }
+
+// TestMCRejectsNoSamples pins MC's sample-count check: below one sample there
+// is no permutation to count, so Label must fail rather than divide 0 by 0,
+// while a single sample (one antithetic pair) still sums to 1.
+func TestMCRejectsNoSamples(t *testing.T) {
+	d := provenance.FromMonomials(provenance.NewMonomial(1, 2), provenance.NewMonomial(3))
+	for _, m := range []MC{{}, {Samples: -1}} {
+		if got, err := m.Label(d, 1); err == nil {
+			t.Errorf("MC{Samples: %d}.Label = %v, want an error", m.Samples, got)
+		}
+	}
+	got, err := MC{Samples: 1}.Label(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := got.Sum(); sum != 1 {
+		t.Errorf("MC{Samples: 1} values %v sum to %v, want 1", got, sum)
+	}
+}

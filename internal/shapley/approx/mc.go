@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/provenance"
@@ -23,8 +24,11 @@ type MC struct {
 // Label estimates the Shapley value of every fact of d.Lineage() from
 // Samples permutations. All of its randomness comes from seed, so a fixed
 // (formula, seed) pair yields bit-identical values on every call, and it is
-// safe for concurrent use. The error is always nil.
+// safe for concurrent use. It fails only when Samples is below 1.
 func (m MC) Label(d *provenance.DNF, seed uint64) (shapley.Values, error) {
+	if m.Samples < 1 {
+		return nil, fmt.Errorf("approx: MC.Samples is %d, want at least 1", m.Samples)
+	}
 	li := indexLineage(d)
 	done := observe(m.Samples)
 	if len(li.facts) == 0 || d.IsTrue() {

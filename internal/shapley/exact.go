@@ -27,8 +27,9 @@ const maxTreeNodes = 1 << 16
 
 // ErrBudget is wrapped by every error Exact and ExactBudget return for a
 // lineage they refuse: one of more than 512 facts, or one whose decomposition
-// tree would pass the node budget. Callers fall back to a sampler or to the
-// learned ranker on it.
+// tree would pass the node budget. Each refusal counts in
+// shapley.exact.refused. Corpus labeling falls back to the amc sampler on it,
+// and the serving daemon to CNFProxy.
 var ErrBudget = errors.New("shapley: lineage over the exact engine's budget")
 
 // Stats reports the size of the compiled tree, for the runtime analyses.
@@ -73,6 +74,7 @@ func Exact(d *provenance.DNF) (Values, *Stats, error) {
 
 // ExactBudget is Exact under a node budget of its own: compilation stops with
 // ErrBudget as soon as the tree passes budget nodes, fact leaves included.
+// Whether it refuses depends only on d and budget.
 // The tree does not depend on the budget, so whenever both succeed its values
 // equal Exact's bit for bit. A caller with less time than labeling has, such
 // as a ranking request, can try it first and answer some other way on
@@ -85,6 +87,7 @@ func ExactBudget(d *provenance.DNF, budget int) (Values, *Stats, error) {
 	}
 	lineage := d.Lineage()
 	if len(lineage) > maxExactVars {
+		reg.Counter("shapley.exact.refused").Add(1)
 		return nil, nil, fmt.Errorf("%w: lineage has %d facts, the limit is %d", ErrBudget, len(lineage), maxExactVars)
 	}
 	// Facts the minimized formula drops, and all facts of a constant formula,
@@ -98,6 +101,7 @@ func ExactBudget(d *provenance.DNF, budget int) (Values, *Stats, error) {
 		t, root := newTree(f, budget)
 		id, err := t.compile(root)
 		if err != nil {
+			reg.Counter("shapley.exact.refused").Add(1)
 			return nil, nil, err
 		}
 		for i, v := range t.values(id) {

@@ -4,36 +4,18 @@ import (
 	"repro/internal/provenance"
 )
 
-// CNFProxy computes the fast inexact contribution scores used as a ranking
-// proxy, mirroring the CNF-proxy baseline of Deutch et al.: the provenance is
-// Tseytin-transformed into CNF, and each fact variable is scored by the
-// clause-weighted evidence for it,
-//
-//	proxy(f) = Σ_{clauses c with f positive} 2^{-(|c|-1)}
-//
-// On the Tseytin encoding of a DNF this reduces to Banzhaf-style per-monomial
-// evidence: a fact in a short derivation (few co-required facts) scores
-// higher than one buried in a long derivation, and facts in many derivations
-// accumulate. The scores are not Shapley values — overlapping derivations are
-// double counted — but the induced ranking is a cheap approximation.
+// CNFProxy is the fast inexact ranker of the CNF-proxy baseline of Deutch et
+// al.: it scores each fact by the number of derivations it appears in, the
+// monomials of d that contain it. That is the ranking their clause-weighted
+// heuristic gives on the Tseytin encoding of d, where only the clauses
+// (¬a_j ∨ f), one per derivation j that holds f, have a fact positive. How
+// long a fact's derivations are, and how they overlap, does not count, so the
+// scores are not Shapley values; tied facts rank by ID (Values.Ranking).
 func CNFProxy(d *provenance.DNF) Values {
-	cnf := provenance.Tseytin(d)
 	scores := make(Values)
-	for _, id := range d.Lineage() {
-		scores[id] = 0
-	}
-	for _, clause := range cnf.Clauses {
-		weight := 1.0
-		for i := 1; i < len(clause); i++ {
-			weight /= 2
-		}
-		for _, lit := range clause {
-			if lit.Negated {
-				continue
-			}
-			if id, ok := cnf.FactIDForVar(lit.Var); ok {
-				scores[id] += weight
-			}
+	for _, m := range d.Monomials {
+		for _, id := range m {
+			scores[id]++
 		}
 	}
 	return scores

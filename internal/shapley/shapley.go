@@ -19,8 +19,8 @@
 //     and one adjoint pass that yield every fact's exact value. This is the
 //     exact algorithm family of Deutch et al. used to label DBShap, with the
 //     decomposable nodes that keep the compiled circuits small.
-//   - CNFProxy: the fast inexact ranking heuristic applied to the Tseytin CNF
-//     of the provenance, mirroring the paper's inexact baseline.
+//   - CNFProxy: the fast inexact ranker of the paper's CNF-proxy baseline,
+//     which scores each fact by the number of derivations it appears in.
 package shapley
 
 import (

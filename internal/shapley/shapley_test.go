@@ -3,6 +3,7 @@ package shapley
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -308,6 +309,27 @@ func TestCNFProxyRankingQuality(t *testing.T) {
 	}
 	if exact.Ranking()[0] != hub {
 		t.Errorf("exact top fact = %d, want hub", exact.Ranking()[0])
+	}
+}
+
+// TestCNFProxyCountsDerivations pins what CNFProxy computes on hand-built
+// DNFs: each fact's number of derivations, whatever their length, and with
+// absorbed derivations still counted.
+func TestCNFProxyCountsDerivations(t *testing.T) {
+	m := provenance.NewMonomial
+	for _, tc := range []struct {
+		d    *provenance.DNF
+		want Values
+	}{
+		{provenance.FromMonomials(m(1, 2), m(1, 3), m(4)), Values{1: 2, 2: 1, 3: 1, 4: 1}},
+		{provenance.FromMonomials(m(1, 2, 3), m(1, 4), m(5)), Values{1: 2, 2: 1, 3: 1, 4: 1, 5: 1}},
+		{provenance.FromMonomials(m(1), m(1, 2)), Values{1: 2, 2: 1}},
+		{provenance.FromMonomials(m()), Values{}},
+		{provenance.FromMonomials(), Values{}},
+	} {
+		if got := CNFProxy(tc.d); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("CNFProxy(%v) = %v, want %v", tc.d, got, tc.want)
+		}
 	}
 }
 

@@ -83,11 +83,25 @@ func Lex(input string) ([]Token, error) {
 				toks = append(toks, Token{Kind: TokenIdent, Text: word, Pos: start})
 			}
 		case c >= '0' && c <= '9':
-			// Numeric literals are ASCII digits with an optional dot; other
-			// Unicode digit classes are rejected by the default case.
+			// Numeric literals are ASCII digits with an optional dot and an
+			// optional exponent, the form Value.String gives floats from 1e6
+			// up and below 1e-4 ("1e+06"); other Unicode digit classes are
+			// rejected by the default case.
 			start := i
 			for i < n && (input[i] >= '0' && input[i] <= '9' || input[i] == '.') {
 				i++
+			}
+			if i < n && (input[i] == 'e' || input[i] == 'E') {
+				j := i + 1
+				if j < n && (input[j] == '+' || input[j] == '-') {
+					j++
+				}
+				if j < n && input[j] >= '0' && input[j] <= '9' {
+					i = j
+					for i < n && input[i] >= '0' && input[i] <= '9' {
+						i++
+					}
+				}
 			}
 			toks = append(toks, Token{Kind: TokenNumber, Text: input[start:i], Pos: start})
 		case c == '\'' || c == '"':

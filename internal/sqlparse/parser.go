@@ -269,7 +269,7 @@ func (p *parser) parseOp() (CompareOp, error) {
 }
 
 func parseNumber(text string) (relation.Value, error) {
-	if strings.Contains(text, ".") {
+	if strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return relation.Null(), err

@@ -158,6 +158,31 @@ func TestParseFloatAndStringLiterals(t *testing.T) {
 	}
 }
 
+// TestParseExponentLiterals pins that float literals in exponent form, the
+// form Value.String renders floats from 1e6 up and below 1e-4 in, parse and
+// render back unchanged, while an "e" that starts no exponent stays outside
+// the number.
+func TestParseExponentLiterals(t *testing.T) {
+	for lit, want := range map[string]float64{"1e+06": 1e6, "1.5e+21": 1.5e21, "2.5e-05": 2.5e-5} {
+		sql := `SELECT a.x FROM a WHERE a.x = ` + lit
+		q, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if v := q.Selects[0].Predicates[0].RightValue; v.Kind() != relation.KindFloat || v.AsFloat() != want {
+			t.Errorf("%s: literal = %v, want float %v", lit, v, want)
+		}
+		if got := q.SQL(); got != sql {
+			t.Errorf("%s renders as %q", sql, got)
+		}
+	}
+	for _, sql := range []string{`SELECT a.x FROM a WHERE a.x = 1e`, `SELECT a.x FROM a WHERE a.x = 1e+`} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("%s parsed, want an error", sql)
+		}
+	}
+}
+
 func TestSQLRoundTrip(t *testing.T) {
 	inputs := []string{
 		`SELECT DISTINCT actors.name FROM actors WHERE actors.age > 30`,

@@ -30,17 +30,19 @@ echo "== go test -race (concurrency packages) =="
 # goroutines. The run covers every packed-pass parity test of nn and core
 # (readout rows, multi-prefix passes, prefix reuse, the attention and blocked
 # kernels, the golden and truncated rankers), the trace, ring and exposition
-# tests of obs and serve, and serve's replica pool, engine selector, TLS
-# round trip, admin auth gate and refused reload of a NaN checkpoint.
+# tests of obs and serve, and serve's replica pool, /similar parity sweep,
+# hot swap, engine selector, refusal memory, TLS round trip, admin auth gate
+# and refused reload of a NaN checkpoint.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
 echo "== go test -race (serve replica pool, repeated) =="
-# Every handler goroutine shares the replica pool: the admission slots and the
-# channel of idle replicas. The pool tests (the admission bound, a panic while
-# scoring, 429 before evaluation, and draining admitted requests on shutdown)
-# run ten times each, under a timeout that turns a hang into a failure well
-# before go test's own 10 minutes.
-go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown'
+# Every handler goroutine shares the replica pool (the admission slots and the
+# channel of idle replicas) and the refusal memory's slots. The pool tests (the
+# admission bound, a panic while scoring, 429 before evaluation, and draining
+# admitted requests on shutdown) and concurrent answers over the refusal
+# memory run ten times each, under a timeout that turns a hang into a failure
+# well before go test's own 10 minutes.
+go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown|AnswerRefusalsConcurrent'
 
 # must_pass PKG TEST runs one test without the race detector and fails unless
 # it PASSed: a gate that skips itself must not pass silently.
@@ -156,18 +158,19 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: train a tiny model, start the daemon on an
 # ephemeral port with two pooled replicas, fire concurrent /rank requests over
 # real TCP and verify every response bit-for-bit against the engine that
-# answered it: exact Shapley values within the exact budget, sequential
-# ranking past it (cmd/serve -selftest exits non-zero on any mismatch or on
-# the wrong engine), then drain and flush the run manifest. Every lineage of
-# this tiny corpus compiles within the budget, so its answers are all exact;
-# the model path's concurrency parity is gated by TestServeParitySequential
-# under -race above. The schema check asserts the manifest recorded live
+# answered it: exact Shapley values within the exact budget, the CNF proxy
+# past it (cmd/serve -selftest exits non-zero on any mismatch or on the wrong
+# engine), then drain and flush the run manifest. Every lineage of this tiny
+# corpus compiles within the budget, so its answers are all exact; the proxy
+# path is gated by TestSelfTest and TestServeExactSelector at budget 0, and
+# the model's concurrency parity by TestServeParitySequential on /similar,
+# both under -race above. The schema check asserts the manifest recorded live
 # serve.* metrics (request counters, the serve.rank.* per-engine answer
 # counters, the serve.queue.* admission counters, the serve.batch.size
 # histogram of 1 per scoring, the serve.stage.* latency decomposition), and
 # the core.rank.* and nn.mbatch.* ranking counters. Those two come from
 # training's dev-set evaluation inside pipeline.Build, before serving starts,
-# not from the daemon's traffic: no request here reaches the model.
+# not from the daemon's traffic: no /rank request runs the model.
 # The trained model is saved, and a second daemon serves that checkpoint from
 # disk: -load over the same corpus flags rebuilds the same database, and its
 # selftest checks the loaded daemon's concurrent answers the same way.
