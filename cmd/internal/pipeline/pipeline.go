@@ -1,7 +1,7 @@
 // Package pipeline is the front end cmd/learnshap and cmd/serve share: one
-// definition of their corpus and model flags, and one step that builds the
-// corpus, then loads or trains the model and saves it. Every command parses
-// its command line through Parse.
+// definition of their corpus flags and of the step that builds the corpus.
+// learnshap adds the model flags and the step that loads or trains the model
+// and saves it. Every command parses its command line through Parse.
 package pipeline
 
 import (
@@ -15,16 +15,36 @@ import (
 	"repro/internal/obs"
 )
 
-// Flags are the corpus and model flags after parsing.
-type Flags struct {
+// CorpusFlags are the corpus flags after parsing.
+type CorpusFlags struct {
 	db      dbFlag
-	model   modelFlag
 	queries int
 	cases   int
 	seed    int64
 	// Workers bounds the goroutines of corpus building, training and
-	// evaluation; serve also runs this many scoring replicas.
+	// evaluation; serve also scores this many requests at once.
 	Workers int
+}
+
+// AddCorpusFlags registers the corpus flags on fs, with the command's default
+// database and corpus size.
+func AddCorpusFlags(fs *flag.FlagSet, db string, queries, cases int) *CorpusFlags {
+	c := &CorpusFlags{}
+	if err := c.db.Set(db); err != nil {
+		panic(err) // the command's own default
+	}
+	fs.Var(&c.db, "db", "database `name`: imdb or academic")
+	fs.IntVar(&c.queries, "queries", queries, "queries in the corpus")
+	fs.IntVar(&c.cases, "cases", cases, "labeled cases per query")
+	fs.Int64Var(&c.seed, "seed", 1, "corpus seed")
+	fs.IntVar(&c.Workers, "workers", 0, "worker goroutines for corpus building, training, evaluation and scoring (0 = one per CPU); results are identical for every value")
+	return c
+}
+
+// Flags are the corpus and model flags after parsing.
+type Flags struct {
+	*CorpusFlags
+	model   modelFlag
 	dim     int
 	layers  int
 	epochs  int
@@ -38,16 +58,8 @@ type Flags struct {
 // AddFlags registers the corpus and model flags on fs, with the command's
 // default database and corpus size.
 func AddFlags(fs *flag.FlagSet, db string, queries, cases int) *Flags {
-	f := &Flags{model: "base"}
-	if err := f.db.Set(db); err != nil {
-		panic(err) // the command's own default
-	}
-	fs.Var(&f.db, "db", "database `name`: imdb or academic")
+	f := &Flags{CorpusFlags: AddCorpusFlags(fs, db, queries, cases), model: "base"}
 	fs.Var(&f.model, "model", "model `preset`: base, large, no-pretrain, or small")
-	fs.IntVar(&f.queries, "queries", queries, "queries in the corpus")
-	fs.IntVar(&f.cases, "cases", cases, "labeled cases per query")
-	fs.Int64Var(&f.seed, "seed", 1, "corpus seed")
-	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for corpus building, training, evaluation and scoring (0 = one per CPU); results are identical for every value")
 	fs.IntVar(&f.dim, "dim", 0, "override model dim (0 = model default; FFN hidden follows as 2*dim)")
 	fs.IntVar(&f.layers, "layers", 0, "override encoder layers (0 = model default)")
 	fs.IntVar(&f.epochs, "epochs", -1, "override fine-tune epochs (-1 = model default)")
@@ -55,7 +67,7 @@ func AddFlags(fs *flag.FlagSet, db string, queries, cases int) *Flags {
 	fs.IntVar(&f.pepochs, "pepochs", -1, "override pre-training epochs (-1 = model default, 0 = no pre-training)")
 	fs.IntVar(&f.ppairs, "ppairs", 0, "override pre-training pairs per epoch (0 = model default)")
 	fs.StringVar(&f.load, "load", "", "load this gob checkpoint instead of training")
-	fs.StringVar(&f.save, "save", "", "write the model to this file (a checkpoint for -load and /admin/reload)")
+	fs.StringVar(&f.save, "save", "", "write the model to this file (a checkpoint for -load)")
 	return f
 }
 
@@ -150,24 +162,31 @@ func (f *Flags) ModelConfig() core.ModelConfig {
 	return cfg
 }
 
-// Build records the flags in the run manifest and builds the corpus with its
-// similarity cache. It then loads the -load checkpoint over that corpus, or
-// trains ModelConfig on it, and writes the model to -save when that is set.
-func (f *Flags) Build(rn *obs.Run) (*dataset.Corpus, *dataset.SimilarityCache, *core.Model, error) {
-	rn.SetConfig("db", f.db.name)
-	rn.SetConfig("model", string(f.model))
-	rn.SetConfig("queries", f.queries)
-	rn.SetConfig("cases", f.cases)
-	rn.SetConfig("seed", f.seed)
-	rn.SetConfig("workers", f.Workers)
+// BuildCorpus records the corpus flags in the run manifest and builds the
+// corpus.
+func (c *CorpusFlags) BuildCorpus(rn *obs.Run) (*dataset.Corpus, error) {
+	rn.SetConfig("db", c.db.name)
+	rn.SetConfig("queries", c.queries)
+	rn.SetConfig("cases", c.cases)
+	rn.SetConfig("seed", c.seed)
+	rn.SetConfig("workers", c.Workers)
 
-	dc := dataset.DefaultConfig(f.db.kind)
-	dc.Seed = f.seed
-	dc.NumQueries = f.queries
-	dc.MaxCasesPerQuery = f.cases
-	dc.Workers = f.Workers
-	rn.Log.Infof("Building %s corpus (%d queries)...\n", f.db.kind, f.queries)
-	corpus, err := dataset.Build(dc)
+	dc := dataset.DefaultConfig(c.db.kind)
+	dc.Seed = c.seed
+	dc.NumQueries = c.queries
+	dc.MaxCasesPerQuery = c.cases
+	dc.Workers = c.Workers
+	rn.Log.Infof("Building %s corpus (%d queries)...\n", c.db.kind, c.queries)
+	return dataset.Build(dc)
+}
+
+// Build records the flags in the run manifest and builds the corpus
+// (BuildCorpus) with its similarity cache. It then loads the -load checkpoint
+// over that corpus, or trains ModelConfig on it, and writes the model to
+// -save when that is set.
+func (f *Flags) Build(rn *obs.Run) (*dataset.Corpus, *dataset.SimilarityCache, *core.Model, error) {
+	rn.SetConfig("model", string(f.model))
+	corpus, err := f.BuildCorpus(rn)
 	if err != nil {
 		return nil, nil, nil, err
 	}

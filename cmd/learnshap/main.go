@@ -7,10 +7,10 @@
 //
 // Baseline comparisons (Nearest Queries with each similarity metric) are
 // printed next to the model so a single invocation reproduces one database's
-// column of the paper's Table 3. The corpus and model flags, and the
-// load-or-train step behind them, are the ones cmd/serve uses
-// (cmd/internal/pipeline); the test-split table is experiments.Evaluate's,
-// identical at every -workers.
+// column of the paper's Table 3. The corpus flags, and the corpus build
+// behind them, are the ones cmd/serve uses; the model flags and the
+// load-or-train step come from the same package (cmd/internal/pipeline). The
+// test-split table is experiments.Evaluate's, identical at every -workers.
 package main
 
 import (

@@ -1,32 +1,28 @@
 // Command serve is the production ranking daemon: it serves "why is this
 // tuple in the result?" requests over HTTP (internal/serve), ranking each
-// lineage from its provenance, and loads (or trains) a LearnShapley model for
-// /similar.
+// lineage from its provenance over the corpus it builds at start-up. It
+// neither trains nor loads a model.
 //
-//	serve -db imdb -load model.gob -addr :8080        # serve a checkpoint
-//	serve -db imdb -queries 20 -cases 6               # train a demo model, then serve
+//	serve -db imdb -addr :8080                        # build the default corpus and serve
+//	serve -db academic -queries 20 -cases 6           # a smaller corpus
 //	serve -selftest 16 -metrics-out run.json          # in-process e2e gate (ci.sh)
 //
-// Endpoints: POST /rank, /explain, /similar, /admin/reload; GET /healthz
-// (?probe=readiness for the load-balancer signal), /metrics
-// (?format=prometheus for scrapers), /debug/manifest, /debug/trace (Chrome
-// trace-event dump of recent requests). Overload answers 429 + Retry-After;
-// SIGINT and SIGTERM drain in-flight requests before exit (and flush
-// -metrics-out).
+// Endpoints: POST /rank, /explain; GET /healthz (?probe=readiness for the
+// load-balancer signal), /metrics (?format=prometheus for scrapers),
+// /debug/manifest, /debug/trace (Chrome trace-event dump of recent requests).
+// Overload answers 429 + Retry-After; SIGINT and SIGTERM drain in-flight
+// requests before exit (and flush -metrics-out).
 //
 // Every request runs on its own handler goroutine: it takes one of
 // -queue-cap plus -workers admission slots, then scores on one of -workers
-// pooled model replicas (one per CPU by default), so a request waits only for
-// a free replica. /rank and /explain answer with exact Shapley values when
+// compile turns (one per CPU by default), so at most -workers lineages
+// compile at once. /rank and /explain answer with exact Shapley values when
 // the lineage compiles within a fixed budget of decomposition-tree nodes, and
 // with the CNF proxy's derivation counts past it (a refused lineage skips the
-// attempt from then on); the response's "engine" field says which. Only
-// /similar runs the model. -tls-cert/-tls-key serve HTTPS;
-// -admin-token puts /admin/* behind a bearer token, and the run manifest
-// (/debug/manifest, -metrics-out) shows it as <redacted>. The corpus and model
-// flags, and the load-or-train step behind them, are the ones cmd/learnshap
-// uses (cmd/internal/pipeline). The repository benchmark (bench/run.sh)
-// measures the daemon under load.
+// attempt from then on); the response's "engine" field says which.
+// -tls-cert/-tls-key serve HTTPS. The corpus flags, and the corpus build
+// behind them, are the ones cmd/learnshap uses (cmd/internal/pipeline). The
+// repository benchmark (bench/run.sh) measures the daemon under load.
 package main
 
 import (
@@ -40,17 +36,17 @@ import (
 
 	"repro/cmd/internal/pipeline"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/serve"
 )
 
 func main() {
-	pf := pipeline.AddFlags(flag.CommandLine, "imdb", 20, 6)
+	cf := pipeline.AddCorpusFlags(flag.CommandLine, "imdb", 20, 6)
 
 	// Serving.
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	queueCap := flag.Int("queue-cap", serve.DefaultConfig().QueueCap, "admitted requests that may wait beyond -workers; overflow answers 429 + Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-	adminToken := flag.String("admin-token", "", "bearer token required on /admin/* endpoints (empty = open)")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate path; with -tls-key, serve HTTPS instead of HTTP")
 	tlsKey := flag.String("tls-key", "", "PEM private key path (must be set together with -tls-cert)")
 
@@ -67,19 +63,18 @@ func main() {
 	defer finish(rn)
 	rn.SetConfig("queue_cap", *queueCap)
 	rn.SetConfig("slow_ms", *slowMS)
-	corpus, _, model, err := pf.Build(rn)
+	corpus, err := cf.BuildCorpus(rn)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	scfg := serve.Config{
-		Addr:       *addr,
-		Workers:    pf.Workers,
-		QueueCap:   *queueCap,
-		AdminToken: *adminToken,
-		TLSCert:    *tlsCert,
-		TLSKey:     *tlsKey,
-		SlowMS:     *slowMS,
+		Addr:     *addr,
+		Workers:  parallel.Workers(cf.Workers), // resolved here so the log below names the count serving uses
+		QueueCap: *queueCap,
+		TLSCert:  *tlsCert,
+		TLSKey:   *tlsKey,
+		SlowMS:   *slowMS,
 	}
 	if *selftest > 0 {
 		scfg.Addr = "127.0.0.1:0"
@@ -88,7 +83,7 @@ func main() {
 		}
 	}
 
-	srv := serve.New(scfg, corpus, model)
+	srv := serve.New(scfg, corpus, nil)
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}

@@ -1,15 +1,15 @@
 // Server demonstrates the production serving stack (internal/serve, the
 // engine behind cmd/serve) answering real-time "why is this tuple in the
-// result?" requests from only the query and the tuple. The program trains a
-// small model over a synthetic IMDB corpus, starts the stack (each request
-// scored on a pooled replica, backpressure, graceful drain), issues a
-// demonstration request against itself, and exits (pass -serve to keep it
-// running). The server answers with exact Shapley values when the lineage's
-// provenance compiles within a fixed node budget, as every small IMDB lineage
-// does, and with the CNF proxy's derivation counts past it; "engine" says
-// which. The paper's Section 5.8 serves the learned ranker instead, because
-// exact computation is too slow there; here both engines are faster than the
-// model and rank better (DESIGN.md §8), and the model answers /similar.
+// result?" requests from only the query and the tuple. The program builds a
+// synthetic IMDB corpus, starts the stack over it (each request scored on a
+// compile turn, backpressure, graceful drain), issues a demonstration request
+// against itself, and exits (pass -serve to keep it running). The server
+// answers with exact Shapley values when the lineage's provenance compiles
+// within a fixed node budget, as every small IMDB lineage does, and with the
+// CNF proxy's derivation counts past it; "engine" says which. The paper's
+// Section 5.8 serves the learned ranker instead, because exact computation is
+// too slow there; here both engines are faster than the model and rank
+// better (DESIGN.md §8), so no model is trained.
 //
 //	POST /rank {"sql": "...", "tuple": ["Alice", ...]}
 //	  -> {"engine": "exact", "facts": [{"id": 17, "fact": "...", "score": 0.21}, ...]}
@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/serve"
 )
@@ -36,7 +35,7 @@ func main() {
 	keep := flag.Bool("serve", false, "keep serving instead of running the demo request")
 	flag.Parse()
 
-	fmt.Println("Building corpus and training a small LearnShapley model...")
+	fmt.Println("Building corpus...")
 	dc := dataset.DefaultConfig(dataset.IMDB)
 	dc.NumQueries = 20
 	dc.MaxCasesPerQuery = 6
@@ -44,20 +43,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.BaseConfig()
-	cfg.Dim, cfg.Layers, cfg.FFNHidden = 16, 1, 32
-	cfg.PretrainEpochs, cfg.PretrainPairsPerEpoch = 1, 80
-	cfg.FinetuneEpochs, cfg.FinetuneSamplesPerEpoch = 2, 400
-	model, _, err := core.Train(corpus, dataset.NewSimilarityCache(corpus), cfg, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The full daemon (checkpoint loading, hot-swap, metrics) lives in
-	// cmd/serve; this example only needs an address and the defaults.
+	// The full daemon (TLS, metrics, the self-test) lives in cmd/serve; this
+	// example only needs an address and the defaults.
 	scfg := serve.DefaultConfig()
 	scfg.Addr = *addr
-	srv := serve.New(scfg, corpus, model)
+	srv := serve.New(scfg, corpus, nil)
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}

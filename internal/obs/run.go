@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +26,6 @@ type Run struct {
 	mu         sync.Mutex
 	config     map[string]any
 	quality    map[string]float64
-	secrets    []string
 }
 
 // NewRun assembles a Run directly — the constructor tests and bench harnesses
@@ -64,33 +62,15 @@ func (r *Run) SetQuality(key string, v float64) {
 	r.mu.Unlock()
 }
 
-// Redact registers a secret, such as an admin token, that Manifest shows as
-// <redacted> wherever it appears in the command-line args. Nil-safe; an
-// empty secret is ignored.
-func (r *Run) Redact(secret string) {
-	if r == nil || secret == "" {
-		return
-	}
-	r.mu.Lock()
-	r.secrets = append(r.secrets, secret)
-	r.mu.Unlock()
-}
-
 // Manifest assembles the run's manifest document.
 func (r *Run) Manifest() *Manifest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := r.Reg.Snapshot()
-	args := append([]string(nil), os.Args[1:]...)
-	for i := range args {
-		for _, secret := range r.secrets {
-			args[i] = strings.ReplaceAll(args[i], secret, "<redacted>")
-		}
-	}
 	m := &Manifest{
 		Schema:      ManifestSchema,
 		Command:     r.Command,
-		Args:        args,
+		Args:        append([]string(nil), os.Args[1:]...),
 		StartedUTC:  r.Started.UTC().Format(time.RFC3339),
 		DurationSec: time.Since(r.Started).Seconds(),
 		Build:       collectBuildInfo(),

@@ -2,16 +2,12 @@ package serve
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"net/http"
-	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -69,32 +65,6 @@ const (
 	engineProxy = "proxy"
 )
 
-// SimilarRequest asks the pre-training heads how similar two queries are.
-type SimilarRequest struct {
-	SQLA string `json:"sql_a"`
-	SQLB string `json:"sql_b"`
-}
-
-// SimilarResponse maps pre-training metric -> predicted similarity. Empty
-// when the served model was trained without pre-training heads.
-type SimilarResponse struct {
-	Similarities map[string]float64 `json:"similarities"`
-}
-
-// ReloadRequest names a gob checkpoint (written by Model.Save / -save) to
-// hot-swap in. The checkpoint must have been trained over the server's
-// database.
-type ReloadRequest struct {
-	Path string `json:"path"`
-}
-
-// ReloadResponse confirms a hot-swap.
-type ReloadResponse struct {
-	Version string `json:"version"`
-	Model   string `json:"model"`
-	Weights int    `json:"weights"`
-}
-
 // errorResponse is the JSON body of every non-2xx answer.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -105,45 +75,11 @@ func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/rank", s.instrument("rank", s.handleRank(false)))
 	mux.HandleFunc("/explain", s.instrument("explain", s.handleRank(true)))
-	mux.HandleFunc("/similar", s.instrument("similar", s.handleSimilar))
-	mux.HandleFunc("/admin/reload", s.instrument("reload", s.requireAdmin(s.handleReload)))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/manifest", s.handleManifest)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
 	return mux
-}
-
-// requireAdmin gates an /admin/* handler behind the configured bearer token:
-// with Config.AdminToken set, requests must carry "Authorization: Bearer
-// <token>" or they are rejected with 401 (counted in serve.req.unauthorized)
-// before the handler runs. The comparison is constant-time so the token
-// cannot be recovered byte-by-byte through response timing. An empty token
-// leaves the endpoint open — the local-development default.
-func (s *Server) requireAdmin(h http.HandlerFunc) http.HandlerFunc {
-	unauth := obs.Metrics().Counter("serve.req.unauthorized")
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.AdminToken != "" {
-			got, ok := bearerToken(r)
-			if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.AdminToken)) != 1 {
-				unauth.Add(1)
-				w.Header().Set("WWW-Authenticate", `Bearer realm="admin"`)
-				s.writeError(w, http.StatusUnauthorized, "admin endpoints require a valid bearer token")
-				return
-			}
-		}
-		h(w, r)
-	}
-}
-
-// bearerToken extracts the token of an "Authorization: Bearer ..." header.
-func bearerToken(r *http.Request) (string, bool) {
-	const prefix = "Bearer "
-	auth := r.Header.Get("Authorization")
-	if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) {
-		return "", false
-	}
-	return auth[len(prefix):], true
 }
 
 // statusWriter records the response status and the instant of the first byte
@@ -178,8 +114,8 @@ func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // instrument wraps a handler with the endpoint's request counter and latency
 // histogram, and roots the request's trace: an inbound X-Trace-Id is adopted
 // (and echoed on the response) when obs.NewTraceContext accepts it, otherwise
-// a fresh ID is minted. The trace context rides in the request context into
-// the scoring replica; after the handler returns, the completed trace —
+// a fresh ID is minted. The trace context rides in the request context onto
+// the scoring turn; after the handler returns, the completed trace —
 // stages plus the final encode/write segment — lands in the /debug/trace ring
 // and the access/slow logs. Handles are resolved once at route construction
 // (obs contract).
@@ -298,9 +234,8 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 // evaluated, so the admission bound covers evaluation as well as scoring.
 // Parse, the evaluation of the requested tuple and the match among what it
 // leaves are the request's "evaluate" stage (see locate); the exact attempt
-// and any proxy pass run on a borrowed replica's turn, as its "score" stage
-// (see answer), though neither reads the model: the turn bounds how many
-// lineages compile at once to Config.Workers.
+// and any proxy pass run on a compile turn, as its "score" stage (see
+// answer), so at most Config.Workers lineages compile at once.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -327,7 +262,7 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 		}
 		var scores shapley.Values
 		var eng string
-		s.score(tc, func(*core.Model) { scores, eng = s.answer(r.Context(), target.Prov) })
+		s.score(tc, func() { scores, eng = s.answer(r.Context(), target.Prov) })
 		if eng == engineExact {
 			s.mExact.Add(1)
 		} else {
@@ -355,7 +290,7 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 // "shapley.proxy" stage.
 func (s *Server) answer(ctx context.Context, prov *provenance.DNF) (shapley.Values, string) {
 	tc := obs.TraceFrom(ctx)
-	h := maphash.String(refusalSeed, prov.Key())
+	h := lineageHash(prov)
 	slot := &s.refused[h%refusalSlots]
 	if slot.Load() != h|1 {
 		done := tc.StageTimer("shapley.exact")
@@ -372,6 +307,33 @@ func (s *Server) answer(ctx context.Context, prov *provenance.DNF) (shapley.Valu
 	return shapley.CNFProxy(prov), engineProxy
 }
 
+// lineageHash hashes a lineage's provenance for the refusal memory without a
+// sort or a string. Each monomial is hashed in its own order, which
+// provenance.NewMonomial keeps sorted, and the monomial hashes are summed, so
+// DNFs that list the same monomials in any order, as DNF.Key() equates them,
+// hash alike.
+func lineageHash(prov *provenance.DNF) uint64 {
+	var sum uint64
+	for _, m := range prov.Monomials {
+		h := refusalSeed
+		for _, id := range m {
+			h = mix64(h ^ uint64(id))
+		}
+		sum += h
+	}
+	return sum
+}
+
+// mix64 is SplitMix64's finalizer: a bijection on 64 bits in which every
+// output bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // rankedFacts renders scored lineage facts in ranking order.
 func (s *Server) rankedFacts(scores shapley.Values) []RankedFact {
 	facts := make([]RankedFact, 0, len(scores))
@@ -385,56 +347,14 @@ func (s *Server) rankedFacts(scores shapley.Values) []RankedFact {
 	return facts
 }
 
-func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
-	var req SimilarRequest
-	if !s.decodePost(w, r, &req) {
-		return
-	}
-	if req.SQLA == "" || req.SQLB == "" {
-		s.writeError(w, http.StatusBadRequest, "sql_a and sql_b are required")
-		return
-	}
-	if !s.admit(w) {
-		return
-	}
-	defer s.release()
-	tc := obs.TraceFrom(r.Context())
-	var sims map[string]float64
-	s.score(tc, func(m *core.Model) {
-		defer tc.StageTimer("core.similar")()
-		sims = m.PredictSimilarities(req.SQLA, req.SQLB)
-	})
-	s.writeJSON(w, http.StatusOK, SimilarResponse{Similarities: sims})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req ReloadRequest
-	if !s.decodePost(w, r, &req) {
-		return
-	}
-	model, err := core.LoadModelFile(req.Path, s.corpus.DB)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "load checkpoint: %v", err)
-		return
-	}
-	version := fmt.Sprintf("%s@%s", req.Path, time.Now().UTC().Format(time.RFC3339))
-	s.SwapModel(model, version)
-	s.writeJSON(w, http.StatusOK, ReloadResponse{
-		Version: version,
-		Model:   model.Name(),
-		Weights: model.NumWeights(),
-	})
-}
-
 // handleHealthz answers both health probes. Plain GET /healthz is liveness:
 // 200 whenever the process can answer at all — even while draining, because
 // restarting a slow-but-alive daemon throws away its queue.
 // /healthz?probe=readiness is the load-balancer signal: 503 while draining
 // (Shutdown has begun), 200 otherwise. The body always carries the full
-// picture: readiness and drain state, model identity and swap generation,
-// queue depth (admitted requests in flight) and worker count.
+// picture: readiness and drain state, queue depth (admitted requests in
+// flight) and worker count.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.state()
 	draining := s.draining.Load()
 	code := http.StatusOK
 	if r.URL.Query().Get("probe") == "readiness" && draining {
@@ -444,10 +364,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"live":        true,
 		"ready":       !draining,
 		"draining":    draining,
-		"generation":  s.gen.Load(),
-		"model":       st.model.Name(),
-		"version":     st.version,
-		"loaded_utc":  st.loaded.UTC().Format(time.RFC3339),
 		"queue_depth": len(s.slots),
 		"workers":     s.cfg.Workers,
 	})
@@ -456,7 +372,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exports the live obs registry. The default is the repo's JSON
 // snapshot — per-endpoint latency histograms, the serve.stage.* decomposition,
 // the admission counters and queue-depth gauge, and every library metric
-// (core.rank.*, nn.mbatch.*). ?format=prometheus renders the same
+// (shapley.exact.*). ?format=prometheus renders the same
 // snapshot in the Prometheus text exposition format (0.0.4) for scrapers.
 // Empty without a live registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

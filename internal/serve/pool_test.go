@@ -4,16 +4,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// TestBatcherQueueFull pins the admission bound: QueueCap+Workers requests are
-// admitted at once, the next one is answered 429 with Retry-After, and a
-// release admits again.
-func TestBatcherQueueFull(t *testing.T) {
-	corpus, model := fixture(t)
-	s := New(Config{QueueCap: 2, Workers: 1}, corpus, model)
+// TestAdmitRejectsPastCapacity pins the admission bound: QueueCap+Workers
+// requests are admitted at once, the next one is answered 429 with
+// Retry-After, and a release admits again.
+func TestAdmitRejectsPastCapacity(t *testing.T) {
+	s := New(Config{QueueCap: 2, Workers: 1}, fixture(t), nil)
 	for i := 0; i < 3; i++ {
 		if rec := httptest.NewRecorder(); !s.admit(rec) {
 			t.Fatalf("admission %d of 3 refused with %d", i+1, rec.Code)
@@ -33,35 +30,32 @@ func TestBatcherQueueFull(t *testing.T) {
 	}
 }
 
-// TestPoolPanicKeepsReplica scores panicking requests, more of them than there
-// are replicas and slots, the way a handler does: the panic must give back the
-// replica and the slot, and the pool must still score afterwards.
-func TestPoolPanicKeepsReplica(t *testing.T) {
-	corpus, model := fixture(t)
-	s := New(Config{QueueCap: 1, Workers: 2}, corpus, model)
+// TestScorePanicReleasesTurn scores panicking requests, more of them than
+// there are turns and slots, the way a handler does: the panic must give back
+// the turn and the slot, and the pool must still score afterwards.
+func TestScorePanicReleasesTurn(t *testing.T) {
+	s := New(Config{QueueCap: 1, Workers: 2}, fixture(t), nil)
 	panicking := func() (recovered any) {
 		defer func() { recovered = recover() }()
 		if !s.admit(httptest.NewRecorder()) {
 			t.Fatal("slot leaked by an earlier panic")
 		}
 		defer s.release()
-		s.score(nil, func(*core.Model) { panic("boom") })
+		s.score(nil, func() { panic("boom") })
 		return nil
 	}
 	for i := 0; i < 2*cap(s.slots); i++ {
 		if got := panicking(); got != "boom" {
 			t.Fatalf("request %d recovered %v, want the scoring panic", i, got)
 		}
-		if len(s.replicas) != 2 || len(s.slots) != 0 {
-			t.Fatalf("after panic %d: %d idle replicas and %d held slots, want 2 and 0",
-				i+1, len(s.replicas), len(s.slots))
+		if len(s.turns) != 0 || len(s.slots) != 0 {
+			t.Fatalf("after panic %d: %d held turns and %d held slots, want 0 and 0",
+				i+1, len(s.turns), len(s.slots))
 		}
 	}
-	c := similarCases(t, s, 1)[0]
-	want := similarReference(model, []similarCase{c})[0]
-	var got map[string]float64
-	s.score(nil, func(m *core.Model) { got = m.PredictSimilarities(c.a, c.b) })
-	if err := sameSimilarities(got, want); err != nil {
-		t.Fatalf("after the panics: %v", err)
+	ran := false
+	s.score(nil, func() { ran = true })
+	if !ran {
+		t.Fatal("after the panics the pool did not score")
 	}
 }

@@ -22,9 +22,9 @@ import (
 // the running server and checks every response bit-for-bit against the engine
 // the server picks for its lineage: exact Shapley values when the lineage
 // compiles within the exact budget, shapley.CNFProxy otherwise, with the
-// matching "engine" field. It then exercises /similar, /healthz and /metrics,
-// and fails if the metrics snapshot shows no serve activity. The server keeps
-// running; the caller owns shutdown.
+// matching "engine" field. It then exercises /healthz and /metrics, and fails
+// if the metrics snapshot shows no serve activity. The server keeps running;
+// the caller owns shutdown.
 func SelfTest(s *Server, n int) error {
 	if n < 1 {
 		n = 1
@@ -63,9 +63,6 @@ func SelfTest(s *Server, n int) error {
 		}
 	}
 
-	if err := checkSimilar(client, s.URL(), cases[0].sql); err != nil {
-		return err
-	}
 	if err := checkHealthz(client, s.URL()); err != nil {
 		return err
 	}
@@ -83,7 +80,6 @@ func insecureTLSFor(baseURL string) *tls.Config {
 
 // selfTestCase is one prepared request with the provenance of its tuple.
 type selfTestCase struct {
-	sql  string
 	body []byte
 	prov *provenance.DNF
 }
@@ -103,7 +99,7 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, selfTestCase{sql: q.SQL, body: body, prov: cs.Tuple.Prov})
+			out = append(out, selfTestCase{body: body, prov: cs.Tuple.Prov})
 			if len(out) >= n {
 				return out, nil
 			}
@@ -148,24 +144,6 @@ func checkRank(client *http.Client, base string, body []byte, engine string, wan
 		}
 	}
 	return nil
-}
-
-func checkSimilar(client *http.Client, base, sql string) error {
-	body, err := json.Marshal(SimilarRequest{SQLA: sql, SQLB: sql})
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(base+"/similar", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("selftest: similar request: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("selftest: similar -> %s: %s", resp.Status, msg)
-	}
-	var sr SimilarResponse
-	return json.NewDecoder(resp.Body).Decode(&sr)
 }
 
 // checkHealthz asserts the health document of a serving (non-draining) daemon:

@@ -1,54 +1,47 @@
 // Package serve is the production ranking daemon behind cmd/serve: an
 // HTTP/JSON service that answers each /rank request with exact Shapley values
 // when the lineage compiles within a fixed node budget, and with
-// shapley.CNFProxy's ranking read off the provenance otherwise. A trained
-// LearnShapley model answers /similar.
+// shapley.CNFProxy's ranking read off the provenance otherwise. It ranks from
+// the provenance alone; no endpoint runs a model.
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► evaluate ──► borrow replica ──► ExactBudget ──► CNFProxy
-//	               ▲                   │429     (parse, the  (first free of     (≤ 2^14 tree    (derivation
-//	               │             (backpressure)  requested     Workers)          nodes)          counts, over
-//	               │                             tuple only)                                     budget)
-//	               └──────────── response ◄──── return replica ◄────────────────────┴───────────────┘
+//	conns ──► handler goroutines ──► admit ──► evaluate ──► take a turn ──► ExactBudget ──► CNFProxy
+//	               ▲                   │429     (parse, the  (one of         (≤ 2^14 tree    (derivation
+//	               │             (backpressure)  requested     Workers)         nodes)          counts, over
+//	               │                             tuple only)                                    budget)
+//	               └──────────── response ◄──── give the turn back ◄─────────────┴───────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
 // body decodes, the handler takes one of QueueCap+Workers admission slots
 // without blocking, then parses the query and evaluates only the requested
 // tuple (engine.Options.Tuple pushes its values into the query's scans),
-// borrows one of Config.Workers model replicas (core.Model.CloneForWorker:
-// shared read-only weights, private activation workspaces), scores on it and
-// gives both back (pool.go). A request therefore waits only for a free
-// replica. Only /similar reads the replica's model; the turn of a /rank or
-// /explain request bounds how many lineages compile at once.
+// waits for one of Config.Workers compile turns, scores on it and gives both
+// back (pool.go). The turns bound how many lineages compile at once.
 //
-// On the replica's turn the handler first compiles the lineage's provenance
-// with shapley.ExactBudget under rankExactNodes tree nodes. When the tree
-// fits, the exact values are the answer ("engine": "exact"). When it does
-// not, shapley.CNFProxy scores every fact by the number of derivations that
-// hold it ("engine": "proxy"), and the server remembers the refusal, so later
+// On its turn the handler first compiles the lineage's provenance with
+// shapley.ExactBudget under rankExactNodes tree nodes. When the tree fits,
+// the exact values are the answer ("engine": "exact"). When it does not,
+// shapley.CNFProxy scores every fact by the number of derivations that hold
+// it ("engine": "proxy"), and the server remembers the refusal, so later
 // requests for the lineage skip the attempt. Whether the tree fits depends
 // only on the lineage, so the same request always gets the same engine.
 //
 // Determinism: an exact answer equals shapley.Exact bit for bit, and a proxy
-// answer equals shapley.CNFProxy. Replicas predict bit-identically to their
-// parent, and the pool only decides which replica serves which request, so a
-// /similar answer equals sequential PredictSimilarities at every worker
-// count. TestServeExactSelector and TestServeParitySequential enforce both.
+// answer equals shapley.CNFProxy, at every worker count.
+// TestServeExactSelector and TestServeParitySequential enforce both.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when every admission slot is taken, requests are rejected immediately with
 // 429 and a Retry-After header instead of queueing unboundedly. Shutdown
 // stops accepting and waits for running handlers, so no admitted request is
-// ever dropped. A new model checkpoint can be swapped in at runtime (POST
-// /admin/reload) via an atomic pointer flip; a pooled replica is re-cloned
-// from the new weights before the next request it scores.
+// ever dropped.
 package serve
 
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -58,7 +51,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/relation"
 )
 
 // Config sizes the daemon. The zero value is not usable; start from
@@ -66,26 +58,18 @@ import (
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Workers is the number of pooled model replicas, each serving one
-	// /rank, /explain or /similar request at a time (<= 0 means one per
-	// CPU). Replicas share the model's weight tensors and own their
-	// workspaces. Workers bounds how many lineages compile at once, each
-	// refused attempt allocating up to about 60 MB, and how many /similar
-	// passes run.
+	// Workers is the number of compile turns: how many /rank and /explain
+	// requests score at once (<= 0 means one per CPU). It bounds how many
+	// lineages compile at once, each refused attempt allocating up to about
+	// 60 MB.
 	Workers int
 	// QueueCap is how many admitted requests may wait beyond the Workers being
 	// scored: at most QueueCap+Workers requests are admitted at once, counted
 	// from body decode to response. Requests beyond that are rejected with
 	// 429 + Retry-After.
 	QueueCap int
-	// AdminToken, when non-empty, locks every /admin/* endpoint behind
-	// "Authorization: Bearer <token>"; failures are rejected with 401 and
-	// counted in serve.req.unauthorized. Empty leaves /admin/* open (local
-	// development default).
-	AdminToken string
 	// TLSCert/TLSKey are PEM file paths; set both to serve HTTPS instead of
-	// plain HTTP. The bearer token above is only meaningful over TLS on
-	// untrusted networks.
+	// plain HTTP.
 	TLSCert string
 	TLSKey  string
 	// SlowMS logs any request whose total latency is at or above this many
@@ -95,7 +79,7 @@ type Config struct {
 	SlowMS float64
 }
 
-// DefaultConfig returns serving defaults: one replica per CPU and 256
+// DefaultConfig returns serving defaults: one compile turn per CPU and 256
 // admitted requests waiting beyond them.
 func DefaultConfig() Config {
 	return Config{Addr: "127.0.0.1:0", QueueCap: 256}
@@ -116,25 +100,13 @@ const rankExactNodes = 1 << 14
 const refusalSlots = 1024
 
 // refusalSeed seeds the lineage hashes that pick Server.refused's slots.
-var refusalSeed = maphash.MakeSeed()
-
-// modelState is the atomically swapped unit of /admin/reload: the model and
-// the metadata the health/manifest endpoints report. The corpus database is
-// fixed for the server's lifetime (checkpoints are per-database; fact IDs in
-// responses resolve against it).
-type modelState struct {
-	model   *core.Model
-	version string
-	loaded  time.Time
-}
+var refusalSeed = rand.Uint64()
 
 // Server is one serving instance. Build with New, run with Start, stop with
 // Shutdown.
 type Server struct {
 	cfg    Config
 	corpus *dataset.Corpus
-	st     atomic.Pointer[modelState]
-	gen    atomic.Int64 // bumped on every swap; pooled replicas re-clone when stale
 	mux    *http.ServeMux
 
 	// exactNodes is /rank's exact budget, rankExactNodes; in-package tests
@@ -143,16 +115,16 @@ type Server struct {
 	exactNodes int
 
 	// refused remembers the lineages whose exact attempt was refused. The
-	// low bits of the 64-bit hash of a lineage's DNF.Key() pick its slot,
-	// which holds that hash with its lowest bit set, so an empty slot (0)
-	// matches no lineage. A refusal depends only on the DNF and exactNodes,
-	// so a match skips the attempt. A lineage evicted by another costs one
+	// low bits of a lineage's 64-bit hash (lineageHash) pick its slot, which
+	// holds that hash with its lowest bit set, so an empty slot (0) matches
+	// no lineage. A refusal depends only on the DNF and exactNodes, so a
+	// match skips the attempt. A lineage evicted by another costs one
 	// repeated attempt; a wrong skip needs two lineages with equal hashes.
 	refused [refusalSlots]atomic.Uint64
 
-	// The replica pool (pool.go): admission slots and idle replicas.
-	slots    chan struct{}
-	replicas chan *replica
+	// The pool (pool.go): admission slots and compile turns.
+	slots chan struct{}
+	turns chan struct{}
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -167,7 +139,6 @@ type Server struct {
 	ring *obs.TraceRing
 
 	// Pre-resolved metric handles (nil = no-op without a live obs run).
-	mReloads   *obs.Counter
 	mSlow      *obs.Counter
 	mExact     *obs.Counter   // serve.rank.exact: rankings answered exactly
 	mProxy     *obs.Counter   // serve.rank.proxy: rankings answered by CNFProxy
@@ -184,12 +155,11 @@ type Server struct {
 	mRejected *obs.Counter // serve.queue.rejected
 }
 
-// New assembles a server around a trained model and the corpus it was trained
-// over. The model itself never scores: the pool clones the replicas that
-// answer /similar from it. The caller must not run it concurrently with the
-// server either.
-// The installed obs run redacts cfg.AdminToken from its manifest.
-func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
+// New assembles a server over a corpus, whose database answers every query
+// and resolves every fact ID in a response. The third parameter is ignored,
+// since no endpoint reads a model; it stays until its last caller stops
+// passing one.
+func New(cfg Config, corpus *dataset.Corpus, _ *core.Model) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = parallel.Workers(0)
 	}
@@ -203,9 +173,8 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		corpus:     corpus,
 		exactNodes: rankExactNodes,
 		slots:      make(chan struct{}, cfg.QueueCap+cfg.Workers),
-		replicas:   make(chan *replica, cfg.Workers),
+		turns:      make(chan struct{}, cfg.Workers),
 		ring:       obs.NewTraceRing(traceRingSize),
-		mReloads:   reg.Counter("serve.reloads"),
 		mSlow:      reg.Counter("serve.req.slow"),
 		mExact:     reg.Counter("serve.rank.exact"),
 		mProxy:     reg.Counter("serve.rank.proxy"),
@@ -219,35 +188,8 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 		mAdmitted:  reg.Counter("serve.queue.admitted"),
 		mRejected:  reg.Counter("serve.queue.rejected"),
 	}
-	for range cfg.Workers {
-		s.replicas <- &replica{}
-	}
-	// /debug/manifest is open, and the manifest lists the command line.
-	obs.Live().Redact(cfg.AdminToken)
-	s.install(model, "initial")
 	s.mux = s.routes()
 	return s
-}
-
-// install points the server at a model and bumps the generation, so pooled
-// replicas re-clone from it before their next request.
-func (s *Server) install(model *core.Model, version string) {
-	s.st.Store(&modelState{model: model, version: version, loaded: time.Now()})
-	s.gen.Add(1)
-}
-
-// state returns the current model state (never nil after New).
-func (s *Server) state() *modelState { return s.st.Load() }
-
-// DB returns the database lineage fact IDs resolve against.
-func (s *Server) DB() *relation.Database { return s.corpus.DB }
-
-// SwapModel atomically replaces the serving model (model hot-swap). In-flight
-// requests finish on the old weights; every request that borrows a replica
-// afterwards scores on the new ones.
-func (s *Server) SwapModel(model *core.Model, version string) {
-	s.install(model, version)
-	s.mReloads.Add(1)
 }
 
 // Handler exposes the route table (tests drive it without a listener).

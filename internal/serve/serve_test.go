@@ -3,22 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -26,41 +20,26 @@ import (
 	"repro/internal/shapley"
 )
 
-// The fixture trains once per test binary: every server test shares the same
-// corpus and model, differing only in serving configuration.
+// The fixture builds once per test binary: every server test shares the same
+// corpus, differing only in serving configuration.
 var (
 	fixOnce   sync.Once
 	fixCorpus *dataset.Corpus
-	fixModel  *core.Model
 	fixErr    error
 )
 
-func tinyModelConfig(seed int64) core.ModelConfig {
-	return core.ModelConfig{
-		Name: "serve-tiny", Dim: 16, Heads: 2, Layers: 1, FFNHidden: 32,
-		MaxSeqLen: 48, VocabSize: 800,
-		PretrainMetrics: core.AllMetrics(), PretrainEpochs: 1, PretrainPairsPerEpoch: 40, PretrainLR: 2e-3,
-		FinetuneEpochs: 1, FinetuneSamplesPerEpoch: 120, FinetuneLR: 2e-3,
-		BatchSize: 16, TargetScale: 10, Seed: seed,
-	}
-}
-
-func fixture(t *testing.T) (*dataset.Corpus, *core.Model) {
+func fixture(t *testing.T) *dataset.Corpus {
 	t.Helper()
 	fixOnce.Do(func() {
 		cfg := dataset.DefaultConfig(dataset.IMDB)
 		cfg.NumQueries = 12
 		cfg.MaxCasesPerQuery = 4
 		fixCorpus, fixErr = dataset.Build(cfg)
-		if fixErr != nil {
-			return
-		}
-		fixModel, _, fixErr = core.Train(fixCorpus, dataset.NewSimilarityCache(fixCorpus), tinyModelConfig(5), nil)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
-	return fixCorpus, fixModel
+	return fixCorpus
 }
 
 // startServer builds and starts a server on an ephemeral port, registering
@@ -75,9 +54,8 @@ func startServer(t *testing.T, cfg Config) *Server {
 // path need: at the default budget every fixture lineage compiles exactly.
 func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
 	t.Helper()
-	corpus, model := fixture(t)
 	cfg.Addr = "127.0.0.1:0"
-	s := New(cfg, corpus, model)
+	s := New(cfg, fixture(t), nil)
 	s.exactNodes = exactNodes
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -90,72 +68,6 @@ func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
 		}
 	})
 	return s
-}
-
-// similarCase is one prepared /similar request.
-type similarCase struct {
-	a, b string
-	body []byte
-}
-
-// similarCases prepares n /similar requests, each pairing one query of the
-// server's corpus with the next.
-func similarCases(t *testing.T, s *Server, n int) []similarCase {
-	t.Helper()
-	qs := s.corpus.Queries
-	out := make([]similarCase, n)
-	for i := range out {
-		a, b := qs[i%len(qs)].SQL, qs[(i+1)%len(qs)].SQL
-		body, err := json.Marshal(SimilarRequest{SQLA: a, SQLB: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = similarCase{a: a, b: b, body: body}
-	}
-	return out
-}
-
-// similarReference predicts every prepared pair exactly as a per-request
-// deployment would: one fresh replica, one request at a time.
-func similarReference(model *core.Model, cases []similarCase) []map[string]float64 {
-	ref := model.CloneForWorker()
-	want := make([]map[string]float64, len(cases))
-	for i, c := range cases {
-		want[i] = ref.PredictSimilarities(c.a, c.b)
-	}
-	return want
-}
-
-// postSimilar posts one /similar request and returns its similarities; it
-// fails on any status but 200.
-func postSimilar(client *http.Client, base string, body []byte) (map[string]float64, error) {
-	resp, err := client.Post(base+"/similar", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("similar -> %d", resp.StatusCode)
-	}
-	var sr SimilarResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, err
-	}
-	return sr.Similarities, nil
-}
-
-// sameSimilarities requires a served answer to hold the reference's metrics
-// with bit-identical values (float64 JSON round-trips exactly).
-func sameSimilarities(got, want map[string]float64) error {
-	if len(want) == 0 || len(got) != len(want) {
-		return fmt.Errorf("served %d similarities, the reference %d (want at least one)", len(got), len(want))
-	}
-	for metric, w := range want {
-		if g, ok := got[metric]; !ok || g != w {
-			return fmt.Errorf("%s: served %v (present %v), sequential %v", metric, g, ok, w)
-		}
-	}
-	return nil
 }
 
 func postRank(client *http.Client, base string, body []byte) (*RankResponse, int, error) {
@@ -175,43 +87,53 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 }
 
 // TestServeParitySequential is the determinism gate from the package doc:
-// /similar answers served to concurrent requests must be bit-identical to a
-// sequential replica's at 1, 2 and 3 workers. Each grid point sends its
-// requests in client batches of `batch` concurrent requests and starts the
-// next batch `window` after the previous one was answered, so the sweep
-// covers one request in flight at a time, bursts that occupy every replica,
-// and bursts that queue behind busy replicas.
+// /rank answers served to concurrent requests must be bit-identical to
+// Server.answer's sequential reference, engine included, at 1, 2 and 3
+// workers. Each grid point sends its requests in client batches of `batch`
+// concurrent requests and starts the next batch `window` after the previous
+// one was answered, so the sweep covers one request in flight at a time,
+// bursts that take every compile turn, and bursts that queue behind busy
+// turns. One grid point serves at budget 0, so the sweep holds proxy
+// answers and concurrent refusals as well as exact answers; the reference
+// comes from a separate server at the same budget, whose refusal memory the
+// traffic does not share.
 func TestServeParitySequential(t *testing.T) {
-	_, model := fixture(t)
 	for _, tc := range []struct {
 		batch, workers int
 		window         time.Duration
+		budget         int
 	}{
-		{1, 1, 0}, // one request in flight at a time
-		{1, 3, 0},
-		{4, 1, 0}, // bursts queue behind the one replica
-		{4, 3, 0},
-		{4, 1, 500 * time.Microsecond},
-		{4, 2, 500 * time.Microsecond},
-		{8, 1, 2 * time.Millisecond},
-		{8, 3, 2 * time.Millisecond},
-		{16, 1, 2 * time.Millisecond}, // almost every request in flight at once
+		{1, 1, 0, rankExactNodes}, // one request in flight at a time
+		{1, 3, 0, rankExactNodes},
+		{4, 1, 0, rankExactNodes}, // bursts queue behind the one turn
+		{4, 3, 0, rankExactNodes},
+		{4, 1, 500 * time.Microsecond, rankExactNodes},
+		{4, 2, 500 * time.Microsecond, rankExactNodes},
+		{8, 1, 2 * time.Millisecond, rankExactNodes},
+		{8, 2, 0, 0}, // every answer the proxy's
+		{8, 3, 2 * time.Millisecond, rankExactNodes},
+		{16, 1, 2 * time.Millisecond, rankExactNodes}, // almost every request in flight at once
 	} {
 		name := fmt.Sprintf("batch%d_w%d_win%v", tc.batch, tc.workers, tc.window)
+		if tc.budget != rankExactNodes {
+			name += fmt.Sprintf("_budget%d", tc.budget)
+		}
 		t.Run(name, func(t *testing.T) {
-			s := startServer(t, Config{Workers: tc.workers, QueueCap: 64})
-			cases := similarCases(t, s, 6)
-			want := similarReference(model, cases)
+			s := startServerBudget(t, Config{Workers: tc.workers, QueueCap: 64}, tc.budget)
+			cases, err := selfTestCases(s, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := New(Config{}, s.corpus, nil)
+			ref.exactNodes = tc.budget
+			want := make([]shapley.Values, len(cases))
+			engines := make([]string, len(cases))
+			for i, c := range cases {
+				want[i], engines[i] = ref.answer(context.Background(), c.prov)
+			}
 
 			client := &http.Client{}
 			defer client.CloseIdleConnections()
-			check := func(c int) error {
-				got, err := postSimilar(client, s.URL(), cases[c].body)
-				if err != nil {
-					return err
-				}
-				return sameSimilarities(got, want[c])
-			}
 			const rounds = 3 // every case several times
 			n := rounds * len(cases)
 			errs := make([]error, n)
@@ -225,7 +147,8 @@ func TestServeParitySequential(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					go func(i int) {
 						defer wg.Done()
-						errs[i] = check(i % len(cases))
+						c := i % len(cases)
+						errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
 					}(i)
 				}
 				wg.Wait()
@@ -240,15 +163,14 @@ func TestServeParitySequential(t *testing.T) {
 }
 
 // TestServeDrainOnShutdown verifies no admitted request is dropped. With
-// every replica held, n requests are admitted and wait for one; Shutdown
-// begins and must keep waiting, then the replicas come back, and all n must
+// every compile turn held, n requests are admitted and wait for one; Shutdown
+// begins and must keep waiting, then the turns come back, and all n must
 // answer 200 with their full ranking before Shutdown returns.
 func TestServeDrainOnShutdown(t *testing.T) {
 	run := obs.NewRun("drain-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
-	corpus, model := fixture(t)
-	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, corpus, model)
+	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, QueueCap: 64}, fixture(t), nil)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +178,8 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := make([]*replica, 0, cap(s.replicas))
-	for len(held) < cap(s.replicas) {
-		held = append(held, <-s.replicas)
+	for len(s.turns) < cap(s.turns) {
+		s.turns <- struct{}{}
 	}
 
 	const n = 12
@@ -297,11 +218,11 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	}()
 	select {
 	case err := <-shut:
-		t.Fatalf("Shutdown returned (%v) while %d admitted requests waited for a replica", err, n)
+		t.Fatalf("Shutdown returned (%v) while %d admitted requests waited for a turn", err, n)
 	case <-time.After(50 * time.Millisecond):
 	}
-	for _, r := range held {
-		s.replicas <- r
+	for range cap(s.turns) {
+		<-s.turns
 	}
 	if err := <-shut; err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -314,153 +235,6 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	}
 }
 
-// TestServeHotSwap reloads a different checkpoint through /admin/reload and
-// verifies subsequent /similar answers are bit-identical to the new model's
-// sequential predictions (and no longer match the old model's), on replicas
-// that served the old model before the swap.
-func TestServeHotSwap(t *testing.T) {
-	corpus, _ := fixture(t)
-	s := startServer(t, Config{Workers: 2, QueueCap: 64})
-	cases := similarCases(t, s, 2)
-	oldWant := similarReference(fixModel, cases)
-
-	// Sequential requests take the two replicas in turn, so both serve the
-	// old weights first and the swap must re-clone them.
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	similar := func(i int) (int, map[string]float64) {
-		t.Helper()
-		c := i % len(cases)
-		got, err := postSimilar(client, s.URL(), cases[c].body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, got
-	}
-	for i := 0; i < 2*len(cases); i++ {
-		c, got := similar(i)
-		if err := sameSimilarities(got, oldWant[c]); err != nil {
-			t.Fatalf("case %d before reload: %v", c, err)
-		}
-	}
-
-	// A second model: same architecture, different seed — different weights.
-	// Fine-tuning only is fast, and its untrained similarity heads still
-	// answer /similar.
-	cfg2 := tinyModelConfig(23)
-	cfg2.PretrainEpochs = 0
-	m2, _, err := core.Train(corpus, dataset.NewSimilarityCache(corpus), cfg2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m2.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	body, err := json.Marshal(ReloadRequest{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(s.URL()+"/admin/reload", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload -> %s", resp.Status)
-	}
-
-	newWant := similarReference(s.state().model, cases)
-	for i := 0; i < 2*len(cases); i++ {
-		c, got := similar(i)
-		if err := sameSimilarities(got, newWant[c]); err != nil {
-			t.Fatalf("case %d after reload: %v", c, err)
-		}
-		if sameSimilarities(got, oldWant[c]) == nil {
-			t.Errorf("case %d: similarities identical to the old model — swap had no effect", c)
-		}
-	}
-}
-
-// TestServeReloadRejectsNonFiniteWeights posts /admin/reload with the
-// fixture model's checkpoint after setting one weight (the first position
-// embedding) to NaN. The daemon must answer 400 and keep serving the old
-// model, on /similar, at the same generation.
-func TestServeReloadRejectsNonFiniteWeights(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, QueueCap: 64})
-	cases := similarCases(t, s, 2)
-	want := similarReference(fixModel, cases)
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	similarAll := func(when string) {
-		t.Helper()
-		for c := range cases {
-			got, err := postSimilar(client, s.URL(), cases[c].body)
-			if err == nil {
-				err = sameSimilarities(got, want[c])
-			}
-			if err != nil {
-				t.Fatalf("case %d %s the reload: %v", c, when, err)
-			}
-		}
-	}
-	similarAll("before")
-
-	var buf bytes.Buffer
-	if err := fixModel.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The fields of core's checkpoint payload; gob matches them by name.
-	var ckpt struct {
-		Version int
-		Cfg     core.ModelConfig
-		Words   []string
-		Weights [][]float64
-	}
-	if err := gob.NewDecoder(&buf).Decode(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	ckpt.Weights[1][0] = math.NaN() // emb.pos, position 0
-	path := filepath.Join(t.TempDir(), "nan.gob")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	gen := s.gen.Load()
-	body, err := json.Marshal(ReloadRequest{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(s.URL()+"/admin/reload", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("emb.pos")) {
-		t.Fatalf("reload of a NaN checkpoint -> %s %s, want 400 naming emb.pos", resp.Status, msg)
-	}
-	if got := s.gen.Load(); got != gen {
-		t.Errorf("generation moved from %d to %d on a refused reload", gen, got)
-	}
-	similarAll("after")
-}
-
 // TestServeBackpressure verifies the HTTP overload contract deterministically:
 // with every admission slot held, /rank must answer 429 with a Retry-After
 // header, not block, and must not evaluate the query, because admission
@@ -469,8 +243,7 @@ func TestServeBackpressure(t *testing.T) {
 	run := obs.NewRun("backpressure-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
-	corpus, model := fixture(t)
-	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	for i := 0; i < cap(s.slots); i++ {
 		if !s.admit(httptest.NewRecorder()) {
 			t.Fatalf("admission %d refused", i+1)
@@ -497,40 +270,34 @@ func TestServeBackpressure(t *testing.T) {
 
 // TestServeSlowRequestCounted sets the slow-request threshold below any
 // request's latency and logs at debug level, so every request writes one
-// access line and one slow line. It sends /rank at the default exact budget,
-// /rank at budget 0 and one /similar. Each must count once in serve.req.slow,
-// and each of its two lines must carry the response's X-Trace-Id, the
-// evaluate, queue-wait, batch-wait and score durations, and the engine that
-// answered on /rank only.
+// access line and one slow line. It sends /rank and /explain at the default
+// exact budget, then /rank at budget 0. Each must count once in
+// serve.req.slow, and each of its two lines must carry the response's
+// X-Trace-Id, the evaluate, queue-wait, batch-wait and score durations, and
+// the engine that answered.
 func TestServeSlowRequestCounted(t *testing.T) {
 	var logs bytes.Buffer
 	run := obs.NewRun("slow-test", obs.NewRegistry(), nil, obs.NewLogger(&logs, obs.LevelDebug))
 	obs.Install(run)
 	defer obs.Uninstall()
-	corpus, model := fixture(t)
-	s := New(Config{Workers: 1, QueueCap: 1, SlowMS: 1e-6}, corpus, model)
+	s := New(Config{Workers: 1, QueueCap: 1, SlowMS: 1e-6}, fixture(t), nil)
 	cases, err := selfTestCases(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	similar, err := json.Marshal(SimilarRequest{SQLA: cases[0].sql, SQLB: cases[0].sql})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range []struct {
 		path   string
-		body   []byte
 		budget int
-		engine string // "" when the line must carry no engine
+		engine string
 	}{
-		{"/rank", cases[0].body, rankExactNodes, engineExact},
-		{"/rank", cases[0].body, 0, engineProxy},
-		{"/similar", similar, rankExactNodes, ""},
+		{"/rank", rankExactNodes, engineExact},
+		{"/explain", rankExactNodes, engineExact},
+		{"/rank", 0, engineProxy}, // last: the server remembers the refusal
 	} {
 		s.exactNodes = req.budget
 		logs.Reset()
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, bytes.NewReader(req.body)))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, bytes.NewReader(cases[0].body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s -> %d", req.path, rec.Code)
 		}
@@ -556,9 +323,7 @@ func TestServeSlowRequestCounted(t *testing.T) {
 					t.Errorf("%s %s line lacks %s: %s", req.path, kind, key, line)
 				}
 			}
-			if got, ok := fields["engine"]; req.engine == "" && ok {
-				t.Errorf("%s %s line names engine %v, want none", req.path, kind, got)
-			} else if req.engine != "" && got != req.engine {
+			if got := fields["engine"]; got != req.engine {
 				t.Errorf("%s %s line names engine %v, want %q", req.path, kind, got, req.engine)
 			}
 		}
@@ -689,8 +454,7 @@ func TestServeExactSelector(t *testing.T) {
 // written concurrently (ci runs it under -race, ten times): every answer must
 // still be the proxy's, bit for bit.
 func TestAnswerRefusalsConcurrent(t *testing.T) {
-	corpus, model := fixture(t)
-	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	s.exactNodes = 0
 	cases, err := selfTestCases(s, 4)
 	if err != nil {
@@ -755,8 +519,7 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 // instead of indexing past the projection list. Every answer carries a JSON
 // error body.
 func TestServeLocateErrors(t *testing.T) {
-	corpus, model := fixture(t)
-	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	cases, err := selfTestCases(s, 1)
 	if err != nil {
 		t.Fatal(err)

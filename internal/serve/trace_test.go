@@ -2,18 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/provenance"
+	"repro/internal/shapley"
 )
 
 // ringTraces polls the server's trace ring until it holds at least n traces
@@ -70,16 +75,16 @@ func checkInScore(t *testing.T, tr obs.RequestTrace, name string) {
 	}
 }
 
-// TestTraceIDThreadsThroughBatch is the end-to-end trace check: client trace
-// IDs survive the handler → pooled replica boundary. Concurrent requests
-// carrying distinct X-Trace-Id headers are scored on different replicas, yet
+// TestTraceIDThreadsThroughStages is the end-to-end trace check: client trace
+// IDs survive the handler → compile turn boundary. Concurrent requests
+// carrying distinct X-Trace-Id headers are scored on different turns, yet
 // each response echoes its own ID and each ring trace carries that request's
 // full stage decomposition — evaluate, queue-wait, batch-wait, score (with
 // the exact attempt's shapley.exact stage inside it) and write — with the
 // per-stage histograms populated on the live registry, one evaluate
 // observation per /rank or /explain request. A missing, oversized or
 // malformed inbound ID gets a minted one instead.
-func TestTraceIDThreadsThroughBatch(t *testing.T) {
+func TestTraceIDThreadsThroughStages(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
@@ -224,27 +229,37 @@ func TestTraceIDThreadsThroughBatch(t *testing.T) {
 	}
 }
 
-// TestServeRemembersRefusals sends one lineage twice at budget 0, set before
-// the first request. The first request's exact attempt is refused and the
-// proxy answers; the second skips the attempt. So the first trace holds
-// shapley.exact and shapley.proxy, the second only shapley.proxy, both inside
-// score, shapley.exact.refused counts one refusal, and the two answers are
-// identical.
+// TestServeRemembersRefusals sends one lineage of several derivations twice
+// at budget 0, set before the first request. The first request's exact
+// attempt is refused and the proxy answers; the second skips the attempt. So
+// the first trace holds shapley.exact and shapley.proxy, the second only
+// shapley.proxy, both inside score, shapley.exact.refused counts one refusal,
+// and the two answers are identical. The same lineage with its monomials in
+// reverse order must skip the attempt too: the refusal memory hashes a
+// lineage independently of its monomials' order.
 func TestServeRemembersRefusals(t *testing.T) {
 	run := obs.NewRun("refusal-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
 	defer obs.Uninstall()
-	corpus, model := fixture(t)
-	s := New(Config{Workers: 1, QueueCap: 1}, corpus, model)
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	s.exactNodes = 0
-	cases, err := selfTestCases(s, 1)
+	all, err := selfTestCases(s, 64)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var c selfTestCase
+	for _, c = range all {
+		if len(c.prov.Monomials) > 1 {
+			break
+		}
+	}
+	if len(c.prov.Monomials) < 2 {
+		t.Fatal("no test case has a lineage of several derivations")
 	}
 	var answers [2]string
 	for i := range answers {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(cases[0].body)))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(c.body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d -> %d: %s", i+1, rec.Code, rec.Body)
 		}
@@ -268,6 +283,16 @@ func TestServeRemembersRefusals(t *testing.T) {
 	}
 	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
 		t.Errorf("shapley.exact.refused = %d after two requests for one lineage, want 1", got)
+	}
+
+	reversed := &provenance.DNF{Monomials: slices.Clone(c.prov.Monomials)}
+	slices.Reverse(reversed.Monomials)
+	got, eng := s.answer(context.Background(), reversed)
+	if want := shapley.CNFProxy(c.prov); eng != engineProxy || !reflect.DeepEqual(got, want) {
+		t.Errorf("reversed lineage: answer = %v by %q, want %v by %q", got, eng, want, engineProxy)
+	}
+	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
+		t.Errorf("shapley.exact.refused = %d after the lineage with its monomials reversed, want 1", got)
 	}
 }
 
@@ -339,8 +364,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // 200 on a draining server (the process is alive), while ?probe=readiness
 // flips to 503 the moment draining begins — the load-balancer signal.
 func TestHealthzReadiness(t *testing.T) {
-	corpus, model := fixture(t)
-	s := New(DefaultConfig(), corpus, model)
+	s := New(DefaultConfig(), fixture(t), nil)
 
 	get := func(path string) (int, map[string]any) {
 		t.Helper()
@@ -358,8 +382,8 @@ func TestHealthzReadiness(t *testing.T) {
 	if code != http.StatusOK || body["live"] != true || body["ready"] != true {
 		t.Fatalf("serving healthz: code %d body %v", code, body)
 	}
-	if _, ok := body["generation"]; !ok {
-		t.Error("healthz body missing generation")
+	if _, ok := body["workers"]; !ok {
+		t.Error("healthz body missing workers")
 	}
 	if _, ok := body["queue_depth"]; !ok {
 		t.Error("healthz body missing queue_depth")

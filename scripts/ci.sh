@@ -30,19 +30,18 @@ echo "== go test -race (concurrency packages) =="
 # goroutines. The run covers every packed-pass parity test of nn and core
 # (readout rows, multi-prefix passes, prefix reuse, the attention and blocked
 # kernels, the golden and truncated rankers), the trace, ring and exposition
-# tests of obs and serve, and serve's replica pool, /similar parity sweep,
-# hot swap, engine selector, refusal memory, TLS round trip, admin auth gate
-# and refused reload of a NaN checkpoint.
+# tests of obs and serve, and serve's admission pool, /rank parity sweep,
+# engine selector, refusal memory and TLS round trip.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
-echo "== go test -race (serve replica pool, repeated) =="
-# Every handler goroutine shares the replica pool (the admission slots and the
-# channel of idle replicas) and the refusal memory's slots. The pool tests (the
-# admission bound, a panic while scoring, 429 before evaluation, and draining
-# admitted requests on shutdown) and concurrent answers over the refusal
-# memory run ten times each, under a timeout that turns a hang into a failure
-# well before go test's own 10 minutes.
-go test -race -count=10 -timeout 5m ./internal/serve -run 'BatcherQueueFull|PoolPanicKeepsReplica|ServeBackpressure|ServeDrainOnShutdown|AnswerRefusalsConcurrent'
+echo "== go test -race (serve pool, repeated) =="
+# Every handler goroutine shares the pool (the admission slots and the compile
+# turns) and the refusal memory's slots. The pool tests (the admission bound,
+# a panic while scoring, 429 before evaluation, and draining admitted requests
+# on shutdown) and concurrent answers over the refusal memory run ten times
+# each, under a timeout that turns a hang into a failure well before go test's
+# own 10 minutes.
+go test -race -count=10 -timeout 5m ./internal/serve -run 'AdmitRejectsPastCapacity|ScorePanicReleasesTurn|ServeBackpressure|ServeDrainOnShutdown|AnswerRefusalsConcurrent'
 
 # must_pass PKG TEST runs one test without the race detector and fails unless
 # it PASSed: a gate that skips itself must not pass silently.
@@ -103,7 +102,7 @@ echo "== tokenizer pack fuzz smoke =="
 go test ./internal/tokenizer -run '^$' -fuzz '^FuzzPack$' -fuzztime 10s -fuzzminimizetime 0
 
 echo "== checkpoint load fuzz smoke =="
-# Arbitrary bytes fed to core.LoadModel (the file behind POST /admin/reload)
+# Arbitrary bytes fed to core.LoadModel (the file behind learnshap -load)
 # must yield a model that ranks or an error, never a panic or an unbounded
 # allocation. Minimization is off: minimizing each input that reaches new
 # code takes seconds per input at checkpoint sizes, and would fill the whole
@@ -142,48 +141,53 @@ REPRO_MANIFEST="$manifest_dir/gen.json" \
 REPRO_MANIFEST="$manifest_dir/gen.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
 
-echo "== learnshap worker determinism gate =="
+echo "== learnshap worker determinism and checkpoint round-trip gate =="
 # Training, ranking and evaluation are bit-identical at every worker count, so
 # the tiny pipeline's printed table must be byte-identical at 1 and 2 workers.
+# The 2-worker run saves its model, and a third run loads that checkpoint over
+# the same corpus flags instead of training: its table must be byte-identical
+# to the saving run's.
 go run ./cmd/learnshap "${tiny[@]}" -workers 1 -quiet >"$manifest_dir/workers1.txt"
-go run ./cmd/learnshap "${tiny[@]}" -workers 2 -quiet >"$manifest_dir/workers2.txt"
-if ! cmp "$manifest_dir/workers1.txt" "$manifest_dir/workers2.txt"; then
-    diff "$manifest_dir/workers1.txt" "$manifest_dir/workers2.txt" >&2 || true
-    echo "learnshap output differs between -workers 1 and -workers 2" >&2
-    exit 1
-fi
+go run ./cmd/learnshap "${tiny[@]}" -workers 2 -save "$manifest_dir/model.gob" -quiet >"$manifest_dir/workers2.txt"
+go run ./cmd/learnshap -queries 16 -cases 2 -workers 2 -load "$manifest_dir/model.gob" -quiet >"$manifest_dir/loaded.txt"
+for out in workers1 loaded; do
+    if ! cmp "$manifest_dir/$out.txt" "$manifest_dir/workers2.txt"; then
+        diff "$manifest_dir/$out.txt" "$manifest_dir/workers2.txt" >&2 || true
+        echo "learnshap output of the $out run differs from the saving -workers 2 run" >&2
+        exit 1
+    fi
+done
 echo "ok"
 
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
-# Full serving round trip: train a tiny model, start the daemon on an
-# ephemeral port with two pooled replicas, fire concurrent /rank requests over
+# Full serving round trip: build a tiny corpus, start the daemon on an
+# ephemeral port with two compile turns, fire concurrent /rank requests over
 # real TCP and verify every response bit-for-bit against the engine that
 # answered it: exact Shapley values within the exact budget, the CNF proxy
 # past it (cmd/serve -selftest exits non-zero on any mismatch or on the wrong
 # engine), then drain and flush the run manifest. Every lineage of this tiny
 # corpus compiles within the budget, so its answers are all exact; the proxy
-# path is gated by TestSelfTest and TestServeExactSelector at budget 0, and
-# the model's concurrency parity by TestServeParitySequential on /similar,
-# both under -race above. The schema check asserts the manifest recorded live
-# serve.* metrics (request counters, the serve.rank.* per-engine answer
-# counters, the serve.queue.* admission counters, the serve.batch.size
-# histogram of 1 per scoring, the serve.stage.* latency decomposition), and
-# the core.rank.* and nn.mbatch.* ranking counters. Those two come from
-# training's dev-set evaluation inside pipeline.Build, before serving starts,
-# not from the daemon's traffic: no /rank request runs the model.
-# The trained model is saved, and a second daemon serves that checkpoint from
-# disk: -load over the same corpus flags rebuilds the same database, and its
-# selftest checks the loaded daemon's concurrent answers the same way.
-go run ./cmd/serve -queries 12 -cases 3 -dim 8 -layers 1 \
-    -pepochs 1 -ppairs 16 -epochs 1 -samples 40 \
-    -workers 2 -save "$manifest_dir/model.gob" \
-    -selftest 8 -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
-go run ./cmd/serve -queries 12 -cases 3 -load "$manifest_dir/model.gob" -workers 2 -selftest 8 -quiet
+# path is gated by TestSelfTest, TestServeExactSelector and
+# TestServeParitySequential at budget 0, under -race above. The schema check
+# asserts the manifest recorded live serve.* metrics (request counters, the
+# serve.rank.* per-engine answer counters, the serve.queue.* admission
+# counters, the serve.batch.size histogram of 1 per scoring, the
+# serve.stage.* latency decomposition).
+go run ./cmd/serve -queries 12 -cases 3 -workers 2 -selftest 8 \
+    -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/serve.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage.,core.rank.,nn.mbatch." \
+    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
+
+echo "== benchmark smoke tests =="
+# bench/ is a module of its own, so go test ./... above does not build it. It
+# compiles against serve.New, serve.RankRequest, the serve.stage.* and
+# serve.batch.size metric names and core's API; its smoke tests run a short
+# untraced and traced benchmark in-process, so a change that breaks any of
+# them fails here rather than only in a benchmark run.
+go -C bench test ./...
 
 echo "== nn benchmark smoke =="
 go test -run '^$' -bench . -benchtime=1x -benchmem ./internal/nn
