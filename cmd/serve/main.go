@@ -18,8 +18,9 @@
 // compile turns (one per CPU by default), so at most -workers lineages
 // compile at once. /rank and /explain answer with exact Shapley values when
 // the lineage compiles within a fixed budget of decomposition-tree nodes, and
-// with the CNF proxy's derivation counts past it (a refused lineage skips the
-// attempt from then on); the response's "engine" field says which.
+// with the CNF proxy's derivation counts past it; the response's "engine"
+// field says which. A bounded memo keeps each ranked answer, so a repeated
+// lineage is scored once while the memo keeps it.
 // -tls-cert/-tls-key serve HTTPS. The corpus flags, and the corpus build
 // behind them, are the ones cmd/learnshap uses (cmd/internal/pipeline). The
 // repository benchmark (bench/run.sh) measures the daemon under load.
@@ -54,7 +55,7 @@ func main() {
 	slowMS := flag.Float64("slow-ms", 0, "log requests slower than this many ms with their trace decomposition (0 = off)")
 
 	// Modes.
-	selftest := flag.Int("selftest", 0, "fire this many concurrent /rank self-requests, check each answer bit for bit against the engine that answered it (exact Shapley within the budget, the CNF proxy past it), then exit")
+	selftest := flag.Int("selftest", 0, "fire this many concurrent /rank self-requests twice (the second round answered from the memo), check each answer bit for bit against the engine that answered it (exact Shapley within the budget, the CNF proxy past it), then exit")
 
 	o := obs.AddFlags(flag.CommandLine)
 	pipeline.Parse()
@@ -96,7 +97,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rn.Log.Infof("selftest ok: %d concurrent /rank requests bit-identical to the engine that answered each (exact or proxy)\n", *selftest)
+		rn.Log.Infof("selftest ok: 2 rounds of %d concurrent /rank requests bit-identical to the engine that answered each (exact or proxy)\n", *selftest)
 	default:
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -234,8 +234,9 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 // evaluated, so the admission bound covers evaluation as well as scoring.
 // Parse, the evaluation of the requested tuple and the match among what it
 // leaves are the request's "evaluate" stage (see locate); the exact attempt
-// and any proxy pass run on a compile turn, as its "score" stage (see
-// answer), so at most Config.Workers lineages compile at once.
+// and any proxy pass, or the memo's answer, run on a compile turn, as its
+// "score" stage (see answer), so at most Config.Workers lineages compile at
+// once.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
@@ -260,9 +261,9 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 				return
 			}
 		}
-		var scores shapley.Values
+		var facts []RankedFact
 		var eng string
-		s.score(tc, func() { scores, eng = s.answer(r.Context(), target.Prov) })
+		s.score(tc, func() { facts, eng = s.answer(r.Context(), target.Prov) })
 		if eng == engineExact {
 			s.mExact.Add(1)
 		} else {
@@ -271,7 +272,7 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 		if sw, ok := w.(*statusWriter); ok {
 			sw.engine = eng
 		}
-		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: s.rankedFacts(scores)}
+		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: facts}
 		if explain {
 			s.writeJSON(w, http.StatusOK, ExplainResponse{
 				Query: resp.Query, Tuple: resp.Tuple, Plan: plan, Engine: eng, Facts: resp.Facts,
@@ -282,56 +283,42 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	}
 }
 
-// answer scores one lineage: with its exact Shapley values when the
-// provenance compiles within the server's exact budget, else with
-// shapley.CNFProxy. A lineage the exact attempt refused is remembered in
-// s.refused and skips the attempt while it keeps its slot. The exact attempt
-// is the "shapley.exact" stage of the trace ctx carries, and the proxy its
-// "shapley.proxy" stage.
-func (s *Server) answer(ctx context.Context, prov *provenance.DNF) (shapley.Values, string) {
+// answer returns the ranked, rendered answer of one lineage and the engine
+// that scored it. A lineage the memo holds under the current exact budget is
+// answered from it, as the "serve.memo" stage of the trace ctx carries,
+// counted in serve.memo.hits; any other is scored by compute, rendered and
+// stored.
+func (s *Server) answer(ctx context.Context, prov *provenance.DNF) ([]RankedFact, string) {
 	tc := obs.TraceFrom(ctx)
-	h := lineageHash(prov)
-	slot := &s.refused[h%refusalSlots]
-	if slot.Load() != h|1 {
-		done := tc.StageTimer("shapley.exact")
-		vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
-		done()
-		if err == nil {
-			return vals, engineExact
-		}
-		// Every ExactBudget error wraps shapley.ErrBudget: the lineage is over
-		// the budget.
-		slot.Store(h | 1)
+	start := time.Now()
+	k := memoKey{hash: lineageHash(prov), budget: s.exactNodes}
+	if e := s.memo.get(k, prov); e != nil {
+		tc.AddStage("serve.memo", start, time.Since(start))
+		s.mMemoHits.Add(1)
+		return e.facts, e.engine
 	}
+	vals, eng := s.compute(ctx, prov)
+	facts := s.rankedFacts(vals)
+	s.memo.put(k, prov, eng, facts)
+	return facts, eng
+}
+
+// compute scores one lineage without the memo: with its exact Shapley values
+// when the provenance compiles within the server's exact budget, else with
+// shapley.CNFProxy. The exact attempt is the "shapley.exact" stage of the
+// trace ctx carries, and the proxy its "shapley.proxy" stage.
+func (s *Server) compute(ctx context.Context, prov *provenance.DNF) (shapley.Values, string) {
+	tc := obs.TraceFrom(ctx)
+	done := tc.StageTimer("shapley.exact")
+	vals, _, err := shapley.ExactBudget(prov, s.exactNodes)
+	done()
+	if err == nil {
+		return vals, engineExact
+	}
+	// Every ExactBudget error wraps shapley.ErrBudget: the lineage is over
+	// the budget.
 	defer tc.StageTimer("shapley.proxy")()
 	return shapley.CNFProxy(prov), engineProxy
-}
-
-// lineageHash hashes a lineage's provenance for the refusal memory without a
-// sort or a string. Each monomial is hashed in its own order, which
-// provenance.NewMonomial keeps sorted, and the monomial hashes are summed, so
-// DNFs that list the same monomials in any order, as DNF.Key() equates them,
-// hash alike.
-func lineageHash(prov *provenance.DNF) uint64 {
-	var sum uint64
-	for _, m := range prov.Monomials {
-		h := refusalSeed
-		for _, id := range m {
-			h = mix64(h ^ uint64(id))
-		}
-		sum += h
-	}
-	return sum
-}
-
-// mix64 is SplitMix64's finalizer: a bijection on 64 bits in which every
-// output bit depends on every input bit.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // rankedFacts renders scored lineage facts in ranking order.
@@ -353,19 +340,23 @@ func (s *Server) rankedFacts(scores shapley.Values) []RankedFact {
 // /healthz?probe=readiness is the load-balancer signal: 503 while draining
 // (Shutdown has begun), 200 otherwise. The body always carries the full
 // picture: readiness and drain state, queue depth (admitted requests in
-// flight) and worker count.
+// flight), worker count, and the answers the memo holds with the bytes they
+// count.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining.Load()
 	code := http.StatusOK
 	if r.URL.Query().Get("probe") == "readiness" && draining {
 		code = http.StatusServiceUnavailable
 	}
+	entries, bytes := s.memo.stats()
 	s.writeJSON(w, code, map[string]any{
-		"live":        true,
-		"ready":       !draining,
-		"draining":    draining,
-		"queue_depth": len(s.slots),
-		"workers":     s.cfg.Workers,
+		"live":         true,
+		"ready":        !draining,
+		"draining":     draining,
+		"queue_depth":  len(s.slots),
+		"workers":      s.cfg.Workers,
+		"memo_entries": entries,
+		"memo_bytes":   bytes,
 	})
 }
 

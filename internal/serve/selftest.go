@@ -19,12 +19,14 @@ import (
 
 // SelfTest is the end-to-end gate behind `cmd/serve -selftest` (scripts/ci.sh
 // runs it): it fires n concurrent /rank requests over real TCP connections at
-// the running server and checks every response bit-for-bit against the engine
-// the server picks for its lineage: exact Shapley values when the lineage
-// compiles within the exact budget, shapley.CNFProxy otherwise, with the
-// matching "engine" field. It then exercises /healthz and /metrics, and fails
-// if the metrics snapshot shows no serve activity. The server keeps running;
-// the caller owns shutdown.
+// the running server, twice, and checks every response bit-for-bit against
+// the engine the server picks for its lineage: exact Shapley values when the
+// lineage compiles within the exact budget, shapley.CNFProxy otherwise, in
+// Values.Ranking order, with the matching "engine" field. The first round
+// fills the memo and the second is answered from it, so memo answers are
+// checked too. It then exercises /healthz and /metrics, and fails if the
+// metrics snapshot shows no serve activity or no memo answer. The server
+// keeps running; the caller owns shutdown.
 func SelfTest(s *Server, n int) error {
 	if n < 1 {
 		n = 1
@@ -34,11 +36,12 @@ func SelfTest(s *Server, n int) error {
 		return err
 	}
 
-	// Sequential reference pass, before any traffic.
+	// Sequential reference pass, before any traffic and around the memo, so
+	// that no answer is checked against a remembered one.
 	want := make([]shapley.Values, len(cases))
 	engines := make([]string, len(cases))
 	for i, c := range cases {
-		want[i], engines[i] = s.answer(context.Background(), c.prov)
+		want[i], engines[i] = s.compute(context.Background(), c.prov)
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -46,27 +49,30 @@ func SelfTest(s *Server, n int) error {
 		TLSClientConfig:     insecureTLSFor(s.URL()),
 	}}
 	defer client.CloseIdleConnections()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			c := i % len(cases)
-			errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	const rounds = 2
+	for range rounds {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				defer wg.Done()
+				c := i % len(cases)
+				errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
 		}
 	}
 
 	if err := checkHealthz(client, s.URL()); err != nil {
 		return err
 	}
-	return checkMetrics(client, s.URL(), int64(n))
+	return checkMetrics(client, s.URL(), rounds*int64(n))
 }
 
 // insecureTLSFor returns a verification-skipping TLS config for https base
@@ -112,8 +118,9 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 }
 
 // checkRank posts one /rank request, requires the expected engine and
-// compares every returned score bitwise against the sequential reference
-// (float64 JSON round-trips exactly).
+// compares the returned facts against the sequential reference: the same
+// facts in Values.Ranking order, each score bitwise (float64 JSON
+// round-trips exactly).
 func checkRank(client *http.Client, base string, body []byte, engine string, want shapley.Values) error {
 	resp, err := client.Post(base+"/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -131,16 +138,14 @@ func checkRank(client *http.Client, base string, body []byte, engine string, wan
 	if rr.Engine != engine {
 		return fmt.Errorf("selftest: rank answered with engine %q, want %q", rr.Engine, engine)
 	}
-	if len(rr.Facts) != len(want) {
-		return fmt.Errorf("selftest: rank returned %d facts, the %s reference %d", len(rr.Facts), engine, len(want))
+	order := want.Ranking()
+	if len(rr.Facts) != len(order) {
+		return fmt.Errorf("selftest: rank returned %d facts, the %s reference %d", len(rr.Facts), engine, len(order))
 	}
-	for _, f := range rr.Facts {
-		w, ok := want[relation.FactID(f.ID)]
-		if !ok {
-			return fmt.Errorf("selftest: rank returned fact %d outside the lineage", f.ID)
-		}
-		if f.Score != w {
-			return fmt.Errorf("selftest: fact %d scored %v over HTTP, %v by the %s reference (served scores must be bit-identical)", f.ID, f.Score, w, engine)
+	for k, f := range rr.Facts {
+		if id := order[k]; relation.FactID(f.ID) != id || f.Score != want[id] {
+			return fmt.Errorf("selftest: rank %d is fact %d scored %v over HTTP, fact %d scored %v by the %s reference (served rankings must be bit-identical)",
+				k, f.ID, f.Score, id, want[id], engine)
 		}
 	}
 	return nil
@@ -171,9 +176,9 @@ func checkHealthz(client *http.Client, base string) error {
 }
 
 // checkMetrics asserts the /metrics snapshot recorded the traffic just sent:
-// at least n rank requests, at least one scoring, and a score stage per
-// request. Skipped without a live registry (the snapshot is then legitimately
-// empty).
+// at least n rank requests, at least one scoring, a score stage per request,
+// and at least one answer from the memo. Skipped without a live registry
+// (the snapshot is then legitimately empty).
 func checkMetrics(client *http.Client, base string, n int64) error {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -192,6 +197,9 @@ func checkMetrics(client *http.Client, base string, n int64) error {
 	}
 	if got := snap.Counters["serve.req.rank"]; got < n {
 		return fmt.Errorf("selftest: serve.req.rank = %d, want >= %d", got, n)
+	}
+	if got := snap.Counters["serve.memo.hits"]; got < 1 {
+		return fmt.Errorf("selftest: serve.memo.hits = %d, want >= 1 (no repeated request was answered from the memo)", got)
 	}
 	if h, ok := snap.Histograms["serve.batch.size"]; !ok || h.Count < 1 {
 		return fmt.Errorf("selftest: serve.batch.size histogram recorded no scoring")

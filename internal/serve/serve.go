@@ -6,11 +6,11 @@
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► evaluate ──► take a turn ──► ExactBudget ──► CNFProxy
-//	               ▲                   │429     (parse, the  (one of         (≤ 2^14 tree    (derivation
-//	               │             (backpressure)  requested     Workers)         nodes)          counts, over
-//	               │                             tuple only)                                    budget)
-//	               └──────────── response ◄──── give the turn back ◄─────────────┴───────────────┘
+//	conns ──► handler goroutines ──► admit ──► evaluate ──► take a turn ──► memo ──miss──► ExactBudget ──► CNFProxy
+//	               ▲                   │429     (parse, the  (one of        │hit           (≤ 2^14 tree    (derivation
+//	               │             (backpressure)  requested     Workers)     │              nodes)          counts, over
+//	               │                             tuple only)                │                              budget)
+//	               └──────────── response ◄──── give the turn back ◄────────┴───── store ◄─┴──────────────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
 // body decodes, the handler takes one of QueueCap+Workers admission slots
@@ -19,16 +19,22 @@
 // waits for one of Config.Workers compile turns, scores on it and gives both
 // back (pool.go). The turns bound how many lineages compile at once.
 //
-// On its turn the handler first compiles the lineage's provenance with
-// shapley.ExactBudget under rankExactNodes tree nodes. When the tree fits,
-// the exact values are the answer ("engine": "exact"). When it does not,
-// shapley.CNFProxy scores every fact by the number of derivations that hold
-// it ("engine": "proxy"), and the server remembers the refusal, so later
-// requests for the lineage skip the attempt. Whether the tree fits depends
-// only on the lineage, so the same request always gets the same engine.
+// On its turn the handler first looks the lineage up in the server's memo
+// (memo.go), which remembers the ranked, rendered answer of every lineage it
+// ranked, up to a bound of retained bytes. A hit is the answer, with no
+// compile, sort or rendering. On a miss the handler compiles the lineage's
+// provenance with shapley.ExactBudget under rankExactNodes tree nodes. When
+// the tree fits, the exact values are the answer ("engine": "exact"). When
+// it does not, shapley.CNFProxy scores every fact by the number of
+// derivations that hold it ("engine": "proxy"). Either answer is ranked,
+// rendered and stored in the memo, so a repeated lineage pays its exact
+// attempt, refused or not, once while the memo keeps it. Whether the tree
+// fits depends only on the lineage, so the same request always gets the
+// same engine.
 //
 // Determinism: an exact answer equals shapley.Exact bit for bit, and a proxy
-// answer equals shapley.CNFProxy, at every worker count.
+// answer equals shapley.CNFProxy, in Values.Ranking order, at every worker
+// count, from the memo or not.
 // TestServeExactSelector and TestServeParitySequential enforce both.
 //
 // Overload behaves like a production service, not like a benchmark harness:
@@ -41,7 +47,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -92,15 +97,10 @@ const traceRingSize = 256
 // fact leaves included. On the default Academic corpus it admits all but
 // three of 809 tuples. It bounds one attempt's time and memory: a refused
 // attempt stops as soon as the tree passes the budget, after 84–121 ms and
-// 50–61 MB on those three (2-core host), and is paid once per lineage (see
-// Server.refused). DESIGN.md §8 gives the measurements behind the choice.
+// 50–61 MB on those three (2-core host). Every attempt, exact or refused, is
+// paid once per lineage while the memo keeps its answer (Server.memo).
+// DESIGN.md §8 gives the measurements behind the choice.
 const rankExactNodes = 1 << 14
-
-// refusalSlots is how many refused lineages a server remembers at once.
-const refusalSlots = 1024
-
-// refusalSeed seeds the lineage hashes that pick Server.refused's slots.
-var refusalSeed = rand.Uint64()
 
 // Server is one serving instance. Build with New, run with Start, stop with
 // Shutdown.
@@ -114,13 +114,9 @@ type Server struct {
 	// request.
 	exactNodes int
 
-	// refused remembers the lineages whose exact attempt was refused. The
-	// low bits of a lineage's 64-bit hash (lineageHash) pick its slot, which
-	// holds that hash with its lowest bit set, so an empty slot (0) matches
-	// no lineage. A refusal depends only on the DNF and exactNodes, so a
-	// match skips the attempt. A lineage evicted by another costs one
-	// repeated attempt; a wrong skip needs two lineages with equal hashes.
-	refused [refusalSlots]atomic.Uint64
+	// memo remembers the answer of every lineage the server ranked, keyed
+	// by the lineage and exactNodes, within memoBytes (memo.go).
+	memo memo
 
 	// The pool (pool.go): admission slots and compile turns.
 	slots chan struct{}
@@ -142,6 +138,7 @@ type Server struct {
 	mSlow      *obs.Counter
 	mExact     *obs.Counter   // serve.rank.exact: rankings answered exactly
 	mProxy     *obs.Counter   // serve.rank.proxy: rankings answered by CNFProxy
+	mMemoHits  *obs.Counter   // serve.memo.hits: rankings answered from the memo
 	mEvaluate  *obs.Histogram // serve.stage.evaluate_ms
 	mQueueWait *obs.Histogram // serve.stage.queue_wait_ms
 	mBatchWait *obs.Histogram // serve.stage.batch_wait_ms
@@ -172,12 +169,14 @@ func New(cfg Config, corpus *dataset.Corpus, _ *core.Model) *Server {
 		cfg:        cfg,
 		corpus:     corpus,
 		exactNodes: rankExactNodes,
+		memo:       memo{limit: memoBytes},
 		slots:      make(chan struct{}, cfg.QueueCap+cfg.Workers),
 		turns:      make(chan struct{}, cfg.Workers),
 		ring:       obs.NewTraceRing(traceRingSize),
 		mSlow:      reg.Counter("serve.req.slow"),
 		mExact:     reg.Counter("serve.rank.exact"),
 		mProxy:     reg.Counter("serve.rank.proxy"),
+		mMemoHits:  reg.Counter("serve.memo.hits"),
 		mEvaluate:  reg.Histogram("serve.stage.evaluate_ms", stageBuckets),
 		mQueueWait: reg.Histogram("serve.stage.queue_wait_ms", stageBuckets),
 		mBatchWait: reg.Histogram("serve.stage.batch_wait_ms", stageBuckets),

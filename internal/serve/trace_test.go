@@ -76,14 +76,17 @@ func checkInScore(t *testing.T, tr obs.RequestTrace, name string) {
 }
 
 // TestTraceIDThreadsThroughStages is the end-to-end trace check: client trace
-// IDs survive the handler → compile turn boundary. Concurrent requests
-// carrying distinct X-Trace-Id headers are scored on different turns, yet
-// each response echoes its own ID and each ring trace carries that request's
-// full stage decomposition — evaluate, queue-wait, batch-wait, score (with
-// the exact attempt's shapley.exact stage inside it) and write — with the
-// per-stage histograms populated on the live registry, one evaluate
-// observation per /rank or /explain request. A missing, oversized or
-// malformed inbound ID gets a minted one instead.
+// IDs survive the handler → compile turn boundary. Two rounds of concurrent
+// requests, one request per case in each of four cases, carry distinct
+// X-Trace-Id headers and are scored on different turns, yet each response
+// echoes its own ID and each ring trace carries that request's full stage
+// decomposition — evaluate, queue-wait, batch-wait, score and write — with
+// the per-stage histograms populated on the live registry, one evaluate
+// observation per /rank or /explain request. Inside score each trace holds
+// exactly one of the exact attempt's shapley.exact stage and the memo's
+// serve.memo stage, every repeat in the second round is answered from the
+// memo, and serve.memo.hits counts the serve.memo stages. A missing,
+// oversized or malformed inbound ID gets a minted one instead.
 func TestTraceIDThreadsThroughStages(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -103,35 +106,38 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			req, err := http.NewRequest(http.MethodPost, s.URL()+"/rank", bytes.NewReader(cases[i%len(cases)].body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(obs.TraceHeader, ids[i])
-			resp, err := client.Do(req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			_, _ = io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("rank -> %d", resp.StatusCode)
-				return
-			}
-			if got := resp.Header.Get(obs.TraceHeader); got != ids[i] {
-				errs[i] = fmt.Errorf("response echoed trace ID %q, want %q", got, ids[i])
-			}
-		}(i)
+	for lo := 0; lo < n; lo += len(cases) { // each round repeats the one before
+		hi := min(lo+len(cases), n)
+		var wg sync.WaitGroup
+		wg.Add(hi - lo)
+		for i := lo; i < hi; i++ {
+			go func(i int) {
+				defer wg.Done()
+				req, err := http.NewRequest(http.MethodPost, s.URL()+"/rank", bytes.NewReader(cases[i%len(cases)].body))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set(obs.TraceHeader, ids[i])
+				resp, err := client.Do(req)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer resp.Body.Close()
+				_, _ = io.Copy(io.Discard, resp.Body)
+				if resp.StatusCode != http.StatusOK {
+					errs[i] = fmt.Errorf("rank -> %d", resp.StatusCode)
+					return
+				}
+				if got := resp.Header.Get(obs.TraceHeader); got != ids[i] {
+					errs[i] = fmt.Errorf("response echoed trace ID %q, want %q", got, ids[i])
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +150,8 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 	for _, tr := range traces {
 		byID[tr.TraceID] = tr
 	}
-	for _, id := range ids {
+	var hits int64
+	for i, id := range ids {
 		tr, ok := byID[id]
 		if !ok {
 			t.Fatalf("trace %s missing from the ring", id)
@@ -155,7 +162,18 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 				t.Errorf("trace %s lacks stage %q (has %v)", id, want, names)
 			}
 		}
-		checkInScore(t, tr, "shapley.exact")
+		switch {
+		case names["shapley.exact"] == names["serve.memo"]:
+			t.Errorf("trace %s: shapley.exact present %v, serve.memo present %v, want exactly one (has %v)",
+				id, names["shapley.exact"], names["serve.memo"], names)
+		case names["serve.memo"]:
+			checkInScore(t, tr, "serve.memo")
+			hits++
+		case i >= len(cases):
+			t.Errorf("trace %s repeats an answered case but was not answered from the memo (has %v)", id, names)
+		default:
+			checkInScore(t, tr, "shapley.exact")
+		}
 		if tr.Status != http.StatusOK || tr.TotalUS < 0 {
 			t.Errorf("trace %s: status %d total %dus", id, tr.Status, tr.TotalUS)
 		}
@@ -163,6 +181,9 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 
 	// The stage histograms observed every request on the live registry.
 	snap := run.Reg.Snapshot()
+	if got := snap.Counters["serve.memo.hits"]; got != hits {
+		t.Errorf("serve.memo.hits = %d, the traces hold %d serve.memo stages", got, hits)
+	}
 	for _, h := range []string{
 		"serve.stage.queue_wait_ms", "serve.stage.batch_wait_ms",
 		"serve.stage.score_ms", "serve.stage.write_ms",
@@ -175,7 +196,7 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n)
 	}
 
-	// /explain shares the evaluate stage and the exact attempt.
+	// /explain shares the evaluate stage and the memo: its case was ranked.
 	resp, err := client.Post(s.URL()+"/explain", "application/json", bytes.NewReader(cases[0].body))
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +210,7 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 	if names := stageNames(explainTrace); !names["evaluate"] {
 		t.Errorf("explain trace lacks stage \"evaluate\" (has %v)", names)
 	}
-	checkInScore(t, explainTrace, "shapley.exact")
+	checkInScore(t, explainTrace, "serve.memo")
 	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n+1 {
 		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
 	}
@@ -231,12 +252,13 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 
 // TestServeRemembersRefusals sends one lineage of several derivations twice
 // at budget 0, set before the first request. The first request's exact
-// attempt is refused and the proxy answers; the second skips the attempt. So
-// the first trace holds shapley.exact and shapley.proxy, the second only
-// shapley.proxy, both inside score, shapley.exact.refused counts one refusal,
-// and the two answers are identical. The same lineage with its monomials in
-// reverse order must skip the attempt too: the refusal memory hashes a
-// lineage independently of its monomials' order.
+// attempt is refused and the proxy answers; the second is answered from the
+// memo. So the first trace holds shapley.exact and shapley.proxy inside
+// score and no serve.memo, the second serve.memo inside score and neither
+// engine's stage, shapley.exact.refused counts one refusal, and the two
+// answers are identical. The same lineage with its monomials in reverse
+// order must be answered from the memo too, with the same answer: the memo
+// keys and verifies a lineage independently of its monomials' order.
 func TestServeRemembersRefusals(t *testing.T) {
 	run := obs.NewRun("refusal-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -269,17 +291,20 @@ func TestServeRemembersRefusals(t *testing.T) {
 		t.Errorf("answers differ or are not the proxy's:\n%s\n%s", answers[0], answers[1])
 	}
 	traces := ringTraces(t, s, "rank", 2)
-	for i, want := range []map[string]bool{
-		{"shapley.exact": true, "shapley.proxy": true},
-		{"shapley.exact": false, "shapley.proxy": true},
+	for i, want := range []struct {
+		stages map[string]bool
+		inner  string // the stage that must lie inside score
+	}{
+		{map[string]bool{"shapley.exact": true, "shapley.proxy": true, "serve.memo": false}, "shapley.proxy"},
+		{map[string]bool{"shapley.exact": false, "shapley.proxy": false, "serve.memo": true}, "serve.memo"},
 	} {
 		names := stageNames(traces[i])
-		for stage, present := range want {
+		for stage, present := range want.stages {
 			if names[stage] != present {
 				t.Errorf("request %d: stage %s present %v, want %v (has %v)", i+1, stage, names[stage], present, names)
 			}
 		}
-		checkInScore(t, traces[i], "shapley.proxy")
+		checkInScore(t, traces[i], want.inner)
 	}
 	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
 		t.Errorf("shapley.exact.refused = %d after two requests for one lineage, want 1", got)
@@ -288,11 +313,15 @@ func TestServeRemembersRefusals(t *testing.T) {
 	reversed := &provenance.DNF{Monomials: slices.Clone(c.prov.Monomials)}
 	slices.Reverse(reversed.Monomials)
 	got, eng := s.answer(context.Background(), reversed)
-	if want := shapley.CNFProxy(c.prov); eng != engineProxy || !reflect.DeepEqual(got, want) {
+	if want := s.rankedFacts(shapley.CNFProxy(c.prov)); eng != engineProxy || !reflect.DeepEqual(got, want) {
 		t.Errorf("reversed lineage: answer = %v by %q, want %v by %q", got, eng, want, engineProxy)
 	}
-	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
+	counters := run.Reg.Snapshot().Counters
+	if got := counters["shapley.exact.refused"]; got != 1 {
 		t.Errorf("shapley.exact.refused = %d after the lineage with its monomials reversed, want 1", got)
+	}
+	if got := counters["serve.memo.hits"]; got != 2 {
+		t.Errorf("serve.memo.hits = %d after a repeated request and the reversed lineage, want 2", got)
 	}
 }
 

@@ -31,17 +31,17 @@ echo "== go test -race (concurrency packages) =="
 # (readout rows, multi-prefix passes, prefix reuse, the attention and blocked
 # kernels, the golden and truncated rankers), the trace, ring and exposition
 # tests of obs and serve, and serve's admission pool, /rank parity sweep,
-# engine selector, refusal memory and TLS round trip.
+# engine selector, answer memo and TLS round trip.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
 echo "== go test -race (serve pool, repeated) =="
 # Every handler goroutine shares the pool (the admission slots and the compile
-# turns) and the refusal memory's slots. The pool tests (the admission bound,
-# a panic while scoring, 429 before evaluation, and draining admitted requests
-# on shutdown) and concurrent answers over the refusal memory run ten times
-# each, under a timeout that turns a hang into a failure well before go test's
-# own 10 minutes.
-go test -race -count=10 -timeout 5m ./internal/serve -run 'AdmitRejectsPastCapacity|ScorePanicReleasesTurn|ServeBackpressure|ServeDrainOnShutdown|AnswerRefusalsConcurrent'
+# turns) and the answer memo. The pool tests (the admission bound, a panic
+# while scoring, 429 before evaluation, and draining admitted requests on
+# shutdown) and concurrent answers over overlapping lineages through an
+# evicting memo run ten times each, under a timeout that turns a hang into a
+# failure well before go test's own 10 minutes.
+go test -race -count=10 -timeout 5m ./internal/serve -run 'AdmitRejectsPastCapacity|ScorePanicReleasesTurn|ServeBackpressure|ServeDrainOnShutdown|AnswerMemoConcurrent'
 
 # must_pass PKG TEST runs one test without the race detector and fails unless
 # it PASSed: a gate that skips itself must not pass silently.
@@ -161,22 +161,24 @@ echo "ok"
 
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: build a tiny corpus, start the daemon on an
-# ephemeral port with two compile turns, fire concurrent /rank requests over
-# real TCP and verify every response bit-for-bit against the engine that
-# answered it: exact Shapley values within the exact budget, the CNF proxy
-# past it (cmd/serve -selftest exits non-zero on any mismatch or on the wrong
-# engine), then drain and flush the run manifest. Every lineage of this tiny
-# corpus compiles within the budget, so its answers are all exact; the proxy
-# path is gated by TestSelfTest, TestServeExactSelector and
+# ephemeral port with two compile turns, fire two rounds of concurrent /rank
+# requests over real TCP, the second answered from the memo, and verify every
+# response bit-for-bit against the engine that answered it: exact Shapley
+# values within the exact budget, the CNF proxy past it (cmd/serve -selftest
+# exits non-zero on any mismatch, on the wrong engine or when no answer came
+# from the memo), then drain and flush the run manifest. Every lineage of this
+# tiny corpus compiles within the budget, so its answers are all exact; the
+# proxy path is gated by TestSelfTest, TestServeExactSelector and
 # TestServeParitySequential at budget 0, under -race above. The schema check
 # asserts the manifest recorded live serve.* metrics (request counters, the
-# serve.rank.* per-engine answer counters, the serve.queue.* admission
-# counters, the serve.batch.size histogram of 1 per scoring, the
-# serve.stage.* latency decomposition).
+# serve.rank.* per-engine answer counters, the serve.memo.hits counter of
+# answers from the memo, the serve.queue.* admission counters, the
+# serve.batch.size histogram of 1 per scoring, the serve.stage.* latency
+# decomposition).
 go run ./cmd/serve -queries 12 -cases 3 -workers 2 -selftest 8 \
     -metrics-out "$manifest_dir/serve.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/serve.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.batch.,serve.queue.,serve.stage." \
+    REPRO_MANIFEST_EXPECT_METRICS="serve.req.,serve.rank.,serve.memo.,serve.batch.,serve.queue.,serve.stage." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 REPRO_MANIFEST="$manifest_dir/serve.json" \
     go test ./internal/obs -run '^TestManifestMetricNamesLint$' -v | tail -n 3
