@@ -14,13 +14,14 @@
 // requests before exit (and flush -metrics-out).
 //
 // Every request runs on its own handler goroutine: it takes one of
-// -queue-cap plus -workers admission slots, then scores on one of -workers
-// compile turns (one per CPU by default), so at most -workers lineages
-// compile at once. /rank and /explain answer with exact Shapley values when
-// the lineage compiles within a fixed budget of decomposition-tree nodes, and
-// with the CNF proxy's derivation counts past it; the response's "engine"
-// field says which. A bounded memo keeps each ranked answer, so a repeated
-// lineage is scored once while the memo keeps it.
+// -queue-cap plus -workers admission slots, then is answered on one of
+// -workers compile turns (one per CPU by default), so at most -workers
+// requests evaluate and compile at once. /rank and /explain answer with
+// exact Shapley values when the lineage compiles within a fixed budget of
+// decomposition-tree nodes, and with the CNF proxy's derivation counts past
+// it; the response's "engine" field says which. A bounded memo keeps each
+// answer under its request, so a repeated request is parsed, evaluated and
+// scored once while the memo keeps it.
 // -tls-cert/-tls-key serve HTTPS. The corpus flags, and the corpus build
 // behind them, are the ones cmd/learnshap uses (cmd/internal/pipeline). The
 // repository benchmark (bench/run.sh) measures the daemon under load.

@@ -229,13 +229,12 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // handleRank serves /rank and, with explain set, /explain, which adds the
-// evaluation plan that located the tuple, the requested tuple's selection
-// included. The request is admitted before its query is parsed and
-// evaluated, so the admission bound covers evaluation as well as scoring.
-// Parse, the evaluation of the requested tuple and the match among what it
-// leaves are the request's "evaluate" stage (see locate); the exact attempt
-// and any proxy pass, or the memo's answer, run on a compile turn, as its
-// "score" stage (see answer), so at most Config.Workers lineages compile at
+// evaluation plan of the requested tuple, its selection included. The
+// request is admitted before anything else runs, so the admission bound
+// covers evaluation as well as scoring. The rest runs on a compile turn, as
+// the request's "score" stage (see answer): the memo's answer, or the
+// parse, the evaluation of the requested tuple, the exact attempt and any
+// proxy pass, so at most Config.Workers requests evaluate and compile at
 // once.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -244,63 +243,69 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 			return
 		}
 		defer s.release()
-		tc := obs.TraceFrom(r.Context())
-		start := time.Now()
-		q, target, code, err := s.locate(req)
-		d := time.Since(start)
-		tc.AddStage("evaluate", start, d)
-		s.mEvaluate.Observe(durMS(d))
+		var a *memoEntry
+		var code int
+		var err error
+		s.score(obs.TraceFrom(r.Context()), func() { a, code, err = s.answer(r.Context(), req) })
 		if err != nil {
 			s.writeError(w, code, "%v", err)
 			return
 		}
-		var plan string
-		if explain {
-			if plan, err = engine.Explain(s.corpus.DB, q, engine.Options{Tuple: req.Tuple}); err != nil {
-				s.writeError(w, http.StatusBadRequest, "explain: %v", err)
-				return
-			}
-		}
-		var facts []RankedFact
-		var eng string
-		s.score(tc, func() { facts, eng = s.answer(r.Context(), target.Prov) })
-		if eng == engineExact {
+		if a.engine == engineExact {
 			s.mExact.Add(1)
 		} else {
 			s.mProxy.Add(1)
 		}
 		if sw, ok := w.(*statusWriter); ok {
-			sw.engine = eng
+			sw.engine = a.engine
 		}
-		resp := RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: facts}
-		if explain {
-			s.writeJSON(w, http.StatusOK, ExplainResponse{
-				Query: resp.Query, Tuple: resp.Tuple, Plan: plan, Engine: eng, Facts: resp.Facts,
-			})
+		if !explain {
+			s.writeJSON(w, http.StatusOK, RankResponse{Query: a.query, Tuple: a.tuple, Engine: a.engine, Facts: a.facts})
 			return
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+		// Plans are not remembered: /explain parses again for its plan.
+		q, err := sqlparse.Parse(req.SQL)
+		var plan string
+		if err == nil {
+			plan, err = engine.Explain(s.corpus.DB, q, engine.Options{Tuple: req.Tuple})
+		}
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "explain: %v", err)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, ExplainResponse{
+			Query: a.query, Tuple: a.tuple, Plan: plan, Engine: a.engine, Facts: a.facts,
+		})
 	}
 }
 
-// answer returns the ranked, rendered answer of one lineage and the engine
-// that scored it. A lineage the memo holds under the current exact budget is
-// answered from it, as the "serve.memo" stage of the trace ctx carries,
-// counted in serve.memo.hits; any other is scored by compute, rendered and
-// stored.
-func (s *Server) answer(ctx context.Context, prov *provenance.DNF) ([]RankedFact, string) {
+// answer returns the ranked answer to req or, when it has none, the HTTP
+// status and error to answer with. A request the memo holds under the
+// current exact budget is answered from it, as the "serve.memo" stage of
+// the trace ctx carries, counted in serve.memo.hits. Any other is located
+// (its "evaluate" stage, observed in serve.stage.evaluate_ms), scored by
+// compute, rendered and stored; an error is not stored.
+func (s *Server) answer(ctx context.Context, req RankRequest) (*memoEntry, int, error) {
 	tc := obs.TraceFrom(ctx)
 	start := time.Now()
-	k := memoKey{hash: lineageHash(prov), budget: s.exactNodes}
-	if e := s.memo.get(k, prov); e != nil {
+	key := requestKey(s.exactNodes, req)
+	if a := s.memo.get(key); a != nil {
 		tc.AddStage("serve.memo", start, time.Since(start))
 		s.mMemoHits.Add(1)
-		return e.facts, e.engine
+		return a, 0, nil
 	}
-	vals, eng := s.compute(ctx, prov)
-	facts := s.rankedFacts(vals)
-	s.memo.put(k, prov, eng, facts)
-	return facts, eng
+	start = time.Now()
+	q, target, code, err := s.locate(req)
+	d := time.Since(start)
+	tc.AddStage("evaluate", start, d)
+	s.mEvaluate.Observe(durMS(d))
+	if err != nil {
+		return nil, code, err
+	}
+	vals, eng := s.compute(ctx, target.Prov)
+	a := &memoEntry{query: q.SQL(), tuple: target.String(), engine: eng, facts: s.rankedFacts(vals)}
+	s.memo.put(string(key), a)
+	return a, 0, nil
 }
 
 // compute scores one lineage without the memo: with its exact Shapley values

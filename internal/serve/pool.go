@@ -16,9 +16,9 @@ import (
 //     covers query evaluation as well as scoring. A full daemon answers 429
 //     with Retry-After.
 //   - turns holds Workers compile turns. An admitted handler waits for one,
-//     scores on it and gives it back, so at most Workers lineages compile at
-//     once. Blocked channel senders are served in arrival order, so turns go
-//     to waiting handlers first come, first served.
+//     answers on it and gives it back, so at most Workers requests evaluate
+//     and compile at once. Blocked channel senders are served in arrival
+//     order, so turns go to waiting handlers first come, first served.
 //
 // Both go back with defer: net/http recovers a panicking handler, and the
 // panic leaks neither a slot nor a turn. Draining needs no code of its own,

@@ -22,11 +22,12 @@ import (
 // the running server, twice, and checks every response bit-for-bit against
 // the engine the server picks for its lineage: exact Shapley values when the
 // lineage compiles within the exact budget, shapley.CNFProxy otherwise, in
-// Values.Ranking order, with the matching "engine" field. The first round
-// fills the memo and the second is answered from it, so memo answers are
-// checked too. It then exercises /healthz and /metrics, and fails if the
-// metrics snapshot shows no serve activity or no memo answer. The server
-// keeps running; the caller owns shutdown.
+// Values.Ranking order, with the matching "engine" field and the request's
+// query and tuple renderings. The first round fills the memo and the second
+// is answered from it, so memo answers are checked too. It then exercises
+// /healthz and /metrics, and fails if the metrics snapshot shows no serve
+// activity or no memo answer. The server keeps running; the caller owns
+// shutdown.
 func SelfTest(s *Server, n int) error {
 	if n < 1 {
 		n = 1
@@ -58,7 +59,7 @@ func SelfTest(s *Server, n int) error {
 			go func(i int) {
 				defer wg.Done()
 				c := i % len(cases)
-				errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
+				errs[i] = checkRank(client, s.URL(), cases[c], engines[c], want[c])
 			}(i)
 		}
 		wg.Wait()
@@ -84,14 +85,18 @@ func insecureTLSFor(baseURL string) *tls.Config {
 	return &tls.Config{InsecureSkipVerify: true}
 }
 
-// selfTestCase is one prepared request with the provenance of its tuple.
+// selfTestCase is one prepared request with the provenance of its tuple and
+// the query and tuple renderings its answer must carry.
 type selfTestCase struct {
-	body []byte
-	prov *provenance.DNF
+	req   RankRequest
+	body  []byte
+	prov  *provenance.DNF
+	query string // sqlparse.Parse(req.SQL).SQL()
+	tuple string // the located tuple's String()
 }
 
 // selfTestCases prepares up to n distinct (query, tuple) requests from the
-// corpus's test split.
+// corpus's test split. Each is located around the memo for its renderings.
 func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 	var out []selfTestCase
 	for _, qi := range s.corpus.Test {
@@ -101,11 +106,16 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 			for i, v := range cs.Tuple.Values {
 				tuple[i] = v.String()
 			}
-			body, err := json.Marshal(RankRequest{SQL: q.SQL, Tuple: tuple})
+			req := RankRequest{SQL: q.SQL, Tuple: tuple}
+			body, err := json.Marshal(req)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, selfTestCase{body: body, prov: cs.Tuple.Prov})
+			parsed, target, _, err := s.locate(req)
+			if err != nil {
+				return nil, fmt.Errorf("serve: selftest case %q: %w", tuple, err)
+			}
+			out = append(out, selfTestCase{req: req, body: body, prov: cs.Tuple.Prov, query: parsed.SQL(), tuple: target.String()})
 			if len(out) >= n {
 				return out, nil
 			}
@@ -117,12 +127,12 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 	return out, nil
 }
 
-// checkRank posts one /rank request, requires the expected engine and
-// compares the returned facts against the sequential reference: the same
-// facts in Values.Ranking order, each score bitwise (float64 JSON
-// round-trips exactly).
-func checkRank(client *http.Client, base string, body []byte, engine string, want shapley.Values) error {
-	resp, err := client.Post(base+"/rank", "application/json", bytes.NewReader(body))
+// checkRank posts one case's /rank request, requires the expected engine
+// and the case's query and tuple renderings, and compares the returned facts
+// against the sequential reference: the same facts in Values.Ranking order,
+// each score bitwise (float64 JSON round-trips exactly).
+func checkRank(client *http.Client, base string, c selfTestCase, engine string, want shapley.Values) error {
+	resp, err := client.Post(base+"/rank", "application/json", bytes.NewReader(c.body))
 	if err != nil {
 		return fmt.Errorf("selftest: rank request: %w", err)
 	}
@@ -137,6 +147,9 @@ func checkRank(client *http.Client, base string, body []byte, engine string, wan
 	}
 	if rr.Engine != engine {
 		return fmt.Errorf("selftest: rank answered with engine %q, want %q", rr.Engine, engine)
+	}
+	if rr.Query != c.query || rr.Tuple != c.tuple {
+		return fmt.Errorf("selftest: rank answered query %q tuple %q, want %q and %q", rr.Query, rr.Tuple, c.query, c.tuple)
 	}
 	order := want.Ranking()
 	if len(rr.Facts) != len(order) {

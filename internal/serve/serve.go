@@ -6,31 +6,33 @@
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► evaluate ──► take a turn ──► memo ──miss──► ExactBudget ──► CNFProxy
-//	               ▲                   │429     (parse, the  (one of        │hit           (≤ 2^14 tree    (derivation
-//	               │             (backpressure)  requested     Workers)     │              nodes)          counts, over
-//	               │                             tuple only)                │                              budget)
-//	               └──────────── response ◄──── give the turn back ◄────────┴───── store ◄─┴──────────────────────┘
+//	conns ──► handler goroutines ──► admit ──► take a turn ──► memo ──miss──► evaluate ──► ExactBudget ──► CNFProxy
+//	               ▲                 │429      (one of         │hit           (parse, the  (≤ 2^14 tree    (derivation
+//	               │           (backpressure)  Workers)        │              requested    nodes)          counts, over
+//	               │                                           │              tuple only)                  budget)
+//	               └──── response ◄── give the turn back ◄─────┴────── store ◄──────────────────┴──────────────┘
 //
 // Every request runs on its own net/http handler goroutine. Right after its
 // body decodes, the handler takes one of QueueCap+Workers admission slots
-// without blocking, then parses the query and evaluates only the requested
-// tuple (engine.Options.Tuple pushes its values into the query's scans),
-// waits for one of Config.Workers compile turns, scores on it and gives both
-// back (pool.go). The turns bound how many lineages compile at once.
+// without blocking, waits for one of Config.Workers compile turns, answers
+// on it and gives both back (pool.go). The turns bound how many requests
+// evaluate and compile at once.
 //
-// On its turn the handler first looks the lineage up in the server's memo
-// (memo.go), which remembers the ranked, rendered answer of every lineage it
-// ranked, up to a bound of retained bytes. A hit is the answer, with no
-// compile, sort or rendering. On a miss the handler compiles the lineage's
-// provenance with shapley.ExactBudget under rankExactNodes tree nodes. When
-// the tree fits, the exact values are the answer ("engine": "exact"). When
-// it does not, shapley.CNFProxy scores every fact by the number of
-// derivations that hold it ("engine": "proxy"). Either answer is ranked,
-// rendered and stored in the memo, so a repeated lineage pays its exact
-// attempt, refused or not, once while the memo keeps it. Whether the tree
-// fits depends only on the lineage, so the same request always gets the
-// same engine.
+// On its turn the handler first looks the request up in the server's memo
+// (memo.go), which remembers the answer to every request it ranked, keyed
+// by the request's SQL text, its tuple strings and the exact budget, up to
+// a bound of retained bytes. A hit is the answer, with no parse, evaluation,
+// compile, sort or rendering. On a miss the handler parses the query and
+// evaluates only the requested tuple (engine.Options.Tuple pushes its values
+// into the query's scans), then compiles the tuple's provenance with
+// shapley.ExactBudget under rankExactNodes tree nodes. When the tree fits,
+// the exact values are the answer ("engine": "exact"). When it does not,
+// shapley.CNFProxy scores every fact by the number of derivations that hold
+// it ("engine": "proxy"). Either answer is ranked, rendered and stored in
+// the memo, so a repeated request pays its evaluation and its exact
+// attempt, refused or not, once while the memo keeps it. The database is
+// read-only and every step is deterministic, so the same request always
+// gets the same answer.
 //
 // Determinism: an exact answer equals shapley.Exact bit for bit, and a proxy
 // answer equals shapley.CNFProxy, in Values.Ranking order, at every worker
@@ -64,9 +66,9 @@ type Config struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
 	// Workers is the number of compile turns: how many /rank and /explain
-	// requests score at once (<= 0 means one per CPU). It bounds how many
-	// lineages compile at once, each refused attempt allocating up to about
-	// 60 MB.
+	// requests are answered at once (<= 0 means one per CPU). It bounds how
+	// many requests evaluate and compile at once, each refused attempt
+	// allocating up to about 60 MB.
 	Workers int
 	// QueueCap is how many admitted requests may wait beyond the Workers being
 	// scored: at most QueueCap+Workers requests are admitted at once, counted
@@ -98,7 +100,7 @@ const traceRingSize = 256
 // three of 809 tuples. It bounds one attempt's time and memory: a refused
 // attempt stops as soon as the tree passes the budget, after 84–121 ms and
 // 50–61 MB on those three (2-core host). Every attempt, exact or refused, is
-// paid once per lineage while the memo keeps its answer (Server.memo).
+// paid once per request while the memo keeps its answer (Server.memo).
 // DESIGN.md §8 gives the measurements behind the choice.
 const rankExactNodes = 1 << 14
 
@@ -114,8 +116,8 @@ type Server struct {
 	// request.
 	exactNodes int
 
-	// memo remembers the answer of every lineage the server ranked, keyed
-	// by the lineage and exactNodes, within memoBytes (memo.go).
+	// memo remembers the answer to every request the server ranked, keyed
+	// by the request and exactNodes, within memoBytes (memo.go).
 	memo memo
 
 	// The pool (pool.go): admission slots and compile turns.

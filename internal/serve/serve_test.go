@@ -97,7 +97,8 @@ func postRank(client *http.Client, base string, body []byte) (*RankResponse, int
 // comes from a separate server at the same budget, around its memo, so no
 // answer is checked against a remembered one. Every case is sent three
 // times, so the sweep holds answers from the memo too, and checkRank
-// requires each ranking in Values.Ranking order.
+// requires each ranking in Values.Ranking order, under the request's query
+// and tuple renderings.
 func TestServeParitySequential(t *testing.T) {
 	for _, tc := range []struct {
 		batch, workers int
@@ -149,7 +150,7 @@ func TestServeParitySequential(t *testing.T) {
 					go func(i int) {
 						defer wg.Done()
 						c := i % len(cases)
-						errs[i] = checkRank(client, s.URL(), cases[c].body, engines[c], want[c])
+						errs[i] = checkRank(client, s.URL(), cases[c], engines[c], want[c])
 					}(i)
 				}
 				wg.Wait()
@@ -491,16 +492,23 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 // result 404, and so do a request without a tuple and a tuple with one value
 // too few or one too many, which the tuple evaluation must reject by arity
 // instead of indexing past the projection list. Every answer carries a JSON
-// error body.
+// error body. The valid request is answered first, and every error case is
+// sent twice: both answers carry the same status, and the memo, which holds
+// the valid answer, stores no error.
 func TestServeLocateErrors(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	cases, err := selfTestCases(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var valid RankRequest
-	if err := json.Unmarshal(cases[0].body, &valid); err != nil {
-		t.Fatal(err)
+	valid := cases[0].req
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(cases[0].body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("the valid request -> %d: %s", rec.Code, rec.Body)
+	}
+	if entries, _ := s.memo.stats(); entries != 1 {
+		t.Fatalf("memo holds %d entries after the valid request, want 1", entries)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -521,17 +529,22 @@ func TestServeLocateErrors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec := httptest.NewRecorder()
-				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-				if rec.Code != tc.code {
-					t.Fatalf("-> %d, want %d: %s", rec.Code, tc.code, rec.Body)
-				}
-				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-					t.Errorf("Content-Type %q, want application/json", ct)
-				}
-				var er errorResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, tc.error) {
-					t.Errorf("error body %q (decode err %v), want an error mentioning %q", rec.Body, err, tc.error)
+				for attempt := 1; attempt <= 2; attempt++ {
+					rec := httptest.NewRecorder()
+					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+					if rec.Code != tc.code {
+						t.Fatalf("attempt %d -> %d, want %d: %s", attempt, rec.Code, tc.code, rec.Body)
+					}
+					if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+						t.Errorf("attempt %d: Content-Type %q, want application/json", attempt, ct)
+					}
+					var er errorResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, tc.error) {
+						t.Errorf("attempt %d: error body %q (decode err %v), want an error mentioning %q", attempt, rec.Body, err, tc.error)
+					}
+					if entries, _ := s.memo.stats(); entries != 1 {
+						t.Errorf("attempt %d: memo holds %d entries, want only the valid answer", attempt, entries)
+					}
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/provenance"
-	"repro/internal/shapley"
 )
 
 // ringTraces polls the server's trace ring until it holds at least n traces
@@ -80,13 +77,13 @@ func checkInScore(t *testing.T, tr obs.RequestTrace, name string) {
 // requests, one request per case in each of four cases, carry distinct
 // X-Trace-Id headers and are scored on different turns, yet each response
 // echoes its own ID and each ring trace carries that request's full stage
-// decomposition — evaluate, queue-wait, batch-wait, score and write — with
-// the per-stage histograms populated on the live registry, one evaluate
-// observation per /rank or /explain request. Inside score each trace holds
-// exactly one of the exact attempt's shapley.exact stage and the memo's
-// serve.memo stage, every repeat in the second round is answered from the
-// memo, and serve.memo.hits counts the serve.memo stages. A missing,
-// oversized or malformed inbound ID gets a minted one instead.
+// decomposition — queue-wait, batch-wait, score and write — with the
+// per-stage histograms populated on the live registry. Inside score each
+// trace holds either the memo's serve.memo stage or, on a miss, the evaluate
+// stage and the exact attempt's shapley.exact stage. Every repeat in the
+// second round is answered from the memo, serve.memo.hits counts the
+// serve.memo stages, and serve.stage.evaluate_ms observes the misses alone.
+// A missing, oversized or malformed inbound ID gets a minted one instead.
 func TestTraceIDThreadsThroughStages(t *testing.T) {
 	run := obs.NewRun("trace-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -157,21 +154,22 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 			t.Fatalf("trace %s missing from the ring", id)
 		}
 		names := stageNames(tr)
-		for _, want := range []string{"evaluate", "queue_wait", "batch_wait", "score", "write"} {
+		for _, want := range []string{"queue_wait", "batch_wait", "score", "write"} {
 			if !names[want] {
 				t.Errorf("trace %s lacks stage %q (has %v)", id, want, names)
 			}
 		}
 		switch {
-		case names["shapley.exact"] == names["serve.memo"]:
-			t.Errorf("trace %s: shapley.exact present %v, serve.memo present %v, want exactly one (has %v)",
-				id, names["shapley.exact"], names["serve.memo"], names)
+		case names["shapley.exact"] != names["evaluate"] || names["shapley.exact"] == names["serve.memo"]:
+			t.Errorf("trace %s: evaluate present %v, shapley.exact %v, serve.memo %v, want serve.memo alone or the other two (has %v)",
+				id, names["evaluate"], names["shapley.exact"], names["serve.memo"], names)
 		case names["serve.memo"]:
 			checkInScore(t, tr, "serve.memo")
 			hits++
 		case i >= len(cases):
 			t.Errorf("trace %s repeats an answered case but was not answered from the memo (has %v)", id, names)
 		default:
+			checkInScore(t, tr, "evaluate")
 			checkInScore(t, tr, "shapley.exact")
 		}
 		if tr.Status != http.StatusOK || tr.TotalUS < 0 {
@@ -192,11 +190,11 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 			t.Errorf("%s recorded %d observations, want >= %d", h, got, n)
 		}
 	}
-	if got := snap.Histograms["serve.stage.evaluate_ms"].Count; got != n {
-		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n)
+	if got := snap.Histograms["serve.stage.evaluate_ms"].Count; got != n-hits {
+		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d misses, want one each", got, n-hits)
 	}
 
-	// /explain shares the evaluate stage and the memo: its case was ranked.
+	// /explain shares the memo: its case was ranked, so it does not evaluate.
 	resp, err := client.Post(s.URL()+"/explain", "application/json", bytes.NewReader(cases[0].body))
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +205,12 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 		t.Fatalf("explain -> %d", resp.StatusCode)
 	}
 	explainTrace := ringTraces(t, s, "explain", 1)[0]
-	if names := stageNames(explainTrace); !names["evaluate"] {
-		t.Errorf("explain trace lacks stage \"evaluate\" (has %v)", names)
+	if names := stageNames(explainTrace); names["evaluate"] {
+		t.Errorf("explain trace of a remembered request holds stage \"evaluate\" (has %v)", names)
 	}
 	checkInScore(t, explainTrace, "serve.memo")
-	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n+1 {
-		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d requests, want one each", got, n+1)
+	if got := run.Reg.Snapshot().Histograms["serve.stage.evaluate_ms"].Count; got != n-hits {
+		t.Errorf("serve.stage.evaluate_ms recorded %d observations after %d misses and an /explain hit, want %d", got, n-hits, n-hits)
 	}
 
 	// A request without a usable inbound ID gets a minted, echoed ID: no
@@ -250,15 +248,15 @@ func TestTraceIDThreadsThroughStages(t *testing.T) {
 	}
 }
 
-// TestServeRemembersRefusals sends one lineage of several derivations twice
-// at budget 0, set before the first request. The first request's exact
-// attempt is refused and the proxy answers; the second is answered from the
-// memo. So the first trace holds shapley.exact and shapley.proxy inside
-// score and no serve.memo, the second serve.memo inside score and neither
-// engine's stage, shapley.exact.refused counts one refusal, and the two
-// answers are identical. The same lineage with its monomials in reverse
-// order must be answered from the memo too, with the same answer: the memo
-// keys and verifies a lineage independently of its monomials' order.
+// TestServeRemembersRefusals sends one request whose lineage has several
+// derivations twice to /rank and once to /explain, at budget 0, set before
+// the first request. The first request's exact attempt is refused and the
+// proxy answers; the repeat and the /explain are answered from the memo.
+// So the first trace holds evaluate, shapley.exact and shapley.proxy inside
+// score and no serve.memo, the other two serve.memo inside score and none
+// of the first's stages, shapley.exact.refused counts one refusal,
+// serve.memo.hits two hits, and the three answers are the same, the
+// /explain's with its plan.
 func TestServeRemembersRefusals(t *testing.T) {
 	run := obs.NewRun("refusal-test", obs.NewRegistry(), nil, nil)
 	obs.Install(run)
@@ -269,59 +267,50 @@ func TestServeRemembersRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c selfTestCase
-	for _, c = range all {
-		if len(c.prov.Monomials) > 1 {
-			break
-		}
-	}
-	if len(c.prov.Monomials) < 2 {
+	i := slices.IndexFunc(all, func(c selfTestCase) bool { return len(c.prov.Monomials) > 1 })
+	if i < 0 {
 		t.Fatal("no test case has a lineage of several derivations")
 	}
-	var answers [2]string
-	for i := range answers {
+	var answers [3]ExplainResponse // a /rank answer decodes with an empty plan
+	for n, path := range []string{"/rank", "/rank", "/explain"} {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(c.body)))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(all[i].body)))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d -> %d: %s", i+1, rec.Code, rec.Body)
+			t.Fatalf("request %d (%s) -> %d: %s", n+1, path, rec.Code, rec.Body)
 		}
-		answers[i] = rec.Body.String()
+		if err := json.Unmarshal(rec.Body.Bytes(), &answers[n]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if answers[0] != answers[1] || !strings.Contains(answers[0], `"engine":"proxy"`) {
-		t.Errorf("answers differ or are not the proxy's:\n%s\n%s", answers[0], answers[1])
+	for n, a := range answers {
+		if a.Engine != engineProxy || a.Query != answers[0].Query || a.Tuple != answers[0].Tuple || !reflect.DeepEqual(a.Facts, answers[0].Facts) {
+			t.Errorf("request %d answered %+v, want the first request's proxy answer %+v", n+1, a, answers[0])
+		}
 	}
-	traces := ringTraces(t, s, "rank", 2)
-	for i, want := range []struct {
-		stages map[string]bool
-		inner  string // the stage that must lie inside score
-	}{
-		{map[string]bool{"shapley.exact": true, "shapley.proxy": true, "serve.memo": false}, "shapley.proxy"},
-		{map[string]bool{"shapley.exact": false, "shapley.proxy": false, "serve.memo": true}, "serve.memo"},
-	} {
-		names := stageNames(traces[i])
-		for stage, present := range want.stages {
-			if names[stage] != present {
-				t.Errorf("request %d: stage %s present %v, want %v (has %v)", i+1, stage, names[stage], present, names)
+	if answers[2].Plan == "" {
+		t.Error("the remembered /explain answer has no plan")
+	}
+	traces := append(ringTraces(t, s, "rank", 2), ringTraces(t, s, "explain", 1)...)
+	first := map[string]bool{"evaluate": true, "shapley.exact": true, "shapley.proxy": true, "serve.memo": false}
+	for n, tr := range traces {
+		names := stageNames(tr)
+		for stage, inFirst := range first {
+			if want := inFirst == (n == 0); names[stage] != want {
+				t.Errorf("request %d (%s): stage %s present %v, want %v (has %v)", n+1, tr.Endpoint, stage, names[stage], want, names)
 			}
 		}
-		checkInScore(t, traces[i], want.inner)
-	}
-	if got := run.Reg.Snapshot().Counters["shapley.exact.refused"]; got != 1 {
-		t.Errorf("shapley.exact.refused = %d after two requests for one lineage, want 1", got)
-	}
-
-	reversed := &provenance.DNF{Monomials: slices.Clone(c.prov.Monomials)}
-	slices.Reverse(reversed.Monomials)
-	got, eng := s.answer(context.Background(), reversed)
-	if want := s.rankedFacts(shapley.CNFProxy(c.prov)); eng != engineProxy || !reflect.DeepEqual(got, want) {
-		t.Errorf("reversed lineage: answer = %v by %q, want %v by %q", got, eng, want, engineProxy)
+		if n == 0 {
+			checkInScore(t, tr, "shapley.proxy")
+		} else {
+			checkInScore(t, tr, "serve.memo")
+		}
 	}
 	counters := run.Reg.Snapshot().Counters
 	if got := counters["shapley.exact.refused"]; got != 1 {
-		t.Errorf("shapley.exact.refused = %d after the lineage with its monomials reversed, want 1", got)
+		t.Errorf("shapley.exact.refused = %d after three requests for one tuple, want 1", got)
 	}
 	if got := counters["serve.memo.hits"]; got != 2 {
-		t.Errorf("serve.memo.hits = %d after a repeated request and the reversed lineage, want 2", got)
+		t.Errorf("serve.memo.hits = %d after a repeated request and its /explain, want 2", got)
 	}
 }
 

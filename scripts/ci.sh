@@ -36,11 +36,11 @@ go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/n
 
 echo "== go test -race (serve pool, repeated) =="
 # Every handler goroutine shares the pool (the admission slots and the compile
-# turns) and the answer memo. The pool tests (the admission bound, a panic
-# while scoring, 429 before evaluation, and draining admitted requests on
-# shutdown) and concurrent answers over overlapping lineages through an
-# evicting memo run ten times each, under a timeout that turns a hang into a
-# failure well before go test's own 10 minutes.
+# turns) and the answer memo, keyed by the request. The pool tests (the
+# admission bound, a panic while scoring, 429 before evaluation, and draining
+# admitted requests on shutdown) and concurrent answers to overlapping
+# requests through an evicting memo run ten times each, under a timeout that
+# turns a hang into a failure well before go test's own 10 minutes.
 go test -race -count=10 -timeout 5m ./internal/serve -run 'AdmitRejectsPastCapacity|ScorePanicReleasesTurn|ServeBackpressure|ServeDrainOnShutdown|AnswerMemoConcurrent'
 
 # must_pass PKG TEST runs one test without the race detector and fails unless
@@ -162,11 +162,12 @@ echo "ok"
 echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # Full serving round trip: build a tiny corpus, start the daemon on an
 # ephemeral port with two compile turns, fire two rounds of concurrent /rank
-# requests over real TCP, the second answered from the memo, and verify every
-# response bit-for-bit against the engine that answered it: exact Shapley
-# values within the exact budget, the CNF proxy past it (cmd/serve -selftest
-# exits non-zero on any mismatch, on the wrong engine or when no answer came
-# from the memo), then drain and flush the run manifest. Every lineage of this
+# requests over real TCP, the second answered from the request memo, and
+# verify every response bit-for-bit against the engine that answered it:
+# exact Shapley values within the exact budget, the CNF proxy past it, under
+# the request's query and tuple renderings (cmd/serve -selftest exits
+# non-zero on any mismatch, on the wrong engine or when no answer came from
+# the memo), then drain and flush the run manifest. Every lineage of this
 # tiny corpus compiles within the budget, so its answers are all exact; the
 # proxy path is gated by TestSelfTest, TestServeExactSelector and
 # TestServeParitySequential at budget 0, under -race above. The schema check
