@@ -20,8 +20,8 @@
 // exact Shapley values when the lineage compiles within a fixed budget of
 // decomposition-tree nodes, and with the CNF proxy's derivation counts past
 // it; the response's "engine" field says which. A bounded memo keeps each
-// answer under its request, so a repeated request is parsed, evaluated and
-// scored once while the memo keeps it.
+// response's bytes under its request body, so a repeated request is decoded,
+// parsed, evaluated, scored and encoded once while the memo keeps it.
 // -tls-cert/-tls-key serve HTTPS. The corpus flags, and the corpus build
 // behind them, are the ones cmd/learnshap uses (cmd/internal/pipeline). The
 // repository benchmark (bench/run.sh) measures the daemon under load.

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/engine"
@@ -82,10 +84,11 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// statusWriter records the response status and the instant of the first byte
-// out, so the instrument wrapper can decompose encode/write time without
-// touching individual handlers, and the engine a /rank or /explain answer
-// came from, for the access log.
+// statusWriter records the response status and the instant the header goes
+// out, so the instrument wrapper can time the write stage without touching
+// individual handlers (every JSON answer is one WriteHeader and one Write of
+// bytes encoded beforehand, or stored in the memo, see writeBody), and the
+// engine a /rank or /explain answer came from, for the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -185,15 +188,40 @@ func (s *Server) logRequest(name string, tc *obs.TraceContext, sw *statusWriter,
 	}
 }
 
-// writeJSON sends one JSON response. Encode errors after the header is out
-// cannot change the status anymore; they are counted and logged, never
-// silently dropped.
+// writeJSON encodes v and sends it with writeBody. An encode error leaves
+// nothing sent yet, so it is counted in serve.err.encode and answered 500
+// (an errorResponse always encodes).
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := encodeJSON(v)
+	if err != nil {
 		obs.Metrics().Counter("serve.err.encode").Add(1)
-		obs.Infof("serve: encode response: %v\n", err)
+		s.writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	s.writeBody(w, code, body)
+}
+
+// encodeJSON returns what json.Encoder writes for v, the trailing newline
+// included.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeBody sends one JSON response body, with its Content-Type and its
+// Content-Length, in one Write: every JSON answer goes out here, a memo
+// hit's stored bytes among them. A write error after the header is out
+// cannot change the status anymore; it is counted in serve.err.encode and
+// logged, never silently dropped.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	if _, err := w.Write(body); err != nil {
+		obs.Metrics().Counter("serve.err.encode").Add(1)
+		obs.Infof("serve: write response: %v\n", err)
 	}
 }
 
@@ -207,46 +235,39 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 // a SQL query plus a tuple, a few KiB; anything near the bound is abuse.
 const maxBodyBytes = 1 << 20
 
-// decodePost decodes the JSON body of a POST request into v, reading at most
-// maxBodyBytes. It answers 405 for any other method, 413 for an oversized
-// body and 400 for a malformed one, and reports whether decoding succeeded.
-func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooLarge):
-		s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-	default:
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
-	}
-	return false
-}
-
 // handleRank serves /rank and, with explain set, /explain, which adds the
-// evaluation plan of the requested tuple, its selection included. The
-// request is admitted before anything else runs, so the admission bound
-// covers evaluation as well as scoring. The rest runs on a compile turn, as
-// the request's "score" stage (see answer): the memo's answer, or the
-// parse, the evaluation of the requested tuple, the exact attempt and any
-// proxy pass, so at most Config.Workers requests evaluate and compile at
-// once.
+// evaluation plan of the requested tuple, its selection included. It reads
+// the body, at most maxBodyBytes, into its memo key, answering 405 for any
+// method but POST and 413 for an oversized body before the request is
+// admitted. Admission comes before anything else runs, so the admission
+// bound covers evaluation as well as scoring. The rest runs on a compile
+// turn, as the request's "score" stage (see answer): the memo's answer, or
+// the decode, the parse, the evaluation of the requested tuple, the exact
+// attempt and any proxy pass, so at most Config.Workers requests evaluate
+// and compile at once.
 func (s *Server) handleRank(explain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req RankRequest
-		if !s.decodePost(w, r, &req) || !s.admit(w) {
+		if r.Method != http.MethodPost {
+			s.writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		key, err := readKey(s.exactNodes, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			} else {
+				s.writeError(w, http.StatusBadRequest, "read request: %v", err)
+			}
+			return
+		}
+		if !s.admit(w) {
 			return
 		}
 		defer s.release()
 		var a *memoEntry
 		var code int
-		var err error
-		s.score(obs.TraceFrom(r.Context()), func() { a, code, err = s.answer(r.Context(), req) })
+		s.score(obs.TraceFrom(r.Context()), func() { a, code, err = s.answer(r.Context(), key) })
 		if err != nil {
 			s.writeError(w, code, "%v", err)
 			return
@@ -260,42 +281,57 @@ func (s *Server) handleRank(explain bool) http.HandlerFunc {
 			sw.engine = a.engine
 		}
 		if !explain {
-			s.writeJSON(w, http.StatusOK, RankResponse{Query: a.query, Tuple: a.tuple, Engine: a.engine, Facts: a.facts})
+			s.writeBody(w, http.StatusOK, a.body)
 			return
 		}
-		// Plans are not remembered: /explain parses again for its plan.
-		q, err := sqlparse.Parse(req.SQL)
-		var plan string
+		// Plans are not remembered: /explain decodes the request again for
+		// its plan, and the stored RankResponse into the rest of its answer.
+		var req RankRequest
+		var er ExplainResponse
+		var q *sqlparse.Query
+		if err = json.Unmarshal(keyBody(key), &req); err == nil {
+			err = json.Unmarshal(a.body, &er)
+		}
 		if err == nil {
-			plan, err = engine.Explain(s.corpus.DB, q, engine.Options{Tuple: req.Tuple})
+			q, err = sqlparse.Parse(req.SQL)
+		}
+		if err == nil {
+			er.Plan, err = engine.Explain(s.corpus.DB, q, engine.Options{Tuple: req.Tuple})
 		}
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "explain: %v", err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, ExplainResponse{
-			Query: a.query, Tuple: a.tuple, Plan: plan, Engine: a.engine, Facts: a.facts,
-		})
+		s.writeJSON(w, http.StatusOK, er)
 	}
 }
 
-// answer returns the ranked answer to req or, when it has none, the HTTP
-// status and error to answer with. A request the memo holds under the
-// current exact budget is answered from it, as the "serve.memo" stage of
-// the trace ctx carries, counted in serve.memo.hits. Any other is located
-// (its "evaluate" stage, observed in serve.stage.evaluate_ms), scored by
-// compute, rendered and stored; an error is not stored.
-func (s *Server) answer(ctx context.Context, req RankRequest) (*memoEntry, int, error) {
+// answer returns the answer to the request whose memo key is key (readKey)
+// or, when it has none, the HTTP status and error to answer with. A request
+// the memo holds is answered from it, as the "serve.memo" stage of the
+// trace ctx carries, counted in serve.memo.hits. Any other is decoded and
+// located (its "evaluate" stage, observed in serve.stage.evaluate_ms),
+// scored by compute, rendered, encoded once and stored; an error is not
+// stored.
+func (s *Server) answer(ctx context.Context, key []byte) (*memoEntry, int, error) {
 	tc := obs.TraceFrom(ctx)
 	start := time.Now()
-	key := requestKey(s.exactNodes, req)
 	if a := s.memo.get(key); a != nil {
 		tc.AddStage("serve.memo", start, time.Since(start))
 		s.mMemoHits.Add(1)
 		return a, 0, nil
 	}
 	start = time.Now()
-	q, target, code, err := s.locate(req)
+	var req RankRequest
+	var q *sqlparse.Query
+	var target *engine.OutputTuple
+	var code int
+	err := json.Unmarshal(keyBody(key), &req)
+	if err != nil {
+		code, err = http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
+	} else {
+		q, target, code, err = s.locate(req)
+	}
 	d := time.Since(start)
 	tc.AddStage("evaluate", start, d)
 	s.mEvaluate.Observe(durMS(d))
@@ -303,7 +339,14 @@ func (s *Server) answer(ctx context.Context, req RankRequest) (*memoEntry, int, 
 		return nil, code, err
 	}
 	vals, eng := s.compute(ctx, target.Prov)
-	a := &memoEntry{query: q.SQL(), tuple: target.String(), engine: eng, facts: s.rankedFacts(vals)}
+	body, err := encodeJSON(RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: s.rankedFacts(vals)})
+	if err != nil {
+		obs.Metrics().Counter("serve.err.encode").Add(1)
+		return nil, http.StatusInternalServerError, fmt.Errorf("encode answer: %w", err)
+	}
+	// The clone leaves the encoder's spare capacity behind: the memo's
+	// byte bound counts the body's length.
+	a := &memoEntry{engine: eng, body: bytes.Clone(body)}
 	s.memo.put(string(key), a)
 	return a, 0, nil
 }
@@ -393,11 +436,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.ring.Snapshot())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.ring.WriteChromeTrace(w); err != nil {
+	var buf bytes.Buffer
+	if err := s.ring.WriteChromeTrace(&buf); err != nil {
 		obs.Metrics().Counter("serve.err.encode").Add(1)
-		obs.Infof("serve: write trace: %v\n", err)
+		s.writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
+		return
 	}
+	s.writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // handleManifest exports the run manifest of the installed obs run, the same

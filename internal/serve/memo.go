@@ -2,62 +2,60 @@ package serve
 
 import (
 	"encoding/binary"
+	"io"
 	"sync"
 	"unsafe"
 )
 
-// The memo remembers the answer to every request the server ranked: the
-// query and tuple renderings, the engine and the ranked, rendered facts a
-// response carries. The server's database is read-only for its lifetime,
-// and locate (the first match in Key order), ExactBudget and CNFProxy are
-// deterministic, so an answer depends only on the request's SQL text, its
-// tuple strings and the exact budget. Those make the key (requestKey),
-// and a request the memo holds is answered without a parse, an evaluation,
-// a compile, a sort or a rendering (Server.answer). /rank and /explain share
-// the entries; an error is never stored.
+// The memo remembers the answer to every request the server ranked, as the
+// exact bytes of its /rank response. The server's database is read-only for
+// its lifetime, and the decode, locate (the first match in Key order),
+// ExactBudget, CNFProxy and the encoder are deterministic, so an answer
+// depends only on the request's body and the exact budget. Those make the
+// key (readKey), and a request the memo holds is answered without a decode,
+// a parse, an evaluation, a compile, a sort, a rendering or an encode
+// (Server.answer). /rank and /explain share the entries; an error is never
+// stored.
 //
-// The memo retains at most limit bytes, counted as each entry's key,
-// renderings and facts plus entryOverhead; the oldest entries go first, and
-// an entry larger than the bound is never stored. A mutex guards it:
-// Server.answer runs on a compile turn, so at most Config.Workers callers
-// contend. Two concurrent misses on one request may both compute it; the
-// first to finish stores it.
+// The memo retains at most limit bytes, counted as each entry's key and
+// body plus entryOverhead; the oldest entries go first, and an entry larger
+// than the bound is never stored. A mutex guards it: Server.answer runs on
+// a compile turn, so at most Config.Workers callers contend. Two concurrent
+// misses on one request may both compute it; the first to finish stores it.
 
 // memoBytes bounds the bytes a server's memo retains. The answers to all
-// 1,477 output tuples of the default IMDB and Academic corpora count 1.77 MB
-// in all, and the largest 17 KB.
+// 1,477 output tuples of the default IMDB and Academic corpora count
+// 1.95 MB in all, and the largest 18 KB.
 const memoBytes = 16 << 20
 
 // memoEntry is one remembered answer. It is never modified once stored, so
-// it is read without the memo's lock and its facts are shared by every
-// response that carries them.
+// it is read without the memo's lock and its body is shared by every
+// response that carries it.
 type memoEntry struct {
-	query  string // the parsed query's SQL()
-	tuple  string // the located tuple's String()
-	engine string
-	facts  []RankedFact
-	size   int // bytes counted against the memo's limit
+	engine string // for the serve.rank.* counters and the access log
+	body   []byte // the /rank response, as json.Encoder writes RankResponse
+	size   int    // bytes counted against the memo's limit
 }
 
-// entryOverhead is what an entry retains besides its key, its renderings
-// and its facts (its engine names a constant string), on 64-bit platforms:
-//   - the entry itself: 80 bytes;
+// entryOverhead is what an entry retains besides its key and its body (its
+// engine names a constant string), on 64-bit platforms:
+//   - the entry itself: 48 bytes, a size class of its own;
 //   - its map slot: the key's string header, the entry pointer and the
 //     table's control byte, 25 bytes, at the 7/16 load a swiss table falls
 //     to right after it doubles: 57 bytes;
-//   - its FIFO slot: a string header, twice, because append grows the
-//     resliced FIFO to at most twice its remaining length: 32 bytes;
-//   - allocation rounding: besides the entry, a one-fact answer allocates
-//     the key, the two renderings, the facts' array and the fact's text, and
-//     a size class of at most 256 bytes rounds each up by less than 16
-//     bytes, 8 on average: 40 bytes.
+//   - its FIFO slot: a string header and a quarter, because append grows a
+//     FIFO of more than 256 keys by about a quarter, and the array keeps its
+//     evicted prefix until append moves it: 20 bytes;
+//   - allocation rounding: besides the entry, an answer allocates its key
+//     and its body, and a size class of at most 512 bytes rounds each up by
+//     8 to 16 bytes on average: 24 bytes.
 //
-// Counted so, a full memo retains 0.94–1.03 times its bound on the heap
+// Counted so, a full memo retains 0.97–1.03 times its bound on the heap
 // (DESIGN.md §8).
 const entryOverhead = int(unsafe.Sizeof(memoEntry{})) +
 	int(unsafe.Sizeof("")+unsafe.Sizeof(&memoEntry{})+1)*16/7 +
-	2*int(unsafe.Sizeof("")) +
-	5*8
+	int(unsafe.Sizeof(""))*5/4 +
+	2*12
 
 // memo maps requests to their answers under a byte bound, evicting in
 // insertion order. Its map is allocated on the first store.
@@ -70,20 +68,43 @@ type memo struct {
 	bytes   int      // the sum of the stored entries' sizes
 }
 
-// requestKey is the memo key of req under the exact budget: the budget,
-// then the SQL text and each tuple value, each prefixed with its length, so
-// that no two requests share a key. The tuple ["a", "bc"] and ["ab", "c"]
-// differ, and so do two splits of the same bytes between the SQL and the
-// tuple.
-func requestKey(budget int, req RankRequest) []byte {
-	b := binary.AppendVarint(nil, int64(budget))
-	b = binary.AppendUvarint(b, uint64(len(req.SQL)))
-	b = append(b, req.SQL...)
-	for _, v := range req.Tuple {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
+// keyPresize bounds the buffer readKey sizes from a declared length before
+// the body arrives, so that a client declaring a large body and sending it
+// slowly cannot make each connection hold maxBodyBytes. Legitimate bodies,
+// a few KiB, fit in one allocation; a longer one grows as it is read.
+const keyPresize = 64 << 10
+
+// readKey reads a request body from r into its memo key under the exact
+// budget: the budget as a varint, then the body's bytes. A varint delimits
+// itself, so no two (budget, body) pairs share a key. size is the body's
+// length when known (its Content-Length), else negative; when it is right,
+// the key is the one allocation, the body read straight into it after the
+// varint.
+func readKey(budget int, r io.Reader, size int64) ([]byte, error) {
+	n := 512
+	if size >= 0 {
+		n = int(min(size, keyPresize)) + 1 // the spare byte takes the read that sees EOF
 	}
-	return b
+	key := binary.AppendVarint(make([]byte, 0, binary.MaxVarintLen64+n), int64(budget))
+	for {
+		m, err := r.Read(key[len(key):cap(key)])
+		key = key[:len(key)+m]
+		if err == io.EOF {
+			return key, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(key) == cap(key) {
+			key = append(key, 0)[:len(key)]
+		}
+	}
+}
+
+// keyBody returns the request body a key holds after its budget.
+func keyBody(key []byte) []byte {
+	_, n := binary.Varint(key)
+	return key[n:]
 }
 
 // get returns the answer stored under key, or nil.
@@ -129,12 +150,7 @@ func (m *memo) stats() (entries, bytes int) {
 }
 
 // entrySize is the bytes the entry e stored under key counts: the key, the
-// query and tuple renderings, the rendered facts with their text, and
-// entryOverhead.
+// body and entryOverhead.
 func entrySize(key string, e *memoEntry) int {
-	n := len(key) + len(e.query) + len(e.tuple) + entryOverhead
-	for _, f := range e.facts {
-		n += int(unsafe.Sizeof(f)) + len(f.Fact)
-	}
-	return n
+	return len(key) + len(e.body) + entryOverhead
 }

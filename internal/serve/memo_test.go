@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -15,46 +18,95 @@ import (
 	"repro/internal/obs"
 )
 
-// TestMemoRequestKey stores one answer under a request's key and looks up
-// requests that differ from it only in how the tuple splits its bytes, in
-// one byte of the SQL, in where the SQL ends and the tuple begins, in a
-// trailing empty value or in the exact budget: each is a miss. The same
-// request, rebuilt from fresh strings, is a hit, and a second store under
-// its key keeps the first answer.
-func TestMemoRequestKey(t *testing.T) {
-	m := memo{limit: memoBytes}
-	req := RankRequest{SQL: "SELECT r.a FROM r", Tuple: []string{"a", "bc"}}
-	stored := &memoEntry{query: req.SQL, tuple: "(a, bc)", engine: engineExact, facts: []RankedFact{{ID: 1, Fact: "r(a)", Score: 1}}}
-	m.put(string(requestKey(rankExactNodes, req)), stored)
+// bodyKey is the memo key of body under budget, read as handleRank reads
+// it.
+func bodyKey(budget int, body []byte) []byte {
+	key, _ := readKey(budget, bytes.NewReader(body), int64(len(body))) // a bytes.Reader fails with io.EOF alone
+	return key
+}
 
-	same := RankRequest{SQL: strings.Clone(req.SQL), Tuple: []string{strings.Clone("a"), strings.Clone("bc")}}
-	if got := m.get(requestKey(rankExactNodes, same)); got != stored {
-		t.Errorf("the same request missed: %+v", got)
-	}
-	for name, other := range map[string]struct {
-		budget int
-		req    RankRequest
-	}{
-		"tuple split":           {rankExactNodes, RankRequest{SQL: req.SQL, Tuple: []string{"ab", "c"}}},
-		"values merged":         {rankExactNodes, RankRequest{SQL: req.SQL, Tuple: []string{"abc"}}},
-		"a trailing empty":      {rankExactNodes, RankRequest{SQL: req.SQL, Tuple: []string{"a", "bc", ""}}},
-		"no tuple":              {rankExactNodes, RankRequest{SQL: req.SQL}},
-		"one SQL byte":          {rankExactNodes, RankRequest{SQL: "SELECT r.b FROM r", Tuple: req.Tuple}},
-		"SQL/tuple boundary":    {rankExactNodes, RankRequest{SQL: req.SQL + "a", Tuple: []string{"bc"}}},
-		"tuple/SQL boundary":    {rankExactNodes, RankRequest{SQL: req.SQL[:len(req.SQL)-1], Tuple: []string{"ra", "bc"}}},
-		"another budget":        {0, req},
-		"another budget, alike": {rankExactNodes + 1, req},
-	} {
-		if got := m.get(requestKey(other.budget, other.req)); got != nil {
-			t.Errorf("%s: budget %d, %+v hit the entry of %+v", name, other.budget, other.req, req)
+// TestReadKey reads one body under every kind of declared length: unknown,
+// too short, exact and the largest allowed. Each key must hold the budget's
+// varint and the whole body, and a declared length past keyPresize must not
+// size the buffer beyond it before the body arrives.
+func TestReadKey(t *testing.T) {
+	body := strings.Repeat("x", 600) // past readKey's 512-byte start when the length is unknown
+	for _, size := range []int64{-1, 1, int64(len(body)), maxBodyBytes} {
+		key, err := readKey(rankExactNodes, strings.NewReader(body), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget, n := binary.Varint(key); budget != rankExactNodes || string(key[n:]) != body || !bytes.Equal(keyBody(key), []byte(body)) {
+			t.Errorf("declared %d: key %q, want the budget %d and the body", size, key, rankExactNodes)
+		}
+		if size == maxBodyBytes && cap(key) > binary.MaxVarintLen64+keyPresize+1 {
+			t.Errorf("declared %d: a %d-byte body got a buffer of %d bytes, want at most keyPresize", size, len(body), cap(key))
 		}
 	}
-	m.put(string(requestKey(rankExactNodes, same)), &memoEntry{engine: engineProxy}) // a concurrent miss storing second
-	if got := m.get(requestKey(rankExactNodes, req)); got != stored {
+}
+
+// TestMemoRequestKey answers a fixture request's body through Server.answer
+// and looks up bodies that differ from it. The same bytes, rebuilt from a
+// fresh slice, hit, and a second store under their key keeps the first
+// answer. A body with one byte changed, at its start, in its middle or at
+// its end, or cut short, misses, and so does the same body under another
+// exact budget. The same request spelled differently, with its fields
+// reordered or with whitespace added, is answered as an entry of its own
+// with byte-identical bytes.
+func TestMemoRequestKey(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := cases[0].body
+	ctx := context.Background()
+	stored, _, err := s.answer(ctx, bodyKey(rankExactNodes, body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.memo.get(bodyKey(rankExactNodes, bytes.Clone(body))); got != stored {
+		t.Errorf("the same bytes missed: %+v", got)
+	}
+	for _, i := range []int{0, len(body) / 2, len(body) - 1} {
+		changed := bytes.Clone(body)
+		changed[i] ^= 1
+		if got := s.memo.get(bodyKey(rankExactNodes, changed)); got != nil {
+			t.Errorf("%q, byte %d changed, hit the entry of %q", changed, i, body)
+		}
+	}
+	if got := s.memo.get(bodyKey(rankExactNodes, body[:len(body)-1])); got != nil {
+		t.Errorf("%q cut short hit the entry of %q", body[:len(body)-1], body)
+	}
+	for _, budget := range []int{0, rankExactNodes + 1} {
+		if got := s.memo.get(bodyKey(budget, body)); got != nil {
+			t.Errorf("budget %d hit the entry of budget %d", budget, rankExactNodes)
+		}
+	}
+	s.memo.put(string(bodyKey(rankExactNodes, body)), &memoEntry{engine: engineProxy}) // a concurrent miss storing second
+	if got := s.memo.get(bodyKey(rankExactNodes, body)); got != stored {
 		t.Errorf("a second store under the key replaced the first: %+v", got)
 	}
-	if entries, _ := m.stats(); entries != 1 {
-		t.Errorf("memo holds %d entries after two stores under one key, want 1", entries)
+
+	reordered, err := json.Marshal(struct {
+		Tuple []string `json:"tuple"`
+		SQL   string   `json:"sql"`
+	}{cases[0].req.Tuple, cases[0].req.SQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, body, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string][]byte{"reordered": reordered, "spaced": spaced.Bytes()} {
+		got, _, err := s.answer(ctx, bodyKey(rankExactNodes, other))
+		if err != nil || got == stored || !bytes.Equal(got.body, stored.body) {
+			t.Errorf("%s body %q answered %q (%v) from the memo or differently, %q answered %q", name, other, got.body, err, body, stored.body)
+		}
+	}
+	if entries, _ := s.memo.stats(); entries != 3 {
+		t.Errorf("memo holds %d entries after three spellings of one request, want 3", entries)
 	}
 }
 
@@ -72,19 +124,23 @@ func TestMemoRepeatedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	first, _, err := s.answer(ctx, cases[0].req)
+	first, _, err := s.answer(ctx, bodyKey(s.exactNodes, cases[0].body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _, err := s.answer(ctx, cases[0].req); err != nil || again != first {
+	if again, _, err := s.answer(ctx, bodyKey(s.exactNodes, cases[0].body)); err != nil || again != first {
 		t.Errorf("the repeated request was not answered from the memo: %+v, %v", again, err)
 	}
-	spaced, _, err := s.answer(ctx, RankRequest{SQL: cases[0].req.SQL + " ", Tuple: cases[0].req.Tuple})
+	body, err := json.Marshal(RankRequest{SQL: cases[0].req.SQL + " ", Tuple: cases[0].req.Tuple})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spaced == first || spaced.query != first.query || spaced.tuple != first.tuple || spaced.engine != first.engine || !reflect.DeepEqual(spaced.facts, first.facts) {
-		t.Errorf("the query with a trailing space was answered %+v from the memo or differently, the query %+v", spaced, first)
+	spaced, _, err := s.answer(ctx, bodyKey(s.exactNodes, body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spaced == first || !sameAnswer(spaced, first) {
+		t.Errorf("the query with a trailing space was answered %q from the memo or differently, the query %q", spaced.body, first.body)
 	}
 	if got := run.Reg.Snapshot().Counters["serve.memo.hits"]; got != 1 {
 		t.Errorf("serve.memo.hits = %d, want 1: only the repeated request hits", got)
@@ -94,21 +150,46 @@ func TestMemoRepeatedRequest(t *testing.T) {
 	}
 }
 
-// TestMemoEntrySize pins what an entry counts: its key, its two renderings,
-// each fact's RankedFact and text, and entryOverhead, which on 64-bit
-// platforms is the 80-byte entry, a map slot of 57 bytes, a FIFO slot of 32
-// and 40 bytes of allocation rounding (its derivation is at entryOverhead).
+// TestMemoEntrySize pins what an entry counts: its key, its body and
+// entryOverhead, which on 64-bit platforms is the 48-byte entry, a map slot
+// of 57 bytes, a FIFO slot of 20 and 24 bytes of allocation rounding (its
+// derivation is at entryOverhead).
 func TestMemoEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned sizes are those of 64-bit platforms")
 	}
-	if got, want := entryOverhead, 80+57+32+40; got != want {
+	if got, want := entryOverhead, 48+57+20+24; got != want {
 		t.Errorf("entryOverhead = %d, want %d", got, want)
 	}
-	e := &memoEntry{query: "SELECT r.a FROM r", tuple: "(a)", engine: engineProxy,
-		facts: []RankedFact{{ID: 1, Fact: "r(a)", Score: 2}, {ID: 2, Fact: "r(bb)", Score: 1}}}
-	if got, want := entrySize("0123456789", e), 10+17+3+(32+4)+(32+5)+entryOverhead; got != want {
+	e := &memoEntry{engine: engineProxy, body: []byte(`{"query":"SELECT r.a FROM r","tuple":"(a)","engine":"proxy","facts":[]}` + "\n")}
+	if got, want := entrySize("0123456789", e), 10+72+entryOverhead; got != want {
 		t.Errorf("entrySize = %d, want %d", got, want)
+	}
+}
+
+// TestAnswerHitAllocs pins what a memo hit allocates: reading the body into
+// its key and answering from the memo take one allocation, the key.
+func TestAnswerHitAllocs(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	body := bytes.NewReader(cases[0].body)
+	hit := func() {
+		body.Reset(cases[0].body)
+		key, err := readKey(s.exactNodes, body, body.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.answer(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit() // the miss that stores the answer
+	if allocs := testing.AllocsPerRun(100, hit); allocs > 1 {
+		t.Errorf("a memo hit allocates %v times, want at most 1", allocs)
 	}
 }
 
@@ -123,10 +204,9 @@ func TestMemoEvictsOldest(t *testing.T) {
 	}
 	var all []stored
 	for i := 0; i < 12; i++ {
-		req := RankRequest{SQL: fmt.Sprintf("SELECT r.a FROM r WHERE r.b = %d", i), Tuple: []string{strings.Repeat("t", i%4)}}
-		e := &memoEntry{query: req.SQL, tuple: "(" + req.Tuple[0] + ")", engine: engineExact,
-			facts: []RankedFact{{ID: int32(i), Fact: strings.Repeat("x", 8*i), Score: 1}}}
-		key := string(requestKey(rankExactNodes, req))
+		body := fmt.Sprintf(`{"sql":"SELECT r.a FROM r WHERE r.b = %d","tuple":[%q]}`, i, strings.Repeat("t", i%4))
+		e := &memoEntry{engine: engineExact, body: []byte(strings.Repeat("x", 8*i))}
+		key := string(bodyKey(rankExactNodes, []byte(body)))
 		e.size = entrySize(key, e)
 		all = append(all, stored{key, e})
 	}
@@ -180,12 +260,12 @@ func TestMemoSkipsAnswersOverBound(t *testing.T) {
 	}
 	s.memo.limit = sizes[large] - 1
 	ctx := context.Background()
-	if _, _, err := s.answer(ctx, cases[small].req); err != nil {
+	if _, _, err := s.answer(ctx, bodyKey(s.exactNodes, cases[small].body)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if got, _, err := s.answer(ctx, cases[large].req); err != nil || !sameAnswer(got, want[large]) {
-			t.Errorf("answer %d over the bound = %+v (%v), want %+v", i+1, got, err, want[large])
+		if got, _, err := s.answer(ctx, bodyKey(s.exactNodes, cases[large].body)); err != nil || !sameAnswer(got, want[large]) {
+			t.Errorf("answer %d over the bound = %+v (%v), want %q", i+1, got, err, want[large].body)
 		}
 	}
 	if entries, bytes := s.memo.stats(); entries != 1 || bytes != sizes[small] {
@@ -204,19 +284,19 @@ func uncachedAnswers(t *testing.T, s *Server, cases []selfTestCase) ([]*memoEntr
 	answers := make([]*memoEntry, len(cases))
 	sizes := make([]int, len(cases))
 	for i, c := range cases {
-		a, _, err := ref.answer(context.Background(), c.req)
+		key := bodyKey(s.exactNodes, c.body)
+		a, _, err := ref.answer(context.Background(), key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers[i], sizes[i] = a, entrySize(string(requestKey(s.exactNodes, c.req)), a)
+		answers[i], sizes[i] = a, entrySize(string(key), a)
 	}
 	return answers, sizes
 }
 
-// sameAnswer reports whether two answers carry the same renderings, engine
-// and facts.
+// sameAnswer reports whether two answers carry the same engine and bytes.
 func sameAnswer(a, b *memoEntry) bool {
-	return a != nil && b != nil && a.query == b.query && a.tuple == b.tuple && a.engine == b.engine && reflect.DeepEqual(a.facts, b.facts)
+	return a != nil && b != nil && a.engine == b.engine && bytes.Equal(a.body, b.body)
 }
 
 // TestAnswerMemoConcurrent answers overlapping requests from several
@@ -245,6 +325,10 @@ func TestAnswerMemoConcurrent(t *testing.T) {
 				t.Fatalf("%d distinct requests of %d bytes fit in a bound of %d: nothing to evict", len(sizes), total, s.memo.limit)
 			}
 
+			keys := make([][]byte, len(cases))
+			for i, c := range cases {
+				keys[i] = bodyKey(budget, c.body)
+			}
 			ctx := context.Background()
 			const goroutines, rounds = 4, 3
 			var wg sync.WaitGroup
@@ -254,8 +338,8 @@ func TestAnswerMemoConcurrent(t *testing.T) {
 					defer wg.Done()
 					for r := 0; r < rounds*len(cases); r++ {
 						c := (g + r) % len(cases) // each goroutine starts at another case
-						if got, _, err := s.answer(ctx, cases[c].req); err != nil || !sameAnswer(got, want[c]) {
-							t.Errorf("goroutine %d, case %d: answer %+v (%v), want %+v", g, c, got, err, want[c])
+						if got, _, err := s.answer(ctx, keys[c]); err != nil || !sameAnswer(got, want[c]) {
+							t.Errorf("goroutine %d, case %d: answer %+v (%v), want %q", g, c, got, err, want[c].body)
 							return
 						}
 					}
@@ -274,13 +358,97 @@ func TestAnswerMemoConcurrent(t *testing.T) {
 var benchEntry *memoEntry
 
 // BenchmarkAnswer times Server.answer per request over the bodies of two
-// benchmark workloads, rebuilt as bench/workload.go picks them:
-// rank_short's 487 requests for IMDB tuples of 1–5 facts and rank_long's 24
-// for Academic tuples of 16 or more facts, at evenly spaced ranks of their
-// size order. "hit" answers each from a warmed memo: the key's build and its
-// lookup. "miss" locates, scores, renders and stores each, the memo emptied
-// before every pass: what every request of a log without repeats pays.
+// benchmark workloads (benchWorkloads). "hit" reads each body into its key
+// and answers it from a warmed memo: the key's read and its lookup. "miss"
+// reads, decodes, locates, scores, renders, encodes and stores each, the
+// memo emptied before every pass: what every request of a log without
+// repeats pays.
 func BenchmarkAnswer(b *testing.B) {
+	workloads, err := benchWorkloads()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range workloads {
+		for _, bc := range []struct {
+			name string
+			hit  bool
+		}{{"hit", true}, {"miss", false}} {
+			b.Run(w.name+"/"+bc.name, func(b *testing.B) {
+				s := New(Config{Workers: 1, QueueCap: 1}, w.corpus, nil)
+				ctx := context.Background()
+				var body bytes.Reader
+				answer := func(i int) (*memoEntry, error) {
+					body.Reset(w.bodies[i%len(w.bodies)])
+					key, err := readKey(s.exactNodes, &body, body.Size())
+					if err != nil {
+						return nil, err
+					}
+					a, _, err := s.answer(ctx, key)
+					return a, err
+				}
+				for i := range w.bodies {
+					if _, err := answer(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !bc.hit && i%len(w.bodies) == 0 {
+						s.memo = memo{limit: memoBytes}
+					}
+					benchEntry, _ = answer(i)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkHandlerHit times a /rank request answered from the memo through
+// the whole handler, in process: the instrument wrapper, the body's read
+// into its key, admission, the turn, the lookup and the one write of the
+// stored bytes, into an httptest.ResponseRecorder, over the bodies of
+// benchWorkloads.
+func BenchmarkHandlerHit(b *testing.B) {
+	workloads, err := benchWorkloads()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range workloads {
+		b.Run(w.name, func(b *testing.B) {
+			h := New(Config{Workers: 1, QueueCap: 1}, w.corpus, nil).Handler()
+			rank := func(i int) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(w.bodies[i%len(w.bodies)])))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("/rank -> %d: %s", rec.Code, rec.Body)
+				}
+			}
+			for i := range w.bodies {
+				rank(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rank(i)
+			}
+		})
+	}
+}
+
+// benchWorkload is one benchmark workload's corpus and /rank bodies.
+type benchWorkload struct {
+	name   string
+	corpus *dataset.Corpus
+	bodies [][]byte
+}
+
+// benchWorkloads rebuilds, once per test binary, the bodies of two
+// benchmark workloads as bench/workload.go picks them: rank_short's 487
+// requests for IMDB tuples of 1–5 facts and rank_long's 24 for Academic
+// tuples of 16 or more facts, at evenly spaced ranks of their size order.
+var benchWorkloads = sync.OnceValues(func() ([]benchWorkload, error) {
+	var out []benchWorkload
 	for _, w := range []struct {
 		name string
 		kind dataset.Kind
@@ -292,40 +460,20 @@ func BenchmarkAnswer(b *testing.B) {
 	} {
 		corpus, err := dataset.Build(dataset.DefaultConfig(w.kind))
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		reqs := benchRequests(corpus, w.keep, w.n)
-		for _, bc := range []struct {
-			name string
-			hit  bool
-		}{{"hit", true}, {"miss", false}} {
-			b.Run(w.name+"/"+bc.name, func(b *testing.B) {
-				s := New(Config{Workers: 1, QueueCap: 1}, corpus, nil)
-				ctx := context.Background()
-				for _, req := range reqs {
-					if _, _, err := s.answer(ctx, req); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !bc.hit && i%len(reqs) == 0 {
-						s.memo = memo{limit: memoBytes}
-					}
-					benchEntry, _, _ = s.answer(ctx, reqs[i%len(reqs)])
-				}
-			})
-		}
+		out = append(out, benchWorkload{w.name, corpus, benchBodies(corpus, w.keep, w.n)})
 	}
-}
+	return out, nil
+})
 
-// benchRequests renders one request per output tuple of the corpus whose
-// lineage size keep accepts, skipping a rendering its query already gave,
-// and takes n of them at evenly spaced ranks of the order by lineage size,
+// benchBodies renders one request body per output tuple of the corpus whose
+// lineage size keep accepts, skipping a body its query already gave, and
+// takes n of them at evenly spaced ranks of the order by lineage size,
 // query and tuple (all when n is 0).
-func benchRequests(corpus *dataset.Corpus, keep func(facts int) bool, n int) []RankRequest {
+func benchBodies(corpus *dataset.Corpus, keep func(facts int) bool, n int) [][]byte {
 	type body struct {
-		req   RankRequest
+		data  []byte
 		facts int
 	}
 	var all []body
@@ -338,7 +486,7 @@ func benchRequests(corpus *dataset.Corpus, keep func(facts int) bool, n int) []R
 			}
 			data, _ := json.Marshal(req)
 			if facts := len(tuple.Prov.Lineage()); keep(facts) && !seen[string(data)] {
-				all = append(all, body{req, facts})
+				all = append(all, body{data, facts})
 			}
 			seen[string(data)] = true
 		}
@@ -347,9 +495,9 @@ func benchRequests(corpus *dataset.Corpus, keep func(facts int) bool, n int) []R
 	if n == 0 || n >= len(all) {
 		n = len(all)
 	}
-	out := make([]RankRequest, n)
+	out := make([][]byte, n)
 	for i := range out {
-		out[i] = all[(2*i+1)*len(all)/(2*n)].req
+		out[i] = all[(2*i+1)*len(all)/(2*n)].data
 	}
 	return out
 }

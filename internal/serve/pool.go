@@ -11,10 +11,10 @@ import (
 // counting semaphores on the Server:
 //
 //   - slots holds QueueCap+Workers admission slots. A handler takes one
-//     without blocking right after its body decodes, before any parse,
-//     evaluation or scoring, and holds it until it returns, so the bound
-//     covers query evaluation as well as scoring. A full daemon answers 429
-//     with Retry-After.
+//     without blocking right after it reads its body, before any decode,
+//     parse, evaluation or scoring, and holds it until it returns, so the
+//     bound covers query evaluation as well as scoring. A full daemon
+//     answers 429 with Retry-After.
 //   - turns holds Workers compile turns. An admitted handler waits for one,
 //     answers on it and gives it back, so at most Workers requests evaluate
 //     and compile at once. Blocked channel senders are served in arrival

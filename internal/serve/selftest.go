@@ -24,7 +24,8 @@ import (
 // lineage compiles within the exact budget, shapley.CNFProxy otherwise, in
 // Values.Ranking order, with the matching "engine" field and the request's
 // query and tuple renderings. The first round fills the memo and the second
-// is answered from it, so memo answers are checked too. It then exercises
+// is answered from it, so memo answers are checked too, and each second
+// round body must be byte-identical to the first round's. It then exercises
 // /healthz and /metrics, and fails if the metrics snapshot shows no serve
 // activity or no memo answer. The server keeps running; the caller owns
 // shutdown.
@@ -51,7 +52,8 @@ func SelfTest(s *Server, n int) error {
 	}}
 	defer client.CloseIdleConnections()
 	const rounds = 2
-	for range rounds {
+	first := make([][]byte, n) // the first round's bodies
+	for round := range rounds {
 		errs := make([]error, n)
 		var wg sync.WaitGroup
 		wg.Add(n)
@@ -59,7 +61,15 @@ func SelfTest(s *Server, n int) error {
 			go func(i int) {
 				defer wg.Done()
 				c := i % len(cases)
-				errs[i] = checkRank(client, s.URL(), cases[c], engines[c], want[c])
+				body, err := checkRank(client, s.URL(), cases[c], engines[c], want[c])
+				switch {
+				case err != nil:
+					errs[i] = err
+				case round == 0:
+					first[i] = body
+				case !bytes.Equal(body, first[i]):
+					errs[i] = fmt.Errorf("selftest: rank answered %q from the memo, %q before", body, first[i])
+				}
 			}(i)
 		}
 		wg.Wait()
@@ -130,38 +140,42 @@ func selfTestCases(s *Server, n int) ([]selfTestCase, error) {
 // checkRank posts one case's /rank request, requires the expected engine
 // and the case's query and tuple renderings, and compares the returned facts
 // against the sequential reference: the same facts in Values.Ranking order,
-// each score bitwise (float64 JSON round-trips exactly).
-func checkRank(client *http.Client, base string, c selfTestCase, engine string, want shapley.Values) error {
+// each score bitwise (float64 JSON round-trips exactly). It returns the
+// response body.
+func checkRank(client *http.Client, base string, c selfTestCase, engine string, want shapley.Values) ([]byte, error) {
 	resp, err := client.Post(base+"/rank", "application/json", bytes.NewReader(c.body))
 	if err != nil {
-		return fmt.Errorf("selftest: rank request: %w", err)
+		return nil, fmt.Errorf("selftest: rank request: %w", err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("selftest: read rank response: %w", err)
+	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("selftest: rank -> %s: %s", resp.Status, msg)
+		return nil, fmt.Errorf("selftest: rank -> %s: %s", resp.Status, body)
 	}
 	var rr RankResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return fmt.Errorf("selftest: decode rank response: %w", err)
+	if err := json.Unmarshal(body, &rr); err != nil {
+		return nil, fmt.Errorf("selftest: decode rank response: %w", err)
 	}
 	if rr.Engine != engine {
-		return fmt.Errorf("selftest: rank answered with engine %q, want %q", rr.Engine, engine)
+		return nil, fmt.Errorf("selftest: rank answered with engine %q, want %q", rr.Engine, engine)
 	}
 	if rr.Query != c.query || rr.Tuple != c.tuple {
-		return fmt.Errorf("selftest: rank answered query %q tuple %q, want %q and %q", rr.Query, rr.Tuple, c.query, c.tuple)
+		return nil, fmt.Errorf("selftest: rank answered query %q tuple %q, want %q and %q", rr.Query, rr.Tuple, c.query, c.tuple)
 	}
 	order := want.Ranking()
 	if len(rr.Facts) != len(order) {
-		return fmt.Errorf("selftest: rank returned %d facts, the %s reference %d", len(rr.Facts), engine, len(order))
+		return nil, fmt.Errorf("selftest: rank returned %d facts, the %s reference %d", len(rr.Facts), engine, len(order))
 	}
 	for k, f := range rr.Facts {
 		if id := order[k]; relation.FactID(f.ID) != id || f.Score != want[id] {
-			return fmt.Errorf("selftest: rank %d is fact %d scored %v over HTTP, fact %d scored %v by the %s reference (served rankings must be bit-identical)",
+			return nil, fmt.Errorf("selftest: rank %d is fact %d scored %v over HTTP, fact %d scored %v by the %s reference (served rankings must be bit-identical)",
 				k, f.ID, f.Score, id, want[id], engine)
 		}
 	}
-	return nil
+	return body, nil
 }
 
 // checkHealthz asserts the health document of a serving (non-draining) daemon:

@@ -6,33 +6,35 @@
 //
 // Architecture (DESIGN.md §8 "Serving architecture"):
 //
-//	conns ──► handler goroutines ──► admit ──► take a turn ──► memo ──miss──► evaluate ──► ExactBudget ──► CNFProxy
-//	               ▲                 │429      (one of         │hit           (parse, the  (≤ 2^14 tree    (derivation
-//	               │           (backpressure)  Workers)        │              requested    nodes)          counts, over
-//	               │                                           │              tuple only)                  budget)
-//	               └──── response ◄── give the turn back ◄─────┴────── store ◄──────────────────┴──────────────┘
+//	conns ──► handler goroutines ──► admit ──► take a turn ──► memo ──miss──► decode, evaluate ──► ExactBudget ──► CNFProxy
+//	               ▲                 │429      (one of         │hit           (parse, the          (≤ 2^14 tree    (derivation
+//	               │           (backpressure)  Workers)        │              requested            nodes)          counts, over
+//	               │                                           │              tuple only)                          budget)
+//	               └──── response ◄── give the turn back ◄─────┴──── encode, store ◄─────────────────┴──────────────┘
 //
-// Every request runs on its own net/http handler goroutine. Right after its
-// body decodes, the handler takes one of QueueCap+Workers admission slots
+// Every request runs on its own net/http handler goroutine. Right after it
+// reads its body, the handler takes one of QueueCap+Workers admission slots
 // without blocking, waits for one of Config.Workers compile turns, answers
 // on it and gives both back (pool.go). The turns bound how many requests
 // evaluate and compile at once.
 //
-// On its turn the handler first looks the request up in the server's memo
-// (memo.go), which remembers the answer to every request it ranked, keyed
-// by the request's SQL text, its tuple strings and the exact budget, up to
-// a bound of retained bytes. A hit is the answer, with no parse, evaluation,
-// compile, sort or rendering. On a miss the handler parses the query and
-// evaluates only the requested tuple (engine.Options.Tuple pushes its values
-// into the query's scans), then compiles the tuple's provenance with
-// shapley.ExactBudget under rankExactNodes tree nodes. When the tree fits,
-// the exact values are the answer ("engine": "exact"). When it does not,
-// shapley.CNFProxy scores every fact by the number of derivations that hold
-// it ("engine": "proxy"). Either answer is ranked, rendered and stored in
-// the memo, so a repeated request pays its evaluation and its exact
-// attempt, refused or not, once while the memo keeps it. The database is
-// read-only and every step is deterministic, so the same request always
-// gets the same answer.
+// The handler reads the body straight into its memo key: the exact budget,
+// then the body's bytes. On its turn it looks the key up in the server's
+// memo (memo.go), which remembers the answer to every request it ranked as
+// the exact bytes of its /rank response, up to a bound of retained bytes. A
+// hit is the answer, sent in one write with its Content-Length, with no
+// decode, parse, evaluation, compile, sort, rendering or encode. On a miss
+// the handler decodes the body, parses the query and evaluates only the
+// requested tuple (engine.Options.Tuple pushes its values into the query's
+// scans), then compiles the tuple's provenance with shapley.ExactBudget
+// under rankExactNodes tree nodes. When the tree fits, the exact values are
+// the answer ("engine": "exact"). When it does not, shapley.CNFProxy scores
+// every fact by the number of derivations that hold it ("engine": "proxy").
+// Either answer is ranked, rendered, encoded once and stored in the memo, so
+// a repeated request pays its evaluation and its exact attempt, refused or
+// not, once while the memo keeps it. The database is read-only and every
+// step is deterministic, so the same request always gets the same answer,
+// byte for byte.
 //
 // Determinism: an exact answer equals shapley.Exact bit for bit, and a proxy
 // answer equals shapley.CNFProxy, in Values.Ranking order, at every worker
@@ -72,7 +74,7 @@ type Config struct {
 	Workers int
 	// QueueCap is how many admitted requests may wait beyond the Workers being
 	// scored: at most QueueCap+Workers requests are admitted at once, counted
-	// from body decode to response. Requests beyond that are rejected with
+	// from body read to response. Requests beyond that are rejected with
 	// 429 + Retry-After.
 	QueueCap int
 	// TLSCert/TLSKey are PEM file paths; set both to serve HTTPS instead of
@@ -116,8 +118,8 @@ type Server struct {
 	// request.
 	exactNodes int
 
-	// memo remembers the answer to every request the server ranked, keyed
-	// by the request and exactNodes, within memoBytes (memo.go).
+	// memo remembers the response to every request the server ranked,
+	// keyed by exactNodes and the request body, within memoBytes (memo.go).
 	memo memo
 
 	// The pool (pool.go): admission slots and compile turns.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,8 +54,14 @@ func startServer(t *testing.T, cfg Config) *Server {
 // path need: at the default budget every fixture lineage compiles exactly.
 func startServerBudget(t *testing.T, cfg Config, exactNodes int) *Server {
 	t.Helper()
+	return startServerOn(t, cfg, fixture(t), exactNodes)
+}
+
+// startServerOn is startServerBudget over another corpus than the fixture.
+func startServerOn(t *testing.T, cfg Config, corpus *dataset.Corpus, exactNodes int) *Server {
+	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
-	s := New(cfg, fixture(t), nil)
+	s := New(cfg, corpus, nil)
 	s.exactNodes = exactNodes
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -150,7 +157,7 @@ func TestServeParitySequential(t *testing.T) {
 					go func(i int) {
 						defer wg.Done()
 						c := i % len(cases)
-						errs[i] = checkRank(client, s.URL(), cases[c], engines[c], want[c])
+						_, errs[i] = checkRank(client, s.URL(), cases[c], engines[c], want[c])
 					}(i)
 				}
 				wg.Wait()
@@ -487,14 +494,75 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	}
 }
 
-// TestServeLocateErrors pins locate's error answers on /rank and /explain:
-// unparsable SQL and an unknown relation answer 400, a tuple absent from the
-// result 404, and so do a request without a tuple and a tuple with one value
-// too few or one too many, which the tuple evaluation must reject by arity
-// instead of indexing past the projection list. Every answer carries a JSON
-// error body. The valid request is answered first, and every error case is
-// sent twice: both answers carry the same status, and the memo, which holds
-// the valid answer, stores no error.
+// TestServeContentLength sends a rank_long body (benchWorkloads), whose
+// answer is over the 2 KiB net/http buffers before it chunks a response of
+// unset length, over real TCP twice. The miss and the hit must each come
+// back with a Content-Length equal to the body's length and no
+// Transfer-Encoding, and both bodies must be byte-identical to
+// json.Encoder's encoding of the answer computed around the memo.
+func TestServeContentLength(t *testing.T) {
+	run := obs.NewRun("content-length-test", obs.NewRegistry(), nil, nil)
+	obs.Install(run)
+	defer obs.Uninstall()
+	workloads, err := benchWorkloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := workloads[1]
+	s := startServerOn(t, Config{Workers: 1, QueueCap: 1}, long.corpus, rankExactNodes)
+	body := long.bodies[0]
+
+	var req RankRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	q, target, _, err := s.locate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, eng := s.compute(context.Background(), target.Prov)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(RankResponse{Query: q.SQL(), Tuple: target.String(), Engine: eng, Facts: s.rankedFacts(vals)}); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() <= 2048 {
+		t.Fatalf("the answer is %d bytes, want one over 2 KiB", want.Len())
+	}
+
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	for _, attempt := range []string{"miss", "hit"} {
+		resp, err := client.Post(s.URL()+"/rank", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s -> %d, read err %v", attempt, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a body of %d bytes, want its length and no encoding",
+				attempt, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s answered\n%s\nwant json.Encoder's\n%s", attempt, got, want.Bytes())
+		}
+	}
+	if got := run.Reg.Snapshot().Counters["serve.memo.hits"]; got != 1 {
+		t.Errorf("serve.memo.hits = %d after a request and its repeat, want 1", got)
+	}
+}
+
+// TestServeLocateErrors pins the error answers of a miss on /rank and
+// /explain: a malformed JSON body, unparsable SQL and an unknown relation
+// answer 400, a tuple absent from the result 404, and so do a request
+// without a tuple and a tuple with one value too few or one too many, which
+// the tuple evaluation must reject by arity instead of indexing past the
+// projection list. Every answer carries a JSON error body. The valid request
+// is answered first, and every error case is sent twice: both answers carry
+// the same status, and the memo, which holds the valid answer, stores no
+// error.
 func TestServeLocateErrors(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
 	cases, err := selfTestCases(s, 1)
@@ -510,28 +578,32 @@ func TestServeLocateErrors(t *testing.T) {
 	if entries, _ := s.memo.stats(); entries != 1 {
 		t.Fatalf("memo holds %d entries after the valid request, want 1", entries)
 	}
+	marshal := func(req RankRequest) []byte {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
 	for _, tc := range []struct {
 		name  string
-		req   RankRequest
+		body  []byte
 		code  int
 		error string // a substring of the error body
 	}{
-		{"unparsable", RankRequest{SQL: "SELEC nothing", Tuple: valid.Tuple}, http.StatusBadRequest, "parse"},
-		{"unknown_relation", RankRequest{SQL: "SELECT nosuch.x FROM nosuch", Tuple: []string{"x"}}, http.StatusBadRequest, "unknown relation"},
-		{"absent_tuple", RankRequest{SQL: valid.SQL, Tuple: append(make([]string, len(valid.Tuple)-1), "no such value")}, http.StatusNotFound, "not found"},
-		{"missing_tuple", RankRequest{SQL: valid.SQL}, http.StatusNotFound, "not found"},
-		{"one_value_too_few", RankRequest{SQL: valid.SQL, Tuple: valid.Tuple[:len(valid.Tuple)-1]}, http.StatusNotFound, "not found"},
-		{"one_value_too_many", RankRequest{SQL: valid.SQL, Tuple: append(append([]string(nil), valid.Tuple...), valid.Tuple[0])}, http.StatusNotFound, "not found"},
+		{"malformed_json", []byte(`{"sql": "SELECT`), http.StatusBadRequest, "decode request"},
+		{"unparsable", marshal(RankRequest{SQL: "SELEC nothing", Tuple: valid.Tuple}), http.StatusBadRequest, "parse"},
+		{"unknown_relation", marshal(RankRequest{SQL: "SELECT nosuch.x FROM nosuch", Tuple: []string{"x"}}), http.StatusBadRequest, "unknown relation"},
+		{"absent_tuple", marshal(RankRequest{SQL: valid.SQL, Tuple: append(make([]string, len(valid.Tuple)-1), "no such value")}), http.StatusNotFound, "not found"},
+		{"missing_tuple", marshal(RankRequest{SQL: valid.SQL}), http.StatusNotFound, "not found"},
+		{"one_value_too_few", marshal(RankRequest{SQL: valid.SQL, Tuple: valid.Tuple[:len(valid.Tuple)-1]}), http.StatusNotFound, "not found"},
+		{"one_value_too_many", marshal(RankRequest{SQL: valid.SQL, Tuple: append(append([]string(nil), valid.Tuple...), valid.Tuple[0])}), http.StatusNotFound, "not found"},
 	} {
 		for _, path := range []string{"/rank", "/explain"} {
 			t.Run(tc.name+"_"+path[1:], func(t *testing.T) {
-				body, err := json.Marshal(tc.req)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for attempt := 1; attempt <= 2; attempt++ {
 					rec := httptest.NewRecorder()
-					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(tc.body)))
 					if rec.Code != tc.code {
 						t.Fatalf("attempt %d -> %d, want %d: %s", attempt, rec.Code, tc.code, rec.Body)
 					}

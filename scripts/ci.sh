@@ -36,7 +36,7 @@ go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/n
 
 echo "== go test -race (serve pool, repeated) =="
 # Every handler goroutine shares the pool (the admission slots and the compile
-# turns) and the answer memo, keyed by the request. The pool tests (the
+# turns) and the answer memo, keyed by the request body. The pool tests (the
 # admission bound, a panic while scoring, 429 before evaluation, and draining
 # admitted requests on shutdown) and concurrent answers to overlapping
 # requests through an evicting memo run ten times each, under a timeout that
@@ -68,6 +68,9 @@ must_pass ./internal/nn TestEncoderStepZeroAllocsInstrumented
 must_pass ./internal/nn TestBatchedSharedPrefixZeroAllocs
 must_pass ./internal/nn TestBlockedKernelsZeroAllocs
 must_pass ./internal/nn TestMultiPrefixZeroAllocs
+# A /rank answered from the memo reads its body into its key and looks the key
+# up: one allocation, the key, with no decode and no encode.
+must_pass ./internal/serve TestAnswerHitAllocs
 
 echo "== sampler-vs-exact parity gate =="
 # The amc sampler must hold Spearman >= 0.95 against the exact oracle on the
@@ -165,9 +168,10 @@ echo "== serve e2e (daemon + concurrent traffic + manifest) =="
 # requests over real TCP, the second answered from the request memo, and
 # verify every response bit-for-bit against the engine that answered it:
 # exact Shapley values within the exact budget, the CNF proxy past it, under
-# the request's query and tuple renderings (cmd/serve -selftest exits
-# non-zero on any mismatch, on the wrong engine or when no answer came from
-# the memo), then drain and flush the run manifest. Every lineage of this
+# the request's query and tuple renderings, and every second-round body byte
+# for byte against the first round's (cmd/serve -selftest exits non-zero on
+# any mismatch, on the wrong engine or when no answer came from the memo),
+# then drain and flush the run manifest. Every lineage of this
 # tiny corpus compiles within the budget, so its answers are all exact; the
 # proxy path is gated by TestSelfTest, TestServeExactSelector and
 # TestServeParitySequential at budget 0, under -race above. The schema check
@@ -194,5 +198,11 @@ go -C bench test ./...
 
 echo "== nn benchmark smoke =="
 go test -run '^$' -bench . -benchtime=1x -benchmem ./internal/nn
+
+echo "== serve benchmark smoke =="
+# BenchmarkAnswer (a memo hit and a miss) and BenchmarkHandlerHit (a hit
+# through the whole handler) over rank_short's and rank_long's bodies, once
+# each, so a change that breaks them fails here.
+go test -run '^$' -bench . -benchtime=1x -benchmem ./internal/serve
 
 echo "CI PASSED"
