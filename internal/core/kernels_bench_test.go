@@ -39,10 +39,8 @@ func benchRankSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkRankLineageFull ranks every case with independent padded
-// full-length forward passes per fact — the strategy before this
-// optimization pass (running on the current zero-allocation kernels, so the
-// measured prefix-reuse speedup understates the total win).
+// BenchmarkRankLineageFull ranks every case with one independent Forward
+// pass per fact (rankOnFull): no prefix reuse and no packing.
 func BenchmarkRankLineageFull(b *testing.B) {
 	benchRankSetup(b)
 	b.ReportAllocs()

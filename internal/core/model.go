@@ -241,8 +241,8 @@ func (m *Model) Rank(in Input) shapley.Values {
 // the open generalization problem of Section 7; token overlap is then the
 // only transferable signal. The shared [CLS] q [SEP] t [SEP] prefix is
 // encoded once and the facts are packed into a few encoder passes (see
-// rank.go). Scores are bit-identical to one independent full-length forward
-// pass per fact.
+// rank.go). Scores are bit-identical to one independent Forward pass per
+// fact over its Pack-ed sequence.
 func (m *Model) RankOn(db *relation.Database, in Input) shapley.Values {
 	return m.rankChunked(db, in, rankChunk)
 }

@@ -165,3 +165,44 @@ func TestTrainWorkerParity(t *testing.T) {
 		t.Errorf("training digest %s, want %s", got, trainGoldenDigest)
 	}
 }
+
+// TestTrainShapeGolden pins trainDigest at the benchmark's model shapes:
+// LearnShapley-base (2 layers) and LearnShapley-large (3 layers) on the
+// default IMDB corpus, with short schedules. tinyConfig has one layer, so
+// TestTrainWorkerParity never trains a layer below the last one, whose rows
+// other than [CLS] training skips. The digests were recorded while training
+// still padded every sequence to MaxSeqLen and ran the last layer on every
+// row. Like trainGoldenDigest they hold on amd64 only; the digests do not
+// depend on the worker count.
+func TestTrainShapeGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Logf("golden digests are pinned on amd64 only; not compared on %s", runtime.GOARCH)
+		return
+	}
+	c, err := dataset.Build(dataset.DefaultConfig(dataset.IMDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := dataset.NewSimilarityCache(c)
+	base := BaseConfig()
+	base.PretrainEpochs, base.PretrainPairsPerEpoch = 1, 50
+	base.FinetuneEpochs, base.FinetuneSamplesPerEpoch = 1, 150
+	large := LargeConfig()
+	large.PretrainEpochs, large.PretrainPairsPerEpoch = 1, 40
+	large.FinetuneEpochs, large.FinetuneSamplesPerEpoch = 1, 100
+	for _, g := range []struct {
+		cfg  ModelConfig
+		want string
+	}{
+		{base, "9c4138b0e28cef37616156f5a16945a4606194364eff07e3b3c6e385138e5bb7"},
+		{large, "32e648083ebe577e3f7d08eba6e0994816d3b136cfd44dcd608bf785f200f9f6"},
+	} {
+		m, r, err := Train(c, sims, g.cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := trainDigest(m, r); got != g.want {
+			t.Errorf("%s: training digest %s, want %s", g.cfg.Name, got, g.want)
+		}
+	}
+}

@@ -17,16 +17,10 @@ import (
 // (tokenizer.FitLengths) may trim the query and tuple when a fact is long,
 // and the trimmed lengths are a function of the fact's length; so the scorer
 // keeps one prefix cache per trimmed (query, tuple) length pair, built on its
-// first fact. Two further differences from the naive per-fact path, both
-// provably bit-preserving for the [CLS] output row (see DESIGN.md "Memory
-// model & kernels"):
-//
-//   - sequences are not padded to MaxSeqLen: attention masks padded keys out of
-//     every softmax and all other layers are row-local, so trailing padding
-//     rows never influence row 0;
-//   - the prefix embedding rows are reused across facts: embeddings and
-//     LayerNorm are row-local and the prefix occupies the same absolute
-//     positions in every sequence that uses it.
+// first fact. Reusing the prefix embedding rows across facts preserves the
+// [CLS] output row bit for bit (see DESIGN.md "Memory model & kernels"):
+// embeddings and LayerNorm are row-local and the prefix occupies the same
+// absolute positions in every sequence that uses it.
 type lineageScorer struct {
 	m          *Model
 	qIDs, tIDs []int // untrimmed query and tuple token IDs

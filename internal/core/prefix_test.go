@@ -49,8 +49,10 @@ func goldenInputs(c *dataset.Corpus) []Input {
 }
 
 // rankOnFull is the reference ranker the golden tests compare against: every
-// fact is scored by an independent full-length (padded, no prefix reuse, no
-// packing) forward pass.
+// fact is scored by an independent Forward pass over its own Pack-ed
+// sequence, with no prefix reuse and no packing. That Forward's [CLS] row
+// equals the one of a pass over every row of every layer, padded or not, bit
+// for bit; internal/nn's reference tests pin that.
 func (m *Model) rankOnFull(db *relation.Database, in Input) shapley.Values {
 	qToks := tokenizer.TokenizeSQL(in.SQL)
 	tToks := tokenizer.TokenizeValues(in.TupleValues)
@@ -135,7 +137,7 @@ func chunkedGolden(t *testing.T, cfg ModelConfig) []obs.Snapshot {
 // TestRankOnPrefixGolden is the golden bit-identity test for ranking: RankOn
 // (shared-prefix encoding, trimmed sequences, facts packed into encoder
 // passes) must score every lineage fact bit-for-bit identically to rankOnFull
-// (independent padded full-length forward passes).
+// (one independent Forward pass per fact).
 func TestRankOnPrefixGolden(t *testing.T) {
 	snap := rankGolden(t, tinyConfig(), "RankOn", (*Model).RankOn)
 	if snap.Counters["core.rank.prefix_hits"] == 0 {
@@ -213,8 +215,7 @@ func TestRankOnBatchedGolden(t *testing.T) {
 // TestRankOnBatchedTruncated repeats the chunk sweep with a sequence budget
 // small enough that truncation reaches the prefix for some facts: the packed
 // ranker must score them on prefix caches of the trimmed query and tuple, at
-// every chunk size, and still match the padded full-length reference
-// bitwise.
+// every chunk size, and still match rankOnFull bitwise.
 func TestRankOnBatchedTruncated(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxSeqLen = 16

@@ -13,9 +13,9 @@ import (
 // query and tuple prefix of the lineage once (lineageScorer) and packs every
 // fact into nn.BatchedForwardMultiPrefix passes, so a lineage becomes a few
 // GEMM passes instead of one small pass per fact; a pass may mix facts of
-// different prefixes. Scores are bit-identical to one independent
-// full-length forward pass per fact — packing changes scheduling, never
-// arithmetic (see internal/nn/multiprefix.go for the structural argument).
+// different prefixes. Scores are bit-identical to one independent Forward
+// pass per fact — packing changes scheduling, never arithmetic (see
+// internal/nn/multiprefix.go for the structural argument).
 
 // rankChunk is the number of sequences packed into one encoder pass.
 const rankChunk = 8

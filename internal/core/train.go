@@ -265,7 +265,7 @@ func (m *Model) pretrainStep(c *dataset.Corpus, sims *dataset.SimilarityCache, d
 		target := sims.ByMetric(metric)(d.qa, d.qb)
 		diff := pred - target
 		loss += diff * diff
-		g := head.Backward(2*diff, hidden.Rows, hidden.Cols)
+		g := head.Backward(2 * diff)
 		if total == nil {
 			total = g
 		} else {
@@ -418,8 +418,7 @@ func (m *Model) finetuneStep(c *dataset.Corpus, sm finetuneSample, cfg ModelConf
 	hidden := m.enc.Forward(p.Tokens, p.Segments, p.Mask)
 	pred := m.shapHead.Forward(hidden)
 	diff := pred - sm.gold*cfg.TargetScale
-	g := m.shapHead.Backward(2*diff, hidden.Rows, hidden.Cols)
-	m.enc.Backward(g)
+	m.enc.Backward(m.shapHead.Backward(2 * diff))
 	return diff * diff
 }
 

@@ -41,8 +41,9 @@ func randSeq(rng *rand.Rand, n, vocab, segments int) (tokens, segs []int, mask [
 
 // assertReadoutsBitEqual checks the readout rows of a packed pass against
 // the per-sequence references: one row per sequence, row b bit-identical to
-// row 0 ([CLS]) of Forward over sequence b, and the head's prediction from
-// row b bit-identical to its prediction from that Forward.
+// row 0 ([CLS]) of the full-row reference pass over sequence b (see
+// referenceCLS, which also holds Forward to that row), and the head's
+// prediction from row b bit-identical to its prediction from that row.
 func assertReadoutsBitEqual(t *testing.T, label string, head *RegressionHead, readout *Mat, want []*Mat, wantPred []float64) {
 	t.Helper()
 	if readout.Rows != len(want) || readout.Cols != want[0].Cols {
@@ -65,9 +66,10 @@ func assertReadoutsBitEqual(t *testing.T, label string, head *RegressionHead, re
 // TestBatchedForwardMatchesForward property-tests the packed pass on padded
 // sequences: each random sequence (with a random real/padding mask split) is
 // cut at a random point into an embedded prefix and a suffix, and each
-// readout row must be bit-identical to the [CLS] row of Forward over the whole
-// sequence, padding rows included, with identical head readouts via
-// ForwardAt. It runs at every parityLayers depth.
+// readout row, like Forward's result, must be bit-identical to the [CLS] row
+// of the full-row reference pass over the whole sequence, padding rows
+// included, with identical head readouts via ForwardAt. It runs at every
+// parityLayers depth.
 func TestBatchedForwardMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, layers := range parityLayers {
@@ -80,17 +82,15 @@ func TestBatchedForwardMatchesForward(t *testing.T) {
 				masks := make([][]bool, batch)
 				want := make([]*Mat, batch)
 				wantPred := make([]float64, batch)
+				label := fmt.Sprintf("layers=%d batch=%d", layers, batch)
 				for b := range sufs {
 					n := 1 + rng.Intn(enc.Cfg.MaxSeqLen)
 					tokens, segs, mask := randSeq(rng, n, enc.Cfg.VocabSize, enc.Cfg.Segments)
 					p := 1 + rng.Intn(n)
 					pcs[b] = enc.EmbedPrefix(tokens[:p], segs[:p])
 					sufs[b], sufSegs[b], masks[b] = tokens[p:], segs[p:], mask
-					h := enc.Forward(tokens, segs, mask)
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
+					want[b], wantPred[b] = referenceCLS(t, label, enc, head, tokens, segs, mask)
 				}
-				label := fmt.Sprintf("layers=%d batch=%d", layers, batch)
 				assertReadoutsBitEqual(t, label, head, enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks), want, wantPred)
 			}
 		}
@@ -100,9 +100,10 @@ func TestBatchedForwardMatchesForward(t *testing.T) {
 // TestBatchedSharedPrefixMatchesPerSequence property-tests the single-lineage
 // shape of the packed pass — every sequence reuses one prefix cache, as a
 // lineage whose facts all keep the untrimmed query and tuple produces —
-// against one Forward call per full prefix+suffix sequence, including
-// prefix-only sequences, at every parityLayers depth. Bit-identical readout
-// rows and head readouts are required.
+// against one full-row reference pass (and one Forward call) per full
+// prefix+suffix sequence, including prefix-only sequences, at every
+// parityLayers depth. Bit-identical readout rows and head readouts are
+// required.
 func TestBatchedSharedPrefixMatchesPerSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	prefix := []int{2, 8, 14, 3, 21, 7, 3}
@@ -119,6 +120,7 @@ func TestBatchedSharedPrefixMatchesPerSequence(t *testing.T) {
 				masks := make([][]bool, batch)
 				want := make([]*Mat, batch)
 				wantPred := make([]float64, batch)
+				label := fmt.Sprintf("shared prefix, layers=%d batch=%d", layers, batch)
 				for b := range sufs {
 					n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
 					pcs[b] = pc
@@ -134,11 +136,8 @@ func TestBatchedSharedPrefixMatchesPerSequence(t *testing.T) {
 					}
 					tokens := append(append([]int(nil), prefix...), sufs[b]...)
 					segs := append(append([]int(nil), prefixSeg...), sufSegs[b]...)
-					h := enc.Forward(tokens, segs, masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
+					want[b], wantPred[b] = referenceCLS(t, label, enc, head, tokens, segs, masks[b])
 				}
-				label := fmt.Sprintf("shared prefix, layers=%d batch=%d", layers, batch)
 				assertReadoutsBitEqual(t, label, head, enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks), want, wantPred)
 			}
 		}

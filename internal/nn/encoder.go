@@ -114,9 +114,9 @@ func (e *Encoder) Workspace() *Workspace { return e.ws }
 
 // Forward encodes one sequence. tokens and segments have equal length ≤
 // MaxSeqLen; mask[i] = true marks real positions (false = padding). It
-// returns the final hidden states [seq×Dim]; row 0 is the [CLS]
-// representation used by every head. The returned matrix is workspace
-// scratch: it stays valid until the encoder's next forward pass.
+// returns the final hidden state of the [CLS] row [1×Dim], the only row any
+// head reads (see encode). The returned matrix is workspace scratch: it
+// stays valid until the encoder's next forward pass.
 func (e *Encoder) Forward(tokens, segments []int, mask []bool) *Mat {
 	if len(tokens) > e.Cfg.MaxSeqLen {
 		panic("nn: sequence exceeds MaxSeqLen")
@@ -156,11 +156,26 @@ func (e *Encoder) embedRowsAt(x *Mat, rowOff int, tokens, segments []int, posOff
 	}
 }
 
-// encode runs the transformer blocks over post-embedding states x.
+// encode runs the transformer blocks over post-embedding states x and returns
+// the [CLS] row's final state [1×Dim]. Every layer but the last runs on all
+// rows, because the next layer's keys and values need them. The last layer
+// projects K and V from every row but runs Q, the scores and softmax,
+// probs·V, Wo, both LayerNorms and the FFN on the [CLS] row alone: its other
+// rows feed no later layer and no head. Every kernel computes an output row
+// from its own input row (the GEMMs accumulate each row independently, in
+// k-order), so the [CLS] row is bit-identical to row 0 of a pass that
+// computes every row.
 func (e *Encoder) encode(x *Mat, mask []bool) *Mat {
-	for _, l := range e.layers {
-		h := l.attn.Forward(e.ws, x, mask)
-		h.AddInPlace(x)
+	if len(e.layers) == 0 {
+		return e.ws.View(x, 0, 1)
+	}
+	for i, l := range e.layers {
+		xq := x
+		if i == len(e.layers)-1 {
+			xq = e.ws.View(x, 0, 1)
+		}
+		h := l.attn.forwardQueries(e.ws, xq, x, mask)
+		h.AddInPlace(xq)
 		x = l.ln1.Forward(e.ws, h)
 		f := l.ffn.Forward(e.ws, x)
 		f.AddInPlace(x)
@@ -169,7 +184,14 @@ func (e *Encoder) encode(x *Mat, mask []bool) *Mat {
 	return x
 }
 
-// Backward accumulates gradients for the whole encoder from dL/dHidden.
+// Backward accumulates gradients for the whole encoder from dL/d[CLS], the
+// [1×Dim] gradient on Forward's result. It computes, bit for bit, what a
+// backward pass over every row of every layer computes from a gradient that
+// is zero off the [CLS] row: that pass only adds ±0 terms for the rows this
+// one skips, and adding ±0 changes no accumulator. Every accumulator starts
+// at +0 and a sum is -0 only when both addends are, so an accumulator is
+// never -0, and +0 or any non-zero value plus ±0 is itself under
+// round-to-nearest.
 func (e *Encoder) Backward(grad *Mat) {
 	e.mBackward.Add(1)
 	for li := len(e.layers) - 1; li >= 0; li-- {
@@ -179,7 +201,7 @@ func (e *Encoder) Backward(grad *Mat) {
 		gf.AddInPlace(g) // residual
 		g = l.ln1.Backward(gf)
 		ga := l.attn.Backward(e.ws, g)
-		ga.AddInPlace(g) // residual
+		e.ws.View(ga, 0, g.Rows).AddInPlace(g) // residual of the query rows
 		grad = ga
 	}
 	grad = e.embLN.Backward(grad)
@@ -233,13 +255,10 @@ func (h *RegressionHead) ForwardAt(hidden *Mat, row int) float64 {
 	return h.lin.Forward(h.ws, &h.cls).Data[0]
 }
 
-// Backward converts a scalar loss gradient into a gradient on the full
-// hidden-state matrix (zero except the [CLS] row). The result is scratch of
-// this head's workspace: valid until the head's next Forward.
-func (h *RegressionHead) Backward(dPred float64, seq, dim int) *Mat {
+// Backward converts a scalar loss gradient into the gradient on the [CLS]
+// row [1×Dim], the input of Encoder.Backward. The result is scratch of this
+// head's workspace: valid until the head's next Forward.
+func (h *RegressionHead) Backward(dPred float64) *Mat {
 	h.g.Data[0] = dPred
-	dCLS := h.lin.Backward(h.ws, &h.g)
-	out := h.ws.Get(seq, dim)
-	copy(out.Row(0), dCLS.Row(0))
-	return out
+	return h.lin.Backward(h.ws, &h.g)
 }

@@ -92,7 +92,7 @@ func TestTrainingReducesLossOnEncoderRegression(t *testing.T) {
 		for _, s := range data {
 			h := enc.Forward(s.tokens, segs, mask)
 			p := head.Forward(h)
-			g := head.Backward(2*(p-s.target), h.Rows, h.Cols)
+			g := head.Backward(2 * (p - s.target))
 			enc.Backward(g)
 		}
 		opt.Step(len(data))

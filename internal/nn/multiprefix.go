@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // Packed inference: BatchedForwardMultiPrefix packs B prefix+suffix sequences
 // into one [ΣT×Dim] matrix so the Q/K/V/FFN projections of every layer run as
 // a handful of large GEMMs instead of B small ones, while attention is
@@ -15,10 +13,12 @@ import "math"
 // final [CLS] hidden state. Every layer but the last runs on all rows, because
 // the next layer's keys and values need them. The last layer projects K and V
 // from all rows but runs Q, the scores and softmax, probs·V, Wo, both
-// LayerNorms and the FFN on the B readout rows alone.
+// LayerNorms and the FFN on the B readout rows alone, as Forward does for its
+// one sequence.
 //
-// Bit-identity of each readout row with row 0 of Forward on the full sequence
-// is structural, not numerical luck:
+// Bit-identity of each readout row with Forward's [CLS] row, and with row 0
+// of a pass that runs every layer on every row, is structural, not numerical
+// luck:
 //   - each sequence's prefix rows are copied verbatim from its own cache, and
 //     its suffix rows are embedded at the same absolute positions (posOffset =
 //     that sequence's prefix length) Forward uses; embeddings and LayerNorm are
@@ -29,8 +29,8 @@ import "math"
 //     k-order (see MatMulBlockedInto), so which rows share a matrix — all of a
 //     sequence's rows, or only the readout rows of the last layer — never
 //     affects any row's value;
-//   - attention runs the exact per-sequence kernel (AttnScoresSoftmax plus
-//     the probs·V accumulation of the single-sequence path) on views of the
+//   - attention runs the per-sequence stage Forward runs (attend:
+//     AttnScoresSoftmax plus the probs·V accumulation) on views of the
 //     packed Q/K/V, with each sequence's own mask; an attention output row
 //     depends only on its own query row and the sequence's keys and values,
 //     so computing it for the readout row alone gives the same row.
@@ -184,29 +184,9 @@ func (e *Encoder) readoutRows(x *Mat) *Mat {
 func (a *MultiHeadAttention) BatchedForward(ws *Workspace, xq *Mat, qOffs, qLens []int, x *Mat, offs, lens []int, masks [][]bool) *Mat {
 	q, k, v := a.Wq.Forward(ws, xq), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
 	concat := ws.Get(xq.Rows, a.Dim)
-	scale := 1 / math.Sqrt(float64(a.dk))
 	for b := range offs {
 		ro, seq, qo, nq := offs[b], lens[b], qOffs[b], qLens[b]
-		qv, kv := ws.View(q, qo, nq), ws.View(k, ro, seq)
-		for h := 0; h < a.Heads; h++ {
-			off := h * a.dk
-			scores := ws.Get(nq, seq)
-			AttnScoresSoftmax(qv, kv, off, a.dk, scale, masks[b], scores)
-			for i := 0; i < nq; i++ {
-				prow := scores.Row(i)
-				crow := concat.Row(qo + i)[off : off+a.dk]
-				for j := 0; j < seq; j++ {
-					p := prow[j]
-					if p == 0 {
-						continue
-					}
-					vj := v.Row(ro + j)[off : off+a.dk]
-					for t := 0; t < a.dk; t++ {
-						crow[t] += p * vj[t]
-					}
-				}
-			}
-		}
+		a.attend(ws, ws.View(q, qo, nq), ws.View(k, ro, seq), ws.View(v, ro, seq), masks[b], ws.View(concat, qo, nq), nil)
 	}
 	return a.Wo.Forward(ws, concat)
 }

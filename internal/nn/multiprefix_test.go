@@ -7,7 +7,7 @@ import (
 )
 
 // testPrefix is one embedded prefix of the multi-prefix fixture, with the
-// token and segment IDs it was built from (the Forward oracle needs them).
+// token and segment IDs it was built from (the reference pass needs them).
 type testPrefix struct {
 	pc           *PrefixCache
 	tokens, segs []int
@@ -34,11 +34,11 @@ func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []testPrefix {
 }
 
 // TestBatchedForwardMultiPrefixMatchesPerSequence property-tests the packed
-// pass against one Forward call per full prefix+suffix sequence: random
-// batches mix sequences from several distinct prefix caches (including
-// consecutive repeats of the same cache, as the rank batcher produces, and
-// empty suffixes), at every parityLayers depth. Bit-identical readout rows
-// and head readouts are required.
+// pass against one full-row reference pass (and one Forward call) per full
+// prefix+suffix sequence: random batches mix sequences from several distinct
+// prefix caches (including consecutive repeats of the same cache, as the rank
+// batcher produces, and empty suffixes), at every parityLayers depth.
+// Bit-identical readout rows and head readouts are required.
 func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, layers := range parityLayers {
@@ -73,14 +73,12 @@ func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
 				}
 				want := make([]*Mat, batch)
 				wantPred := make([]float64, batch)
+				label := fmt.Sprintf("BatchedForwardMultiPrefix layers=%d batch=%d", layers, batch)
 				for b := range sufs {
 					tokens := append(append([]int(nil), picked[b].tokens...), sufs[b]...)
 					segs := append(append([]int(nil), picked[b].segs...), sufSegs[b]...)
-					h := enc.Forward(tokens, segs, masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
+					want[b], wantPred[b] = referenceCLS(t, label, enc, head, tokens, segs, masks[b])
 				}
-				label := fmt.Sprintf("BatchedForwardMultiPrefix layers=%d batch=%d", layers, batch)
 				assertReadoutsBitEqual(t, label, head, enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks), want, wantPred)
 			}
 		}

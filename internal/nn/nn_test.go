@@ -271,7 +271,7 @@ func TestRegressionHeadGradient(t *testing.T) {
 		h := enc.Forward(tokens, segments, mask)
 		pred := head.Forward(h)
 		loss := (pred - target) * (pred - target)
-		grad := head.Backward(2*(pred-target), h.Rows, h.Cols)
+		grad := head.Backward(2 * (pred - target))
 		enc.Backward(grad)
 		return loss
 	}

@@ -44,7 +44,7 @@ func TestReplicaSharesWeightsOwnsGradients(t *testing.T) {
 	}
 
 	// Backward on the replica must leave the primary's accumulators at zero.
-	g := rhead.Backward(1.0, len(testSeq.tokens), 8)
+	g := rhead.Backward(1.0)
 	renc.Backward(g)
 	repNorm, priNorm := 0.0, 0.0
 	for i, p := range ps.All() {
@@ -86,7 +86,7 @@ func TestReplicaSeesOptimizerUpdates(t *testing.T) {
 
 	before := rhead.Forward(renc.Forward(testSeq.tokens, testSeq.segments, testSeq.mask))
 	head.Forward(enc.Forward(testSeq.tokens, testSeq.segments, testSeq.mask))
-	g := head.Backward(1.0, len(testSeq.tokens), 8)
+	g := head.Backward(1.0)
 	enc.Backward(g)
 	NewAdam(ps, 0.1).Step(1)
 	after := rhead.Forward(renc.Forward(testSeq.tokens, testSeq.segments, testSeq.mask))
@@ -122,7 +122,7 @@ func TestShardReductionMatchesSerialAccumulation(t *testing.T) {
 		parallel.ForEach(workers, len(samples), func(i int) {
 			s := shards[i]
 			hidden := s.enc.Forward(samples[i], testSeq.segments, testSeq.mask)
-			g := s.head.Backward(s.head.Forward(hidden), len(samples[i]), 8)
+			g := s.head.Backward(s.head.Forward(hidden))
 			s.enc.Backward(g)
 		})
 		for i := range shards {

@@ -75,7 +75,7 @@ func TestWorkspaceFloats(t *testing.T) {
 func encoderStep(enc *Encoder, head *RegressionHead, tokens, segments []int, mask []bool) float64 {
 	h := enc.Forward(tokens, segments, mask)
 	pred := head.Forward(h)
-	grad := head.Backward(2*(pred-0.5), h.Rows, h.Cols)
+	grad := head.Backward(2 * (pred - 0.5))
 	enc.Backward(grad)
 	return pred
 }
@@ -165,8 +165,8 @@ func TestReplicaWorkspacesIndependent(t *testing.T) {
 
 // TestPrefixReuseMatchesForward checks prefix reuse on its own: one
 // sequence encoded as an embedded prefix cache plus a suffix must give a
-// readout row bit-identical to the [CLS] row of Forward over the whole
-// sequence, at every parityLayers depth.
+// readout row bit-identical to the [CLS] row of the full-row reference pass
+// over the whole sequence, as Forward must, at every parityLayers depth.
 func TestPrefixReuseMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	prefix := []int{2, 8, 14, 3, 21, 3}
@@ -192,12 +192,10 @@ func TestPrefixReuseMatchesForward(t *testing.T) {
 			for i := range mask {
 				mask[i] = true
 			}
-			h := enc.Forward(full, fullSeg, mask)
-			wantPred := head.Forward(h)
-			want := h.Clone()
+			label := fmt.Sprintf("prefix reuse, layers=%d trial %d", layers, trial)
+			want, wantPred := referenceCLS(t, label, enc, head, full, fullSeg, mask)
 			got := enc.BatchedForwardMultiPrefix(
 				[]*PrefixCache{pc}, [][]int{suf}, [][]int{sufSeg}, [][]bool{mask})
-			label := fmt.Sprintf("prefix reuse, layers=%d trial %d", layers, trial)
 			assertReadoutsBitEqual(t, label, head, got, []*Mat{want}, []float64{wantPred})
 		}
 	}

@@ -193,6 +193,54 @@ func TestAnswerHitAllocs(t *testing.T) {
 	}
 }
 
+// reusedWriter is an http.ResponseWriter that keeps its header map across
+// requests and records only the status, so a test can reuse one writer.
+type reusedWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *reusedWriter) Header() http.Header { return w.header }
+
+func (w *reusedWriter) WriteHeader(code int) { w.status = code }
+
+func (w *reusedWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// TestHandlerHitAllocs pins what a /rank memo hit allocates through the
+// whole Server.Handler, with the request and the writer reused: 12
+// allocations, among them the trace context and its ID, the status writer,
+// the request's context, the body's key, the response headers and the copy
+// of the trace's stages into the ring. Recording the stages allocates
+// nothing.
+func TestHandlerHitAllocs(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 1}, fixture(t), nil)
+	cases, err := selfTestCases(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	body := bytes.NewReader(cases[0].body)
+	req := httptest.NewRequest(http.MethodPost, "/rank", body)
+	w := &reusedWriter{header: http.Header{}}
+	hit := func() {
+		body.Reset(cases[0].body)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("/rank -> %d", w.status)
+		}
+	}
+	hit() // the miss that stores the answer
+	if allocs := testing.AllocsPerRun(100, hit); allocs > 12 {
+		t.Errorf("a /rank memo hit through the handler allocates %v times, want at most 12", allocs)
+	}
+}
+
 // TestMemoEvictsOldest stores answers of growing size into a memo bounded
 // at about three of them. After every store the retained bytes stay within
 // the bound, and the memo holds exactly the newest answers that fit: the

@@ -6,7 +6,8 @@
 package similarity
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/hungarian"
 	"repro/internal/relation"
@@ -62,27 +63,25 @@ func Witness(a, b map[string]bool) float64 {
 // scored by either ranking, so the distance lies in [0,1] with 0 for
 // identical rankings.
 func KendallTau(s1, s2 shapley.Values) float64 {
-	universe := make(map[relation.FactID]bool, len(s1)+len(s2))
-	for id := range s1 {
-		universe[id] = true
+	facts := make([]scoredFact, 0, len(s1)+len(s2))
+	for id, v := range s1 {
+		facts = append(facts, scoredFact{id: id, s1: v, s2: s2[id]})
 	}
-	for id := range s2 {
-		universe[id] = true
+	for id, v := range s2 {
+		if _, ok := s1[id]; !ok {
+			facts = append(facts, scoredFact{id: id, s2: v})
+		}
 	}
-	u := len(universe)
+	u := len(facts)
 	if u < 2 {
 		return 0
 	}
-	facts := make([]relation.FactID, 0, u)
-	for id := range universe {
-		facts = append(facts, id)
-	}
-	sort.Slice(facts, func(i, j int) bool { return facts[i] < facts[j] })
+	slices.SortFunc(facts, func(a, b scoredFact) int { return cmp.Compare(a.id, b.id) })
 	total := 0.0
-	for i := 0; i < len(facts); i++ {
-		for j := i + 1; j < len(facts); j++ {
-			d1 := s1[facts[i]] - s1[facts[j]]
-			d2 := s2[facts[i]] - s2[facts[j]]
+	for i, fi := range facts {
+		for _, fj := range facts[i+1:] {
+			d1 := fi.s1 - fj.s1
+			d2 := fi.s2 - fj.s2
 			switch {
 			case d1*d2 < 0:
 				total += 1
@@ -93,6 +92,13 @@ func KendallTau(s1, s2 shapley.Values) float64 {
 	}
 	pairs := float64(u) * float64(u-1) / 2
 	return total / pairs
+}
+
+// scoredFact is one fact of KendallTau's universe with its score in each
+// ranking, looked up once instead of once per pair.
+type scoredFact struct {
+	id     relation.FactID
+	s1, s2 float64
 }
 
 // TupleRanking carries, for one output tuple of a query, the Shapley scores

@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,72 @@ func TestKendallTauBoundsAndSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// kendallTauReference is KendallTau as first written, with four map lookups
+// per fact pair: the oracle the slice-based version must match bit for bit.
+func kendallTauReference(s1, s2 shapley.Values) float64 {
+	universe := make(map[relation.FactID]bool, len(s1)+len(s2))
+	for id := range s1 {
+		universe[id] = true
+	}
+	for id := range s2 {
+		universe[id] = true
+	}
+	u := len(universe)
+	if u < 2 {
+		return 0
+	}
+	facts := make([]relation.FactID, 0, u)
+	for id := range universe {
+		facts = append(facts, id)
+	}
+	sort.Slice(facts, func(i, j int) bool { return facts[i] < facts[j] })
+	total := 0.0
+	for i := 0; i < len(facts); i++ {
+		for j := i + 1; j < len(facts); j++ {
+			d1 := s1[facts[i]] - s1[facts[j]]
+			d2 := s2[facts[i]] - s2[facts[j]]
+			switch {
+			case d1*d2 < 0:
+				total += 1
+			case (d1 == 0) != (d2 == 0):
+				total += 0.5
+			}
+		}
+	}
+	pairs := float64(u) * float64(u-1) / 2
+	return total / pairs
+}
+
+// TestKendallTauMatchesReference compares KendallTau with the reference bit
+// for bit on random partial rankings: overlapping, disjoint and empty
+// supports, tied scores, explicit zero scores, and universes large enough
+// that rounding in the pair sum shows.
+func TestKendallTauMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	mk := func(lo, n, ids, levels int) shapley.Values {
+		v := shapley.Values{}
+		for i := 0; i < n; i++ {
+			v[relation.FactID(lo+rng.Intn(ids))] = float64(rng.Intn(levels)-levels/2) / 7
+		}
+		return v
+	}
+	for trial := 0; trial < 500; trial++ {
+		ids, levels := 1+rng.Intn(60), 1+rng.Intn(6)
+		n1, n2 := rng.Intn(ids+1), rng.Intn(ids+1)
+		lo2 := 0
+		if trial%3 == 0 {
+			lo2 = ids // disjoint supports
+		}
+		a, b := mk(0, n1, ids, levels), mk(lo2, n2, ids, levels)
+		for _, pair := range [][2]shapley.Values{{a, b}, {b, a}, {a, a}} {
+			got, want := KendallTau(pair[0], pair[1]), kendallTauReference(pair[0], pair[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: KendallTau(%v, %v) = %v, reference %v", trial, pair[0], pair[1], got, want)
+			}
+		}
 	}
 }
 

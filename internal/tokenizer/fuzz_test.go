@@ -9,10 +9,10 @@ import (
 
 // FuzzPack packs arbitrary query, tuple and fact strings in the fine-tuning
 // layout at a sequence length from 4 to 128. TokenizeSQL must not panic, Pack
-// must return maxLen positions whose real tokens are exactly
-// [CLS] q[:a] [SEP] t[:b] [SEP] f[:c] [SEP] with (a, b, c) from FitLengths,
-// and trimming the encoded IDs must give the IDs of the trimmed tokens: the
-// identity core's prefix caches rely on.
+// must return exactly [CLS] q[:a] [SEP] t[:b] [SEP] f[:c] [SEP] with (a, b, c)
+// from FitLengths, unpadded and at most maxLen positions long, every position
+// real, and trimming the encoded IDs must give the IDs of the trimmed tokens:
+// the identity core's prefix caches rely on.
 func FuzzPack(f *testing.F) {
 	f.Add("SELECT DISTINCT movies.title FROM movies, cast WHERE movies.year > 2000", "Heat 1995", "Al Pacino", uint8(60))
 	f.Add("", "", "", uint8(0))
@@ -28,11 +28,12 @@ func FuzzPack(f *testing.F) {
 		// A vocabulary of 8 words: some tokens are known, the rest [UNK].
 		tok := Build(segs, numSpecials+8)
 		p := tok.Pack(maxLen, 3, segs...)
-		if len(p.Tokens) != maxLen || len(p.Segments) != maxLen || len(p.Mask) != maxLen {
-			t.Fatalf("Pack(%d) returned %d tokens, %d segments, %d mask bits",
-				maxLen, len(p.Tokens), len(p.Segments), len(p.Mask))
-		}
 		lens := FitLengths(maxLen, []int{len(segs[0]), len(segs[1]), len(segs[2])})
+		positions := 1 + lens[0] + 1 + lens[1] + 1 + lens[2] + 1
+		if positions > maxLen || len(p.Tokens) != positions || len(p.Segments) != positions || len(p.Mask) != positions {
+			t.Fatalf("Pack(%d) returned %d tokens, %d segments, %d mask bits, want %d (lengths %v)",
+				maxLen, len(p.Tokens), len(p.Segments), len(p.Mask), positions, lens)
+		}
 		wantTokens, wantSegs := []int{ClsID}, []int{0}
 		for i, seg := range segs {
 			trimmed := tok.Encode(seg[:lens[i]])
@@ -44,14 +45,13 @@ func FuzzPack(f *testing.F) {
 				wantSegs = append(wantSegs, i)
 			}
 		}
-		real := len(wantTokens)
-		if !slices.Equal(p.Tokens[:real], wantTokens) || !slices.Equal(p.Segments[:real], wantSegs) {
-			t.Fatalf("real tokens %v segments %v, want %v and %v (lengths %v)",
-				p.Tokens[:real], p.Segments[:real], wantTokens, wantSegs, lens)
+		if !slices.Equal(p.Tokens, wantTokens) || !slices.Equal(p.Segments, wantSegs) {
+			t.Fatalf("tokens %v segments %v, want %v and %v (lengths %v)",
+				p.Tokens, p.Segments, wantTokens, wantSegs, lens)
 		}
-		for i := range p.Mask {
-			if p.Mask[i] != (i < real) || i >= real && (p.Tokens[i] != PadID || p.Segments[i] != 0) {
-				t.Fatalf("position %d of %d real: mask %v token %d segment %d", i, real, p.Mask[i], p.Tokens[i], p.Segments[i])
+		for i, m := range p.Mask {
+			if !m {
+				t.Fatalf("position %d of %d is masked", i, positions)
 			}
 		}
 	})

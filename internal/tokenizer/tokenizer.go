@@ -263,8 +263,9 @@ func FitLengths(maxLen int, lens []int) []int {
 }
 
 // Pack assembles [CLS] seg0 [SEP] seg1 [SEP] ... [SEP], truncating the
-// longest segments first to fit maxLen, then padding to maxLen. Segment i
-// gets segment ID min(i, maxSegments-1).
+// longest segments first to fit maxLen. It does not pad: the sequence has
+// 1 + Σ(kept_i + 1) ≤ maxLen positions, every one real (Mask all true).
+// Segment i gets segment ID min(i, maxSegments-1).
 func (t *Tokenizer) Pack(maxLen, maxSegments int, segments ...[]string) Packed {
 	lens := make([]int, len(segments))
 	for i, s := range segments {
@@ -291,11 +292,6 @@ func (t *Tokenizer) Pack(maxLen, maxSegments int, segments ...[]string) Packed {
 			push(id, seg)
 		}
 		push(SepID, seg)
-	}
-	for len(p.Tokens) < maxLen {
-		p.Tokens = append(p.Tokens, PadID)
-		p.Segments = append(p.Segments, 0)
-		p.Mask = append(p.Mask, false)
 	}
 	return p
 }

@@ -87,25 +87,22 @@ func TestEncodeUnknown(t *testing.T) {
 func TestPackStructure(t *testing.T) {
 	tk := Build([][]string{{"q", "w", "e", "r"}}, 20)
 	p := tk.Pack(12, 2, []string{"q", "w"}, []string{"e", "r"})
-	if len(p.Tokens) != 12 || len(p.Segments) != 12 || len(p.Mask) != 12 {
+	// [CLS] q w [SEP] e r [SEP], unpadded: 1 + (2+1) + (2+1) positions.
+	if len(p.Tokens) != 7 || len(p.Segments) != 7 || len(p.Mask) != 7 {
 		t.Fatalf("lengths = %d %d %d", len(p.Tokens), len(p.Segments), len(p.Mask))
 	}
 	if p.Tokens[0] != ClsID {
 		t.Error("sequence must start with [CLS]")
 	}
-	// [CLS] q w [SEP] e r [SEP] [PAD]...
 	if p.Tokens[3] != SepID || p.Tokens[6] != SepID {
 		t.Errorf("separators misplaced: %v", p.Tokens)
 	}
 	if p.Segments[1] != 0 || p.Segments[4] != 1 {
 		t.Errorf("segments = %v", p.Segments)
 	}
-	if !p.Mask[6] || p.Mask[7] {
-		t.Errorf("mask = %v", p.Mask)
-	}
-	for i := 7; i < 12; i++ {
-		if p.Tokens[i] != PadID {
-			t.Errorf("padding expected at %d: %v", i, p.Tokens)
+	for i, m := range p.Mask {
+		if !m || p.Tokens[i] == PadID {
+			t.Errorf("position %d is not real: mask %v, tokens %v", i, p.Mask, p.Tokens)
 		}
 	}
 }

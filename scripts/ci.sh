@@ -71,6 +71,18 @@ must_pass ./internal/nn TestMultiPrefixZeroAllocs
 # A /rank answered from the memo reads its body into its key and looks the key
 # up: one allocation, the key, with no decode and no encode.
 must_pass ./internal/serve TestAnswerHitAllocs
+# A request trace records up to 7 stages (a /rank miss) without allocating:
+# minting it, the context and its ID, takes 2 allocations. A memo hit through
+# the whole handler, with its request and writer reused, takes 12.
+must_pass ./internal/obs TestTraceContextAllocs
+must_pass ./internal/serve TestHandlerHitAllocs
+
+echo "== training bit-identity gate =="
+# Training at the benchmark's model shapes (LearnShapley-base with 2 layers and
+# LearnShapley-large with 3, on the default IMDB corpus) must reproduce the
+# weight digests recorded while training still padded every sequence to
+# MaxSeqLen and ran its last layer on every row.
+must_pass ./internal/core TestTrainShapeGolden
 
 echo "== sampler-vs-exact parity gate =="
 # The amc sampler must hold Spearman >= 0.95 against the exact oracle on the
