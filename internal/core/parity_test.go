@@ -168,22 +168,20 @@ func TestTrainWorkerParity(t *testing.T) {
 
 // TestTrainShapeGolden pins trainDigest at the benchmark's model shapes:
 // LearnShapley-base (2 layers) and LearnShapley-large (3 layers) on the
-// default IMDB corpus, with short schedules. tinyConfig has one layer, so
+// default IMDB corpus, and LearnShapley-base on the default Academic corpus
+// with the benchmark's schedule, whose sequences FitLengths trims and whose
+// dev ranking covers 513 facts. tinyConfig has one layer, so
 // TestTrainWorkerParity never trains a layer below the last one, whose rows
-// other than [CLS] training skips. The digests were recorded while training
-// still padded every sequence to MaxSeqLen and ran the last layer on every
-// row. Like trainGoldenDigest they hold on amd64 only; the digests do not
-// depend on the worker count.
+// other than [CLS] training skips. The IMDB digests were recorded while
+// training still padded every sequence to MaxSeqLen and ran the last layer on
+// every row, the Academic one while attention still ran its own per-key loops
+// instead of the blocked kernels. Like trainGoldenDigest they hold on amd64
+// only; the digests do not depend on the worker count.
 func TestTrainShapeGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Logf("golden digests are pinned on amd64 only; not compared on %s", runtime.GOARCH)
 		return
 	}
-	c, err := dataset.Build(dataset.DefaultConfig(dataset.IMDB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sims := dataset.NewSimilarityCache(c)
 	base := BaseConfig()
 	base.PretrainEpochs, base.PretrainPairsPerEpoch = 1, 50
 	base.FinetuneEpochs, base.FinetuneSamplesPerEpoch = 1, 150
@@ -191,18 +189,24 @@ func TestTrainShapeGolden(t *testing.T) {
 	large.PretrainEpochs, large.PretrainPairsPerEpoch = 1, 40
 	large.FinetuneEpochs, large.FinetuneSamplesPerEpoch = 1, 100
 	for _, g := range []struct {
+		kind dataset.Kind
 		cfg  ModelConfig
 		want string
 	}{
-		{base, "9c4138b0e28cef37616156f5a16945a4606194364eff07e3b3c6e385138e5bb7"},
-		{large, "32e648083ebe577e3f7d08eba6e0994816d3b136cfd44dcd608bf785f200f9f6"},
+		{dataset.IMDB, base, "9c4138b0e28cef37616156f5a16945a4606194364eff07e3b3c6e385138e5bb7"},
+		{dataset.IMDB, large, "32e648083ebe577e3f7d08eba6e0994816d3b136cfd44dcd608bf785f200f9f6"},
+		{dataset.Academic, base, "ec6dfcbd03838c3f981d9e50e4fa9cef63b89382a419a2e3860abc4718ced1cb"},
 	} {
-		m, r, err := Train(c, sims, g.cfg, nil)
+		c, err := dataset.Build(dataset.DefaultConfig(g.kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, r, err := Train(c, dataset.NewSimilarityCache(c), g.cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := trainDigest(m, r); got != g.want {
-			t.Errorf("%s: training digest %s, want %s", g.cfg.Name, got, g.want)
+			t.Errorf("%s on %v: training digest %s, want %s", g.cfg.Name, g.kind, got, g.want)
 		}
 	}
 }

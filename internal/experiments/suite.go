@@ -55,8 +55,9 @@ func BenchConfig() Config {
 	}
 }
 
-// FullConfig is the larger configuration used by cmd/experiments; the numbers
-// in EXPERIMENTS.md come from this scale.
+// FullConfig is the larger configuration cmd/experiments runs without -bench.
+// The numbers in EXPERIMENTS.md come from BenchConfig (`-bench`), not from
+// this scale.
 func FullConfig() Config {
 	c := BenchConfig()
 	c.QueriesPerDB = 60

@@ -41,6 +41,35 @@ func BenchmarkEncoderStep(b *testing.B) {
 	}
 }
 
+// BenchmarkAttentionStep measures one MultiHeadAttention forward plus backward
+// over 76 rows at d=32 with 4 heads (the mean Academic training sequence at
+// BaseConfig), with a warmed Workspace. The acceptance gate is 0 allocs/op.
+func BenchmarkAttentionStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(34))
+	const seq, dim, heads = 76, 32, 4
+	attn := NewMultiHeadAttention(&Params{}, "attn", dim, heads, rng)
+	ws := NewWorkspace()
+	x := randMatZeros(rng, seq, dim, 0)
+	grad := randMatZeros(rng, seq, dim, 0)
+	mask := make([]bool, seq)
+	for i := range mask {
+		mask[i] = true
+	}
+	step := func() {
+		ws.Reset()
+		attn.Forward(ws, x, mask)
+		attn.Backward(ws, grad)
+	}
+	for i := 0; i < 2; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkEncoderForward measures inference only (forward + head).
 func BenchmarkEncoderForward(b *testing.B) {
 	enc, head, tokens, segments, mask := benchSetup()
@@ -123,9 +152,8 @@ func BenchmarkMatMulBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTBlocked compares the B-transposed GEMM tiers at the
-// attention-score shape (T×dk · (T×dk)ᵀ) and the weight-gradient consumer
-// shapes.
+// BenchmarkMatMulTBlocked compares the B-transposed GEMM tiers at a
+// dot-product shape with head-sized rows (T×dk · (T×dk)ᵀ) and a wider one.
 func BenchmarkMatMulTBlocked(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	shapes := []struct {

@@ -29,11 +29,11 @@ package nn
 //     k-order (see MatMulBlockedInto), so which rows share a matrix — all of a
 //     sequence's rows, or only the readout rows of the last layer — never
 //     affects any row's value;
-//   - attention runs the per-sequence stage Forward runs (attend:
-//     AttnScoresSoftmax plus the probs·V accumulation) on views of the
-//     packed Q/K/V, with each sequence's own mask; an attention output row
-//     depends only on its own query row and the sequence's keys and values,
-//     so computing it for the readout row alone gives the same row.
+//   - attention runs the per-sequence stage Forward runs (attend: the
+//     scores GEMM and softmax of attnProbs, then the probs·V GEMM) on views of
+//     the packed Q/K/V, with each sequence's own mask; an attention output
+//     row depends only on its own query row and the sequence's keys and
+//     values, so computing it for the readout row alone gives the same row.
 // So a packed pass changes scheduling, never arithmetic.
 
 // PrefixCache holds the embedding-layer output (token+position+segment sums,

@@ -19,10 +19,7 @@
 //     the repo-wide worker-parity guarantees break.
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mat is a dense row-major matrix.
 type Mat struct {
@@ -66,56 +63,6 @@ func checkMatMulTShapes(a, b, out *Mat) {
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmulT out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-}
-
-// AttnScoresSoftmax is the fused masked scaled-dot-product kernel of one
-// attention head: out[i][j] = softmax_j(scale · q_i·k_j) over columns with
-// mask[j] == true, reading the head slice [off, off+dk) of every q/k row.
-// Masked columns receive probability exactly 0 and their key rows are never
-// read, which is bit-identical to scoring them -Inf and softmaxing (exp(-Inf)
-// contributes +0 to the row sum). q may hold fewer rows than k (a subset of
-// the sequence's queries): row i depends only on q_i and the keys, so it is
-// the same row either way. mask covers the k.Rows keys; out must be
-// q.Rows×k.Rows, and every element is written. A row with no unmasked column
-// would be all zeros rather than NaN, but no caller produces one ([CLS] is
-// always unmasked).
-func AttnScoresSoftmax(q, k *Mat, off, dk int, scale float64, mask []bool, out *Mat) {
-	seq := k.Rows
-	for i := 0; i < q.Rows; i++ {
-		qi := q.Row(i)[off : off+dk]
-		row := out.Row(i)
-		max := math.Inf(-1)
-		for j := 0; j < seq; j++ {
-			if !mask[j] {
-				row[j] = 0
-				continue
-			}
-			kj := k.Row(j)[off : off+dk]
-			s := 0.0
-			for t := 0; t < dk; t++ {
-				s += qi[t] * kj[t]
-			}
-			s *= scale
-			row[j] = s
-			if s > max {
-				max = s
-			}
-		}
-		sum := 0.0
-		for j := 0; j < seq; j++ {
-			if !mask[j] {
-				continue
-			}
-			e := math.Exp(row[j] - max)
-			row[j] = e
-			sum += e
-		}
-		for j := 0; j < seq; j++ {
-			if mask[j] {
-				row[j] /= sum
-			}
-		}
 	}
 }
 

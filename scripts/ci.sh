@@ -79,10 +79,16 @@ must_pass ./internal/serve TestHandlerHitAllocs
 
 echo "== training bit-identity gate =="
 # Training at the benchmark's model shapes (LearnShapley-base with 2 layers and
-# LearnShapley-large with 3, on the default IMDB corpus) must reproduce the
-# weight digests recorded while training still padded every sequence to
-# MaxSeqLen and ran its last layer on every row.
+# LearnShapley-large with 3, on the default IMDB corpus, and LearnShapley-base
+# on the default Academic corpus) must reproduce the weight digests recorded
+# while training still padded every sequence to MaxSeqLen and ran its last
+# layer on every row (IMDB), and while attention still ran its own per-key
+# loops (Academic).
 must_pass ./internal/core TestTrainShapeGolden
+# Attention on the blocked kernels must match the per-key loops bit for bit:
+# forward output, probabilities, dq, dk, dv, dx and every parameter gradient,
+# on operands with exact zeros and -0 and scores whose exp underflows to 0.
+must_pass ./internal/nn TestAttentionMatchesReference
 
 echo "== sampler-vs-exact parity gate =="
 # The amc sampler must hold Spearman >= 0.95 against the exact oracle on the
